@@ -1,4 +1,4 @@
-.PHONY: test bench bench-smoke bench-csr bench-verify smoke sweep-smoke topo-smoke obs-smoke obs-collect-smoke traces-smoke properties all
+.PHONY: test bench bench-smoke bench-csr bench-verify perfbench-smoke smoke sweep-smoke topo-smoke obs-smoke obs-collect-smoke traces-smoke properties all
 
 # Tier-1: the full test suite (pyproject.toml supplies pythonpath/testpaths).
 test:
@@ -19,12 +19,20 @@ bench-smoke:
 bench-verify:
 	PYTHONPATH=src python -m repro.cli bench verify
 
-# The CSR routing-kernel suite alone (smoke workloads): N=200 on/off
-# byte-identity, throughput/hub-congestion probes, and the N=5000
-# scale-free build-and-schedule smoke, then the floor gate.
+# The CSR routing-kernel suite alone (smoke workloads): N=200
+# byte-identity against the object-kernel reference, throughput/hub-
+# congestion probes, and the N=5000 scale-free build-and-schedule
+# smoke, then the floor gate.
 bench-csr:
 	PYTHONPATH=src python -m repro.cli bench run --smoke --suite csr
 	PYTHONPATH=src python -m repro.cli bench verify
+
+# A two-second traced pass of every end-to-end benchmark workload.  The
+# traced run wraps named attributes of the package layer by layer, so a
+# refactor that renames or deletes one of them fails here; the run's own
+# per-round checks (byte-identical sinks, capacity, leaks) must pass too.
+perfbench-smoke:
+	python3 perfbench/run.py --workload all --seed 1 --seconds 2 --trace 1
 
 # The hypothesis property suites under the derandomized CI profile.
 properties:

@@ -4,13 +4,14 @@ Three campaigns over the scale-free family, all through the unified
 ``repro bench`` harness:
 
 * ``scale_free_200`` — the acceptance campaign: the same 40-task
-  schedule/release loop run with the object kernel and with the CSR
-  kernel (both behind the epoch-keyed :class:`PathCache`), asserting the
-  schedules are byte-identical (the kernel's contract, asserted always)
-  and that the array kernel clears the 5x throughput floor over the
-  object path (timing, skipped on smoke records).  Wall clocks are
-  best-of-three per engine — single passes on shared machines are too
-  noisy to gate a ratio on.
+  schedule/release loop run by the production scheduler (the CSR kernel
+  behind the epoch-keyed :class:`PathCache`) and by a benchmark-local
+  reference, :class:`ObjectOracleScheduler`, which builds every tree
+  with the uncached object kernel.  It asserts the schedules are
+  byte-identical (the kernel's contract, asserted always) and that
+  production clears the 5x throughput floor over the reference (timing,
+  skipped on smoke records).  Wall clocks are best-of-three per side —
+  single passes on shared machines are too noisy to gate a ratio on.
 * ``scale_free_1k`` — N=1000 schedule throughput (tasks/s) plus the
   hub-congestion probe: schedules held un-released so utilisation
   accumulates, then the busiest edge around the top-degree router read
@@ -31,7 +32,10 @@ import time
 
 from repro.bench import bench_suite
 from repro.core.flexible import FlexibleScheduler
+from repro.errors import NoPathError, SchedulingError
 from repro.network import csr, routing
+from repro.network.auxiliary import AuxiliaryGraphBuilder
+from repro.network.paths import tree_from_metric_closure
 from repro.network.state import node_utilisations
 from repro.network.topologies import scale_free
 from repro.network.topology import build_topology
@@ -70,12 +74,44 @@ def _workload(network, n_tasks, n_locals, seed=7, demand=DEMAND_GBPS):
     return tasks
 
 
-def _campaign(n_routers, n_tasks, n_locals, use_csr):
+class ObjectOracleScheduler(FlexibleScheduler):
+    """The reference side: every tree from the uncached object kernel.
+
+    One :func:`repro.network.routing.sssp` per terminal (except the
+    last) over the auxiliary builder's scalar weight function, then the
+    shared :func:`~repro.network.paths.tree_from_metric_closure`
+    finisher — the construction the production path must reproduce byte
+    for byte.
+    """
+
+    def _build_tree(self, task, network):
+        builder = AuxiliaryGraphBuilder(
+            network,
+            demand_gbps=task.demand_gbps,
+            owner=task.task_id,
+            weights=self.weights,
+        )
+        weight = builder.weight_fn()
+        terminals = list(dict.fromkeys([task.global_node, *task.local_nodes]))
+        closure = {}
+        try:
+            for i, a in enumerate(terminals[:-1]):
+                tree = routing.sssp(network, a, weight)
+                for b in terminals[i + 1 :]:
+                    closure[(a, b)] = tree.path_to(b)
+        except NoPathError as exc:
+            raise SchedulingError(f"task {task.task_id!r}: {exc}") from exc
+        return tree_from_metric_closure(
+            task.global_node, terminals, closure, weight
+        )
+
+
+def _campaign(n_routers, n_tasks, n_locals, scheduler_cls):
     """One schedule/release pass; returns (elapsed_s, signatures)."""
     network = scale_free(
         n_routers=n_routers, m_links=2, seed=1, servers_per_site=1
     )
-    scheduler = FlexibleScheduler(use_cache=True, use_csr=use_csr)
+    scheduler = scheduler_cls()
     tasks = _workload(network, n_tasks, n_locals)
     signatures = []
     start = time.perf_counter()
@@ -95,31 +131,32 @@ def _campaign(n_routers, n_tasks, n_locals, use_csr):
 
 
 def _speedup_campaign(smoke: bool, *, assert_speedup: bool = True):
-    """Object vs CSR kernel on the cached N=200 path: identity + floor."""
+    """Object-kernel reference vs production at N=200: identity + floor."""
     n, n_tasks, n_locals = (200, 4, 6) if smoke else (200, 40, 16)
     passes = 1 if smoke else 3
     object_times, csr_times = [], []
     object_sig = csr_sig = None
     for _ in range(passes):
-        elapsed, sig = _campaign(n, n_tasks, n_locals, use_csr=False)
+        elapsed, sig = _campaign(n, n_tasks, n_locals, ObjectOracleScheduler)
         object_times.append(elapsed)
         assert object_sig is None or sig == object_sig
         object_sig = sig
     for _ in range(passes):
-        elapsed, sig = _campaign(n, n_tasks, n_locals, use_csr=True)
+        elapsed, sig = _campaign(n, n_tasks, n_locals, FlexibleScheduler)
         csr_times.append(elapsed)
         assert csr_sig is None or sig == csr_sig
         csr_sig = sig
     identical = object_sig == csr_sig
     assert identical, (
-        "CSR and object kernels diverged on the same workload"
+        "production and the object-kernel reference diverged on the same "
+        "workload"
     )
     object_s, csr_s = min(object_times), min(csr_times)
     speedup = object_s / csr_s if csr_s > 0 else float("inf")
     if assert_speedup and not _skip_timing(smoke):
         assert speedup >= SPEEDUP_FLOOR, (
-            f"CSR speedup {speedup:.2f}x below the {SPEEDUP_FLOOR}x floor "
-            f"on scale-free N={n}"
+            f"speedup {speedup:.2f}x over the object-kernel reference below "
+            f"the {SPEEDUP_FLOOR}x floor on scale-free N={n}"
         )
     return {
         "n_routers": n,
@@ -139,7 +176,7 @@ def _hub_campaign(smoke: bool):
     network = scale_free(
         n_routers=n, m_links=2, seed=1, servers_per_site=1
     )
-    scheduler = FlexibleScheduler(use_cache=True, use_csr=True)
+    scheduler = FlexibleScheduler()
     tasks = _workload(network, n_tasks, n_locals, demand=1.0)
     schedules = []
     start = time.perf_counter()
@@ -177,7 +214,7 @@ def _scale_campaign(smoke: bool):
     start = time.perf_counter()
     snapshot = csr.get_snapshot(network)
     snapshot_s = time.perf_counter() - start
-    scheduler = FlexibleScheduler(use_cache=True, use_csr=True)
+    scheduler = FlexibleScheduler()
     tasks = _workload(network, n_tasks, n_locals, seed=11, demand=1.0)
     start = time.perf_counter()
     for task in tasks:

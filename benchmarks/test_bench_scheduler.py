@@ -3,11 +3,15 @@
 Drives the flexible scheduler through the protocol-serving hot loop —
 schedule a task, release it, next task (exactly what
 ``repro.scenarios.sweep.engine._serve`` does per run) — over scale-free
-instances at N=50 and N=200, once with the epoch-keyed
-:class:`~repro.network.routing.PathCache` and once without.  Asserts the
-two passes produce byte-identical schedules (the kernel's contract) and,
-on the N=200 campaign instance, that the cache delivers at least a 3x
-throughput speedup.  Results land in ``BENCH_HISTORY.jsonl`` through the
+instances at N=50 and N=200, once with the production scheduler (the
+CSR kernel behind the epoch-keyed
+:class:`~repro.network.routing.PathCache`) and once with a
+benchmark-local reference, :class:`UncachedScheduler`, that runs the
+same CSR kernel with no cache.  Asserts the two passes produce
+byte-identical schedules (the cache's contract) and, on the N=200
+campaign instance, that the cache delivers at least a 3x throughput
+speedup.  That floor dates from an object-kernel reference; over the
+uncached CSR kernel the cache reads far less (see BASELINES.md).  Results land in ``BENCH_HISTORY.jsonl`` through the
 ``repro bench`` harness (the pre-harness ``BENCH_scheduler.json``
 snapshot is frozen as the legacy baseline); ``repro bench verify``
 asserts the speedup floor against the newest record.
@@ -26,7 +30,9 @@ import time
 
 from repro.bench import bench_suite
 from repro.core.flexible import FlexibleScheduler
-from repro.network import routing
+from repro.errors import NoPathError, SchedulingError
+from repro.network import csr, routing
+from repro.network.auxiliary import AuxiliaryGraphBuilder
 from repro.network.topologies import scale_free
 from repro.sim.rng import RandomStreams
 from repro.tasks.aitask import AITask
@@ -87,13 +93,31 @@ def _spread(network, n_locals: int):
     )
 
 
-def _campaign(n_routers: int, n_tasks: int, n_locals: int, use_cache: bool):
+class UncachedScheduler(FlexibleScheduler):
+    """The reference side: every tree from the CSR kernel, uncached."""
+
+    def _build_tree(self, task, network):
+        builder = AuxiliaryGraphBuilder(
+            network,
+            demand_gbps=task.demand_gbps,
+            owner=task.task_id,
+            weights=self.weights,
+        )
+        try:
+            return csr.terminal_tree_csr(
+                network, task.global_node, list(task.local_nodes), builder
+            )
+        except NoPathError as exc:
+            raise SchedulingError(f"task {task.task_id!r}: {exc}") from exc
+
+
+def _campaign(n_routers: int, n_tasks: int, n_locals: int, scheduler_cls):
     """Run the schedule/release loop; return (elapsed_s, signatures, stats)."""
     network = scale_free(
         n_routers=n_routers, m_links=2, seed=1, servers_per_site=1
     )
     assert _spread(network, n_locals) < float("inf")
-    scheduler = FlexibleScheduler(use_cache=use_cache)
+    scheduler = scheduler_cls()
     tasks = _workload(network, n_tasks, n_locals)
     signatures = []
     start = time.perf_counter()
@@ -117,8 +141,12 @@ def _campaign(n_routers: int, n_tasks: int, n_locals: int, use_cache: bool):
 def _run_campaign(n_routers: int, *, smoke: bool, assert_speedup: bool):
     """One campaign's metrics; asserts identity (always) and the floor."""
     n, n_tasks, n_locals = _campaigns(smoke)[n_routers]
-    uncached_s, uncached_sig, _ = _campaign(n, n_tasks, n_locals, False)
-    cached_s, cached_sig, stats = _campaign(n, n_tasks, n_locals, True)
+    uncached_s, uncached_sig, _ = _campaign(
+        n, n_tasks, n_locals, UncachedScheduler
+    )
+    cached_s, cached_sig, stats = _campaign(
+        n, n_tasks, n_locals, FlexibleScheduler
+    )
     identical = cached_sig == uncached_sig
     assert identical, (
         "cached and uncached schedulers diverged on the same workload"

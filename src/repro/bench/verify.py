@@ -133,7 +133,7 @@ FLOORS: List[Floor] = [
     ),
     Floor(
         "csr", "scale_free_200.identical", 1,
-        doc="CSR and object kernels byte-identical at N=200",
+        doc="schedules byte-identical to the object-kernel reference at N=200",
     ),
     Floor(
         "csr", "scale_free_1k.hub_utilisation", 1.001, op="<=",
@@ -166,11 +166,11 @@ FLOORS: List[Floor] = [
     ),
     Floor(
         "scheduler", "scale_free_200.speedup", 3.0, timing=True,
-        doc="routing-cache schedule speedup at N=200 (baseline 6.38x)",
+        doc="routing-cache schedule speedup at N=200 (6.38x baseline predates CSR)",
     ),
     Floor(
         "csr", "scale_free_200.speedup", 5.0, timing=True,
-        doc="CSR kernel speedup over the cached object path at N=200",
+        doc="speedup over the uncached object-kernel reference at N=200",
     ),
     Floor(
         "topologies", "clos.builds_per_s", 100.0, timing=True,

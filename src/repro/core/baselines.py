@@ -26,13 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import NoPathError, SchedulingError
 from ..network import csr, routing
 from ..network.graph import Network
-from ..network.paths import (
-    PathResult,
-    TreeResult,
-    dijkstra,
-    k_shortest_paths,
-    latency_weight,
-)
+from ..network.paths import PathResult, TreeResult, latency_weight
 from ..tasks.aggregation import UploadAggregationPlan
 from ..tasks.aitask import AITask
 from .base import Edge, Scheduler, TaskSchedule, traced_schedule
@@ -42,26 +36,17 @@ from .fixed import MIN_RATE_GBPS
 class KspLoadBalancedScheduler(Scheduler):
     """k-shortest-paths with bottleneck-residual load balancing.
 
+    The k-shortest candidates resolve through the network's
+    :class:`~repro.network.routing.PathCache`.
+
     Args:
         k: candidate paths per flow (Yen's algorithm).
         min_rate_gbps: admission floor per flow.
-        use_cache: resolve the k-shortest candidates through the
-            network's :class:`~repro.network.routing.PathCache`.
-            ``None`` defers to the ``REPRO_PATH_CACHE`` switch.
-        use_csr: run Yen's searches and bottleneck scoring on the
-            array-native CSR kernel; byte-identical results.  ``None``
-            defers to the ``REPRO_CSR`` switch.
     """
 
     name = "ksp-lb"
 
-    def __init__(
-        self,
-        k: int = 3,
-        min_rate_gbps: float = MIN_RATE_GBPS,
-        use_cache: Optional[bool] = None,
-        use_csr: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, k: int = 3, min_rate_gbps: float = MIN_RATE_GBPS) -> None:
         if k < 1:
             raise SchedulingError(f"k must be >= 1, got {k}")
         if min_rate_gbps <= 0:
@@ -70,8 +55,6 @@ class KspLoadBalancedScheduler(Scheduler):
             )
         self._k = k
         self._min_rate = min_rate_gbps
-        self._use_cache = use_cache
-        self._use_csr = use_csr
 
     def _best_path(
         self,
@@ -87,50 +70,19 @@ class KspLoadBalancedScheduler(Scheduler):
         this schedule has already *planned* onto each edge, so this task's
         own flows spread across the candidates.
         """
-        cached = (
-            routing.cache_enabled() if self._use_cache is None else self._use_cache
+        candidates = routing.get_cache(network).k_shortest_paths(
+            source, destination, self._k, routing.LatencyWeightSpec(network)
         )
-        use_csr = csr.resolve(self._use_csr)
-        if cached:
-            candidates = routing.get_cache(network).k_shortest_paths(
-                source,
-                destination,
-                self._k,
-                routing.LatencyWeightSpec(network),
-                csr=self._use_csr,
+        # Vectorised residual gather (same floats as residual_gbps).
+        snapshot = csr.get_snapshot(network)
+        residual = snapshot.residual_list()
+        edge_pos = snapshot.edge_pos
+
+        def bottleneck(path: PathResult) -> float:
+            return min(
+                residual[edge_pos[(a, b)]] - planned.get((a, b), 0) * demand
+                for a, b in zip(path.nodes, path.nodes[1:])
             )
-        elif use_csr:
-            candidates = csr.k_shortest_paths_csr(
-                network,
-                source,
-                destination,
-                self._k,
-                routing.LatencyWeightSpec(network),
-            )
-        else:
-            candidates = k_shortest_paths(
-                network, source, destination, self._k, latency_weight(network)
-            )
-
-        if use_csr:
-            # Vectorised residual gather (same floats as residual_gbps).
-            snapshot = csr.get_snapshot(network)
-            residual = snapshot.residual_list()
-            edge_pos = snapshot.edge_pos
-
-            def bottleneck(path: PathResult) -> float:
-                return min(
-                    residual[edge_pos[(a, b)]] - planned.get((a, b), 0) * demand
-                    for a, b in zip(path.nodes, path.nodes[1:])
-                )
-
-        else:
-
-            def bottleneck(path: PathResult) -> float:
-                return min(
-                    network.residual_gbps(a, b) - planned.get((a, b), 0) * demand
-                    for a, b in zip(path.nodes, path.nodes[1:])
-                )
 
         # Max bottleneck residual; ties broken towards the shorter path
         # (candidates arrive weight-sorted, and max() keeps the first).
@@ -159,30 +111,18 @@ class KspLoadBalancedScheduler(Scheduler):
 
         # Phase 2: equal-share rates where this task's flows still share
         # an edge (unavoidable on the global node's access link).
-        if csr.resolve(self._use_csr):
-            snapshot = csr.get_snapshot(network)
-            residual = snapshot.residual_list()
-            edge_pos = snapshot.edge_pos
+        snapshot = csr.get_snapshot(network)
+        residual = snapshot.residual_list()
+        edge_pos = snapshot.edge_pos
 
-            def flow_rate(path: Tuple[str, ...]) -> float:
-                return min(
-                    [task.demand_gbps]
-                    + [
-                        residual[edge_pos[(a, b)]] / planned[(a, b)]
-                        for a, b in zip(path, path[1:])
-                    ]
-                )
-
-        else:
-
-            def flow_rate(path: Tuple[str, ...]) -> float:
-                return min(
-                    [task.demand_gbps]
-                    + [
-                        network.residual_gbps(a, b) / planned[(a, b)]
-                        for a, b in zip(path, path[1:])
-                    ]
-                )
+        def flow_rate(path: Tuple[str, ...]) -> float:
+            return min(
+                [task.demand_gbps]
+                + [
+                    residual[edge_pos[(a, b)]] / planned[(a, b)]
+                    for a, b in zip(path, path[1:])
+                ]
+            )
 
         broadcast_rates = {
             local: flow_rate(path) for local, path in broadcast_paths.items()
@@ -245,81 +185,35 @@ class ChainScheduler(Scheduler):
 
     name = "chain"
 
-    def __init__(
-        self,
-        min_rate_gbps: float = MIN_RATE_GBPS,
-        use_cache: Optional[bool] = None,
-        use_csr: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, min_rate_gbps: float = MIN_RATE_GBPS) -> None:
         if min_rate_gbps <= 0:
             raise SchedulingError(
                 f"min_rate_gbps must be > 0, got {min_rate_gbps}"
             )
         self._min_rate = min_rate_gbps
-        self._use_cache = use_cache
-        self._use_csr = use_csr
-
-    def _route(self, network: Network):
-        """A point-to-point router: cached SSSP extraction or Dijkstra.
-
-        The cached variant turns the nearest-neighbour sweep's ``k``
-        queries from one node into a single shared single-source pass.
-        """
-        cached = (
-            routing.cache_enabled() if self._use_cache is None else self._use_cache
-        )
-        if cached:
-            cache = routing.get_cache(network)
-            spec = routing.LatencyWeightSpec(network)
-            return lambda src, dst: cache.shortest_path(
-                src, dst, spec, csr=self._use_csr
-            )
-        if csr.resolve(self._use_csr):
-            spec = routing.LatencyWeightSpec(network)
-            return lambda src, dst: csr.shortest_path_csr(network, src, dst, spec)
-        weight = latency_weight(network)
-        return lambda src, dst: dijkstra(network, src, dst, weight)
 
     def _visit_order(self, task: AITask, network: Network) -> List[str]:
-        """Nearest-neighbour order over terminals, starting at the root."""
+        """Nearest-neighbour order over terminals, starting at the root.
+
+        Each step scores the whole remaining set against one cached
+        single-source tree's distance dict instead of one point-to-point
+        query per (step, candidate) pair.  Same floats — the extracted
+        path weight *is* the tree distance.
+        """
         remaining = list(task.local_nodes)
         order = [task.global_node]
-        if csr.resolve(self._use_csr):
-            # Score the whole remaining set against one single-source
-            # tree's distance dict per step instead of one point-to-point
-            # query per (step, candidate) pair.  Same floats — the
-            # extracted path weight *is* the tree distance.
-            cached = (
-                routing.cache_enabled()
-                if self._use_cache is None
-                else self._use_cache
-            )
-            spec = routing.LatencyWeightSpec(network)
-            cache = routing.get_cache(network) if cached else None
-            while remaining:
-                current = order[-1]
-                if cache is not None:
-                    tree = cache.sssp(current, spec, csr=self._use_csr)
-                else:
-                    tree = csr.sssp_csr(network, current, spec)
-                distance = tree.distance
-                scored = []
-                for node in remaining:
-                    d = distance.get(node)
-                    if d is None:
-                        raise NoPathError(current, node)
-                    scored.append((d, node))
-                best = min(scored)[1]
-                order.append(best)
-                remaining.remove(best)
-            return order
-        route = self._route(network)
+        spec = routing.LatencyWeightSpec(network)
+        cache = routing.get_cache(network)
         while remaining:
             current = order[-1]
-            best = min(
-                remaining,
-                key=lambda node: (route(current, node).weight, node),
-            )
+            distance = cache.sssp(current, spec).distance
+            scored = []
+            for node in remaining:
+                d = distance.get(node)
+                if d is None:
+                    raise NoPathError(current, node)
+                scored.append((d, node))
+            best = min(scored)[1]
             order.append(best)
             remaining.remove(best)
         return order
@@ -327,12 +221,13 @@ class ChainScheduler(Scheduler):
     def _chain_tree(self, task: AITask, network: Network) -> TreeResult:
         """A TreeResult whose single branch follows the visit order."""
         order = self._visit_order(task, network)
-        route = self._route(network)
+        cache = routing.get_cache(network)
+        spec = routing.LatencyWeightSpec(network)
         weight = latency_weight(network)
         parent: Dict[str, str] = {}
         total = 0.0
         for closer, farther in zip(order, order[1:]):
-            segment = route(closer, farther)
+            segment = cache.shortest_path(closer, farther, spec)
             for towards_root, away in zip(segment.nodes, segment.nodes[1:]):
                 if away == task.global_node or away in parent:
                     continue

@@ -28,7 +28,6 @@ from typing import Dict, List, Tuple
 from ..errors import NoPathError, SchedulingError
 from ..network import csr, routing
 from ..network.graph import Network
-from ..network.paths import dijkstra, latency_weight
 from ..tasks.aitask import AITask
 from .base import Edge, Scheduler, TaskSchedule, traced_schedule
 
@@ -39,65 +38,38 @@ MIN_RATE_GBPS = 1e-3
 class FixedScheduler(Scheduler):
     """Shortest-path + first-fit baseline (aggregation only at the root).
 
+    Shortest paths resolve through the network's
+    :class:`~repro.network.routing.PathCache` (latency weights survive
+    reservations, so hits are common).
+
     Args:
         min_rate_gbps: admission floor; scheduling fails if any flow
             would receive less than this.
-        use_cache: resolve shortest paths through the network's
-            :class:`~repro.network.routing.PathCache` (latency weights
-            survive reservations, so hits are common).  ``None`` defers
-            to the ``REPRO_PATH_CACHE`` environment switch.
-        use_csr: run routing and rate scoring on the array-native CSR
-            kernel (:mod:`repro.network.csr`); byte-identical results.
-            ``None`` defers to the ``REPRO_CSR`` switch.
     """
 
     name = "fixed-spff"
 
-    def __init__(
-        self,
-        min_rate_gbps: float = MIN_RATE_GBPS,
-        use_cache: "bool | None" = None,
-        use_csr: "bool | None" = None,
-    ) -> None:
+    def __init__(self, min_rate_gbps: float = MIN_RATE_GBPS) -> None:
         if min_rate_gbps <= 0:
             raise SchedulingError(
                 f"min_rate_gbps must be > 0, got {min_rate_gbps}"
             )
         self._min_rate = min_rate_gbps
-        self._use_cache = use_cache
-        self._use_csr = use_csr
 
     @traced_schedule
     def schedule(self, task: AITask, network: Network) -> TaskSchedule:
-        cached = (
-            routing.cache_enabled() if self._use_cache is None else self._use_cache
-        )
-        use_csr = csr.resolve(self._use_csr)
-        if cached:
-            cache = routing.get_cache(network)
-            spec = routing.LatencyWeightSpec(network)
-
-            def route(src: str, dst: str) -> Tuple[str, ...]:
-                return cache.shortest_path(src, dst, spec, csr=self._use_csr).nodes
-
-        elif use_csr:
-            spec = routing.LatencyWeightSpec(network)
-
-            def route(src: str, dst: str) -> Tuple[str, ...]:
-                return csr.shortest_path_csr(network, src, dst, spec).nodes
-
-        else:
-            weight = latency_weight(network)
-
-            def route(src: str, dst: str) -> Tuple[str, ...]:
-                return dijkstra(network, src, dst, weight).nodes
-
+        cache = routing.get_cache(network)
+        spec = routing.LatencyWeightSpec(network)
         broadcast_paths: Dict[str, Tuple[str, ...]] = {}
         upload_paths: Dict[str, Tuple[str, ...]] = {}
         try:
             for local in task.local_nodes:
-                broadcast_paths[local] = route(task.global_node, local)
-                upload_paths[local] = route(local, task.global_node)
+                broadcast_paths[local] = cache.shortest_path(
+                    task.global_node, local, spec
+                ).nodes
+                upload_paths[local] = cache.shortest_path(
+                    local, task.global_node, spec
+                ).nodes
         except NoPathError as exc:
             raise SchedulingError(
                 f"task {task.task_id!r}: {exc}"
@@ -112,29 +84,19 @@ class FixedScheduler(Scheduler):
 
         # Equal-share rate per flow: bounded by the demand and by the
         # residual capacity divided by this task's flow count on every
-        # edge the flow crosses.  Under the CSR kernel the residuals are
-        # gathered in one vectorised subtraction (same floats:
-        # capacity minus recorded use) instead of per-edge link lookups.
-        if use_csr:
-            snapshot = csr.get_snapshot(network)
-            residual = snapshot.residual_list()
-            edge_pos = snapshot.edge_pos
+        # edge the flow crosses.  The residuals are gathered in one
+        # vectorised subtraction over the CSR snapshot (same floats as
+        # ``residual_gbps``: capacity minus recorded use).
+        snapshot = csr.get_snapshot(network)
+        residual = snapshot.residual_list()
+        edge_pos = snapshot.edge_pos
 
-            def flow_rate(path: Tuple[str, ...]) -> float:
-                rate = task.demand_gbps
-                for edge in zip(path, path[1:]):
-                    share = residual[edge_pos[edge]] / edge_flows[edge]
-                    rate = min(rate, share)
-                return rate
-
-        else:
-
-            def flow_rate(path: Tuple[str, ...]) -> float:
-                rate = task.demand_gbps
-                for edge in zip(path, path[1:]):
-                    share = network.residual_gbps(*edge) / edge_flows[edge]
-                    rate = min(rate, share)
-                return rate
+        def flow_rate(path: Tuple[str, ...]) -> float:
+            rate = task.demand_gbps
+            for edge in zip(path, path[1:]):
+                share = residual[edge_pos[edge]] / edge_flows[edge]
+                rate = min(rate, share)
+            return rate
 
         broadcast_rates = {
             local: flow_rate(path) for local, path in broadcast_paths.items()

@@ -33,10 +33,10 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..errors import NoPathError, SchedulingError
-from ..network import csr, routing
+from ..network import routing
 from ..network.auxiliary import AuxiliaryGraphBuilder, AuxiliaryWeights
 from ..network.graph import Network
-from ..network.paths import TreeResult, terminal_tree
+from ..network.paths import TreeResult
 from ..tasks.aggregation import UploadAggregationPlan
 from ..tasks.aitask import AITask
 from .base import Edge, Scheduler, TaskSchedule, traced_schedule
@@ -48,19 +48,13 @@ MIN_RATE_GBPS = 1e-3
 class FlexibleScheduler(Scheduler):
     """MST-over-auxiliary-graph scheduler with in-network aggregation.
 
+    Trees are built through the network's epoch-keyed
+    :class:`~repro.network.routing.PathCache` on the CSR kernel.
+
     Args:
         weights: auxiliary-graph blending coefficients; the defaults
             balance bandwidth saving against latency as in the poster.
         min_rate_gbps: admission floor per tree edge.
-        use_cache: route through the epoch-keyed
-            :class:`~repro.network.routing.PathCache` (byte-identical
-            results, fewer Dijkstra passes).  ``None`` — the default —
-            defers to the ``REPRO_PATH_CACHE`` environment switch at
-            schedule time.
-        use_csr: run shortest-path work on the array-native CSR kernel
-            (:mod:`repro.network.csr`) — byte-identical results, much
-            less per-edge Python overhead.  ``None`` defers to the
-            ``REPRO_CSR`` switch and numpy availability.
     """
 
     name = "flexible-mst"
@@ -69,8 +63,6 @@ class FlexibleScheduler(Scheduler):
         self,
         weights: Optional[AuxiliaryWeights] = None,
         min_rate_gbps: float = MIN_RATE_GBPS,
-        use_cache: Optional[bool] = None,
-        use_csr: Optional[bool] = None,
     ) -> None:
         if min_rate_gbps <= 0:
             raise SchedulingError(
@@ -78,17 +70,10 @@ class FlexibleScheduler(Scheduler):
             )
         self._weights = weights or AuxiliaryWeights()
         self._min_rate = min_rate_gbps
-        self._use_cache = use_cache
-        self._use_csr = use_csr
 
     @property
     def weights(self) -> AuxiliaryWeights:
         return self._weights
-
-    def _cache_enabled(self) -> bool:
-        if self._use_cache is None:
-            return routing.cache_enabled()
-        return self._use_cache
 
     def _build_tree(self, task: AITask, network: Network) -> TreeResult:
         builder = AuxiliaryGraphBuilder(
@@ -98,22 +83,8 @@ class FlexibleScheduler(Scheduler):
             weights=self._weights,
         )
         try:
-            if self._cache_enabled():
-                return routing.get_cache(network).terminal_tree(
-                    task.global_node,
-                    list(task.local_nodes),
-                    builder,
-                    csr=self._use_csr,
-                )
-            if csr.resolve(self._use_csr):
-                return csr.terminal_tree_csr(
-                    network, task.global_node, list(task.local_nodes), builder
-                )
-            return terminal_tree(
-                network,
-                task.global_node,
-                list(task.local_nodes),
-                builder.weight_fn(),
+            return routing.get_cache(network).terminal_tree(
+                task.global_node, list(task.local_nodes), builder
             )
         except NoPathError as exc:
             raise SchedulingError(f"task {task.task_id!r}: {exc}") from exc

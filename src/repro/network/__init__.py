@@ -28,7 +28,6 @@ from .routing import (
     LatencyWeightSpec,
     PathCache,
     ShortestPathTree,
-    cache_enabled,
     get_cache,
     multi_source_distances,
     peek_cache,
@@ -68,7 +67,6 @@ __all__ = [
     "LatencyWeightSpec",
     "PathCache",
     "ShortestPathTree",
-    "cache_enabled",
     "get_cache",
     "multi_source_distances",
     "peek_cache",

@@ -179,15 +179,3 @@ class AuxiliaryGraphBuilder:
             self._owner == ""
             or not self._network.has_reservations(self._owner)
         )
-
-    def recording_weight_fn(self, reads: dict) -> WeightFn:
-        """Like :meth:`weight_fn`, but reporting every link it reads.
-
-        ``reads`` maps each directed edge evaluated to ``(link,
-        generation, value)`` — the routing cache's per-edge invalidation
-        record: a cached result stays valid until one of *exactly these*
-        links changes, not until anything anywhere does.
-        """
-        from .routing import recording_weight
-
-        return recording_weight(self._network, self.edge_weight, reads)

@@ -1,9 +1,9 @@
-"""Array-native CSR routing kernel.
+"""Array-native CSR routing kernel: the one production routing path.
 
 The object-graph kernel (:mod:`repro.network.paths`) traverses ``Link``
 objects through dict lookups and per-edge weight closures; at N=200 that
-Python overhead — not algorithmic redundancy — dominates cached schedule
-time.  This package mirrors the topology into flat arrays once per
+Python overhead — not algorithmic redundancy — dominates schedule time.
+This package mirrors the topology into flat arrays once per
 ``Network.topology_version`` and runs the same algorithms over them:
 
 * :mod:`~repro.network.csr.snapshot` — the CSR adjacency snapshot
@@ -20,82 +20,25 @@ time.  This package mirrors the topology into flat arrays once per
   byte-identical, plus the incremental-repair change-cut check that lets
   cached trees survive link deltas without recomputation.
 
-numpy is an optional dependency: importing this package never fails, but
-using any CSR entry point without numpy raises a clear
-:class:`~repro.errors.ReproError`.  The object-path kernel keeps working
-either way; ``resolve(None)`` (the ``REPRO_CSR`` switch) silently falls
-back to the object path when numpy is absent.
+Every scheduler routes through :class:`~repro.network.routing.PathCache`,
+which calls these entry points; numpy is a hard dependency.  A weight
+spec whose token the builders cannot lower is an error
+(:class:`~repro.errors.TopologyError`), never a silent detour onto the
+object kernel.  That kernel stays as the reference oracle the
+equivalence tests and benchmarks compare against, for Yen's control
+flow (which runs over this package's array searches), and for the
+callers outside the schedulers' path: background-traffic injection,
+optical grooming and the Steiner heuristics.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
-from ...errors import ReproError
-
-try:  # pragma: no cover - exercised implicitly by every CSR test
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is baked into the test env
-    HAVE_NUMPY = False
-
-#: Environment switch: set to 0/false/off to disable the CSR kernel.
-CSR_ENV_VAR = "REPRO_CSR"
-
-
-def require_numpy() -> None:
-    """Raise a clear error when numpy is unavailable."""
-    if not HAVE_NUMPY:
-        raise ReproError(
-            "the CSR routing kernel requires numpy, which is not installed; "
-            "install numpy or run with use_csr=False / REPRO_CSR=0 to use "
-            "the object-path kernel"
-        )
-
-
-def csr_enabled() -> bool:
-    """Whether the CSR kernel is enabled for callers left on "auto".
-
-    Controlled by ``REPRO_CSR`` exactly as ``REPRO_PATH_CACHE`` controls
-    the path cache: any of ``0``, ``false``, ``off``, ``no``
-    (case-insensitive) disables, everything else (including unset)
-    enables.  Read at schedule time, so it propagates to worker
-    processes spawned afterwards.
-    """
-    return os.environ.get(CSR_ENV_VAR, "1").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
-
-
-def resolve(flag: Optional[bool]) -> bool:
-    """Resolve a ``use_csr`` tri-state to a concrete on/off decision.
-
-    ``None`` defers to :func:`csr_enabled` *and* numpy availability (a
-    numpy-less environment silently keeps the object path — auto mode
-    never errors).  ``True`` demands the kernel and raises if numpy is
-    missing; ``False`` is always honoured.
-    """
-    if flag is None:
-        return HAVE_NUMPY and csr_enabled()
-    if flag:
-        require_numpy()
-        return True
-    return False
-
-
-from .snapshot import CsrSnapshot, get_snapshot, peek_snapshot  # noqa: E402
-from .weights import weight_array  # noqa: E402
-from .kernel import (  # noqa: E402
+from .snapshot import CsrSnapshot, get_snapshot, peek_snapshot
+from .weights import weight_array
+from .kernel import (
     array_edge_weight,
     array_search,
     k_shortest_paths_csr,
-    point_to_point,
-    shortest_path_csr,
     sssp_csr,
     sssp_tree,
     terminal_tree_csr,
@@ -103,19 +46,12 @@ from .kernel import (  # noqa: E402
 )
 
 __all__ = [
-    "CSR_ENV_VAR",
     "CsrSnapshot",
-    "HAVE_NUMPY",
     "array_edge_weight",
     "array_search",
-    "csr_enabled",
     "get_snapshot",
     "k_shortest_paths_csr",
     "peek_snapshot",
-    "point_to_point",
-    "require_numpy",
-    "resolve",
-    "shortest_path_csr",
     "sssp_csr",
     "sssp_tree",
     "terminal_tree_csr",

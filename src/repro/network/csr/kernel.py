@@ -6,14 +6,15 @@ transliterated onto CSR index arrays: same heap entries ``(distance,
 tick, node)`` with the same monotone tick sequence, same ``1e-15``
 relaxation epsilon, same neighbour iteration order (CSR rows are built
 in adjacency insertion order).  The object kernel's per-edge
-infinite-weight skip and negative-weight raise are subsumed by the
-relaxation test, because :func:`~repro.network.csr.weights.weight_array`
-only ever hands this loop values in ``[0, +inf]`` (a +inf edge can
-never beat an incumbent).  Because ties are broken by the tick counter and
+infinite-weight skip is subsumed by the relaxation test and its
+negative-weight raise moves to
+:func:`~repro.network.csr.weights.weight_array`, which only ever hands
+this loop values in ``[0, +inf]`` (a +inf edge can never beat an
+incumbent).  Because ties are broken by the tick counter and
 both kernels push in the same order with the same float64 values, the
 settled order, distances, and predecessors are *bit-identical* — which
-is what lets golden sweeps match byte-for-byte with the kernel on or
-off.
+is what lets the object kernel serve as the reference oracle the
+equivalence tests and benchmarks check this one against.
 
 The incremental-repair primitive is :func:`tree_unaffected`: a
 change-cut classification over the edges whose weight moved between two
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ...errors import NoPathError, TopologyError
 from ..graph import Network
@@ -177,33 +178,6 @@ def _extract_path(
     return PathResult(nodes=nodes, weight=dist[target_i])
 
 
-def point_to_point(
-    snapshot: CsrSnapshot,
-    source: str,
-    destination: str,
-    weights: List[float],
-    ban_nodes: Optional[bytearray] = None,
-    ban_edges: Optional[set] = None,
-) -> PathResult:
-    """Early-exit point-to-point query, bit-identical to ``dijkstra``."""
-    source_i = _source_index(snapshot, source)
-    target_i = _source_index(snapshot, destination)
-    if source_i == target_i:
-        return PathResult(nodes=(source,), weight=0.0)
-    dist, prev, _order, settled = _run(
-        snapshot.indptr,
-        snapshot.indices,
-        weights,
-        source_i,
-        target_i,
-        ban_nodes,
-        ban_edges,
-    )
-    return _extract_path(
-        snapshot, source, destination, dist, prev, settled, target_i
-    )
-
-
 # ---------------------------------------------------------------------------
 # Incremental repair
 # ---------------------------------------------------------------------------
@@ -264,39 +238,19 @@ def tree_unaffected(
 
 
 # ---------------------------------------------------------------------------
-# Uncached module-level entry points (used when the path cache is off)
+# Uncached entry points (unshareable specs bypass the path cache)
 # ---------------------------------------------------------------------------
 
-def _snapshot_and_weights(network: Network, spec) -> Tuple[Optional[CsrSnapshot], Optional[list]]:
-    """The refreshed snapshot and weight list for a spec, if lowerable."""
-    token: Hashable = spec.cache_token()
+def _snapshot_and_weights(network: Network, spec) -> Tuple[CsrSnapshot, list]:
+    """The refreshed snapshot and lowered weight list for a spec."""
     snapshot = get_snapshot(network)
-    array = weight_array(snapshot, token)
-    if array is None:
-        return None, None
-    return snapshot, array.tolist()
+    return snapshot, weight_array(snapshot, spec.cache_token()).tolist()
 
 
 def sssp_csr(network: Network, source: str, spec) -> ShortestPathTree:
-    """Uncached CSR single-source tree (object fallback on exotic specs)."""
+    """Uncached CSR single-source tree."""
     snapshot, weights = _snapshot_and_weights(network, spec)
-    if snapshot is None:
-        from ..routing import sssp
-
-        return sssp(network, source, spec.weight_fn())
     return sssp_tree(snapshot, source, weights)
-
-
-def shortest_path_csr(
-    network: Network, source: str, destination: str, spec
-) -> PathResult:
-    """Uncached CSR point-to-point query (mirrors ``paths.dijkstra``)."""
-    snapshot, weights = _snapshot_and_weights(network, spec)
-    if snapshot is None:
-        from ..paths import dijkstra
-
-        return dijkstra(network, source, destination, spec.weight_fn())
-    return point_to_point(snapshot, source, destination, weights)
 
 
 def terminal_tree_csr(
@@ -312,10 +266,6 @@ def terminal_tree_csr(
     if len(terminal_list) == 1:
         return TreeResult(root=root, parent={}, weight=0.0)
     snapshot, weights = _snapshot_and_weights(network, spec)
-    if snapshot is None:
-        from ..paths import terminal_tree
-
-        return terminal_tree(network, root, terminals, spec.weight_fn())
     index = snapshot.index
     closure = {}
     for i, a in enumerate(terminal_list[:-1]):
@@ -346,25 +296,40 @@ def terminal_tree_csr(
 def array_search(snapshot: CsrSnapshot, weights: List[float]):
     """A Yen ``search`` hook backed by the array kernel.
 
-    Bans arrive as the object algorithm's name/edge sets; they are
-    interned to index form per spur search (spur path lengths dwarf the
-    interning cost).
+    Each call is an early-exit point-to-point query, bit-identical to
+    :func:`~repro.network.paths.dijkstra` under the same bans.  Bans
+    arrive as the object algorithm's name/edge sets; they are interned
+    to index form per spur search (spur path lengths dwarf the interning
+    cost).
     """
     index = snapshot.index
     edge_pos = snapshot.edge_pos
 
     def search(src, dst, banned_edges, banned_nodes):
-        if not banned_edges and not banned_nodes:
-            return point_to_point(snapshot, src, dst, weights)
-        ban_nodes = bytearray(snapshot.n)
-        for name in banned_nodes:
-            ban_nodes[index[name]] = 1
-        ban_edges = set()
-        for u, v in banned_edges:
-            position = edge_pos.get((u, v))
-            if position is not None:
-                ban_edges.add(position)
-        return point_to_point(snapshot, src, dst, weights, ban_nodes, ban_edges)
+        source_i = _source_index(snapshot, src)
+        target_i = _source_index(snapshot, dst)
+        if source_i == target_i:
+            return PathResult(nodes=(src,), weight=0.0)
+        ban_nodes = ban_edges = None
+        if banned_edges or banned_nodes:
+            ban_nodes = bytearray(snapshot.n)
+            for name in banned_nodes:
+                ban_nodes[index[name]] = 1
+            ban_edges = set()
+            for u, v in banned_edges:
+                position = edge_pos.get((u, v))
+                if position is not None:
+                    ban_edges.add(position)
+        dist, prev, _order, settled = _run(
+            snapshot.indptr,
+            snapshot.indices,
+            weights,
+            source_i,
+            target_i,
+            ban_nodes,
+            ban_edges,
+        )
+        return _extract_path(snapshot, src, dst, dist, prev, settled, target_i)
 
     return search
 
@@ -384,10 +349,6 @@ def k_shortest_paths_csr(
 ) -> List[PathResult]:
     """Uncached CSR Yen: the object control flow over array searches."""
     snapshot, weights = _snapshot_and_weights(network, spec)
-    if snapshot is None:
-        from ..paths import k_shortest_paths
-
-        return k_shortest_paths(network, source, destination, k, spec.weight_fn())
     return _yen(
         network,
         source,

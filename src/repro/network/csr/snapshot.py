@@ -24,15 +24,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ... import obs
 from ..graph import Network
 from ..link import Link
-from . import require_numpy
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is baked into the test env
-    np = None  # type: ignore[assignment]
 
 
 class CsrSnapshot:
@@ -59,7 +55,6 @@ class CsrSnapshot:
     )
 
     def __init__(self, network: Network) -> None:
-        require_numpy()
         self.network = network
         self.topology_version = network.topology_version
         self.names: List[str] = network.node_names()
@@ -151,7 +146,6 @@ class CsrSnapshot:
 
 def get_snapshot(network: Network) -> CsrSnapshot:
     """The network's current snapshot: refreshed, rebuilt if structure grew."""
-    require_numpy()
     snapshot: Optional[CsrSnapshot] = network._csr_snapshot
     if (
         snapshot is None

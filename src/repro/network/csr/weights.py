@@ -12,37 +12,38 @@ epsilons, as the scalar weight function it mirrors
 scalar ``weight(u, v)`` — the property the byte-identity contract rests
 on, and the one the hypothesis suite hammers.
 
-Unrecognised tokens return ``None``; callers fall back to the object
-path, so exotic weight specs keep working uncached-by-CSR.
+Unrecognised tokens raise :class:`~repro.errors.TopologyError`: the
+array kernel is the only routing path, so a weight spec it cannot lower
+fails closed instead of being routed some other way.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Hashable, Optional
+from typing import Hashable
 
+import numpy as np
+
+from ...errors import TopologyError
 from .snapshot import CsrSnapshot
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is baked into the test env
-    np = None  # type: ignore[assignment]
 
 
 def weight_array(snapshot: CsrSnapshot, token: Hashable):
-    """The per-edge weight array for a recognised cache token, else None.
+    """The per-edge weight array for a recognised cache token.
 
     Returned arrays are guaranteed non-negative (``[0, +inf]``) — the
     array kernel's relaxation loop relies on that to skip the object
     kernel's per-edge isinf/negative checks.  The recognised builders
     cannot produce negatives (latencies and auxiliary coefficients are
     validated non-negative at construction), but if one ever did, the
-    token is reported unlowerable and the caller falls back to the
-    object kernel, which preserves the exact raising semantics.
+    same "negative edge weight" :class:`~repro.errors.TopologyError` the
+    object kernel raises is raised here, naming the first such edge.
+
+    Raises:
+        TopologyError: for a token no builder recognises, or a lowered
+            array holding a negative weight.
     """
-    if not isinstance(token, tuple) or not token:
-        return None
-    kind = token[0]
+    kind = token[0] if isinstance(token, tuple) and token else None
     if kind == "latency" and len(token) == 1:
         weights = _latency_array(snapshot)
     elif kind == "hop" and len(token) == 1:
@@ -50,9 +51,17 @@ def weight_array(snapshot: CsrSnapshot, token: Hashable):
     elif kind == "aux" and len(token) == 7:
         weights = _aux_array(snapshot, token)
     else:
-        return None
-    if (weights < 0.0).any():  # pragma: no cover - defensive
-        return None
+        raise TopologyError(
+            f"weight token {token!r} cannot be lowered to a CSR weight array"
+        )
+    negative = weights < 0.0
+    if negative.any():
+        pos = int(negative.argmax())
+        src = snapshot.names[snapshot.heads[pos]]
+        dst = snapshot.names[snapshot.indices[pos]]
+        raise TopologyError(
+            f"negative edge weight {float(weights[pos])} on {src}->{dst}"
+        )
     return weights
 
 

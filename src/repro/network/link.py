@@ -80,10 +80,6 @@ class Link:
         self._forced_failed = False
         self._endpoints_down = 0
         self._generation = 0
-        self._dir_generations: Dict[Tuple[str, str], int] = {
-            (u, v): 0,
-            (v, u): 0,
-        }
         # Observer set owned by an attached CSR snapshot (see
         # repro.network.csr.snapshot): mutated links add themselves so the
         # snapshot can refresh only the touched overlay rows.
@@ -140,39 +136,14 @@ class Link:
         """Monotone counter of this link's state changes.
 
         Bumped on every reservation, release, failure, or repair that
-        actually alters the link.  Routing results computed while the
-        generation was ``g`` remain valid for this link exactly as long
-        as ``generation == g`` still holds — the per-edge invalidation
-        contract of :class:`~repro.network.routing.PathCache`.
+        actually alters the link, together with the shared network
+        epoch the routing cache compares against.
         """
         return self._generation
 
-    def generation_of(self, src: str, dst: str) -> int:
-        """Monotone counter of state changes affecting ``src -> dst``.
-
-        Direction-scoped mutations (a reservation or release in one
-        direction) advance only that direction's counter; whole-link
-        mutations (failure, repair, capacity change, endpoint state)
-        advance both.  The routing cache keys its per-edge read log on
-        this counter, so a reverse-direction reservation no longer
-        invalidates forward-direction entries.
-        """
-        return self._dir_generations[self._direction(src, dst)]
-
     def _bump(self) -> None:
-        """Record a whole-link mutation (both directions affected)."""
+        """Record a mutation of this link's state."""
         self._generation += 1
-        for direction in self._dir_generations:
-            self._dir_generations[direction] += 1
-        self._epoch.bump()
-        dirty = self._dirty
-        if dirty is not None:
-            dirty.add(self)
-
-    def _bump_direction(self, direction: Tuple[str, str]) -> None:
-        """Record a mutation scoped to one direction of the link."""
-        self._generation += 1
-        self._dir_generations[direction] += 1
         self._epoch.bump()
         dirty = self._dirty
         if dirty is not None:
@@ -269,7 +240,7 @@ class Link:
         reg = self._reserved_reg
         if reg is not None:
             reg.add(self)
-        self._bump_direction(direction)
+        self._bump()
 
     def release(self, src: str, dst: str, owner: str) -> float:
         """Release everything ``owner`` holds in that direction.
@@ -281,7 +252,7 @@ class Link:
         released = self._reservations[direction].pop(owner, 0.0)
         if released:
             self._deregister_if_empty()
-            self._bump_direction(direction)
+            self._bump()
         return released
 
     def release_owner(self, owner: str) -> float:
@@ -291,7 +262,7 @@ class Link:
             released = self._reservations[direction].pop(owner, 0.0)
             if released:
                 total += released
-                self._bump_direction(direction)
+                self._bump()
         if total:
             self._deregister_if_empty()
         return total

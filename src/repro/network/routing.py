@@ -1,45 +1,44 @@
-"""The routing kernel: epoch-keyed shortest-path caching.
+"""The routing layer: the CSR kernel behind one epoch-keyed cache.
 
 Scheduling dominates sweep wall-time, and almost all of it is Dijkstra:
-the flexible scheduler's metric closure runs one point-to-point query per
+the flexible scheduler's metric closure needs a shortest path per
 terminal *pair*, twice per task, even when nothing the paths depend on
-has changed.  This module centralises that work behind two ideas:
+has changed.  Every scheduler routes through :class:`PathCache`, which
+runs the array-native kernel (:mod:`repro.network.csr`) and memoises its
+results.  Two ideas carry it:
 
-* **Single-source trees instead of point-to-point queries.**
-  :func:`sssp` runs Dijkstra once per *source* and keeps the whole
-  distance/predecessor tree, so a metric closure over ``T`` terminals
-  costs ``T - 1`` passes instead of ``T·(T-1)/2``, and a path to any
-  destination is an O(path) extraction.  Extraction is bit-identical to
-  :func:`repro.network.paths.dijkstra` because the relaxation loop is
-  the same code with the early exit removed — a destination's
-  predecessor chain is fully settled before the search would have
-  stopped there.
+* **Single-source trees instead of point-to-point queries.**  A cached
+  :meth:`PathCache.sssp` keeps the whole distance/predecessor tree, so a
+  metric closure over ``T`` terminals costs ``T - 1`` passes instead of
+  ``T·(T-1)/2``, and a path to any destination is an O(path)
+  extraction.  Extraction is bit-identical to
+  :func:`repro.network.paths.dijkstra`: a destination's predecessor
+  chain is fully settled before the search would have stopped there.
 
-* **Epoch-keyed memoisation with per-edge invalidation.**
-  Every :class:`~repro.network.link.Link` carries a monotone
-  ``generation`` bumped on any state change, and the
-  :class:`~repro.network.graph.Network` aggregates them into a global
-  ``epoch``.  :class:`PathCache` records, for every cached result, the
-  generation *and weight value* of each directed edge the weight
-  function actually read.  A lookup revalidates in three tiers: equal
-  network epoch — nothing anywhere changed — is a free hit; otherwise
-  each read edge whose generation moved has its weight re-evaluated,
-  and the entry survives when every value is unchanged (a reservation
-  that came and went leaves latency-based weights untouched, and a
-  completed task restores auxiliary weights exactly).  Any differing
-  value drops the entry.  Because a deterministic algorithm that re-reads
-  the same values replays the same execution, a surviving entry is
+* **Validation by weight-array comparison.**  Every
+  :class:`~repro.network.link.Link` mutation advances the network's
+  ``epoch``, and structural growth advances its ``topology_version``.
+  An entry remembers the epoch, the topology version and the per-edge
+  weight array it was computed from.  A lookup at an equal epoch is a
+  free hit.  After the epoch moves, the token's current array is
+  rebuilt once (vectorised, memoised per epoch) and compared: an
+  element-equal array replays the identical computation, and for full
+  trees the :func:`~repro.network.csr.tree_unaffected` change-cut also
+  keeps entries whose array delta provably cannot move the tree.  A
+  topology-version move drops everything — a new link offers paths no
+  array of the old shape could describe.  Because the kernel is a
+  deterministic function of the array, a surviving entry is
   byte-identical to a recompute.
 
-Weight functions enter the cache via a small *spec* protocol — a
-``cache_token()`` identifying the weight semantics and a
-``recording_weight_fn(reads)`` that reports every link it reads (the
-:class:`~repro.network.auxiliary.AuxiliaryGraphBuilder` implements it
-natively; :class:`LatencyWeightSpec` / :class:`HopWeightSpec` wrap the
-plain weights).  Schedulers opt out per instance (``use_cache=False``)
-or process-wide with ``REPRO_PATH_CACHE=0``; cached and uncached runs
-are byte-identical — pinned by golden files and the backend-equivalence
-tests.
+Weight functions enter the cache via a small *spec* protocol: a
+``cache_token()`` identifying the weight semantics (the CSR weight
+builders lower it to an array), ``shareable()`` saying whether anyone
+else will ever look the token up, and ``weight_fn()`` for the scalar
+view.  :class:`~repro.network.auxiliary.AuxiliaryGraphBuilder`
+implements it natively; :class:`LatencyWeightSpec` / :class:`HopWeightSpec`
+wrap the plain weights.  The object kernel (:func:`sssp` here and
+:mod:`repro.network.paths`) is not on this path; it remains the
+reference oracle the equivalence tests and benchmarks compare against.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -68,54 +66,10 @@ from .paths import (
 )
 from . import csr as csr_kernel
 
-#: A directed edge read record: (link, direction generation at read, value).
-ReadLog = Dict[Tuple[str, str], Tuple[Any, int, float]]
-
-#: Environment switch: set to 0/false/off to disable caching process-wide.
-CACHE_ENV_VAR = "REPRO_PATH_CACHE"
-
-
-def cache_enabled() -> bool:
-    """Whether path caching is enabled for schedulers left on "auto".
-
-    Controlled by ``REPRO_PATH_CACHE``; any of ``0``, ``false``, ``off``,
-    ``no`` (case-insensitive) disables, everything else (including the
-    variable being unset) enables.  Read at schedule time, so flipping
-    the variable affects worker processes spawned afterwards too.
-    """
-    return os.environ.get(CACHE_ENV_VAR, "1").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
-
 
 # ---------------------------------------------------------------------------
 # Weight specs: cacheable identities for weight functions
 # ---------------------------------------------------------------------------
-
-def recording_weight(network: Network, base: WeightFn, reads: ReadLog) -> WeightFn:
-    """Wrap ``base`` so every evaluation lands in the ``reads`` log.
-
-    The one place the read-record format ``(link, generation, value)``
-    is defined; every spec's ``recording_weight_fn`` delegates here so a
-    format change has a single home.  The recorded generation is the
-    link's *per-direction* counter
-    (:meth:`~repro.network.link.Link.generation_of`): a weight
-    evaluation reads only the queried direction's reservations, so a
-    reverse-direction reservation must not count as a change against
-    this record.
-    """
-
-    def weight(src: str, dst: str) -> float:
-        value = base(src, dst)
-        link = network.link(src, dst)
-        reads[(src, dst)] = (link, link.generation_of(src, dst), value)
-        return value
-
-    return weight
-
 
 class LatencyWeightSpec:
     """Cache spec for :func:`repro.network.paths.latency_weight`.
@@ -137,9 +91,6 @@ class LatencyWeightSpec:
     def weight_fn(self) -> WeightFn:
         return latency_weight(self._network)
 
-    def recording_weight_fn(self, reads: ReadLog) -> WeightFn:
-        return recording_weight(self._network, latency_weight(self._network), reads)
-
 
 class HopWeightSpec:
     """Cache spec for :func:`repro.network.paths.hop_weight`."""
@@ -155,9 +106,6 @@ class HopWeightSpec:
 
     def weight_fn(self) -> WeightFn:
         return hop_weight(self._network)
-
-    def recording_weight_fn(self, reads: ReadLog) -> WeightFn:
-        return recording_weight(self._network, hop_weight(self._network), reads)
 
 
 # ---------------------------------------------------------------------------
@@ -313,35 +261,15 @@ class CacheStats:
 
 @dataclass
 class _Entry:
-    """One cached computation: its value (or raised error) and read log.
+    """One cached result: its value (or raised error) and its weight array.
 
-    ``endpoints`` names the query's source/destination nodes so pruning
-    after a node failure can drop entries anchored at the dead node by
-    containment instead of read-log revalidation.
-    """
-
-    value: Any
-    error: Optional[NoPathError]
-    reads: ReadLog
-    epoch: int
-    topology_version: int
-    endpoints: Tuple[str, ...] = ()
-
-
-@dataclass
-class _CsrEntry:
-    """One CSR-kernel result: its value plus the weight array it used.
-
-    Instead of a per-edge read log, validity is judged against the
-    weight *array*: an equal array replays the identical array SSSP, and
-    for full trees the :func:`~repro.network.csr.tree_unaffected`
-    change-cut proves identity across many unequal-array deltas too
-    (``exact=False``).  ``token`` is kept so revalidation can rebuild
-    the current array without a live weight spec (that is what makes
-    orchestrator-time repair possible).
-
-    ``reads`` is always empty — present so diagnostics that walk cache
-    entries treat both entry kinds uniformly.
+    ``token`` is kept so revalidation can rebuild the current array
+    without a live weight spec (that is what makes orchestrator-time
+    repair possible).  ``exact`` entries survive only an element-equal
+    array; the others are full trees the change-cut may keep across
+    unequal arrays.  ``endpoints`` names the query's source/destination
+    nodes so pruning after a node failure can drop entries anchored at
+    the dead node by containment.
     """
 
     value: Any
@@ -352,26 +280,20 @@ class _CsrEntry:
     topology_version: int
     endpoints: Tuple[str, ...] = ()
     exact: bool = False
-    reads: ReadLog = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.reads is None:
-            self.reads = {}
 
 
 class PathCache:
-    """Epoch-keyed memoisation of routing results over one network.
+    """Epoch-keyed memoisation of CSR routing results over one network.
 
     Keys combine the query (kind, endpoints, ``k``) with the weight
-    spec's ``cache_token()``; validity is the per-edge read log described
-    in the module docstring.  Entries are LRU-evicted beyond
+    spec's ``cache_token()``; validity is the weight-array comparison
+    described in the module docstring.  Entries are LRU-evicted beyond
     ``max_entries``.  ``NoPathError`` outcomes are cached too — an
     unreachable verdict is exactly as state-dependent as a path.
 
     The cache never returns a result that differs from recomputing: a
-    surviving entry's recorded reads all still evaluate to the recorded
-    values, and the underlying algorithms are deterministic functions of
-    those reads.
+    surviving entry's weight array equals the current one, or provably
+    differs only where it cannot move the entry's tree.
     """
 
     def __init__(self, network: Network, max_entries: int = 1024) -> None:
@@ -379,9 +301,9 @@ class PathCache:
             raise TopologyError(f"max_entries must be >= 1, got {max_entries}")
         self._network = network
         self._max_entries = max_entries
-        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
         # token -> (epoch, topology_version, weight array, weight list):
-        # the CSR weight arrays current entries are validated against,
+        # the weight arrays current entries are validated against,
         # rebuilt vectorised once per epoch move per token.
         self._warrays: Dict[Hashable, Tuple[int, int, Any, list]] = {}
         self.stats = CacheStats()
@@ -408,7 +330,7 @@ class PathCache:
         self._entries.clear()
 
     def prune(self, dead_nodes: Sequence[str] = ()) -> int:
-        """Drop stale entries; repair CSR entries that provably survive.
+        """Drop stale entries; repair entries that provably survive.
 
         Called by the orchestrator after failure/repair events so a long
         campaign with many faults does not accumulate dead entries; a
@@ -417,18 +339,15 @@ class PathCache:
 
         ``dead_nodes`` names nodes that just went down: any entry whose
         source or destination set touches one is dropped by containment
-        — even if its read log never saw the dead node's links (an
-        unreachable-source tree reads nothing, yet must not serve a
-        "node exists and is isolated" answer for a node that is *down*).
+        (an unreachable-source tree is valid under every array, yet must
+        not serve a "node exists and is isolated" answer for a node that
+        is *down*).
 
-        Object-path entries are judged generation-strict (no weight
-        revalidation): without a live spec in hand there is no weight
-        function that is guaranteed current, and over-dropping is always
-        safe.  CSR entries carry their token, so their current weight
-        array *can* be rebuilt here; entries the
-        :func:`~repro.network.csr.tree_unaffected` change-cut clears are
-        kept with the new array (counted in ``stats.repairs``) instead
-        of dropped.  Returns how many entries were dropped.
+        Every other entry whose epoch moved is revalidated against its
+        token's current weight array; entries the comparison (or the
+        :func:`~repro.network.csr.tree_unaffected` change-cut) clears
+        are kept with the new array (counted in ``stats.repairs``)
+        instead of dropped.  Returns how many entries were dropped.
         """
         dead = frozenset(dead_nodes)
         epoch = self._network.epoch
@@ -445,18 +364,12 @@ class PathCache:
                 continue
             if entry.epoch == epoch:
                 continue
-            if isinstance(entry, _CsrEntry):
-                if snapshot is None:
-                    with obs.span("csr.repair", entries=len(self._entries)):
-                        snapshot = csr_kernel.get_snapshot(self._network)
-                if self._validate_csr(entry, snapshot):
-                    repaired += 1
-                else:
-                    stale.append(key)
-            elif any(
-                link.generation_of(src, dst) != generation
-                for (src, dst), (link, generation, _value) in entry.reads.items()
-            ):
+            if snapshot is None:
+                with obs.span("csr.repair", entries=len(self._entries)):
+                    snapshot = csr_kernel.get_snapshot(self._network)
+            if self._validate(entry, snapshot):
+                repaired += 1
+            else:
                 stale.append(key)
         for key in stale:
             del self._entries[key]
@@ -468,49 +381,11 @@ class PathCache:
 
     # -- validation --------------------------------------------------------
 
-    def _validate(self, entry: _Entry, spec: Any) -> bool:
-        """True when the entry's recorded reads still hold under ``spec``.
-
-        ``spec`` is the weight spec of the *current* lookup; its token
-        matched the entry's key, and the token contract — the token
-        fully determines the weight as a pure function of link state —
-        makes it the authority for re-evaluating edges whose generation
-        moved.  Edges whose generation is unchanged need no re-check:
-        unchanged link state plus an equal token implies an unchanged
-        value.
-
-        Structural growth invalidates unconditionally: a new link offers
-        paths the cached run never read, so the read log cannot vouch
-        for the result.
-        """
-        if entry.topology_version != self._network.topology_version:
-            return False
-        epoch = self._network.epoch
-        if entry.epoch == epoch:
-            return True
-        weight = None
-        for (src, dst), (link, generation, value) in entry.reads.items():
-            # Per-direction comparison: a reverse-direction reservation
-            # bumps only the (dst, src) counter and cannot have changed
-            # this record's value.
-            if link.generation_of(src, dst) == generation:
-                continue
-            if weight is None:
-                self.stats.revalidations += 1
-                weight = spec.weight_fn()
-            current = weight(src, dst)
-            if current != value:
-                return False
-            entry.reads[(src, dst)] = (link, link.generation_of(src, dst), current)
-        entry.epoch = epoch
-        return True
-
-    def _weight_arrays(self, snapshot: Any, token: Hashable):
+    def _weight_arrays(self, snapshot: Any, token: Hashable) -> Tuple[Any, list]:
         """The current ``(array, list)`` weight pair for a token, memoised.
 
         One vectorised rebuild per epoch move per token, shared by every
-        lookup and revalidation in between; returns ``(None, None)`` for
-        tokens the CSR weight builders cannot lower.
+        lookup and revalidation in between.
         """
         epoch = self._network.epoch
         version = self._network.topology_version
@@ -518,14 +393,12 @@ class PathCache:
         if cached is not None and cached[0] == epoch and cached[1] == version:
             return cached[2], cached[3]
         array = csr_kernel.weight_array(snapshot, token)
-        if array is None:
-            return None, None
         wlist = array.tolist()
         self._warrays[token] = (epoch, version, array, wlist)
         return array, wlist
 
-    def _validate_csr(self, entry: _CsrEntry, snapshot: Any) -> bool:
-        """True when a CSR entry still answers the current network state.
+    def _validate(self, entry: _Entry, snapshot: Any) -> bool:
+        """True when an entry still answers the current network state.
 
         Equal epoch is a free hit.  Otherwise the token's weight array is
         rebuilt (memoised) and compared: an element-equal array replays
@@ -540,8 +413,6 @@ class PathCache:
         if entry.epoch == epoch:
             return True
         new_array, _wlist = self._weight_arrays(snapshot, entry.token)
-        if new_array is None:
-            return False
         self.stats.revalidations += 1
         if entry.exact or entry.error is not None:
             valid = bool((entry.warray == new_array).all())
@@ -555,7 +426,7 @@ class PathCache:
         entry.epoch = epoch
         return True
 
-    def _hit(self, key: Hashable, entry: Any) -> Any:
+    def _hit(self, key: Hashable, entry: _Entry) -> Any:
         self._entries.move_to_end(key)
         self.stats.hits += 1
         if entry.error is not None:
@@ -569,121 +440,47 @@ class PathCache:
     def _get(
         self,
         key: Hashable,
-        spec: Any,
-        compute,
-        endpoints: Tuple[str, ...] = (),
-    ) -> Any:
-        entry = self._entries.get(key)
-        if entry is not None:
-            if isinstance(entry, _CsrEntry):
-                # A REPRO_CSR flip mid-process: replace rather than try
-                # to revalidate across representations.
-                valid = False
-            else:
-                valid = self._validate(entry, spec)
-            if valid:
-                return self._hit(key, entry)
-            del self._entries[key]
-            self.stats.invalidations += 1
-        self.stats.misses += 1
-        epoch = self._network.epoch
-        version = self._network.topology_version
-        reads: ReadLog = {}
-        try:
-            value = compute(spec.recording_weight_fn(reads))
-        except NoPathError as exc:
-            self._store(
-                key,
-                _Entry(
-                    value=None,
-                    error=exc,
-                    reads=reads,
-                    epoch=epoch,
-                    topology_version=version,
-                    endpoints=endpoints,
-                ),
-            )
-            raise
-        self._store(
-            key,
-            _Entry(
-                value=value,
-                error=None,
-                reads=reads,
-                epoch=epoch,
-                topology_version=version,
-                endpoints=endpoints,
-            ),
-        )
-        return value
-
-    def _get_csr(
-        self,
-        key: Hashable,
-        spec: Any,
         snapshot: Any,
         array: Any,
-        wlist: list,
         token: Hashable,
         *,
         endpoints: Tuple[str, ...],
         exact: bool,
         compute,
     ) -> Any:
-        """CSR-kernel twin of :meth:`_get`.
+        """Serve ``key`` from the cache, or run ``compute`` and store it.
 
         ``compute`` is a no-argument callable running the array kernel
-        over the already-refreshed ``snapshot``/``wlist``; the stored
-        entry is validated by weight-array comparison instead of a read
-        log.  An existing object-path entry under the same key (a
-        ``REPRO_CSR`` flip) is revalidated with ``spec`` and served
-        as-is if still good — both kernels are byte-identical, so mixing
-        is harmless.
+        over the already-refreshed ``snapshot`` and ``array``'s list
+        form; a raised :class:`NoPathError` is stored (as an exact
+        entry) and re-raised.
         """
         entry = self._entries.get(key)
         if entry is not None:
-            if isinstance(entry, _CsrEntry):
-                valid = self._validate_csr(entry, snapshot)
-            else:
-                valid = self._validate(entry, spec)
-            if valid:
+            if self._validate(entry, snapshot):
                 return self._hit(key, entry)
             del self._entries[key]
             self.stats.invalidations += 1
         self.stats.misses += 1
-        epoch = self._network.epoch
-        version = self._network.topology_version
-        try:
-            value = compute()
-        except NoPathError as exc:
-            self._store(
-                key,
-                _CsrEntry(
-                    value=None,
-                    error=exc,
-                    warray=array,
-                    token=token,
-                    epoch=epoch,
-                    topology_version=version,
-                    endpoints=endpoints,
-                    exact=True,
-                ),
-            )
-            raise
-        self._store(
-            key,
-            _CsrEntry(
-                value=value,
-                error=None,
-                warray=array,
-                token=token,
-                epoch=epoch,
-                topology_version=version,
-                endpoints=endpoints,
-                exact=exact,
-            ),
+        stored = _Entry(
+            value=None,
+            error=None,
+            warray=array,
+            token=token,
+            epoch=self._network.epoch,
+            topology_version=self._network.topology_version,
+            endpoints=endpoints,
+            exact=exact,
         )
-        return value
+        try:
+            stored.value = compute()
+        except NoPathError as exc:
+            stored.error = exc
+            stored.exact = True
+            self._store(key, stored)
+            raise
+        self._store(key, stored)
+        return stored.value
 
     def _store(self, key: Hashable, entry: _Entry) -> None:
         self._entries[key] = entry
@@ -701,7 +498,6 @@ class PathCache:
         *,
         token: Optional[Hashable] = None,
         shareable: Optional[bool] = None,
-        csr: Optional[bool] = None,
     ) -> ShortestPathTree:
         """The full single-source tree from ``source`` under ``spec``.
 
@@ -709,67 +505,40 @@ class PathCache:
         one spec (e.g. :meth:`terminal_tree`) evaluate
         ``spec.cache_token()`` / ``spec.shareable()`` — each an
         all-links scan for auxiliary weights — once instead of per
-        source.  ``csr`` selects the array kernel (``None`` defers to
-        ``REPRO_CSR`` and numpy availability); both kernels return
-        byte-identical trees.
+        source.
         """
-        use_csr = csr_kernel.resolve(csr)
         if shareable is None:
             shareable = spec.shareable()
         if not shareable:
             # Nothing with this spec's token will ever be looked up
             # again (e.g. an owner-specific auxiliary weight for a task
-            # that already holds capacity): skip recording, storage, and
-            # LRU traffic entirely and just run the computation.
+            # that already holds capacity): skip storage and LRU traffic
+            # entirely and just run the computation.
             self.stats.misses += 1
-            if use_csr:
-                return csr_kernel.sssp_csr(self._network, source, spec)
-            return sssp(self._network, source, spec.weight_fn())
+            return csr_kernel.sssp_csr(self._network, source, spec)
         if token is None:
             token = spec.cache_token()
-        key = ("sssp", source, token)
-        if use_csr:
-            snapshot = csr_kernel.get_snapshot(self._network)
-            array, wlist = self._weight_arrays(snapshot, token)
-            if array is not None:
-                return self._get_csr(
-                    key,
-                    spec,
-                    snapshot,
-                    array,
-                    wlist,
-                    token,
-                    endpoints=(source,),
-                    exact=False,
-                    compute=lambda: csr_kernel.sssp_tree(
-                        snapshot, source, wlist
-                    ),
-                )
+        snapshot = csr_kernel.get_snapshot(self._network)
+        array, wlist = self._weight_arrays(snapshot, token)
         return self._get(
-            key,
-            spec,
-            lambda weight: sssp(self._network, source, weight),
+            ("sssp", source, token),
+            snapshot,
+            array,
+            token,
             endpoints=(source,),
+            exact=False,
+            compute=lambda: csr_kernel.sssp_tree(snapshot, source, wlist),
         )
 
     def shortest_path(
-        self,
-        source: str,
-        destination: str,
-        spec: Any,
-        *,
-        csr: Optional[bool] = None,
+        self, source: str, destination: str, spec: Any
     ) -> PathResult:
         """Bit-identical replacement for a point-to-point Dijkstra query."""
         self._network.node(destination)
-        return self.sssp(source, spec, csr=csr).path_to(destination)
+        return self.sssp(source, spec).path_to(destination)
 
     def batched_sssp(
-        self,
-        sources: Sequence[str],
-        spec: Any,
-        *,
-        csr: Optional[bool] = None,
+        self, sources: Sequence[str], spec: Any
     ) -> Dict[str, ShortestPathTree]:
         """One tree per distinct source, sharing a single spec evaluation.
 
@@ -782,94 +551,58 @@ class PathCache:
         shareable = spec.shareable()
         token = spec.cache_token() if shareable else None
         trees: Dict[str, ShortestPathTree] = {}
-        with obs.span(
-            "csr.batch_sssp",
-            sources=len(sources),
-            engine="csr" if csr_kernel.resolve(csr) else "object",
-        ):
+        with obs.span("csr.batch_sssp", sources=len(sources)):
             for source in sources:
                 if source not in trees:
                     trees[source] = self.sssp(
-                        source, spec, token=token, shareable=shareable, csr=csr
+                        source, spec, token=token, shareable=shareable
                     )
         obs.inc("csr.batch_sssp")
         return trees
 
     def k_shortest_paths(
-        self,
-        source: str,
-        destination: str,
-        k: int,
-        spec: Any,
-        *,
-        csr: Optional[bool] = None,
+        self, source: str, destination: str, k: int, spec: Any
     ) -> List[PathResult]:
-        """Cached Yen's algorithm under ``spec``'s base weight.
+        """Cached Yen's algorithm under ``spec``'s weight.
 
-        The spur searches read only the base weight (bans are derived
-        from earlier outputs, themselves functions of recorded reads),
-        so the standard read-log validity argument covers the whole run.
-        Under the CSR kernel the identical control flow runs with array
-        spur searches; entries are validated by exact weight-array
-        equality (a ban-constrained search has no change-cut shortcut).
+        The object control flow runs with array spur searches; entries
+        are validated by exact weight-array equality (a ban-constrained
+        search has no change-cut shortcut).
         """
-        use_csr = csr_kernel.resolve(csr)
         if not spec.shareable():
             self.stats.misses += 1
-            if use_csr:
-                return csr_kernel.k_shortest_paths_csr(
-                    self._network, source, destination, k, spec
-                )
-            return k_shortest_paths(
-                self._network, source, destination, k, spec.weight_fn()
+            return csr_kernel.k_shortest_paths_csr(
+                self._network, source, destination, k, spec
             )
         token = spec.cache_token()
-        key = ("ksp", source, destination, k, token)
-        if use_csr:
-            snapshot = csr_kernel.get_snapshot(self._network)
-            array, wlist = self._weight_arrays(snapshot, token)
-            if array is not None:
-                return self._get_csr(
-                    key,
-                    spec,
-                    snapshot,
-                    array,
-                    wlist,
-                    token,
-                    endpoints=(source, destination),
-                    exact=True,
-                    compute=lambda: k_shortest_paths(
-                        self._network,
-                        source,
-                        destination,
-                        k,
-                        csr_kernel.array_edge_weight(snapshot, wlist),
-                        search=csr_kernel.array_search(snapshot, wlist),
-                    ),
-                )
+        snapshot = csr_kernel.get_snapshot(self._network)
+        array, wlist = self._weight_arrays(snapshot, token)
         return self._get(
-            key,
-            spec,
-            lambda weight: k_shortest_paths(
-                self._network, source, destination, k, weight
-            ),
+            ("ksp", source, destination, k, token),
+            snapshot,
+            array,
+            token,
             endpoints=(source, destination),
+            exact=True,
+            compute=lambda: k_shortest_paths(
+                self._network,
+                source,
+                destination,
+                k,
+                csr_kernel.array_edge_weight(snapshot, wlist),
+                search=csr_kernel.array_search(snapshot, wlist),
+            ),
         )
 
     def terminal_tree(
-        self,
-        root: str,
-        terminals: Sequence[str],
-        spec: Any,
-        *,
-        csr: Optional[bool] = None,
+        self, root: str, terminals: Sequence[str], spec: Any
     ) -> TreeResult:
         """The flexible scheduler's tree via cached single-source passes.
 
         Builds the metric closure from one :meth:`sssp` per terminal
         (except the last — closure pairs are ordered) and finishes with
         the shared :func:`~repro.network.paths.tree_from_metric_closure`,
-        so the result is byte-identical to the uncached
+        so the result is byte-identical to the object kernel's
         :func:`~repro.network.paths.terminal_tree`.
         """
         terminal_list = list(dict.fromkeys([root, *terminals]))
@@ -880,34 +613,32 @@ class PathCache:
         # One shareable/token evaluation for the whole tree: the network
         # is not mutated during this read-only construction, so the
         # answers cannot change between sources.
-        shareable = spec.shareable()
-        if not shareable and csr_kernel.resolve(csr):
+        if not spec.shareable():
             # Unshareable specs bypass storage anyway; the kernel's
             # uncached construction builds the weight array once for all
             # T-1 passes instead of once per source.  Miss accounting
-            # mirrors the per-source loop below.
+            # counts one per source pass.
             self.stats.misses += len(terminal_list) - 1
             return csr_kernel.terminal_tree_csr(
                 self._network, root, terminals, spec
             )
-        token = spec.cache_token() if shareable else None
+        token = spec.cache_token()
         closure: Dict[Tuple[str, str], PathResult] = {}
         for i, a in enumerate(terminal_list[:-1]):
-            tree = self.sssp(a, spec, token=token, shareable=shareable, csr=csr)
+            tree = self.sssp(a, spec, token=token, shareable=True)
             for b in terminal_list[i + 1 :]:
                 closure[(a, b)] = tree.path_to(b)
-        # The finisher only reads edge weights for its final sum; when
-        # the spec lowers to an array, the array view returns the same
-        # float64s as the scalar weight fn without per-edge link scans.
-        weight = None
-        if shareable and csr_kernel.resolve(csr):
-            snapshot = csr_kernel.get_snapshot(self._network)
-            array, wlist = self._weight_arrays(snapshot, token)
-            if array is not None:
-                weight = csr_kernel.array_edge_weight(snapshot, wlist)
-        if weight is None:
-            weight = spec.weight_fn()
-        return tree_from_metric_closure(root, terminal_list, closure, weight)
+        # The finisher only reads edge weights for its final sum; the
+        # array view returns the same float64s as the scalar weight fn
+        # without per-edge link scans.
+        snapshot = csr_kernel.get_snapshot(self._network)
+        _array, wlist = self._weight_arrays(snapshot, token)
+        return tree_from_metric_closure(
+            root,
+            terminal_list,
+            closure,
+            csr_kernel.array_edge_weight(snapshot, wlist),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -86,26 +86,18 @@ def node_utilisations(network: Network, node: str) -> Dict[Tuple[str, str], floa
 
     The hub-congestion probe scale benchmarks use: on large topologies a
     full :meth:`NetworkState.capture` walks every link, while a hub's
-    neighbourhood is a few rows.  When the CSR kernel is active the
-    rates come from the snapshot's vectorised overlay arrays (same
-    floats as ``link.used_gbps``); otherwise from the links directly.
+    neighbourhood is a few rows.  The rates come from the CSR snapshot's
+    vectorised overlay arrays (same floats as ``link.used_gbps``).
     """
     network.node(node)
     from . import csr
 
-    if csr.HAVE_NUMPY and csr.csr_enabled():
-        snapshot = csr.get_snapshot(network)
-        i = snapshot.index[node]
-        utilisation = (snapshot.used / snapshot.capacity).tolist()
-        out: Dict[Tuple[str, str], float] = {}
-        for pos in range(snapshot.indptr[i], snapshot.indptr[i + 1]):
-            neighbor = snapshot.names[snapshot.indices[pos]]
-            out[(node, neighbor)] = utilisation[pos]
-            out[(neighbor, node)] = utilisation[snapshot.edge_pos[(neighbor, node)]]
-        return out
-    out = {}
-    for neighbor in network.neighbors(node):
-        link = network.link(node, neighbor)
-        out[(node, neighbor)] = link.utilisation(node, neighbor)
-        out[(neighbor, node)] = link.utilisation(neighbor, node)
+    snapshot = csr.get_snapshot(network)
+    i = snapshot.index[node]
+    utilisation = (snapshot.used / snapshot.capacity).tolist()
+    out: Dict[Tuple[str, str], float] = {}
+    for pos in range(snapshot.indptr[i], snapshot.indptr[i + 1]):
+        neighbor = snapshot.names[snapshot.indices[pos]]
+        out[(node, neighbor)] = utilisation[pos]
+        out[(neighbor, node)] = utilisation[snapshot.edge_pos[(neighbor, node)]]
     return out

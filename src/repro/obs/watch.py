@@ -118,7 +118,7 @@ DEFAULT_REGRESSION_RULES: List[RegressionRule] = [
     RegressionRule(
         "csr-speedup", "csr.scale_free_200.speedup",
         higher_is_better=True, tolerance_pct=40.0,
-        doc="CSR kernel speedup over the cached object path at N=200",
+        doc="speedup over the uncached object-kernel reference at N=200",
     ),
     RegressionRule(
         "scheduler-cache-speedup", "scheduler.scale_free_200.speedup",

@@ -274,12 +274,12 @@ class Orchestrator:
     def _prune_path_cache(self, dead_nodes: "tuple[str, ...]" = ()) -> None:
         """Eagerly drop routing-cache entries made stale by a topology event.
 
-        Failures and repairs change weights on the affected links; every
-        cached shortest-path result that read one of them is dead.  The
-        cache would notice lazily on the next lookup, but campaigns with
-        long fault timelines reschedule in bursts right after each event
-        — pruning here keeps memory bounded and the post-event lookups
-        cheap (CSR-kernel entries the change-cut clears are repaired in
+        Failures and repairs change weights on the affected links, so
+        cached results computed under the old weight arrays may be dead.
+        The cache would notice lazily on the next lookup, but campaigns
+        with long fault timelines reschedule in bursts right after each
+        event — pruning here keeps memory bounded and the post-event
+        lookups cheap (entries the change-cut clears are repaired in
         place rather than dropped).
 
         ``dead_nodes`` names devices that just went down: entries whose

@@ -2,9 +2,8 @@
 
 Two small sweeps — a protocol-served toy sweep and a fault-injected
 campaign — have their JSONL row streams committed under
-``tests/golden/``.  Any change to scheduling, routing (cached *or*
-uncached), fault injection, or row assembly that alters a single byte of
-output fails here, so performance work cannot silently change results.
+``tests/golden/``.  Any change to scheduling, routing, fault injection,
+or row assembly that alters a single byte of output fails here, so performance work cannot silently change results.
 
 If a change is *intentional*, regenerate with::
 
@@ -24,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.scenarios import SweepConfig, run_sweep
+from tests.oracle import object_oracle
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -38,9 +38,9 @@ GOLDEN_SWEEPS = {
         grid={"n_tasks": [6], "n_sites": [8]},
         seeds=(0,),
     ),
-    # The PR-9 acceptance pin: trace-shaped arrivals + forecast SRLG
-    # cuts.  The same scenario is replayed across every backend /
-    # path-cache / CSR combination in test_trace_matrix.py.
+    # The trace-replay acceptance pin: trace-shaped arrivals + forecast
+    # SRLG cuts.  The same scenario is replayed across every backend in
+    # test_trace_matrix.py.
     "trace_srlg_campaign": SweepConfig(
         scenarios=("trace-srlg-campaign",),
         grid={"trace_epochs": [8]},
@@ -67,20 +67,10 @@ def test_sweep_rows_match_golden_file(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
-def test_golden_matches_with_cache_disabled(name, tmp_path, monkeypatch):
-    """The cached default and REPRO_PATH_CACHE=0 pin the same bytes."""
-    monkeypatch.setenv("REPRO_PATH_CACHE", "0")
+def test_golden_matches_with_cache_disabled(name, tmp_path):
+    """The uncached object-kernel oracle pins the same bytes."""
     golden = GOLDEN_DIR / f"{name}.jsonl"
     produced = tmp_path / f"{name}.jsonl"
-    run_sweep(GOLDEN_SWEEPS[name], jsonl_path=str(produced))
-    assert produced.read_bytes() == golden.read_bytes()
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
-def test_golden_matches_with_csr_disabled(name, tmp_path, monkeypatch):
-    """The CSR-kernel default and REPRO_CSR=0 pin the same bytes."""
-    monkeypatch.setenv("REPRO_CSR", "0")
-    golden = GOLDEN_DIR / f"{name}.jsonl"
-    produced = tmp_path / f"{name}.jsonl"
-    run_sweep(GOLDEN_SWEEPS[name], jsonl_path=str(produced))
+    with object_oracle():
+        run_sweep(GOLDEN_SWEEPS[name], jsonl_path=str(produced))
     assert produced.read_bytes() == golden.read_bytes()

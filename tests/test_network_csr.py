@@ -1,8 +1,9 @@
-"""Unit tests for the CSR routing kernel: snapshot, gate, and cache wiring."""
+"""Unit tests for the CSR routing kernel: snapshot, weights, and cache wiring."""
 
+import numpy as np
 import pytest
 
-from repro.errors import NoPathError, ReproError, TopologyError
+from repro.errors import NoPathError, TopologyError
 from repro.network import csr
 from repro.network.auxiliary import AuxiliaryGraphBuilder
 from repro.network.graph import Network
@@ -16,15 +17,11 @@ from repro.network.routing import (
     HopWeightSpec,
     LatencyWeightSpec,
     PathCache,
-    _CsrEntry,
     _Entry,
     peek_cache,
     sssp,
 )
 from repro.network.topologies import metro_mesh, scale_free
-
-pytest.importorskip("numpy")
-import numpy as np  # noqa: E402
 
 
 def _tree_key(tree):
@@ -98,40 +95,6 @@ class TestSnapshot:
         assert csr.peek_snapshot(net) is not None
 
 
-class TestResolveAndGate:
-    @pytest.mark.parametrize("value", ["0", "false", "OFF", "No"])
-    def test_env_disables(self, monkeypatch, value):
-        monkeypatch.setenv(csr.CSR_ENV_VAR, value)
-        assert not csr.csr_enabled()
-        assert not csr.resolve(None)
-
-    @pytest.mark.parametrize("value", [None, "1", "on", "yes"])
-    def test_env_enables(self, monkeypatch, value):
-        if value is None:
-            monkeypatch.delenv(csr.CSR_ENV_VAR, raising=False)
-        else:
-            monkeypatch.setenv(csr.CSR_ENV_VAR, value)
-        assert csr.csr_enabled()
-        assert csr.resolve(None)
-
-    def test_explicit_flags_override_env(self, monkeypatch):
-        monkeypatch.setenv(csr.CSR_ENV_VAR, "0")
-        assert csr.resolve(True)
-        monkeypatch.setenv(csr.CSR_ENV_VAR, "1")
-        assert not csr.resolve(False)
-
-    def test_missing_numpy_auto_falls_back_silently(self, monkeypatch):
-        monkeypatch.setattr(csr, "HAVE_NUMPY", False)
-        assert not csr.resolve(None)  # auto mode never errors
-
-    def test_missing_numpy_explicit_request_raises(self, monkeypatch):
-        monkeypatch.setattr(csr, "HAVE_NUMPY", False)
-        with pytest.raises(ReproError, match="numpy"):
-            csr.resolve(True)
-        with pytest.raises(ReproError, match="REPRO_CSR=0"):
-            csr.require_numpy()
-
-
 class TestKernelEquivalence:
     def test_sssp_matches_object_kernel(self, square_net):
         for spec in (LatencyWeightSpec(square_net), HopWeightSpec(square_net)):
@@ -141,13 +104,15 @@ class TestKernelEquivalence:
                 assert _tree_key(array_tree) == _tree_key(object_tree)
 
     def test_shortest_path_matches_dijkstra(self, square_net):
-        spec = LatencyWeightSpec(square_net)
+        snapshot = csr.get_snapshot(square_net)
+        weights = csr.weight_array(snapshot, ("latency",)).tolist()
+        search = csr.array_search(snapshot, weights)
         names = square_net.node_names()
         for source in names:
             for destination in names:
-                assert csr.shortest_path_csr(
-                    square_net, source, destination, spec
-                ) == dijkstra(square_net, source, destination)
+                assert search(source, destination, set(), set()) == dijkstra(
+                    square_net, source, destination
+                )
 
     def test_terminal_tree_matches_object_kernel(self):
         net = metro_mesh(n_sites=6, servers_per_site=2)
@@ -189,8 +154,12 @@ class TestKernelEquivalence:
             net.add_node(name)
         net.add_link("a", "b", 100.0)
         spec = LatencyWeightSpec(net)
+        snapshot = csr.get_snapshot(net)
+        search = csr.array_search(
+            snapshot, csr.weight_array(snapshot, spec.cache_token()).tolist()
+        )
         with pytest.raises(NoPathError):
-            csr.shortest_path_csr(net, "a", "c", spec)
+            search("a", "c", set(), set())
         tree = csr.sssp_csr(net, "a", spec)
         assert not tree.reaches("c")
 
@@ -198,28 +167,36 @@ class TestKernelEquivalence:
         with pytest.raises(TopologyError):
             csr.sssp_csr(square_net, "nope", LatencyWeightSpec(square_net))
 
-    def test_exotic_spec_falls_back_to_object_kernel(self, square_net):
+    def test_exotic_spec_raises_topology_error(self, square_net):
         class ExoticSpec:
             def cache_token(self):
                 return ("exotic",)
 
-            def weight_fn(self):
-                from repro.network.paths import latency_weight
+            def shareable(self):
+                return True
 
-                return latency_weight(square_net)
-
-        tree = csr.sssp_csr(square_net, "A", ExoticSpec())
-        assert _tree_key(tree) == _tree_key(
-            sssp(square_net, "A", LatencyWeightSpec(square_net).weight_fn())
-        )
+        match = r"weight token \('exotic',\) cannot be lowered"
+        with pytest.raises(TopologyError, match=match):
+            csr.sssp_csr(square_net, "A", ExoticSpec())
+        with pytest.raises(TopologyError, match=match):
+            PathCache(square_net).sssp("A", ExoticSpec())
 
 
 class TestWeightArrays:
     def test_unrecognised_tokens_unlowerable(self, square_net):
         snapshot = csr.get_snapshot(square_net)
-        assert csr.weight_array(snapshot, ("exotic",)) is None
-        assert csr.weight_array(snapshot, "latency") is None
-        assert csr.weight_array(snapshot, ()) is None
+        for token in (("exotic",), "latency", (), ("latency", "extra")):
+            with pytest.raises(TopologyError, match="cannot be lowered"):
+                csr.weight_array(snapshot, token)
+
+    def test_negative_weight_raises_like_object_kernel(self, square_net):
+        snapshot = csr.get_snapshot(square_net)
+        pos = snapshot.edge_pos[("B", "C")]
+        snapshot.latency[pos] = -1.0
+        with pytest.raises(
+            TopologyError, match=r"negative edge weight -1\.0 on B->C"
+        ):
+            csr.weight_array(snapshot, ("latency",))
 
     def test_latency_and_hop_bit_equal_to_scalar(self, square_net):
         square_net.fail_link("B", "C")
@@ -298,34 +275,24 @@ class TestCacheCsrIntegration:
     def test_stores_and_hits_csr_entries(self, square_net):
         cache = PathCache(square_net)
         spec = LatencyWeightSpec(square_net)
-        first = cache.sssp("A", spec, csr=True)
+        first = cache.sssp("A", spec)
         (entry,) = cache._entries.values()
-        assert isinstance(entry, _CsrEntry)
-        second = cache.sssp("A", spec, csr=True)
+        assert isinstance(entry, _Entry)
+        second = cache.sssp("A", spec)
         assert second is first
         assert cache.stats.hits == 1 and cache.stats.misses == 1
 
     def test_csr_and_object_caches_agree(self, square_net):
         spec = LatencyWeightSpec(square_net)
         for source in square_net.node_names():
-            array_tree = PathCache(square_net).sssp(source, spec, csr=True)
-            object_tree = PathCache(square_net).sssp(source, spec, csr=False)
+            array_tree = PathCache(square_net).sssp(source, spec)
+            object_tree = sssp(square_net, source, spec.weight_fn())
             assert _tree_key(array_tree) == _tree_key(object_tree)
-
-    def test_kernel_flip_replaces_entry(self, square_net):
-        cache = PathCache(square_net)
-        spec = LatencyWeightSpec(square_net)
-        array_tree = cache.sssp("A", spec, csr=True)
-        object_tree = cache.sssp("A", spec, csr=False)  # REPRO_CSR flip
-        assert _tree_key(array_tree) == _tree_key(object_tree)
-        (entry,) = cache._entries.values()
-        assert isinstance(entry, _Entry)
-        assert cache.stats.invalidations == 1
 
     def test_prune_repairs_surviving_entries(self, square_net):
         cache = PathCache(square_net)
         spec = LatencyWeightSpec(square_net)
-        cached = cache.sssp("A", spec, csr=True)
+        cached = cache.sssp("A", spec)
         assert cached.previous["D"] == "C"  # A-D unused by the tree
         square_net.fail_link("A", "D")
         dropped = cache.prune()
@@ -334,7 +301,7 @@ class TestCacheCsrIntegration:
         # The repaired entry serves the post-failure truth (as mappings:
         # a repaired tree keeps its original discovery order, which is
         # not observable through path_to/distance lookups).
-        repaired = cache.sssp("A", spec, csr=True)
+        repaired = cache.sssp("A", spec)
         fresh = sssp(square_net, "A", spec.weight_fn())
         assert repaired.distance == fresh.distance
         assert repaired.previous == fresh.previous
@@ -343,7 +310,7 @@ class TestCacheCsrIntegration:
     def test_prune_drops_entries_the_cut_cannot_clear(self, square_net):
         cache = PathCache(square_net)
         spec = LatencyWeightSpec(square_net)
-        cache.sssp("A", spec, csr=True)
+        cache.sssp("A", spec)
         square_net.fail_link("A", "C")  # a tree edge
         assert cache.prune() == 1
         assert len(cache) == 0
@@ -353,7 +320,7 @@ class TestCacheCsrIntegration:
         spec = LatencyWeightSpec(net)
         sources = net.servers()[:4]
         cache = PathCache(net)
-        batched = cache.batched_sssp([*sources, sources[0]], spec, csr=True)
+        batched = cache.batched_sssp([*sources, sources[0]], spec)
         assert list(batched) == sources  # deduped, first-occurrence order
         for source in sources:
             assert _tree_key(batched[source]) == _tree_key(
@@ -368,69 +335,8 @@ class TestCacheCsrIntegration:
         spec = LatencyWeightSpec(net)
         for _ in range(2):
             with pytest.raises(NoPathError):
-                cache.shortest_path("a", "b", spec, csr=True)
+                cache.shortest_path("a", "b", spec)
         assert cache.stats.hits == 1
-
-
-class TestPerDirectionGenerations:
-    """Satellite pin: reverse-direction churn must not invalidate entries.
-
-    A full SSSP settles each node once, so its read log holds exactly one
-    direction per link (the direction out of the earlier-settled
-    endpoint).  Upload-style reservations flow in the *other* direction;
-    with per-direction link generations they leave every recorded
-    generation untouched and the entry survives prune() and revalidation
-    for free.  Link-level generations would drop it on every epoch move.
-    """
-
-    def _primed(self, net):
-        cache = PathCache(net)
-        builder = AuxiliaryGraphBuilder(net, demand_gbps=2.0, owner="")
-        cache.sssp(net.node_names()[0], builder, csr=False)
-        (entry,) = cache._entries.values()
-        return cache, builder, entry
-
-    def test_read_log_is_single_direction(self, square_net):
-        _cache, _builder, entry = self._primed(square_net)
-        reads = set(entry.reads)
-        assert reads, "SSSP recorded no reads"
-        assert all((v, u) not in reads for (u, v) in reads)
-
-    def test_reverse_workload_keeps_entries_without_revalidation(
-        self, square_net
-    ):
-        cache, builder, entry = self._primed(square_net)
-        for u, v in list(entry.reads):
-            square_net.reserve_edge(v, u, 1.0, "upload")
-        assert cache.prune() == 0  # generation-strict prune keeps it
-        cache.sssp("A", builder, csr=False)
-        assert cache.stats.hits == 1
-        assert cache.stats.invalidations == 0
-        assert cache.stats.revalidations == 0  # no generation even moved
-
-    def test_forward_workload_invalidates(self, square_net):
-        cache, builder, entry = self._primed(square_net)
-        u, v = next(iter(entry.reads))
-        square_net.reserve_edge(u, v, 1.0, "broadcast")
-        cache.sssp("A", builder, csr=False)
-        # The read direction's utilisation moved, so the recorded value
-        # is provably stale: recompute, not serve.
-        assert cache.stats.invalidations == 1
-        assert cache.stats.misses == 2
-
-    def test_bidirectional_workload_fewer_invalidations(self, square_net):
-        """The regression: upload-direction churn costs no invalidations."""
-        cache, builder, entry = self._primed(square_net)
-        reads = list(entry.reads)
-        for u, v in reads:  # upload direction: all free
-            square_net.reserve_edge(v, u, 0.5, "upload")
-            cache.sssp("A", builder, csr=False)
-        reverse_invalidations = cache.stats.invalidations
-        assert reverse_invalidations == 0
-        for u, v in reads[:2]:  # broadcast direction: pays per mutation
-            square_net.reserve_edge(u, v, 0.5, "broadcast")
-            cache.sssp("A", builder, csr=False)
-        assert cache.stats.invalidations == 2 > reverse_invalidations
 
 
 class TestNodeFailurePruning:
@@ -467,7 +373,7 @@ class TestNodeFailurePruning:
         from repro.orchestrator.orchestrator import Orchestrator
 
         net = metro_mesh(n_sites=6, servers_per_site=2)
-        orchestrator = Orchestrator(net, FlexibleScheduler(use_cache=True))
+        orchestrator = Orchestrator(net, FlexibleScheduler())
         servers = net.servers()
         from repro.tasks.aitask import AITask
         from repro.tasks.models import get_model

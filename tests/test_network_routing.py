@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.errors import NoPathError, TopologyError
-from repro.network import routing
 from repro.network.auxiliary import AuxiliaryGraphBuilder
 from repro.network.graph import Network
 from repro.network.node import NodeKind
@@ -19,13 +18,13 @@ from repro.network.routing import (
     HopWeightSpec,
     LatencyWeightSpec,
     PathCache,
-    cache_enabled,
     get_cache,
     multi_source_distances,
     peek_cache,
     sssp,
 )
 from repro.network.topologies import metro_mesh, scale_free
+from tests.oracle import object_oracle
 
 
 class TestSssp:
@@ -314,14 +313,6 @@ class TestAuxiliarySpec:
         assert len(cache) == 0
         assert cache.stats.misses == 1
 
-    def test_recording_weight_reports_reads(self, square_net):
-        builder = AuxiliaryGraphBuilder(square_net, demand_gbps=5.0, owner="t")
-        reads = {}
-        weight = builder.recording_weight_fn(reads)
-        value = weight("A", "B")
-        link = square_net.link("A", "B")
-        assert reads[("A", "B")] == (link, link.generation, value)
-
 
 class TestCacheAttachment:
     def test_get_cache_is_singleton_per_network(self, square_net):
@@ -365,21 +356,6 @@ class TestCacheAttachment:
         assert peek_cache(clone) is None
 
 
-class TestCacheEnabledSwitch:
-    def test_default_enabled(self, monkeypatch):
-        monkeypatch.delenv(routing.CACHE_ENV_VAR, raising=False)
-        assert cache_enabled()
-
-    @pytest.mark.parametrize("value", ["0", "false", "OFF", " no "])
-    def test_disabling_values(self, monkeypatch, value):
-        monkeypatch.setenv(routing.CACHE_ENV_VAR, value)
-        assert not cache_enabled()
-
-    def test_other_values_enable(self, monkeypatch):
-        monkeypatch.setenv(routing.CACHE_ENV_VAR, "yes")
-        assert cache_enabled()
-
-
 class TestSchedulerWiring:
     def _task(self, net, n_locals=4):
         from repro.tasks.aitask import AITask
@@ -395,16 +371,14 @@ class TestSchedulerWiring:
         )
 
     def test_flexible_cached_matches_uncached(self):
+        """The production path matches the uncached object oracle."""
         from repro.core.flexible import FlexibleScheduler
 
         net_a = metro_mesh(n_sites=8, servers_per_site=2)
         net_b = metro_mesh(n_sites=8, servers_per_site=2)
-        cached = FlexibleScheduler(use_cache=True).schedule(
-            self._task(net_a), net_a
-        )
-        plain = FlexibleScheduler(use_cache=False).schedule(
-            self._task(net_b), net_b
-        )
+        cached = FlexibleScheduler().schedule(self._task(net_a), net_a)
+        with object_oracle():
+            plain = FlexibleScheduler().schedule(self._task(net_b), net_b)
         assert cached.broadcast_tree.parent == plain.broadcast_tree.parent
         assert cached.upload_tree.parent == plain.upload_tree.parent
         assert cached.broadcast_edge_rates == plain.broadcast_edge_rates
@@ -421,26 +395,11 @@ class TestSchedulerWiring:
         ):
             net_a = metro_mesh(n_sites=8, servers_per_site=2)
             net_b = metro_mesh(n_sites=8, servers_per_site=2)
-            cached = scheduler_cls(use_cache=True).schedule(
-                self._task(net_a), net_a
-            )
-            plain = scheduler_cls(use_cache=False).schedule(
-                self._task(net_b), net_b
-            )
+            cached = scheduler_cls().schedule(self._task(net_a), net_a)
+            with object_oracle():
+                plain = scheduler_cls().schedule(self._task(net_b), net_b)
             assert cached.broadcast_edge_rates == plain.broadcast_edge_rates
             assert cached.upload_edge_rates == plain.upload_edge_rates
-
-    def test_env_switch_controls_auto_mode(self, monkeypatch):
-        from repro.core.flexible import FlexibleScheduler
-
-        net = metro_mesh(n_sites=6, servers_per_site=2)
-        monkeypatch.setenv(routing.CACHE_ENV_VAR, "0")
-        FlexibleScheduler().schedule(self._task(net), net)
-        assert peek_cache(net) is None
-        monkeypatch.setenv(routing.CACHE_ENV_VAR, "1")
-        net2 = metro_mesh(n_sites=6, servers_per_site=2)
-        FlexibleScheduler().schedule(self._task(net2), net2)
-        assert peek_cache(net2) is not None
 
     def test_sequential_schedule_release_identical_on_scale_free(self):
         from repro.core.flexible import FlexibleScheduler
@@ -448,10 +407,10 @@ class TestSchedulerWiring:
         from repro.tasks.aitask import AITask
         from repro.tasks.models import get_model
 
-        def run(use_cache):
+        def run():
             net = scale_free(n_routers=30, m_links=2, seed=3, servers_per_site=1)
             rng = RandomStreams(11).stream("placement")
-            scheduler = FlexibleScheduler(use_cache=use_cache)
+            scheduler = FlexibleScheduler()
             signatures = []
             for index in range(12):
                 chosen = rng.sample(net.servers(), 6)
@@ -472,29 +431,35 @@ class TestSchedulerWiring:
                 scheduler.release(schedule, net)
             return signatures
 
-        assert run(True) == run(False)
+        production = run()
+        with object_oracle():
+            assert run() == production
 
 
 class TestOrchestratorPruning:
     def test_failure_event_prunes_stale_entries(self):
         from repro.core.flexible import FlexibleScheduler
+        from repro.network import csr
         from repro.orchestrator.orchestrator import Orchestrator
 
         net = metro_mesh(n_sites=6, servers_per_site=2)
-        orchestrator = Orchestrator(net, FlexibleScheduler(use_cache=True))
+        orchestrator = Orchestrator(net, FlexibleScheduler())
         task = TestSchedulerWiring()._task(net)
         orchestrator.admit(task)
         cache = peek_cache(net)
         assert cache is not None and len(cache) > 0
         u, v = net.inter_switch_links()[0]
         orchestrator.handle_link_failure(u, v)
-        # Every surviving entry must be generation-fresh: prune() dropped
-        # anything that read a link the failure (or rescheduling) touched.
-        assert all(
-            all(
-                link.generation == generation
-                for link, generation, _ in entry.reads.values()
+        # Every entry the cache would still serve must equal a fresh
+        # computation under the post-failure weights: prune() dropped or
+        # repaired anything the failure (or rescheduling) made stale.
+        snapshot = csr.get_snapshot(net)
+        for (kind, source, token), entry in list(cache._entries.items()):
+            assert kind == "sssp"
+            if not cache._validate(entry, snapshot):
+                continue
+            fresh = csr.sssp_tree(
+                snapshot, source, csr.weight_array(snapshot, token).tolist()
             )
-            or entry.epoch == net.epoch
-            for entry in cache._entries.values()
-        )
+            assert entry.value.distance == fresh.distance
+            assert entry.value.previous == fresh.previous

@@ -251,7 +251,6 @@ def _apply_mutation(net, links, action, rng, owners=("w1", "w2")):
         net.restore_link(link.u, link.v)
 
 
-@pytest.mark.skipif(not csr.HAVE_NUMPY, reason="numpy unavailable")
 class TestCsrObjectEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -312,13 +311,13 @@ class TestCsrObjectEquivalence:
         spec = LatencyWeightSpec(net)
         sources = list(dict.fromkeys([root, *terminals]))
         for source in sources:
-            cache.sssp(source, spec, csr=True)
+            cache.sssp(source, spec)
         links = list(net.links())
         for action, rng in script:
             _apply_mutation(net, links, action, rng)
             cache.prune()
             for source in sources:
-                cached = cache.sssp(source, spec, csr=True)
+                cached = cache.sssp(source, spec)
                 fresh = sssp(net, source, spec.weight_fn())
                 assert cached.distance == fresh.distance
                 assert cached.previous == fresh.previous

@@ -22,6 +22,7 @@ from repro.scenarios import (
     list_scenarios,
     run_sweep,
 )
+from tests.oracle import object_oracle
 
 #: One small sweep per new topology family (the acceptance matrix).
 NEW_FAMILY_CONFIGS = {
@@ -186,22 +187,25 @@ class TestNewScenarios:
 
 @pytest.mark.parametrize("name", sorted(NEW_FAMILY_CONFIGS))
 class TestNewFamilyBackendByteIdentity:
-    """Acceptance: rows identical across backends, cache on and off."""
+    """Acceptance: rows identical across backends and to the oracle.
+
+    The oracle is a serial run with every routing query answered by the
+    uncached object kernel (``tests/oracle.py``) instead of the cached
+    CSR path.
+    """
 
     def _run(self, config, backend):
         return run_sweep(config, backend=backend).to_json()
 
-    def test_backends_and_cache_agree(self, name, monkeypatch):
+    def test_backends_and_cache_agree(self, name):
         config = NEW_FAMILY_CONFIGS[name]
-        outputs = []
-        for cache in ("1", "0"):
-            monkeypatch.setenv("REPRO_PATH_CACHE", cache)
+        outputs = [
+            self._run(config, SerialBackend()),
+            self._run(config, ProcessPoolBackend(2)),
+            self._run(
+                config, SocketQueueBackend(local_workers=2, timeout=120.0)
+            ),
+        ]
+        with object_oracle():
             outputs.append(self._run(config, SerialBackend()))
-            outputs.append(self._run(config, ProcessPoolBackend(2)))
-            outputs.append(
-                self._run(
-                    config,
-                    SocketQueueBackend(local_workers=2, timeout=120.0),
-                )
-            )
         assert all(output == outputs[0] for output in outputs[1:])

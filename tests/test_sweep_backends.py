@@ -25,6 +25,7 @@ from repro.scenarios import (
 )
 from repro.scenarios.sweep import OrderedRecorder, resolve_backend
 from repro.scenarios import sweep as sweep_module
+from tests.oracle import object_oracle
 
 TOY_CONFIG = SweepConfig(
     scenarios=("toy-triangle",),
@@ -93,10 +94,10 @@ class TestRoutingCacheEquivalence:
     """The routing cache must be invisible in sweep output.
 
     A pinned resilience sweep (campaign serving, fault timeline, node
-    and link generation bumping, orchestrator pruning) is the most
-    cache-hostile path we have; rows must be byte-identical with the
-    cache enabled (default) and disabled (``REPRO_PATH_CACHE=0``), on
-    every backend.
+    and link failures, orchestrator pruning and repair) is the most
+    cache-hostile path we have; rows must be byte-identical on every
+    backend and equal to a serial run on the uncached object-kernel
+    oracle (``tests/oracle.py``).
     """
 
     RESILIENCE_CONFIG = SweepConfig(
@@ -105,52 +106,15 @@ class TestRoutingCacheEquivalence:
         seeds=(0, 1),
     )
 
-    def _run_all_backends(self):
+    def test_cached_and_uncached_rows_byte_identical(self):
         serial = run_sweep(self.RESILIENCE_CONFIG, backend=SerialBackend())
         pool = run_sweep(self.RESILIENCE_CONFIG, backend=ProcessPoolBackend(2))
         sock = run_sweep(self.RESILIENCE_CONFIG, backend=socket_backend())
+        with object_oracle():
+            oracle = run_sweep(self.RESILIENCE_CONFIG, backend=SerialBackend())
         assert serial.to_json() == pool.to_json()
         assert serial.to_json() == sock.to_json()
-        return serial.to_json()
-
-    def test_cached_and_uncached_rows_byte_identical(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PATH_CACHE", "1")
-        cached = self._run_all_backends()
-        monkeypatch.setenv("REPRO_PATH_CACHE", "0")
-        uncached = self._run_all_backends()
-        assert cached == uncached
-
-    def test_explicit_scheduler_flag_matches_env_switch(self, monkeypatch):
-        """use_cache= beats the env var, and every combination agrees.
-
-        Serves the pinned resilience run directly with explicitly
-        flagged schedulers under the *opposite* environment setting, so
-        a regression that made the constructor flag fall through to the
-        env would show up as either diverging rows or a missing/present
-        cache.
-        """
-        from repro.core.flexible import FlexibleScheduler
-        from repro.network import routing
-        from repro.scenarios.registry import get_scenario
-        from repro.scenarios.sweep.engine import _serve_campaign
-
-        spec = get_scenario("metro-mesh-flaky-links")
-        params = spec.merge_params({"n_tasks": 6, "n_sites": 8})
-
-        def serve(env, **scheduler_kwargs):
-            monkeypatch.setenv("REPRO_PATH_CACHE", env)
-            instance = spec.instantiate(params, seed=0)
-            row = _serve_campaign(
-                instance, FlexibleScheduler(**scheduler_kwargs)
-            )
-            return row, routing.peek_cache(instance.network)
-
-        flag_on, cache_on = serve("0", use_cache=True)
-        flag_off, cache_off = serve("1", use_cache=False)
-        auto, _ = serve("1")
-        assert cache_on is not None  # explicit True overrode env=0
-        assert cache_off is None  # explicit False overrode env=1
-        assert json.dumps(flag_on) == json.dumps(flag_off) == json.dumps(auto)
+        assert serial.to_json() == oracle.to_json()
 
 
 class TestSocketBackend:
