@@ -1,4 +1,4 @@
-.PHONY: test bench bench-smoke bench-csr bench-verify perfbench-smoke smoke sweep-smoke topo-smoke obs-smoke obs-collect-smoke traces-smoke properties all
+.PHONY: test bench bench-smoke bench-csr bench-verify perfbench-smoke smoke sweep-smoke topo-smoke obs-smoke obs-collect-smoke traces-smoke examples-smoke properties all
 
 # Tier-1: the full test suite (pyproject.toml supplies pythonpath/testpaths).
 test:
@@ -140,5 +140,14 @@ traces-smoke:
 		--set n_tasks=4
 	rm -f .traces-smoke-a.json .traces-smoke-b.json \
 		.traces-smoke-a.jsonl .traces-smoke-b.jsonl
+
+# Every runnable walkthrough under examples/, so an API change that breaks
+# one fails here; reproduce_figures.py writes examples/results/, which is
+# removed afterwards.
+examples-smoke:
+	set -e; for example in examples/*.py; do \
+		echo "== $$example"; PYTHONPATH=src python $$example > /dev/null; \
+	done
+	rm -rf examples/results
 
 all: test bench

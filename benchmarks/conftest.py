@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark suite.
 
-Every benchmark regenerates one paper artefact (DESIGN.md §4) through the
-same harness the CLI exposes, asserts the paper's qualitative shape on the
+Every benchmark regenerates one paper artefact (an id of ``repro list``)
+through the same harness the CLI exposes, asserts the paper's qualitative shape on the
 result, and reports wall-clock timing via pytest-benchmark.  Heavy sweeps
 run once per benchmark (``pedantic`` mode) — the timing of interest is
 "how long does regenerating this figure take", not a microsecond average.

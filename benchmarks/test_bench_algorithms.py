@@ -16,7 +16,7 @@ from repro.bench import bench_suite
 from repro.core.fixed import FixedScheduler
 from repro.core.flexible import FlexibleScheduler
 from repro.network.paths import dijkstra, k_shortest_paths, terminal_tree
-from repro.network.topologies import metro_mesh, random_geometric
+from repro.network.topology import metro_mesh, random_geometric
 from repro.tasks.aitask import AITask
 from repro.tasks.models import get_model
 

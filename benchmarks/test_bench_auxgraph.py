@@ -1,8 +1,8 @@
 """Benchmark abl-aux: auxiliary-graph weighting ablation.
 
-DESIGN.md calls out the alpha (bandwidth) / beta (latency) blend of the
-auxiliary-graph edge weight as the flexible scheduler's central design
-knob.  The sweep must expose the trade: growing alpha never increases
+The alpha (bandwidth) / beta (latency) blend of the auxiliary-graph
+edge weight is the flexible scheduler's central design knob (see the
+README).  The sweep must expose the trade: growing alpha never increases
 consumed bandwidth, and the bandwidth-heaviest setting consumes no more
 than the latency-only one.
 """

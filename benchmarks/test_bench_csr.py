@@ -37,7 +37,7 @@ from repro.network import csr, routing
 from repro.network.auxiliary import AuxiliaryGraphBuilder
 from repro.network.paths import tree_from_metric_closure
 from repro.network.state import node_utilisations
-from repro.network.topologies import scale_free
+from repro.network.topology import scale_free
 from repro.network.topology import build_topology
 from repro.sim.rng import RandomStreams
 from repro.tasks.aitask import AITask

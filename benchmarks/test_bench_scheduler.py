@@ -33,7 +33,7 @@ from repro.core.flexible import FlexibleScheduler
 from repro.errors import NoPathError, SchedulingError
 from repro.network import csr, routing
 from repro.network.auxiliary import AuxiliaryGraphBuilder
-from repro.network.topologies import scale_free
+from repro.network.topology import scale_free
 from repro.sim.rng import RandomStreams
 from repro.tasks.aitask import AITask
 from repro.tasks.models import get_model

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import tempfile
 
-from repro.network.topologies import metro_ring
+from repro.network.topology import metro_ring
 from repro.orchestrator import run_scenario
 from repro.resilience import FaultProfile, build_timeline
 from repro.scenarios import (

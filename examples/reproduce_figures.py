@@ -1,18 +1,18 @@
 #!/usr/bin/env python
 """Regenerate every paper artefact and save the raw rows as JSON.
 
-Runs the full experiment index of DESIGN.md §4 (figures + ablations) at
+Runs the full experiment index (``repro list``: figures + ablations) at
 the default configurations, prints each table, and writes
 ``results/<id>.json`` next to this script.
 
-Run (takes a minute or two):
+Run (takes a few seconds):
     python examples/reproduce_figures.py
 """
 
 import os
 import sys
 
-from repro.cli import EXPERIMENTS
+from repro.experiments import EXPERIMENTS
 
 
 def main() -> None:

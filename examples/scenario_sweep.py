@@ -14,7 +14,7 @@ from __future__ import annotations
 import tempfile
 import time
 
-from repro.network.topologies import metro_ring
+from repro.network.topology import metro_ring
 from repro.orchestrator import run_scenario
 from repro.scenarios import (
     ScenarioSpec,

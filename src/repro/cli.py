@@ -1,10 +1,15 @@
 """Command-line entry point: experiments and scenario sweeps.
 
-Runs any experiment from DESIGN.md §4 and prints its table, e.g.::
+Runs any experiment of the id → runner table
+:data:`repro.experiments.EXPERIMENTS` and prints its table, e.g.::
 
     repro fig3a
     repro abl-rdma --save rdma.json
     repro list
+
+Every subcommand shares one error boundary: a library error
+(:class:`~repro.errors.ReproError`) or an I/O error exits 2 with one
+``ERROR`` log line instead of a traceback.
 
 The ``scenarios`` subcommand exposes the scenario registry, the sweep
 engine with its pluggable backends and sinks, and fault-profile
@@ -73,47 +78,10 @@ import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import obs
-from .experiments import (
-    ExperimentResult,
-    run_auxgraph_ablation,
-    run_baselines_comparison,
-    run_campaign_comparison,
-    run_compression_ablation,
-    run_failure_recovery,
-    run_model_validation,
-    run_optical_spectrum,
-    run_optimality_gap,
-    run_fig1,
-    run_fig3a,
-    run_fig3b,
-    run_resilience_sweep,
-    run_rescheduling_ablation,
-    run_selection_ablation,
-    run_spineleaf_ablation,
-    run_transport_ablation,
-)
+from .errors import ReproError
+from .experiments import EXPERIMENTS
 
 logger = obs.get_logger("cli")
-
-#: Experiment id -> zero-argument runner.
-EXPERIMENTS: Dict[str, Callable[[], ExperimentResult]] = {
-    "fig1": run_fig1,
-    "fig3a": run_fig3a,
-    "fig3b": run_fig3b,
-    "abl-resched": run_rescheduling_ablation,
-    "abl-select": run_selection_ablation,
-    "abl-rdma": run_transport_ablation,
-    "abl-spineleaf": run_spineleaf_ablation,
-    "abl-aux": run_auxgraph_ablation,
-    "abl-baselines": run_baselines_comparison,
-    "abl-failures": run_failure_recovery,
-    "abl-fp16": run_compression_ablation,
-    "abl-optical": run_optical_spectrum,
-    "abl-simcheck": run_model_validation,
-    "abl-optgap": run_optimality_gap,
-    "abl-campaign": run_campaign_comparison,
-    "abl-resilience": run_resilience_sweep,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "experiment",
         choices=sorted(EXPERIMENTS) + ["list", "all"],
-        help="experiment id from DESIGN.md §4, 'list', or 'all'",
+        help="experiment id ('repro list' prints them), 'list', or 'all'",
     )
     parser.add_argument(
         "--save",
@@ -468,7 +436,6 @@ def build_traces_parser() -> argparse.ArgumentParser:
 
 def _traces_main(argv: List[str]) -> int:
     """The ``repro traces`` subcommand: synth / show."""
-    from .errors import ConfigurationError
     from .scenarios.traces import (
         SynthConfig,
         load_trace,
@@ -479,32 +446,24 @@ def _traces_main(argv: List[str]) -> int:
 
     args = build_traces_parser().parse_args(argv)
     if args.command == "synth":
-        try:
-            config = SynthConfig(
-                epochs=args.epochs,
-                epoch_ms=args.epoch_ms,
-                mean_arrivals=args.mean_arrivals,
-                mean_demand_gbps=args.mean_demand_gbps,
-                pareto_alpha=args.pareto_alpha,
-                diurnal_amplitude=args.diurnal_amplitude,
-            )
-            rng = RandomStreams(args.seed).stream("workload/trace-synth")
-            series = synthesize_mawi(config, rng)
-            save_trace(series, args.path)
-        except ConfigurationError as exc:
-            logger.error("%s", exc)
-            return 2
+        config = SynthConfig(
+            epochs=args.epochs,
+            epoch_ms=args.epoch_ms,
+            mean_arrivals=args.mean_arrivals,
+            mean_demand_gbps=args.mean_demand_gbps,
+            pareto_alpha=args.pareto_alpha,
+            diurnal_amplitude=args.diurnal_amplitude,
+        )
+        rng = RandomStreams(args.seed).stream("workload/trace-synth")
+        series = synthesize_mawi(config, rng)
+        save_trace(series, args.path)
         print(
             f"{series.name}: {series.n_epochs} epochs x "
             f"{series.epoch_ms:g} ms, {series.total_tasks} tasks"
         )
         logger.info("saved trace to %s", args.path)
         return 0
-    try:
-        series = load_trace(args.path)
-    except ConfigurationError as exc:
-        logger.error("%s", exc)
-        return 2
+    series = load_trace(args.path)
     print(
         f"{series.name}: {series.n_epochs} epochs x {series.epoch_ms:g} ms "
         f"({series.horizon_ms:g} ms horizon), {series.total_tasks} tasks"
@@ -779,57 +738,49 @@ def _obs_main(argv: List[str]) -> int:
     """The ``repro obs`` subcommand: report / tail / analyze / watch."""
     import json as jsonlib
 
-    from .errors import ConfigurationError
-
     args = build_obs_parser().parse_args(argv)
-    try:
-        if args.command == "report":
-            print(
-                obs.report(args.trace, span_labels=tuple(args.span_labels))
-            )
-            return 0
-        if args.command == "analyze":
-            from .obs.analyze import analyze as analyze_trace
-            from .obs.analyze import render_analysis
-
-            analysis = analyze_trace(args.trace)
-            if args.json:
-                print(jsonlib.dumps(analysis["metrics"], sort_keys=True))
-            else:
-                print(render_analysis(analysis, top=args.top))
-            return 0
-        if args.command == "watch":
-            from .obs.watch import (
-                DEFAULT_SLO_RULES,
-                parse_slo_rule,
-                render_watch,
-                watch,
-            )
-
-            slo_rules = None
-            if args.slo:
-                slo_rules = list(DEFAULT_SLO_RULES) + [
-                    parse_slo_rule(text) for text in args.slo
-                ]
-            result = watch(
-                trace=args.trace,
-                history=args.history,
-                slo_rules=slo_rules,
-            )
-            print(render_watch(result))
-            return 0 if result.ok else 1
-        # tail
-        if args.follow:
-            return _obs_tail_follow(args.trace)
-        records = list(obs.iter_trace(args.trace, strict=False))
-        for record in records[-max(0, args.lines):]:
-            formatted = obs.format_record(record)
-            if formatted:
-                print(formatted)
+    if args.command == "report":
+        print(obs.report(args.trace, span_labels=tuple(args.span_labels)))
         return 0
-    except ConfigurationError as exc:
-        logger.error("%s", exc)
-        return 2
+    if args.command == "analyze":
+        from .obs.analyze import analyze as analyze_trace
+        from .obs.analyze import render_analysis
+
+        analysis = analyze_trace(args.trace)
+        if args.json:
+            print(jsonlib.dumps(analysis["metrics"], sort_keys=True))
+        else:
+            print(render_analysis(analysis, top=args.top))
+        return 0
+    if args.command == "watch":
+        from .obs.watch import (
+            DEFAULT_SLO_RULES,
+            parse_slo_rule,
+            render_watch,
+            watch,
+        )
+
+        slo_rules = None
+        if args.slo:
+            slo_rules = list(DEFAULT_SLO_RULES) + [
+                parse_slo_rule(text) for text in args.slo
+            ]
+        result = watch(
+            trace=args.trace,
+            history=args.history,
+            slo_rules=slo_rules,
+        )
+        print(render_watch(result))
+        return 0 if result.ok else 1
+    # tail
+    if args.follow:
+        return _obs_tail_follow(args.trace)
+    records = list(obs.iter_trace(args.trace, strict=False))
+    for record in records[-max(0, args.lines):]:
+        formatted = obs.format_record(record)
+        if formatted:
+            print(formatted)
+    return 0
 
 
 def _bench_main(argv: List[str]) -> int:
@@ -838,108 +789,104 @@ def _bench_main(argv: List[str]) -> int:
     from .errors import ConfigurationError
 
     args = build_bench_parser().parse_args(argv)
-    try:
-        if args.command == "list":
-            suites = bench.discover_suites(args.bench_dir)
-            width = max((len(suite.name) for suite in suites), default=0)
-            for suite in suites:
-                headline = suite.headline or "elapsed_s"
-                print(
-                    f"{suite.name:<{width}}  {suite.description}  "
-                    f"[headline: {headline}]"
-                )
-            return 0
-        if args.command == "run":
-            record = bench.run_suites(
-                args.suites,
-                smoke=args.smoke,
-                bench_dir=args.bench_dir,
-                history_path=args.history,
-                append=not args.no_append,
-                echo=lambda message: logger.info("%s", message),
+    if args.command == "list":
+        suites = bench.discover_suites(args.bench_dir)
+        width = max((len(suite.name) for suite in suites), default=0)
+        for suite in suites:
+            headline = suite.headline or "elapsed_s"
+            print(
+                f"{suite.name:<{width}}  {suite.description}  "
+                f"[headline: {headline}]"
             )
-            violations = bench.verify_record(record)
-            if violations:
-                logger.warning(
-                    "%d floor violation(s) in this record — "
-                    "'repro bench verify' will fail:",
-                    len(violations),
-                )
-                for violation in violations:
-                    logger.warning("  %s", violation.reason)
-            return 0
-        if args.command == "verify":
-            history = bench.read_history(
-                args.history or bench.history.default_history_path()
+        return 0
+    if args.command == "run":
+        record = bench.run_suites(
+            args.suites,
+            smoke=args.smoke,
+            bench_dir=args.bench_dir,
+            history_path=args.history,
+            append=not args.no_append,
+            echo=lambda message: logger.info("%s", message),
+        )
+        violations = bench.verify_record(record)
+        if violations:
+            logger.warning(
+                "%d floor violation(s) in this record — "
+                "'repro bench verify' will fail:",
+                len(violations),
             )
-            if not history:
-                logger.error(
-                    "no history records to verify — run "
-                    "'repro bench run' first"
-                )
-                return 2
-            record = history[-1]
-            violations = bench.verify_record(
-                record, machine_class=args.machine_class
+            for violation in violations:
+                logger.warning("  %s", violation.reason)
+        return 0
+    if args.command == "verify":
+        history = bench.read_history(
+            args.history or bench.history.default_history_path()
+        )
+        if not history:
+            logger.error(
+                "no history records to verify — run "
+                "'repro bench run' first"
             )
-            label = bench.report.record_label(record)
-            checked = [
-                floor
-                for floor in bench.FLOORS
-                if floor.suite in record.get("suites", {})
-                and not (floor.timing and record.get("smoke"))
-            ]
-            status = 0
-            if violations:
-                print(
-                    f"bench verify FAILED on record {label}: "
-                    f"{len(violations)} of {len(checked)} floors violated"
-                )
-                for violation in violations:
-                    print(f"  FAIL {violation.reason}")
-                status = 1
-            else:
-                print(
-                    f"bench verify passed on record {label}: "
-                    f"{len(checked)} floors hold"
-                )
-            if args.watch:
-                from .obs.watch import (
-                    DEFAULT_REGRESSION_RULES,
-                    WatchResult,
-                    evaluate_regressions,
-                    render_watch,
-                )
+            return 2
+        record = history[-1]
+        violations = bench.verify_record(
+            record, machine_class=args.machine_class
+        )
+        label = bench.report.record_label(record)
+        checked = [
+            floor
+            for floor in bench.FLOORS
+            if floor.suite in record.get("suites", {})
+            and not (floor.timing and record.get("smoke"))
+        ]
+        status = 0
+        if violations:
+            print(
+                f"bench verify FAILED on record {label}: "
+                f"{len(violations)} of {len(checked)} floors violated"
+            )
+            for violation in violations:
+                print(f"  FAIL {violation.reason}")
+            status = 1
+        else:
+            print(
+                f"bench verify passed on record {label}: "
+                f"{len(checked)} floors hold"
+            )
+        if args.watch:
+            from .obs.watch import (
+                DEFAULT_REGRESSION_RULES,
+                WatchResult,
+                evaluate_regressions,
+                render_watch,
+            )
 
-                breaches, watch_checked, skipped = evaluate_regressions(
-                    history, DEFAULT_REGRESSION_RULES
-                )
-                print()
-                print(
-                    render_watch(
-                        WatchResult(
-                            breaches=breaches,
-                            checked=watch_checked,
-                            skipped=skipped,
-                        )
+            breaches, watch_checked, skipped = evaluate_regressions(
+                history, DEFAULT_REGRESSION_RULES
+            )
+            print()
+            print(
+                render_watch(
+                    WatchResult(
+                        breaches=breaches,
+                        checked=watch_checked,
+                        skipped=skipped,
                     )
                 )
-                if breaches:
-                    status = 1
-            return status
-        # report
-        try:
-            bench.discover_suites(args.bench_dir)  # headline metadata
-        except ConfigurationError:
-            pass  # report still renders with elapsed_s fallbacks
-        records = bench.load_trajectory(
-            args.history, include_legacy=not args.no_legacy
-        )
-        print(bench.render_report(records, suite=args.suite))
-        return 0
-    except ConfigurationError as exc:
-        logger.error("%s", exc)
-        return 2
+            )
+            if breaches:
+                status = 1
+        return status
+    # report
+    try:
+        bench.discover_suites(args.bench_dir)  # headline metadata
+    except ConfigurationError:
+        pass  # report still renders with elapsed_s fallbacks
+    records = bench.load_trajectory(
+        args.history, include_legacy=not args.no_legacy
+    )
+    print(bench.render_report(records, suite=args.suite))
+    return 0
 
 
 def _parse_scalar(text: str):
@@ -967,7 +914,6 @@ def _topologies_main(argv: List[str]) -> int:
     """The ``repro topologies`` subcommand: list / describe / build."""
     import json as jsonlib
 
-    from .errors import ConfigurationError
     from .network.topology import get_family, list_families, regions_of
 
     args = build_topologies_parser().parse_args(argv)
@@ -981,11 +927,7 @@ def _topologies_main(argv: List[str]) -> int:
                 f"[{tags}] ({len(family.schema)} params)"
             )
         return 0
-    try:
-        family = get_family(args.family)
-    except ConfigurationError as exc:
-        logger.error("%s", exc)
-        return 2
+    family = get_family(args.family)
     if args.command == "describe":
         print(f"{family.name}: {family.description}")
         print(f"tags: {','.join(family.tags) or '(none)'}")
@@ -1014,11 +956,7 @@ def _topologies_main(argv: List[str]) -> int:
     if overrides is None:
         logger.error("--set expects KEY=VALUE, got %r", bad)
         return 2
-    try:
-        net = family.build(overrides, seed=args.seed)
-    except ConfigurationError as exc:
-        logger.error("%s", exc)
-        return 2
+    net = family.build(overrides, seed=args.seed)
     kinds: Dict[str, int] = {}
     for node in net.nodes():
         kinds[node.kind.value] = kinds.get(node.kind.value, 0) + 1
@@ -1071,14 +1009,9 @@ def _topologies_main(argv: List[str]) -> int:
 
 def _faults_main(args) -> int:
     """Describe a fault profile and preview its drawn timeline."""
-    from .errors import ConfigurationError
     from .scenarios import get_scenario, list_scenarios
 
-    try:
-        spec = get_scenario(args.scenario)
-    except ConfigurationError as exc:
-        logger.error("%s", exc)
-        return 2
+    spec = get_scenario(args.scenario)
     if spec.fault_profile is None:
         fault_aware = [
             s.name for s in list_scenarios() if s.fault_profile is not None
@@ -1093,11 +1026,7 @@ def _faults_main(args) -> int:
     if overrides is None:
         logger.error("--set expects KEY=VALUE, got %r", bad)
         return 2
-    try:
-        instance = spec.instantiate(overrides, seed=args.seed)
-    except ConfigurationError as exc:
-        logger.error("%s", exc)
-        return 2
+    instance = spec.instantiate(overrides, seed=args.seed)
     profile = spec.fault_profile.resolved(instance.params)
     timeline = instance.fault_timeline
     print(f"scenario {spec.name!r} (seed {args.seed})")
@@ -1168,7 +1097,6 @@ def _build_backend(args):
 def _scenarios_main(argv: List[str]) -> int:
     import contextlib
 
-    from .errors import ConfigurationError
     from .scenarios import SweepConfig, expand_runs, list_scenarios, run_sweep
     from .scenarios.sweep import make_sink
 
@@ -1203,36 +1131,32 @@ def _scenarios_main(argv: List[str]) -> int:
     if args.sink_path and not args.sink:
         logger.error("--sink-path requires --sink")
         return 2
-    try:
-        config = SweepConfig(
-            scenarios=tuple(args.scenario),
-            grid=grid,
-            seeds=seeds,
-            serving=args.serving,
+    config = SweepConfig(
+        scenarios=tuple(args.scenario),
+        grid=grid,
+        seeds=seeds,
+        serving=args.serving,
+    )
+    if args.dry_run:
+        for key in expand_runs(config):
+            print(key.canonical())
+        return 0
+    sink = make_sink(args.sink, args.sink_path) if args.sink else None
+    trace_scope = (
+        obs.session(trace=args.trace)
+        if args.trace
+        else contextlib.nullcontext()
+    )
+    with trace_scope:
+        result = run_sweep(
+            config,
+            workers=args.workers,
+            cache_dir=args.cache_dir,
+            jsonl_path=args.jsonl,
+            backend=_build_backend(args),
+            sink=sink,
+            collect=args.collect,
         )
-        if args.dry_run:
-            for key in expand_runs(config):
-                print(key.canonical())
-            return 0
-        sink = make_sink(args.sink, args.sink_path) if args.sink else None
-        trace_scope = (
-            obs.session(trace=args.trace)
-            if args.trace
-            else contextlib.nullcontext()
-        )
-        with trace_scope:
-            result = run_sweep(
-                config,
-                workers=args.workers,
-                cache_dir=args.cache_dir,
-                jsonl_path=args.jsonl,
-                backend=_build_backend(args),
-                sink=sink,
-                collect=args.collect,
-            )
-    except ConfigurationError as exc:
-        logger.error("%s", exc)
-        return 2
     print(result.to_table())
     if args.trace:
         logger.info(
@@ -1286,25 +1210,8 @@ def _extract_log_level(argv: List[str]) -> Tuple[List[str], Optional[str], Optio
     return rest, level, None
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
-    argv, log_level, log_error = _extract_log_level(list(argv))
-    if log_error is not None:
-        print(log_error, file=sys.stderr)
-        return 2
-    obs.configure_logging(log_level)
-    if argv and argv[0] == "scenarios":
-        return _scenarios_main(argv[1:])
-    if argv and argv[0] == "topologies":
-        return _topologies_main(argv[1:])
-    if argv and argv[0] == "traces":
-        return _traces_main(argv[1:])
-    if argv and argv[0] == "bench":
-        return _bench_main(argv[1:])
-    if argv and argv[0] == "obs":
-        return _obs_main(argv[1:])
+def _experiments_main(argv: List[str]) -> int:
+    """Run one experiment id (or ``all``) and print its table."""
     args = build_parser().parse_args(argv)
     if args.experiment == "list":
         for name in sorted(EXPERIMENTS):
@@ -1320,6 +1227,36 @@ def main(argv: Optional[List[str]] = None) -> int:
             result.save(path)
             logger.info("saved %s to %s", name, path)
     return 0
+
+
+#: First argv word -> subcommand entry point.
+_SUBCOMMANDS: Dict[str, Callable[[List[str]], int]] = {
+    "scenarios": _scenarios_main,
+    "topologies": _topologies_main,
+    "traces": _traces_main,
+    "bench": _bench_main,
+    "obs": _obs_main,
+}
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """CLI entry point; returns a process exit code."""
+    if argv is None:
+        argv = sys.argv[1:]
+    argv, log_level, log_error = _extract_log_level(list(argv))
+    if log_error is not None:
+        print(log_error, file=sys.stderr)
+        return 2
+    obs.configure_logging(log_level)
+    if argv and argv[0] in _SUBCOMMANDS:
+        run, argv = _SUBCOMMANDS[argv[0]], argv[1:]
+    else:
+        run = _experiments_main
+    try:
+        return run(argv)
+    except (ReproError, OSError) as exc:
+        logger.error("%s", exc)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

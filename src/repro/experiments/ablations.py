@@ -1,8 +1,8 @@
 """Ablation experiments for the paper's open challenges and design knobs.
 
 Every ablation follows the same recipe as the figure harnesses: build a
-fabric, load it, serve a reproducible workload, report rows.  See
-DESIGN.md §4 for the experiment ids.
+fabric, load it, serve a reproducible workload, report rows.  ``repro
+list`` prints the experiment ids.
 """
 
 from __future__ import annotations
@@ -15,16 +15,16 @@ from ..core.rescheduling import ReschedulingPolicy
 from ..errors import ConfigurationError
 from ..network.auxiliary import AuxiliaryWeights
 from ..network.graph import Network
-from ..network.topologies import metro_mesh, spine_leaf
+from ..network.topology import metro_mesh, spine_leaf
+from ..orchestrator.campaign import serve_sequential
 from ..orchestrator.database import TaskStatus
 from ..orchestrator.orchestrator import Orchestrator
-from ..sim.rng import RandomStreams
+from ..reporting import ExperimentResult
 from ..tasks import selection as selection_strategies
-from ..tasks.workload import WorkloadConfig, generate_workload
-from ..traffic.generator import TrafficGenerator
+from ..tasks.workload import WorkloadConfig
 from ..transport.channel import Channel
 from ..transport.protocols import RdmaTransport, TcpTransport
-from .results import ExperimentResult
+from .common import rounded_mean, seeded_workload
 
 
 # ----------------------------------------------------------------------
@@ -50,16 +50,14 @@ def run_rescheduling_ablation(
     )
     for interruption_ms in interruption_values_ms:
         network = metro_mesh(n_sites=12, servers_per_site=2)
-        streams = RandomStreams(seed)
-        traffic = TrafficGenerator(network, streams, rate_gbps=15.0)
-        traffic.inject_static(30)
-
-        workload = generate_workload(
+        workload, traffic = seeded_workload(
             network,
+            seed,
             WorkloadConfig(
                 n_tasks=n_tasks, n_locals=6, demand_gbps=5.0, rounds=50
             ),
-            streams,
+            background_flows=30,
+            traffic_rate_gbps=15.0,
         )
         policy = ReschedulingPolicy(interruption_ms=interruption_ms)
         orchestrator = Orchestrator(
@@ -124,16 +122,15 @@ def run_selection_ablation(
             raise ConfigurationError(f"fraction {fraction} not in (0, 1]")
         for strategy_name, strategy in strategies.items():
             network = metro_mesh(n_sites=16, servers_per_site=2)
-            streams = RandomStreams(seed)
-            workload = generate_workload(
+            workload, _ = seeded_workload(
                 network,
+                seed,
                 WorkloadConfig(
                     n_tasks=n_tasks,
                     n_locals=n_locals,
                     demand_gbps=5.0,
                     with_utility=True,
                 ),
-                streams,
             )
             scheduler = FlexibleScheduler()
             evaluator = ScheduleEvaluator(network, EvaluationConfig())
@@ -154,13 +151,12 @@ def run_selection_ablation(
                 bandwidth.append(report.consumed_bandwidth_gbps)
                 round_ms.append(report.round_latency.total_ms)
                 scheduler.release(schedule, network)
-            count = len(workload.tasks)
             result.add(
                 strategy=strategy_name,
                 fraction=fraction,
-                utility_kept=round(sum(utility_kept) / count, 4),
-                bandwidth_gbps=round(sum(bandwidth) / count, 4),
-                round_ms=round(sum(round_ms) / count, 4),
+                utility_kept=rounded_mean(utility_kept),
+                bandwidth_gbps=rounded_mean(bandwidth),
+                round_ms=rounded_mean(round_ms),
             )
     return result
 
@@ -231,35 +227,26 @@ def run_spineleaf_ablation(
     }
     for fabric_name, factory in fabrics.items():
         network = factory()
-        streams = RandomStreams(seed)
-        workload = generate_workload(
+        workload, _ = seeded_workload(
             network,
+            seed,
             WorkloadConfig(n_tasks=n_tasks, n_locals=n_locals, demand_gbps=10.0),
-            streams,
         )
-        orchestrator = Orchestrator(network, FlexibleScheduler())
-        round_ms = []
-        broadcast_ms = []
-        bandwidth = []
-        blocked = 0
-        for task in workload:
-            record = orchestrator.admit(task)
-            if record.status is not TaskStatus.RUNNING:
-                blocked += 1
-                continue
-            report = orchestrator.evaluate(task.task_id)
-            round_ms.append(report.round_latency.total_ms)
-            broadcast_ms.append(report.round_latency.broadcast_ms)
-            bandwidth.append(report.consumed_bandwidth_gbps)
-            orchestrator.complete(task.task_id)
-        served = len(round_ms)
+        served, blocked = serve_sequential(
+            Orchestrator(network, FlexibleScheduler()), workload
+        )
+        reports = [report for _, report in served]
         result.add(
             fabric=fabric_name,
-            served=served,
+            served=len(reports),
             blocked=blocked,
-            round_ms=round(sum(round_ms) / served, 4),
-            broadcast_ms=round(sum(broadcast_ms) / served, 4),
-            bandwidth_gbps=round(sum(bandwidth) / served, 4),
+            round_ms=rounded_mean([r.round_latency.total_ms for r in reports]),
+            broadcast_ms=rounded_mean(
+                [r.round_latency.broadcast_ms for r in reports]
+            ),
+            bandwidth_gbps=rounded_mean(
+                [r.consumed_bandwidth_gbps for r in reports]
+            ),
         )
     return result
 
@@ -278,7 +265,8 @@ def run_auxgraph_ablation(
     """Sweep the bandwidth coefficient of the auxiliary-graph weight.
 
     alpha = 0 routes purely by latency; large alpha trades round latency
-    for smaller trees — the curve exposes the knob DESIGN.md calls out.
+    for smaller trees — the curve exposes the weighting knob of the
+    auxiliary graph.
     """
     result = ExperimentResult(
         name="abl-aux",
@@ -295,13 +283,11 @@ def run_auxgraph_ablation(
             alpha_bandwidth=alpha, beta_latency=beta_latency
         )
         network = metro_mesh(n_sites=16, servers_per_site=2)
-        streams = RandomStreams(seed)
-        traffic = TrafficGenerator(network, streams)
-        traffic.inject_static(30)
-        workload = generate_workload(
+        workload, _ = seeded_workload(
             network,
+            seed,
             WorkloadConfig(n_tasks=n_tasks, n_locals=n_locals, demand_gbps=10.0),
-            streams,
+            background_flows=30,
         )
         scheduler = FlexibleScheduler(weights=weights)
         evaluator = ScheduleEvaluator(network, EvaluationConfig())
@@ -313,10 +299,9 @@ def run_auxgraph_ablation(
             bandwidth.append(report.consumed_bandwidth_gbps)
             round_ms.append(report.round_latency.total_ms)
             scheduler.release(schedule, network)
-        count = len(workload.tasks)
         result.add(
             alpha_bandwidth=alpha,
-            bandwidth_gbps=round(sum(bandwidth) / count, 4),
-            round_ms=round(sum(round_ms) / count, 4),
+            bandwidth_gbps=rounded_mean(bandwidth),
+            round_ms=rounded_mean(round_ms),
         )
     return result

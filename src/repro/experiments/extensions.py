@@ -8,20 +8,23 @@ link failure, and what fp16 weight compression buys.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from dataclasses import replace
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..core.baselines import ChainScheduler, KspLoadBalancedScheduler
 from ..core.evaluation import ScheduleEvaluator
 from ..core.fixed import FixedScheduler
 from ..core.flexible import FlexibleScheduler
-from ..network.topologies import metro_mesh
+from ..errors import ConfigurationError
+from ..network.topology import metro_mesh
+from ..orchestrator.campaign import serve_sequential
 from ..orchestrator.database import TaskStatus
 from ..orchestrator.orchestrator import Orchestrator
+from ..reporting import ExperimentResult
+from ..scenarios.sweep import SqliteSink, SweepConfig, run_sweep
 from ..sim.rng import RandomStreams
-from ..tasks.aitask import AITask
-from ..tasks.workload import WorkloadConfig, generate_workload
-from ..traffic.generator import TrafficGenerator
-from .results import ExperimentResult
+from ..tasks.workload import WorkloadConfig
+from .common import rounded_mean, seeded_workload
 
 
 def run_baselines_comparison(
@@ -50,34 +53,27 @@ def run_baselines_comparison(
     for n_locals in n_locals_values:
         for scheduler in schedulers:
             network = metro_mesh(n_sites=16, servers_per_site=2)
-            streams = RandomStreams(seed)
-            TrafficGenerator(network, streams).inject_static(40)
-            workload = generate_workload(
+            workload, _ = seeded_workload(
                 network,
+                seed,
                 WorkloadConfig(n_tasks=n_tasks, n_locals=n_locals),
-                streams,
+                background_flows=40,
             )
-            orchestrator = Orchestrator(network, scheduler)
-            round_ms: List[float] = []
-            bandwidth: List[float] = []
-            blocked = 0
-            for task in workload:
-                record = orchestrator.admit(task)
-                if record.status is not TaskStatus.RUNNING:
-                    blocked += 1
-                    continue
-                report = orchestrator.evaluate(task.task_id)
-                round_ms.append(report.round_latency.total_ms)
-                bandwidth.append(report.consumed_bandwidth_gbps)
-                orchestrator.complete(task.task_id)
-            served = len(round_ms)
+            served, blocked = serve_sequential(
+                Orchestrator(network, scheduler), workload
+            )
+            reports = [report for _, report in served]
             result.add(
                 scheduler=scheduler.name,
                 n_locals=n_locals,
-                served=served,
+                served=len(reports),
                 blocked=blocked,
-                round_ms=round(sum(round_ms) / served, 4),
-                bandwidth_gbps=round(sum(bandwidth) / served, 4),
+                round_ms=rounded_mean(
+                    [r.round_latency.total_ms for r in reports]
+                ),
+                bandwidth_gbps=rounded_mean(
+                    [r.consumed_bandwidth_gbps for r in reports]
+                ),
             )
     return result
 
@@ -101,11 +97,10 @@ def run_failure_recovery(
     )
     for scheduler in (FixedScheduler(), FlexibleScheduler()):
         network = metro_mesh(n_sites=12, servers_per_site=2)
-        streams = RandomStreams(seed)
-        workload = generate_workload(
+        workload, _ = seeded_workload(
             network,
+            seed,
             WorkloadConfig(n_tasks=n_tasks, n_locals=5, demand_gbps=5.0),
-            streams,
         )
         orchestrator = Orchestrator(
             network, scheduler, container_gflops=5_000.0
@@ -169,11 +164,10 @@ def run_optical_spectrum(
             underlay = metro_underlay(
                 network, n_wavelengths=160, channel_gbps=25.0
             )
-            streams = RandomStreams(seed)
-            workload = generate_workload(
+            workload, _ = seeded_workload(
                 network,
+                seed,
                 WorkloadConfig(n_tasks=n_tasks, n_locals=n_locals, demand_gbps=5.0),
-                streams,
             )
             orchestrator = Orchestrator(
                 network, scheduler, container_gflops=5_000.0
@@ -218,10 +212,9 @@ def run_campaign_comparison(
     )
     for scheduler in (FixedScheduler(), FlexibleScheduler()):
         network = metro_mesh(n_sites=16, servers_per_site=2)
-        streams = RandomStreams(seed)
-        TrafficGenerator(network, streams).inject_static(30)
-        workload = generate_workload(
+        workload, _ = seeded_workload(
             network,
+            seed,
             WorkloadConfig(
                 n_tasks=n_tasks,
                 n_locals=8,
@@ -229,7 +222,7 @@ def run_campaign_comparison(
                 demand_gbps=8.0,
                 mean_interarrival_ms=30.0,
             ),
-            streams,
+            background_flows=30,
         )
         orchestrator = Orchestrator(
             network, scheduler, container_gflops=5_000.0
@@ -262,18 +255,27 @@ def run_optimality_gap(
     from ..network.paths import latency_weight, terminal_tree
     from ..network.steiner import steiner_tree_cost
 
+    if n_samples < 1:
+        raise ConfigurationError(f"n_samples must be >= 1, got {n_samples}")
+    network = metro_mesh(n_sites=12, servers_per_site=2)
+    servers = network.servers()
+    for n_locals in n_locals_values:
+        if not 1 <= n_locals < len(servers):
+            raise ConfigurationError(
+                f"n_locals must be in [1, {len(servers) - 1}] on the "
+                f"{len(servers)}-server fabric, got {n_locals}"
+            )
     result = ExperimentResult(
         name="abl-optgap",
         description="terminal-MST weight vs exact Steiner optimum",
         parameters={"n_samples": n_samples, "seed": seed},
     )
-    network = metro_mesh(n_sites=12, servers_per_site=2)
     weight = latency_weight(network)
     rng = RandomStreams(seed).stream("optgap")
     for n_locals in n_locals_values:
         gaps: List[float] = []
         for _ in range(n_samples):
-            terminals = rng.sample(network.servers(), n_locals + 1)
+            terminals = rng.sample(servers, n_locals + 1)
             optimum = steiner_tree_cost(network, terminals, weight)
             tree = terminal_tree(network, terminals[0], terminals[1:], weight)
             gaps.append(tree.weight / optimum if optimum > 0 else 1.0)
@@ -313,10 +315,11 @@ def run_model_validation(
     for n_locals in n_locals_values:
         for scheduler in (FixedScheduler(), FlexibleScheduler()):
             network = metro_mesh(n_sites=16, servers_per_site=2)
-            streams = RandomStreams(seed)
-            TrafficGenerator(network, streams).inject_static(40)
-            workload = generate_workload(
-                network, WorkloadConfig(n_tasks=1, n_locals=n_locals), streams
+            workload, _ = seeded_workload(
+                network,
+                seed,
+                WorkloadConfig(n_tasks=1, n_locals=n_locals),
+                background_flows=40,
             )
             task = workload.tasks[0]
             schedule = scheduler.schedule(task, network)
@@ -357,44 +360,76 @@ def run_compression_ablation(
     for precision in ("fp32", "fp16"):
         for scheduler in (FixedScheduler(), FlexibleScheduler()):
             network = metro_mesh(n_sites=16, servers_per_site=2)
-            streams = RandomStreams(seed)
-            TrafficGenerator(network, streams).inject_static(40)
-            workload = generate_workload(
+            workload, _ = seeded_workload(
                 network,
+                seed,
                 WorkloadConfig(n_tasks=n_tasks, n_locals=n_locals),
-                streams,
+                background_flows=40,
             )
-            evaluator_net = network
-            orchestrator = Orchestrator(network, scheduler)
-            round_ms: List[float] = []
-            comm_ms: List[float] = []
-            for task in workload:
-                if precision == "fp16":
-                    task = AITask(
-                        task_id=task.task_id,
-                        model=task.model.half_precision(),
-                        global_node=task.global_node,
-                        local_nodes=task.local_nodes,
-                        rounds=task.rounds,
-                        demand_gbps=task.demand_gbps,
-                        arrival_ms=task.arrival_ms,
-                    )
-                record = orchestrator.admit(task)
-                if record.status is not TaskStatus.RUNNING:
-                    continue
-                report = orchestrator.evaluate(task.task_id)
-                round_ms.append(report.round_latency.total_ms)
-                comm_ms.append(
-                    report.round_latency.broadcast_ms
-                    + report.round_latency.upload_ms
-                )
-                orchestrator.complete(task.task_id)
-            served = len(round_ms)
+            tasks = (
+                workload.tasks
+                if precision == "fp32"
+                else [
+                    replace(task, model=task.model.half_precision())
+                    for task in workload
+                ]
+            )
+            served, _ = serve_sequential(
+                Orchestrator(network, scheduler), tasks
+            )
+            latencies = [report.round_latency for _, report in served]
             result.add(
                 precision=precision,
                 scheduler=scheduler.name,
-                served=served,
-                round_ms=round(sum(round_ms) / served, 4),
-                comm_ms=round(sum(comm_ms) / served, 4),
+                served=len(latencies),
+                round_ms=rounded_mean([lat.total_ms for lat in latencies]),
+                comm_ms=rounded_mean(
+                    [lat.broadcast_ms + lat.upload_ms for lat in latencies]
+                ),
             )
+    return result
+
+
+def run_resilience_sweep(
+    link_mtbf_values: Sequence[float] = (20_000.0, 40_000.0, 80_000.0),
+    *,
+    n_tasks: int = 12,
+    seeds: Tuple[int, ...] = (0,),
+    workers: int = 1,
+    cache_dir: Optional[str] = None,
+    backend: Optional[Any] = None,
+    sqlite_path: Optional[str] = None,
+) -> ExperimentResult:
+    """Fault intensity vs availability/interruption on the metro mesh.
+
+    Sweeps the link MTBF of the ``metro-mesh-flaky-links`` campaign:
+    shorter MTBF means more fail/repair churn, so ``availability`` falls
+    and ``tasks_interrupted`` / ``fault_blocks`` climb.  The comparison
+    of interest is how the two schedulers' ``fault_reschedules`` differ
+    — flexible trees give the repair loop more room to re-route.
+
+    ``sqlite_path`` streams every row (availability and makespan
+    included) into the queryable SQLite sink with incremental
+    aggregates, and ``backend="socket"`` fans the campaign out over a
+    distributed work-stealing queue.
+    """
+    result = run_sweep(
+        SweepConfig(
+            scenarios=("metro-mesh-flaky-links",),
+            grid={
+                "link_mtbf_ms": list(link_mtbf_values),
+                "n_tasks": [n_tasks],
+            },
+            seeds=seeds,
+        ),
+        workers=workers,
+        cache_dir=cache_dir,
+        backend=backend,
+        sink=SqliteSink(sqlite_path) if sqlite_path is not None else None,
+        name="resilience-sweep",
+    )
+    result.description = (
+        "availability and task interruption vs link MTBF under "
+        "fault-injected campaign serving"
+    )
     return result

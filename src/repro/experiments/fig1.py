@@ -8,14 +8,13 @@ aggregation happens.
 
 from __future__ import annotations
 
-
 from ..core.evaluation import EvaluationConfig, ScheduleEvaluator
 from ..core.fixed import FixedScheduler
 from ..core.flexible import FlexibleScheduler
-from ..network.topologies import toy_triangle
+from ..network.topology import toy_triangle
+from ..reporting import ExperimentResult
 from ..tasks.aitask import AITask
 from ..tasks.models import get_model
-from .results import ExperimentResult
 
 
 def run_fig1(demand_gbps: float = 10.0, model_name: str = "resnet18") -> ExperimentResult:

@@ -20,21 +20,22 @@ supporting columns (broadcast/upload split, blocked count).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..core.base import Scheduler
 from ..core.evaluation import EvaluationConfig
 from ..core.fixed import FixedScheduler
 from ..core.flexible import FlexibleScheduler
+from ..core.simulation import RoundExecutor
 from ..errors import ConfigurationError
 from ..network.graph import Network
-from ..network.topologies import metro_mesh
-from ..orchestrator.database import TaskStatus
+from ..network.topology import metro_mesh
+from ..orchestrator.campaign import serve_sequential
 from ..orchestrator.orchestrator import Orchestrator
-from ..sim.rng import RandomStreams
-from ..tasks.workload import WorkloadConfig, generate_workload
-from ..traffic.generator import TrafficGenerator
-from .results import ExperimentResult
+from ..reporting import ExperimentResult
+from ..sim.engine import Simulator
+from ..tasks.workload import WorkloadConfig
+from .common import seeded_workload
 
 #: Factory signature for the evaluation fabric.
 TopologyFactory = Callable[[], Network]
@@ -97,12 +98,9 @@ def _run_point(
 ) -> Dict[str, float]:
     """Serve the task mix for one (scheduler, n_locals) point."""
     network = config.topology()
-    streams = RandomStreams(config.seed)
-    traffic = TrafficGenerator(network, streams)
-    traffic.inject_static(config.background_flows)
-
-    workload = generate_workload(
+    workload, _ = seeded_workload(
         network,
+        config.seed,
         WorkloadConfig(
             n_tasks=config.n_tasks,
             n_locals=n_locals,
@@ -110,60 +108,54 @@ def _run_point(
             demand_gbps=config.demand_gbps,
             rounds=config.rounds,
         ),
-        streams,
+        background_flows=config.background_flows,
     )
-    orchestrator = Orchestrator(
-        network, scheduler, evaluation=config.evaluation
+    served, blocked = serve_sequential(
+        Orchestrator(network, scheduler, evaluation=config.evaluation),
+        workload,
     )
-    round_ms: List[float] = []
-    broadcast_ms: List[float] = []
-    upload_ms: List[float] = []
-    total_ms: List[float] = []
-    bandwidth: List[float] = []
-    blocked = 0
-    for task in workload:
-        record = orchestrator.admit(task)
-        if record.status is not TaskStatus.RUNNING:
-            blocked += 1
-            continue
-        report = orchestrator.evaluate(task.task_id)
-        if config.measurement == "executed":
-            from ..core.simulation import RoundExecutor
-            from ..sim.engine import Simulator
-
-            executed = RoundExecutor(
-                network, record.schedule, config.evaluation
-            ).execute_round(Simulator())
-            round_ms.append(executed.total_ms)
-            broadcast_ms.append(executed.broadcast_done_ms)
-            upload_ms.append(executed.upload_done_ms - executed.broadcast_done_ms)
-            total_ms.append(task.rounds * executed.total_ms)
-        else:
-            round_ms.append(report.round_latency.total_ms)
-            broadcast_ms.append(report.round_latency.broadcast_ms)
-            upload_ms.append(report.round_latency.upload_ms)
-            total_ms.append(report.total_latency_ms)
-        bandwidth.append(report.consumed_bandwidth_gbps)
-        orchestrator.complete(task.task_id)
-
-    served = len(round_ms)
-    if served == 0:
+    if not served:
         raise ConfigurationError(
             f"every task blocked at n_locals={n_locals} for "
             f"{scheduler.name}; lower demand or background load"
         )
 
-    def mean(values: List[float]) -> float:
+    def latencies(record, report) -> Tuple[float, float, float, float]:
+        """(round, broadcast, upload, total) ms of one served task."""
+        if config.measurement == "analytic":
+            latency = report.round_latency
+            return (
+                latency.total_ms,
+                latency.broadcast_ms,
+                latency.upload_ms,
+                report.total_latency_ms,
+            )
+        executed = RoundExecutor(
+            network, record.schedule, config.evaluation
+        ).execute_round(Simulator())
+        return (
+            executed.total_ms,
+            executed.broadcast_done_ms,
+            executed.upload_done_ms - executed.broadcast_done_ms,
+            record.task.rounds * executed.total_ms,
+        )
+
+    def mean(values: Sequence[float]) -> float:
         return sum(values) / len(values)
 
+    round_ms, broadcast_ms, upload_ms, total_ms = zip(
+        *(latencies(record, report) for record, report in served)
+    )
     return {
-        "served": served,
+        "served": len(served),
         "blocked": blocked,
         "round_ms": mean(round_ms),
         "broadcast_ms": mean(broadcast_ms),
         "upload_ms": mean(upload_ms),
         "total_ms": mean(total_ms),
-        "bandwidth_gbps": mean(bandwidth),
+        "bandwidth_gbps": mean(
+            [report.consumed_bandwidth_gbps for _, report in served]
+        ),
     }
 
 
@@ -191,36 +183,34 @@ def run_fig3(config: Optional[Fig3Config] = None) -> ExperimentResult:
     return result
 
 
-def run_fig3a(config: Optional[Fig3Config] = None) -> ExperimentResult:
-    """Fig. 3a — total latency vs number of local models."""
+def _panel(
+    config: Optional[Fig3Config], name: str, description: str, *columns: str
+) -> ExperimentResult:
+    """One Fig. 3 panel: the full sweep's rows cut to ``columns``."""
     full = run_fig3(config)
     result = ExperimentResult(
-        name="fig3a",
-        description="total latency (training + communication) vs local models",
-        parameters=full.parameters,
+        name=name, description=description, parameters=full.parameters
     )
     for row in full.rows:
         result.add(
-            scheduler=row["scheduler"],
-            n_locals=row["n_locals"],
-            round_ms=row["round_ms"],
-            total_ms=row["total_ms"],
+            **{key: row[key] for key in ("scheduler", "n_locals", *columns)}
         )
     return result
+
+
+def run_fig3a(config: Optional[Fig3Config] = None) -> ExperimentResult:
+    """Fig. 3a — total latency vs number of local models."""
+    return _panel(
+        config,
+        "fig3a",
+        "total latency (training + communication) vs local models",
+        "round_ms",
+        "total_ms",
+    )
 
 
 def run_fig3b(config: Optional[Fig3Config] = None) -> ExperimentResult:
     """Fig. 3b — consumed bandwidth vs number of local models."""
-    full = run_fig3(config)
-    result = ExperimentResult(
-        name="fig3b",
-        description="consumed bandwidth vs local models",
-        parameters=full.parameters,
+    return _panel(
+        config, "fig3b", "consumed bandwidth vs local models", "bandwidth_gbps"
     )
-    for row in full.rows:
-        result.add(
-            scheduler=row["scheduler"],
-            n_locals=row["n_locals"],
-            bandwidth_gbps=row["bandwidth_gbps"],
-        )
-    return result

@@ -34,7 +34,7 @@ from .routing import (
     sssp,
 )
 from .state import LinkUtilisation, NetworkState
-from .topologies import (
+from .topology import (
     dumbbell,
     fat_tree,
     metro_mesh,

@@ -9,9 +9,8 @@ arbitrarily large reproducible instances for stress tests.
 
 These predate the family registry and keep their plain-function form —
 :mod:`repro.network.topology.catalogue` wraps each one in a
-:class:`~repro.network.topology.family.TopologyFamily`, and
-:mod:`repro.network.topologies` re-exports them for callers that predate
-the package.
+:class:`~repro.network.topology.family.TopologyFamily`, and the package
+re-exports them.
 """
 
 from __future__ import annotations

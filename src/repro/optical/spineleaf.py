@@ -50,7 +50,7 @@ class OpticalSpineLeaf:
     """OCS + OTS management over a spine-leaf topology.
 
     Args:
-        network: a topology from :func:`repro.network.topologies.spine_leaf`
+        network: a topology from :func:`repro.network.topology.spine_leaf`
             (or any graph whose SPINE nodes join LEAF nodes).
         n_wavelengths: WDM channels per fibre.
         channel_gbps: rate of one lit wavelength.

@@ -140,7 +140,7 @@ def metro_underlay(
     n_wavelengths: int = 40,
     channel_gbps: float = 100.0,
 ) -> OpticalUnderlay:
-    """Build the underlay for a :func:`~repro.network.topologies.metro_ring`
+    """Build the underlay for a :func:`~repro.network.topology.metro_ring`
     or ``metro_mesh`` fabric (nodes named ``RT-i`` / ``SRV-i-j`` /
     ``ROADM-i``).
 

@@ -13,16 +13,28 @@ of letting the paper's testbed run for an afternoon.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from .. import obs
 from ..core.base import Scheduler
+from ..core.metrics import TaskReport
 from ..core.prediction import IterationPredictor
 from ..errors import OrchestrationError
 from ..sim.engine import Simulator
 from ..sim.process import Process
+from ..tasks.aitask import AITask
 from ..tasks.workload import TaskWorkload
-from .database import TaskStatus
+from .database import TaskRecord, TaskStatus
 from .orchestrator import Orchestrator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -238,6 +250,28 @@ class CampaignRunner:
             deadline_tasks=deadline_tasks,
             deadline_misses=deadline_misses,
         )
+
+
+def serve_sequential(
+    orchestrator: Orchestrator, tasks: Iterable[AITask]
+) -> Tuple[List[Tuple[TaskRecord, TaskReport]], int]:
+    """Serve tasks one at a time: admit → evaluate → complete.
+
+    The Fig. 3 protocol, without simulated time: each admitted task is
+    evaluated and then released before the next arrives, so every task
+    sees the same background conditions.  Returns the served
+    ``(record, report)`` pairs in order and the number of blocked tasks.
+    """
+    served: List[Tuple[TaskRecord, TaskReport]] = []
+    blocked = 0
+    for task in tasks:
+        record = orchestrator.admit(task)
+        if record.status is not TaskStatus.RUNNING:
+            blocked += 1
+            continue
+        served.append((record, orchestrator.evaluate(task.task_id)))
+        orchestrator.complete(task.task_id)
+    return served, blocked
 
 
 def orchestrator_for(

@@ -11,6 +11,7 @@ on what the same override value means.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from .errors import ConfigurationError
@@ -27,7 +28,10 @@ def coerce_override(value: Any, default: Any, *, where: str) -> Any:
     * a ``None`` default documents an optional *numeric* knob: ``None``
       and numbers pass, anything else is rejected (so a bad override
       fails here with a clean error instead of deep in a builder);
-    * any other default requires an instance of its own type.
+    * any other default requires an instance of its own type;
+    * a number must be finite: NaN and ±inf are rejected, since no
+      parameter means anything at either and they would flow silently
+      into rows.
 
     Args:
         value: the user-supplied override.
@@ -37,6 +41,8 @@ def coerce_override(value: Any, default: Any, *, where: str) -> Any:
     Raises:
         ConfigurationError: on any mismatch.
     """
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigurationError(f"{where} must be finite, got {value!r}")
     if default is None:
         if value is not None and (
             isinstance(value, bool) or not isinstance(value, (int, float))

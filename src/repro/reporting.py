@@ -1,14 +1,10 @@
 """Result container shared by the experiment harnesses and the sweep engine.
 
-:class:`ExperimentResult` (and the :data:`Row` alias) used to live in
-``repro.experiments.results``, but everything under ``repro.experiments``
-sits *above* the scenario layer — its ``__init__`` imports every figure
-harness, and those import the sweep engine — so the sweep engine could
-only reach the container through a lazy in-function import and had to
-re-declare ``Row`` locally.  Hosting the container here, below both
-layers, breaks that cycle for good: ``repro.reporting`` depends only on
-``repro.errors``, and ``repro.experiments.results`` re-exports it for
-backward compatibility.
+:class:`ExperimentResult` (and the :data:`Row` alias) live here, below
+both the scenario layer and ``repro.experiments`` — whose ``__init__``
+imports every figure harness, and those import the sweep engine — so
+the sweep engine can depend on the container without an import cycle.
+``repro.reporting`` depends only on ``repro.errors``.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ class ExperimentResult:
     """Rows of measurements plus the metadata to interpret them.
 
     Attributes:
-        name: experiment id (matches DESIGN.md §4).
+        name: experiment id (``repro list`` prints them).
         description: what the rows measure.
         rows: flat records; every row shares the same keys.
         parameters: the configuration that produced the rows.

@@ -39,8 +39,11 @@ from ...core.fixed import FixedScheduler
 from ...core.flexible import FlexibleScheduler
 from ...errors import ConfigurationError
 from ...network.routing import peek_cache
-from ...orchestrator.campaign import campaign_runner_for, orchestrator_for
-from ...orchestrator.database import TaskStatus
+from ...orchestrator.campaign import (
+    campaign_runner_for,
+    orchestrator_for,
+    serve_sequential,
+)
 from ...reporting import ExperimentResult, Row
 from ..registry import get_scenario
 from ..spec import ScenarioInstance
@@ -221,30 +224,19 @@ def _scalar(value: Any) -> Any:
 
 def _serve(instance: ScenarioInstance, scheduler) -> Row:
     """Serve the instance's workload one task at a time; aggregate metrics."""
-    orchestrator = orchestrator_for(instance, scheduler)
-    round_ms: List[float] = []
-    bandwidth: List[float] = []
-    blocked = 0
-    for task in instance.workload:
-        record = orchestrator.admit(task)
-        if record.status is not TaskStatus.RUNNING:
-            blocked += 1
-            continue
-        report = orchestrator.evaluate(task.task_id)
-        round_ms.append(report.round_latency.total_ms)
-        bandwidth.append(report.consumed_bandwidth_gbps)
-        orchestrator.complete(task.task_id)
-    served = len(round_ms)
+    served, blocked = serve_sequential(
+        orchestrator_for(instance, scheduler), instance.workload
+    )
 
     def mean(values: List[float]) -> float:
         return sum(values) / len(values) if values else 0.0
 
     return {
         "scheduler": scheduler.name,
-        "served": served,
+        "served": len(served),
         "blocked": blocked,
-        "round_ms": mean(round_ms),
-        "bandwidth_gbps": mean(bandwidth),
+        "round_ms": mean([r.round_latency.total_ms for _, r in served]),
+        "bandwidth_gbps": mean([r.consumed_bandwidth_gbps for _, r in served]),
         "failed_links": len(instance.failed_links),
     }
 

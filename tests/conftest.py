@@ -23,7 +23,7 @@ else:
     hypothesis_settings.register_profile("dev")
     hypothesis_settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 from repro.network.node import NodeKind
-from repro.network.topologies import metro_mesh, metro_ring, toy_triangle
+from repro.network.topology import metro_mesh, metro_ring, toy_triangle
 from repro.tasks.aitask import AITask
 from repro.tasks.models import get_model
 

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import build_parser, main
+from repro.experiments import EXPERIMENTS
 
 
 class TestParser:
@@ -41,6 +42,38 @@ class TestMain:
         out = capsys.readouterr().out
         assert "rdma" in out
         assert "tcp" in out
+
+
+class TestErrorBoundary:
+    """Every subcommand fails closed: exit 2, one ERROR line, no traceback."""
+
+    @staticmethod
+    def _one_error_line(err: str) -> str:
+        lines = [line for line in err.splitlines() if line.strip()]
+        assert len(lines) == 1, err
+        assert "ERROR" in lines[0]
+        assert "Traceback" not in err
+        return lines[0]
+
+    def test_unwritable_save_path(self, tmp_path, capsys):
+        path = tmp_path / "missing-dir" / "x.json"
+        assert main(["fig1", "--save", str(path)]) == 2
+        line = self._one_error_line(capsys.readouterr().err)
+        assert "No such file or directory" in line
+
+    def test_invalid_task_parameter(self, capsys):
+        argv = ["scenarios", "sweep", "toy-triangle", "--set", "demand_gbps=-5"]
+        assert main(argv) == 2
+        line = self._one_error_line(capsys.readouterr().err)
+        assert "demand must be > 0" in line
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_set_value(self, value, capsys):
+        argv = ["scenarios", "sweep", "toy-triangle", "--set", f"demand_gbps={value}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "must be finite" in self._one_error_line(captured.err)
+        assert captured.out == ""
 
 
 class TestTopologiesCli:

@@ -6,7 +6,7 @@ from repro.core.baselines import ChainScheduler, KspLoadBalancedScheduler
 from repro.core.fixed import FixedScheduler
 from repro.core.flexible import FlexibleScheduler
 from repro.errors import SchedulingError
-from repro.network.topologies import dumbbell
+from repro.network.topology import dumbbell
 from repro.tasks.aggregation import UploadAggregationPlan
 from repro.tasks.aitask import AITask
 from repro.tasks.models import get_model
@@ -126,7 +126,7 @@ class TestChainScheduler:
         the physically honest outcome (the spine cannot be traversed
         twice by the same distribution structure).
         """
-        from repro.network.topologies import spine_leaf
+        from repro.network.topology import spine_leaf
 
         fabric = spine_leaf(n_spines=4, n_leaves=12, servers_per_leaf=1)
         task = make_mesh_task(fabric, 8, task_id="collapse")

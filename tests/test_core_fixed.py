@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.fixed import FixedScheduler
 from repro.errors import SchedulingError
-from repro.network.topologies import dumbbell
+from repro.network.topology import dumbbell
 from repro.tasks.aitask import AITask
 from repro.tasks.models import get_model
 

@@ -6,7 +6,7 @@ from repro.core.fixed import FixedScheduler
 from repro.core.flexible import FlexibleScheduler
 from repro.errors import SchedulingError
 from repro.network.auxiliary import AuxiliaryWeights
-from repro.network.topologies import dumbbell
+from repro.network.topology import dumbbell
 from repro.tasks.aggregation import UploadAggregationPlan
 from repro.tasks.aitask import AITask
 from repro.tasks.models import get_model

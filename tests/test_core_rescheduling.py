@@ -5,7 +5,7 @@ import pytest
 from repro.core.flexible import FlexibleScheduler
 from repro.core.rescheduling import ReschedulingPolicy
 from repro.errors import SchedulingError
-from repro.network.topologies import metro_mesh
+from repro.network.topology import metro_mesh
 
 from tests.conftest import make_mesh_task
 

@@ -9,7 +9,7 @@ from repro.core.flexible import FlexibleScheduler
 from repro.core.prediction import IterationPredictor
 from repro.core.simulation import RoundExecutor
 from repro.errors import SchedulingError
-from repro.network.topologies import metro_mesh, spine_leaf
+from repro.network.topology import metro_mesh, spine_leaf
 from repro.sim.engine import Simulator
 
 from tests.conftest import make_mesh_task

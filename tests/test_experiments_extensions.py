@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments.extensions import (
     run_baselines_comparison,
     run_compression_ablation,
     run_failure_recovery,
+    run_optimality_gap,
 )
 
 
@@ -111,3 +113,13 @@ class TestCompressionAblation:
             flexible = self._row(result, precision, "flexible-mst")["round_ms"]
             # Near-parity or flexible-wins at 6 locals: never >5% worse.
             assert flexible < fixed * 1.05
+
+
+class TestOptimalityGapValidation:
+    def test_zero_samples_rejected(self):
+        with pytest.raises(ConfigurationError, match="n_samples"):
+            run_optimality_gap(n_samples=0)
+
+    def test_more_locals_than_servers_rejected(self):
+        with pytest.raises(ConfigurationError, match="24-server"):
+            run_optimality_gap(n_locals_values=(30,))

@@ -1,8 +1,8 @@
 """Tests for the figure harnesses: the paper's qualitative shapes.
 
 These are the repository's headline assertions: running the experiment
-code must reproduce the *shape* of every figure in the paper (see
-EXPERIMENTS.md for the quantitative record).
+code must reproduce the *shape* of every figure in the paper (the exact
+rows are pinned in ``tests/golden/experiments/``).
 """
 
 import pytest

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.results import ExperimentResult
+from repro.reporting import ExperimentResult
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ from repro.core.flexible import FlexibleScheduler
 from repro.errors import CapacityError
 from repro.network.auxiliary import AuxiliaryGraphBuilder
 from repro.network.paths import dijkstra, hop_weight, latency_weight
-from repro.network.topologies import metro_mesh
+from repro.network.topology import metro_mesh
 from repro.orchestrator.database import TaskStatus
 from repro.orchestrator.orchestrator import Orchestrator
 from repro.tasks.aitask import AITask

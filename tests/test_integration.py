@@ -6,7 +6,7 @@ from repro.core.evaluation import EvaluationConfig, ScheduleEvaluator
 from repro.core.fixed import FixedScheduler
 from repro.core.flexible import FlexibleScheduler
 from repro.network.state import NetworkState
-from repro.network.topologies import metro_mesh, nsfnet, spine_leaf
+from repro.network.topology import metro_mesh, nsfnet, spine_leaf
 from repro.orchestrator.database import TaskStatus
 from repro.orchestrator.monitor import NetworkMonitor
 from repro.orchestrator.orchestrator import Orchestrator

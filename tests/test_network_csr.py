@@ -21,7 +21,7 @@ from repro.network.routing import (
     peek_cache,
     sssp,
 )
-from repro.network.topologies import metro_mesh, scale_free
+from repro.network.topology import metro_mesh, scale_free
 
 
 def _tree_key(tree):

@@ -23,7 +23,7 @@ from repro.network.routing import (
     peek_cache,
     sssp,
 )
-from repro.network.topologies import metro_mesh, scale_free
+from repro.network.topology import metro_mesh, scale_free
 from tests.oracle import object_oracle
 
 

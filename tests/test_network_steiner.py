@@ -7,7 +7,7 @@ from repro.errors import ConfigurationError, NoPathError
 from repro.network.graph import Network
 from repro.network.paths import dijkstra, hop_weight, latency_weight, terminal_tree
 from repro.network.steiner import steiner_tree_cost
-from repro.network.topologies import metro_mesh
+from repro.network.topology import metro_mesh
 
 
 class TestExactInstances:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.network.node import NodeKind
-from repro.network.topologies import (
+from repro.network.topology import (
     dumbbell,
     metro_mesh,
     metro_ring,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import CapacityError, ConfigurationError, TopologyError, WavelengthError
-from repro.network.topologies import spine_leaf
+from repro.network.topology import spine_leaf
 from repro.optical.spineleaf import OpticalSpineLeaf
 
 

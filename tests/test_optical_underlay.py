@@ -5,7 +5,7 @@ import pytest
 from repro.core.fixed import FixedScheduler
 from repro.core.flexible import FlexibleScheduler
 from repro.errors import ConfigurationError, TopologyError
-from repro.network.topologies import metro_mesh
+from repro.network.topology import metro_mesh
 from repro.optical.underlay import OpticalUnderlay, metro_underlay, optical_ring
 
 from tests.conftest import make_mesh_task

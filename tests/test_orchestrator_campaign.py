@@ -6,7 +6,7 @@ from repro.core.flexible import FlexibleScheduler
 from repro.core.prediction import IterationPredictor
 from repro.core.rescheduling import ReschedulingPolicy
 from repro.errors import OrchestrationError
-from repro.network.topologies import metro_mesh
+from repro.network.topology import metro_mesh
 from repro.orchestrator.campaign import CampaignRunner
 from repro.orchestrator.orchestrator import Orchestrator
 from repro.sim.rng import RandomStreams

@@ -7,7 +7,7 @@ from repro.core.fixed import FixedScheduler
 from repro.core.flexible import FlexibleScheduler
 from repro.core.rescheduling import ReschedulingPolicy
 from repro.errors import OrchestrationError
-from repro.network.topologies import dumbbell, metro_mesh
+from repro.network.topology import dumbbell, metro_mesh
 from repro.orchestrator.database import TaskStatus
 from repro.orchestrator.orchestrator import Orchestrator, build_servers_for
 from repro.tasks.aitask import AITask

@@ -249,7 +249,7 @@ class TestSchedulerDominance:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(2, 6), st.integers(0, 10_000))
     def test_flexible_never_consumes_more_bandwidth(self, n_locals, seed):
-        from repro.network.topologies import metro_mesh
+        from repro.network.topology import metro_mesh
         from repro.sim.rng import RandomStreams
 
         net_fixed = metro_mesh(n_sites=8, servers_per_site=2)
@@ -281,7 +281,7 @@ class TestExecutorAgreement:
         from repro.core.evaluation import ScheduleEvaluator
         from repro.core.flexible import FlexibleScheduler
         from repro.core.simulation import RoundExecutor
-        from repro.network.topologies import metro_mesh
+        from repro.network.topology import metro_mesh
         from repro.sim.engine import Simulator
         from repro.sim.rng import RandomStreams
 

@@ -9,7 +9,7 @@ import pytest
 from repro.cli import main
 from repro.core.flexible import FlexibleScheduler
 from repro.errors import ConfigurationError, SimulationError
-from repro.network.topologies import metro_mesh, nsfnet
+from repro.network.topology import metro_mesh, nsfnet
 from repro.orchestrator import run_scenario
 from repro.orchestrator.database import TaskStatus
 from repro.orchestrator.orchestrator import Orchestrator
@@ -564,7 +564,7 @@ class TestStaticFailureCap:
     def test_capped_request_warns_and_records_metadata(self):
         from repro.scenarios.failures import LinkFailureModel
         from repro.scenarios.workloads import uniform
-        from repro.network.topologies import metro_ring
+        from repro.network.topology import metro_ring
 
         def tiny(params):
             return metro_ring(n_sites=3, servers_per_site=2)

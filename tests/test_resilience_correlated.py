@@ -17,7 +17,7 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.network.topologies import metro_mesh
+from repro.network.topology import metro_mesh
 from repro.network.topology.isp import rocketfuel_isp
 from repro.orchestrator import run_scenario
 from repro.orchestrator.orchestrator import Orchestrator

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.results import ExperimentResult
+from repro.reporting import ExperimentResult
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import pytest
 from repro.core.evaluation import EvaluationConfig, ScheduleEvaluator
 from repro.core.fixed import FixedScheduler
 from repro.core.flexible import FlexibleScheduler
-from repro.network.topologies import nsfnet, random_geometric
+from repro.network.topology import nsfnet, random_geometric
 from repro.orchestrator.database import TaskStatus
 from repro.orchestrator.orchestrator import Orchestrator
 from repro.sim.rng import RandomStreams

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.network.topologies import fat_tree, scale_free, toy_triangle
+from repro.network.topology import build_topology, fat_tree, scale_free, toy_triangle
 from repro.scenarios import (
     LinkFailureModel,
     ScenarioSpec,
@@ -109,6 +109,15 @@ class TestParameterValidation:
         merged = scratch_spec.merge_params({"n_tasks": 3.0})
         assert merged["n_tasks"] == 3
         assert isinstance(merged["n_tasks"], int)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_number_rejected(self, scratch_spec, value):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            scratch_spec.merge_params({"demand_gbps": value})
+
+    def test_non_finite_topology_parameter_rejected(self):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            build_topology("waxman", {"beta": float("inf")})
 
     def test_serve_mode_validated(self):
         with pytest.raises(ConfigurationError, match="serve"):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.network.topologies import metro_mesh
+from repro.network.topology import metro_mesh
 from repro.sim.rng import RandomStreams
 from repro.tasks.workload import WorkloadConfig, generate_workload
 

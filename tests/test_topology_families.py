@@ -412,13 +412,8 @@ class TestCompositeFamily:
 
 
 class TestTopologiesShim:
-    def test_flat_imports_still_work(self):
-        from repro.network.topologies import metro_mesh, waxman as shim_waxman
-
-        assert metro_mesh(6).is_connected()
-        assert shim_waxman is waxman
-
     def test_shim_matches_registry_build(self):
-        from repro.network.topologies import nsfnet
+        """The plain builder and the registry build give one fabric."""
+        from repro.network.topology.builders import nsfnet
 
         assert fingerprint(nsfnet()) == fingerprint(build_topology("nsfnet"))

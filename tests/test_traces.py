@@ -7,7 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ConfigurationError, TaskError
-from repro.network.topologies import metro_mesh
+from repro.network.topology import metro_mesh
 from repro.orchestrator import run_scenario
 from repro.scenarios import workloads
 from repro.scenarios.traces import (
