@@ -124,6 +124,10 @@ topo-smoke:
 # pinned trace+SRLG campaign twice (cmp proves the whole replay —
 # arrivals, deadline columns, forecast drains, SRLG accounting — is
 # byte-stable), and sweep the deadline scenario once for the columns.
+# A long-horizon leg (400 trace epochs, ~500 fault events per run) then
+# replays on the serial and pool backends and cmp proves the fault
+# handlers decide identically at a task-history length where a
+# per-owner history scan would dominate.
 traces-smoke:
 	PYTHONPATH=src python -m repro.cli traces synth .traces-smoke-a.json \
 		--seed 3 --epochs 12
@@ -138,8 +142,16 @@ traces-smoke:
 	cmp .traces-smoke-a.jsonl .traces-smoke-b.jsonl
 	PYTHONPATH=src python -m repro.cli scenarios sweep interdc-deadlines \
 		--set n_tasks=4
+	PYTHONPATH=src python -m repro.cli scenarios sweep trace-srlg-campaign \
+		--set trace_epochs=400 --set horizon_ms=320000 --seeds 0,1 \
+		--backend serial --jsonl .traces-smoke-long-serial.jsonl
+	PYTHONPATH=src python -m repro.cli scenarios sweep trace-srlg-campaign \
+		--set trace_epochs=400 --set horizon_ms=320000 --seeds 0,1 \
+		--backend pool --workers 2 --jsonl .traces-smoke-long-pool.jsonl
+	cmp .traces-smoke-long-serial.jsonl .traces-smoke-long-pool.jsonl
 	rm -f .traces-smoke-a.json .traces-smoke-b.json \
-		.traces-smoke-a.jsonl .traces-smoke-b.jsonl
+		.traces-smoke-a.jsonl .traces-smoke-b.jsonl \
+		.traces-smoke-long-serial.jsonl .traces-smoke-long-pool.jsonl
 
 # Every runnable walkthrough under examples/, so an API change that breaks
 # one fails here; reproduce_figures.py writes examples/results/, which is

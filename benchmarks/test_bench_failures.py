@@ -5,12 +5,82 @@ how many affected tasks the control loop re-routes.  Asserted shape: the
 mesh's spare paths let most tasks survive, and the flexible scheduler's
 repaired state consumes less bandwidth (more headroom for the next
 failure).
+
+``fault_history_ratio`` (timing, floored ``<= 2.0``) prices one
+``handle_link_failure`` + ``handle_link_restore`` on a span carrying
+live tasks and background flows, with 5,000 COMPLETED tasks in the
+database divided by the same with none.  The history is inserted
+straight into the database, so both sides see identical data planes
+and routing caches and only the history length differs.  Each side is
+the best of ``REPEATS`` fresh orchestrators.  The handlers look
+affected tasks up by owner, so the ratio stays near 1; a handler that
+rescans the history per owner costs O(owners x history) and breaks the
+floor.
 """
 
+import dataclasses
+import gc
+import time
+
 from repro.bench import bench_suite
+from repro.core.flexible import FlexibleScheduler
 from repro.experiments.extensions import run_failure_recovery
+from repro.network.topology import metro_mesh
+from repro.orchestrator.database import TaskStatus
+from repro.orchestrator.orchestrator import Orchestrator
+from repro.tasks.aitask import AITask
+from repro.tasks.models import get_model
 
 from benchmarks.conftest import run_once
+
+HISTORY = 5_000
+LIVE_TASKS = 2
+BACKGROUND_FLOWS = 30
+REPEATS = 7
+SPAN = ("RT-0", "RT-1")
+
+
+def _fault_cycle_s(history: int) -> float:
+    """Wall time of one fail + restore of ``SPAN`` after ``history`` tasks."""
+    network = metro_mesh(n_sites=10, servers_per_site=2)
+    orchestrator = Orchestrator(
+        network, FlexibleScheduler(), container_gflops=5_000.0
+    )
+    servers = network.servers()
+    task = AITask(
+        task_id="live-0",
+        model=get_model("resnet18"),
+        global_node=servers[0],
+        local_nodes=tuple(servers[1:6]),
+        rounds=3,
+    )
+    for i in range(BACKGROUND_FLOWS):
+        network.reserve_edge(*SPAN, 1.0, f"bg-{i:02d}")
+    for i in range(LIVE_TASKS):
+        orchestrator.admit(dataclasses.replace(task, task_id=f"live-{i}"))
+    for i in range(history):
+        record = orchestrator.database.insert_task(
+            dataclasses.replace(task, task_id=f"done-{i:05d}")
+        )
+        record.status = TaskStatus.COMPLETED
+    gc.collect()
+    start = time.perf_counter()
+    outcomes = orchestrator.handle_link_failure(*SPAN)
+    orchestrator.handle_link_restore(*SPAN)
+    elapsed = time.perf_counter() - start
+    assert sorted(outcomes) == [f"live-{i}" for i in range(LIVE_TASKS)]
+    return elapsed
+
+
+def fault_history_ratio(repeats: int = REPEATS) -> float:
+    """Best-of-``repeats`` fault cycle with history over without."""
+    with_history = []
+    without = []
+    for _ in range(repeats):
+        # Interleaved, so machine drift hits both sides alike.
+        without.append(_fault_cycle_s(0))
+        with_history.append(_fault_cycle_s(HISTORY))
+    return min(with_history) / min(without)
 
 
 @bench_suite("failures", headline="repair_rate")
@@ -40,6 +110,9 @@ def suite(smoke: bool = False) -> dict:
         else 1.0,
         "flexible_bandwidth_after_gbps": round(
             flexible["bandwidth_after_gbps"], 4
+        ),
+        "fault_history_ratio": round(
+            fault_history_ratio(3 if smoke else REPEATS), 3
         ),
     }
 

@@ -192,6 +192,10 @@ FLOORS: List[Floor] = [
         "traces", "replay_runs_per_s", 2.0, timing=True,
         doc="trace+SRLG campaign replay rate (reference baseline 16/s)",
     ),
+    Floor(
+        "failures", "fault_history_ratio", 2.0, op="<=", timing=True,
+        doc="link fault cost independent of task history (5k completed tasks)",
+    ),
 ]
 
 

@@ -26,6 +26,9 @@ class ComputingManager:
 
     def __init__(self, policy: PlacementPolicy = first_fit) -> None:
         self._servers: Dict[str, Server] = {}
+        # node -> its servers in registration order, so node-restricted
+        # placement looks at one node's servers instead of the fleet.
+        self._by_node: Dict[str, List[Server]] = {}
         self._policy = policy
         self._containers: Dict[str, Server] = {}
 
@@ -41,6 +44,7 @@ class ComputingManager:
         if server.name in self._servers:
             raise ConfigurationError(f"duplicate server {server.name!r}")
         self._servers[server.name] = server
+        self._by_node.setdefault(server.node, []).append(server)
 
     def server(self, name: str) -> Server:
         try:
@@ -54,8 +58,8 @@ class ComputingManager:
         return list(self._servers.values())
 
     def servers_at(self, node: str) -> List[Server]:
-        """Servers attached to a given network node."""
-        return [s for s in self._servers.values() if s.node == node]
+        """Servers attached to a given network node, in registration order."""
+        return list(self._by_node.get(node, ()))
 
     def nodes_with_capacity(self, demand: ResourceDemand) -> List[str]:
         """Network nodes with at least one server fitting ``demand``."""
@@ -91,7 +95,7 @@ class ComputingManager:
         if node is not None and candidates is not None:
             raise ConfigurationError("pass either node or candidates, not both")
         if node is not None:
-            pool: Sequence[Server] = self.servers_at(node)
+            pool: Sequence[Server] = self._by_node.get(node, ())
             if not pool:
                 raise PlacementError(f"no servers at node {node!r}")
         elif candidates is not None:

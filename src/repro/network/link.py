@@ -9,6 +9,7 @@ reserved, and the invariant ``used <= capacity`` holds at all times.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, Tuple
 
@@ -67,13 +68,15 @@ class Link:
     ) -> None:
         if u == v:
             raise ConfigurationError(f"self-loop link at {u!r} is not allowed")
-        if capacity_gbps <= 0:
+        if not (math.isfinite(capacity_gbps) and capacity_gbps > 0):
             raise ConfigurationError(
-                f"link {u}-{v}: capacity must be > 0 Gbps, got {capacity_gbps}"
+                f"link {u}-{v}: capacity must be finite and > 0 Gbps, "
+                f"got {capacity_gbps}"
             )
-        if distance_km < 0:
+        if not (math.isfinite(distance_km) and distance_km >= 0):
             raise ConfigurationError(
-                f"link {u}-{v}: distance must be >= 0 km, got {distance_km}"
+                f"link {u}-{v}: distance must be finite and >= 0 km, "
+                f"got {distance_km}"
             )
         self.u = u
         self.v = v
@@ -94,9 +97,10 @@ class Link:
         self._latency_ms = (
             float(latency_ms) if latency_ms is not None else propagation_ms(distance_km)
         )
-        if self._latency_ms < 0:
+        if not (math.isfinite(self._latency_ms) and self._latency_ms >= 0):
             raise ConfigurationError(
-                f"link {u}-{v}: latency must be >= 0 ms, got {self._latency_ms}"
+                f"link {u}-{v}: latency must be finite and >= 0 ms, "
+                f"got {self._latency_ms}"
             )
         # direction key -> owner -> reserved gbps
         self._reservations: Dict[Tuple[str, str], Dict[str, float]] = {
@@ -123,9 +127,10 @@ class Link:
     @capacity_gbps.setter
     def capacity_gbps(self, value: float) -> None:
         value = float(value)
-        if value <= 0:
+        if not (math.isfinite(value) and value > 0):
             raise ConfigurationError(
-                f"link {self.u}-{self.v}: capacity must be > 0 Gbps, got {value}"
+                f"link {self.u}-{self.v}: capacity must be finite and > 0 Gbps, "
+                f"got {value}"
             )
         if value != self._capacity_gbps:
             self._capacity_gbps = value

@@ -85,6 +85,15 @@ class Database:
     def running(self) -> List[TaskRecord]:
         return self.records(TaskStatus.RUNNING)
 
+    def is_running(self, task_id: str) -> bool:
+        """Whether ``task_id`` is a RUNNING task, in O(1).
+
+        Unknown ids — background-flow reservation owners among them —
+        are not tasks, so they are never running.
+        """
+        record = self._tasks.get(task_id)
+        return record is not None and record.status is TaskStatus.RUNNING
+
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------

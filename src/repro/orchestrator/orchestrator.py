@@ -134,6 +134,60 @@ class Orchestrator:
             except PlacementError:
                 pass  # never deployed (admission failed mid-way)
 
+    def _release(self, record: TaskRecord) -> None:
+        """Free a RUNNING task's network capacity and flow rules."""
+        assert record.schedule is not None
+        self.scheduler.release(record.schedule, self.network)
+        self.sdn.remove(record.task.task_id)
+
+    def _block(self, record: TaskRecord) -> None:
+        """Mark a task BLOCKED; BLOCKED is terminal, so free its compute."""
+        self._destroy_containers(record.task)
+        record.schedule = None
+        record.status = TaskStatus.BLOCKED
+
+    def _reschedule(
+        self,
+        record: TaskRecord,
+        moved: Optional[str] = None,
+        blocked: Optional[str] = None,
+    ) -> bool:
+        """Release → re-schedule → install, or block the task.
+
+        ``moved`` and ``blocked`` are the caller's event-log wording for
+        the two outcomes (the scheduling error is appended to
+        ``blocked``); an outcome without wording is not logged.
+
+        Returns:
+            True if the task keeps RUNNING on a fresh schedule.
+        """
+        task_id = record.task.task_id
+        self._release(record)
+        try:
+            record.schedule = self.scheduler.schedule(record.task, self.network)
+        except SchedulingError as exc:
+            self._block(record)
+            if blocked is not None:
+                self.database.log(self._clock_ms, f"{task_id}: {blocked}: {exc}")
+            return False
+        self.sdn.install(record.schedule)
+        record.reschedules += 1
+        if moved is not None:
+            self.database.log(self._clock_ms, f"{task_id}: {moved}")
+        return True
+
+    def _running_owners(self, u: str, v: str) -> List[str]:
+        """RUNNING tasks with reservations on link u-v, in sorted order.
+
+        One O(1) status lookup per owner, so the cost scales with the
+        owners on the span, not with how many tasks were ever admitted.
+        """
+        return [
+            owner
+            for owner in self.network.owners_on_link(u, v)
+            if self.database.is_running(owner)
+        ]
+
     def _speed_fn(self, task: AITask):
         def speed(node: str) -> float:
             container_id = self._container_id(task.task_id, node)
@@ -195,9 +249,7 @@ class Orchestrator:
             raise OrchestrationError(
                 f"task {task_id!r} is {record.status.value}, not running"
             )
-        assert record.schedule is not None
-        self.scheduler.release(record.schedule, self.network)
-        self.sdn.remove(task_id)
+        self._release(record)
         self._destroy_containers(record.task)
         record.status = TaskStatus.COMPLETED
         record.remaining_rounds = 0
@@ -245,23 +297,10 @@ class Orchestrator:
                 f"{record.task.task_id}: reschedule={decision.reschedule} "
                 f"({decision.reason})",
             )
-            if not decision.reschedule:
-                continue
-            self.scheduler.release(record.schedule, self.network)
-            self.sdn.remove(record.task.task_id)
-            try:
-                new_schedule = self.scheduler.schedule(record.task, self.network)
-            except SchedulingError:
+            if decision.reschedule:
                 # The prediction was made on a scratch copy; if the live
                 # network rejects, restore nothing and block the task.
-                # BLOCKED is terminal, so free its compute too.
-                self._destroy_containers(record.task)
-                record.status = TaskStatus.BLOCKED
-                record.schedule = None
-                continue
-            self.sdn.install(new_schedule)
-            record.schedule = new_schedule
-            record.reschedules += 1
+                self._reschedule(record)
         return outcomes
 
     # ------------------------------------------------------------------
@@ -302,36 +341,18 @@ class Orchestrator:
         Returns:
             affected task id -> True if repaired, False if blocked.
         """
-        affected = [
-            owner
-            for owner in self.network.owners_on_link(u, v)
-            if owner in {r.task.task_id for r in self.database.running()}
-        ]
+        affected = self._running_owners(u, v)
         self.network.fail_link(u, v)
         self._prune_path_cache()
         self.database.log(self._clock_ms, f"link {u}-{v} failed; {len(affected)} tasks affected")
-        outcomes: Dict[str, bool] = {}
-        for task_id in affected:
-            record = self.database.record(task_id)
-            assert record.schedule is not None
-            self.scheduler.release(record.schedule, self.network)
-            self.sdn.remove(task_id)
-            try:
-                record.schedule = self.scheduler.schedule(record.task, self.network)
-            except SchedulingError as exc:
-                self._destroy_containers(record.task)
-                record.schedule = None
-                record.status = TaskStatus.BLOCKED
-                outcomes[task_id] = False
-                self.database.log(
-                    self._clock_ms, f"{task_id}: blocked after failure: {exc}"
-                )
-                continue
-            self.sdn.install(record.schedule)
-            record.reschedules += 1
-            outcomes[task_id] = True
-            self.database.log(self._clock_ms, f"{task_id}: re-routed around {u}-{v}")
-        return outcomes
+        return {
+            task_id: self._reschedule(
+                self.database.record(task_id),
+                f"re-routed around {u}-{v}",
+                "blocked after failure",
+            )
+            for task_id in affected
+        }
 
     def handle_link_restore(self, u: str, v: str) -> None:
         """Bring a failed link back (re-optimisation is the policy's job)."""
@@ -351,21 +372,15 @@ class Orchestrator:
         Returns:
             affected task id -> True if re-routed, False if blocked.
         """
-        running = {r.task.task_id: r for r in self.database.running()}
-        affected = set()
-        for neighbor in self.network.neighbors(name):
-            affected.update(
-                owner
-                for owner in self.network.owners_on_link(name, neighbor)
-                if owner in running
-            )
         hosted = {
-            task_id
-            for task_id, record in running.items()
+            record.task.task_id
+            for record in self.database.running()
             if name == record.task.global_node
             or name in record.task.local_nodes
         }
-        affected |= hosted
+        affected = set(hosted)
+        for neighbor in self.network.neighbors(name):
+            affected.update(self._running_owners(name, neighbor))
         self.network.fail_node(name)
         self._prune_path_cache(dead_nodes=(name,))
         self.database.log(
@@ -374,35 +389,21 @@ class Orchestrator:
         )
         outcomes: Dict[str, bool] = {}
         for task_id in sorted(affected):
-            record = running[task_id]
-            assert record.schedule is not None
-            self.scheduler.release(record.schedule, self.network)
-            self.sdn.remove(task_id)
-            if task_id in hosted:
-                self._destroy_containers(record.task)
-                record.schedule = None
-                record.status = TaskStatus.BLOCKED
-                outcomes[task_id] = False
-                self.database.log(
-                    self._clock_ms,
-                    f"{task_id}: blocked, model host {name} is down",
+            record = self.database.record(task_id)
+            if task_id not in hosted:
+                outcomes[task_id] = self._reschedule(
+                    record,
+                    f"re-routed around {name}",
+                    "blocked after node failure",
                 )
                 continue
-            try:
-                record.schedule = self.scheduler.schedule(record.task, self.network)
-            except SchedulingError as exc:
-                self._destroy_containers(record.task)
-                record.schedule = None
-                record.status = TaskStatus.BLOCKED
-                outcomes[task_id] = False
-                self.database.log(
-                    self._clock_ms, f"{task_id}: blocked after node failure: {exc}"
-                )
-                continue
-            self.sdn.install(record.schedule)
-            record.reschedules += 1
-            outcomes[task_id] = True
-            self.database.log(self._clock_ms, f"{task_id}: re-routed around {name}")
+            self._release(record)
+            self._block(record)
+            outcomes[task_id] = False
+            self.database.log(
+                self._clock_ms,
+                f"{task_id}: blocked, model host {name} is down",
+            )
         return outcomes
 
     def handle_node_restore(self, name: str) -> None:
@@ -431,11 +432,7 @@ class Orchestrator:
                 self._clock_ms, f"link {u}-{v} drain skipped: already down"
             )
             return {}
-        affected = [
-            owner
-            for owner in self.network.owners_on_link(u, v)
-            if owner in {r.task.task_id for r in self.database.running()}
-        ]
+        affected = self._running_owners(u, v)
         self.network.fail_link(u, v)
         self._prune_path_cache()
         self.database.log(
@@ -443,28 +440,14 @@ class Orchestrator:
             f"link {u}-{v} draining ahead of forecast fault; "
             f"{len(affected)} tasks to move",
         )
-        outcomes: Dict[str, bool] = {}
-        for task_id in affected:
-            record = self.database.record(task_id)
-            assert record.schedule is not None
-            self.scheduler.release(record.schedule, self.network)
-            self.sdn.remove(task_id)
-            try:
-                record.schedule = self.scheduler.schedule(record.task, self.network)
-            except SchedulingError as exc:
-                self._destroy_containers(record.task)
-                record.schedule = None
-                record.status = TaskStatus.BLOCKED
-                outcomes[task_id] = False
-                self.database.log(
-                    self._clock_ms, f"{task_id}: blocked during drain: {exc}"
-                )
-                continue
-            self.sdn.install(record.schedule)
-            record.reschedules += 1
-            outcomes[task_id] = True
-            self.database.log(self._clock_ms, f"{task_id}: drained off {u}-{v}")
-        return outcomes
+        return {
+            task_id: self._reschedule(
+                self.database.record(task_id),
+                f"drained off {u}-{v}",
+                "blocked during drain",
+            )
+            for task_id in affected
+        }
 
     def handle_link_capacity(
         self, u: str, v: str, capacity_gbps: float
@@ -496,36 +479,14 @@ class Orchestrator:
             link.used_gbps(u, v) > capacity_gbps + 1e-9
             or link.used_gbps(v, u) > capacity_gbps + 1e-9
         ):
-            running = {r.task.task_id: r for r in self.database.running()}
-            movable = [
-                owner
-                for owner in self.network.owners_on_link(u, v)
-                if owner in running
-            ]
+            movable = self._running_owners(u, v)
             if not movable:
                 break
             task_id = movable[0]
-            record = running[task_id]
-            assert record.schedule is not None
-            self.scheduler.release(record.schedule, self.network)
-            self.sdn.remove(task_id)
-            try:
-                record.schedule = self.scheduler.schedule(record.task, self.network)
-            except SchedulingError as exc:
-                self._destroy_containers(record.task)
-                record.schedule = None
-                record.status = TaskStatus.BLOCKED
-                outcomes[task_id] = False
-                self.database.log(
-                    self._clock_ms,
-                    f"{task_id}: blocked after degrade of {u}-{v}: {exc}",
-                )
-                continue
-            self.sdn.install(record.schedule)
-            record.reschedules += 1
-            outcomes[task_id] = True
-            self.database.log(
-                self._clock_ms, f"{task_id}: moved off degraded {u}-{v}"
+            outcomes[task_id] = self._reschedule(
+                self.database.record(task_id),
+                f"moved off degraded {u}-{v}",
+                f"blocked after degrade of {u}-{v}",
             )
         return outcomes
 

@@ -267,6 +267,14 @@ class TestVerify:
         described = {(floor.suite, floor.metric) for floor in FLOORS}
         assert ("scheduler", "scale_free_200.speedup") in described
         assert ("topologies", "clos.builds_per_s") in described
+        assert ("failures", "fault_history_ratio") in described
+
+    def test_fault_history_ratio_floor_is_an_upper_bound(self):
+        suites = {"failures": {"fault_history_ratio": 3.6}}
+        (violation,) = verify_record(_fake_record(suites))
+        assert violation.floor.metric == "fault_history_ratio"
+        suites["failures"]["fault_history_ratio"] = 1.0
+        assert verify_record(_fake_record(suites)) == []
 
 
 class TestReport:

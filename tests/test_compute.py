@@ -146,6 +146,19 @@ class TestComputingManager:
         chosen = manager.deploy(make_container(), node="n2")
         assert chosen.name == "b"
 
+    def test_servers_at_keeps_registration_order(self):
+        manager = ComputingManager()
+        for name, node in [("z", "n1"), ("m", "n2"), ("a", "n1"), ("k", "n1")]:
+            manager.register(make_server(name, node, gpu=1_500.0))
+        assert [s.name for s in manager.servers_at("n1")] == ["z", "a", "k"]
+        assert manager.servers_at("nowhere") == []
+        # First fit at a node follows registration order, not names.
+        placed = [
+            manager.deploy(make_container(f"c{i}"), node="n1").name
+            for i in range(3)
+        ]
+        assert placed == ["z", "a", "k"]
+
     def test_deploy_at_empty_node_rejected(self):
         manager = ComputingManager()
         manager.register(make_server("a", "n1"))

@@ -6,11 +6,11 @@ import pytest
 
 from repro.core.fixed import FixedScheduler
 from repro.core.flexible import FlexibleScheduler
-from repro.errors import CapacityError
+from repro.errors import CapacityError, ConfigurationError
 from repro.network.auxiliary import AuxiliaryGraphBuilder
 from repro.network.paths import dijkstra, hop_weight, latency_weight
 from repro.network.topology import metro_mesh
-from repro.orchestrator.database import TaskStatus
+from repro.orchestrator.database import Database, TaskStatus
 from repro.orchestrator.orchestrator import Orchestrator
 from repro.tasks.aitask import AITask
 from repro.tasks.models import get_model
@@ -243,3 +243,102 @@ class TestOrchestratedRecovery:
             assert record.schedule is not None
         else:
             assert record.schedule is None
+
+
+class TestFaultHandlersScaleWithOwners:
+    """Link-scoped handlers look affected tasks up by owner.
+
+    Their cost must follow the owners on the span, never the length of
+    the task history, so a database full of finished tasks is never
+    scanned.  Admission order is deliberately not sorted order.
+    """
+
+    ADMITTED = ("t-c", "t-a", "t-d", "t-b")
+    BACKGROUND = "bg-flow"
+
+    @pytest.fixture
+    def orchestrator(self, monkeypatch):
+        net = metro_mesh(n_sites=10, servers_per_site=2)
+        orchestrator = Orchestrator(
+            net, FlexibleScheduler(), container_gflops=5_000.0
+        )
+        for task_id in self.ADMITTED:
+            record = orchestrator.admit(make_mesh_task(net, 5, task_id=task_id))
+            assert record.status is TaskStatus.RUNNING
+        history = make_mesh_task(net, 5, task_id="history")
+        for i in range(4_000):
+            old = orchestrator.database.insert_task(
+                AITask(
+                    task_id=f"old-{i:04d}",
+                    model=history.model,
+                    global_node=history.global_node,
+                    local_nodes=history.local_nodes,
+                )
+            )
+            old.status = TaskStatus.COMPLETED if i % 4 else TaskStatus.BLOCKED
+        net.reserve_edge("RT-0", "RT-1", 5.0, self.BACKGROUND)
+
+        def no_scan(*_args, **_kwargs):
+            raise AssertionError("fault handler scanned the task history")
+
+        monkeypatch.setattr(Database, "running", no_scan)
+        monkeypatch.setattr(Database, "records", no_scan)
+        return orchestrator
+
+    def test_link_failure_uses_owner_lookup(self, orchestrator):
+        outcomes = orchestrator.handle_link_failure("RT-0", "RT-1")
+        assert list(outcomes) == sorted(self.ADMITTED)
+
+    def test_link_drain_uses_owner_lookup(self, orchestrator):
+        outcomes = orchestrator.handle_link_drain("RT-0", "RT-1")
+        assert list(outcomes) == sorted(self.ADMITTED)
+
+    def test_link_capacity_evicts_in_sorted_owner_order(self, orchestrator):
+        # 40 Gbps of tasks + 5 of background on a span cut to 25 Gbps:
+        # tasks leave in sorted owner order until the rest fits.
+        outcomes = orchestrator.handle_link_capacity("RT-0", "RT-1", 25.0)
+        assert outcomes
+        assert list(outcomes) == sorted(self.ADMITTED)[: len(outcomes)]
+        link = orchestrator.network.link("RT-0", "RT-1")
+        assert link.used_gbps("RT-0", "RT-1") <= 25.0 + 1e-9
+
+    def test_background_owner_survives_failure(self, orchestrator):
+        net = orchestrator.network
+        outcomes = orchestrator.handle_link_failure("RT-0", "RT-1")
+        assert self.BACKGROUND not in outcomes
+        assert net.link("RT-0", "RT-1").owner_gbps(
+            "RT-0", "RT-1", self.BACKGROUND
+        ) == 5.0
+
+    def test_background_owner_never_evicted_by_degrade(self, orchestrator):
+        # Below the background flow's own rate: every task is evicted,
+        # then the loop stops instead of treating the flow as a task.
+        net = orchestrator.network
+        outcomes = orchestrator.handle_link_capacity("RT-0", "RT-1", 1.0)
+        assert list(outcomes) == sorted(self.ADMITTED)
+        assert net.owners_on_link("RT-0", "RT-1") == [self.BACKGROUND]
+        assert not orchestrator.database.is_running(self.BACKGROUND)
+
+    def test_non_finite_capacity_fails_closed(self, orchestrator):
+        link = orchestrator.network.link("RT-0", "RT-1")
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            orchestrator.handle_link_capacity("RT-0", "RT-1", float("nan"))
+        assert link.capacity_gbps == 100.0
+        assert all(
+            orchestrator.database.is_running(task_id) for task_id in self.ADMITTED
+        )
+
+
+def test_node_failure_scans_running_tasks_once(monkeypatch):
+    net = metro_mesh(n_sites=10, servers_per_site=2)
+    orchestrator = Orchestrator(net, FlexibleScheduler(), container_gflops=5_000.0)
+    for task_id in ("t-b", "t-a"):
+        orchestrator.admit(make_mesh_task(net, 5, task_id=task_id))
+    scans = []
+    running = Database.running
+    monkeypatch.setattr(
+        Database, "running", lambda self: scans.append(1) or running(self)
+    )
+    outcomes = orchestrator.handle_node_failure("RT-1")
+    assert len(scans) == 1
+    assert list(outcomes) == ["t-a", "t-b"]

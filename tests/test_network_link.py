@@ -37,6 +37,27 @@ class TestConstruction:
         assert make_link().endpoints == ("u", "v")
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteRejected:
+    """NaN slips past ``<= 0``/``< 0`` and +inf past both: fail closed."""
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    @pytest.mark.parametrize("field", ["capacity_gbps", "distance_km", "latency_ms"])
+    def test_constructor(self, field, value):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            make_link(**{field: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    def test_capacity_setter(self, value):
+        link = make_link()
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            link.capacity_gbps = value
+        assert link.capacity_gbps == 100.0
+        assert link.residual_gbps("u", "v") == 100.0
+
+
 class TestReservations:
     def test_directions_are_independent(self):
         link = make_link()
