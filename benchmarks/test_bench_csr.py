@@ -1,7 +1,7 @@
 """Benchmark: CSR routing-kernel throughput, identity, and scale.
 
-Three campaigns over the scale-free family, all through the unified
-``repro bench`` harness:
+Campaigns over the scale-free family, plus one ring, all through the
+unified ``repro bench`` harness:
 
 * ``scale_free_200`` — the acceptance campaign: the same 40-task
   schedule/release loop run by the production scheduler (the CSR kernel
@@ -20,6 +20,14 @@ Three campaigns over the scale-free family, all through the unified
   the CI acceptance for the N=5000 regime): build the ``scale-free-5k``
   family instance, take the CSR snapshot, and push a few schedules
   through it.
+* ``scale_free_1k.vector_*`` and ``ring_1k`` — the size-dispatched
+  solve (``kernel._solve``) against the heap kernel (``kernel._run``)
+  on the same auxiliary weight arrays: every source's
+  ``(dist, prev, order)`` must be identical (shape), and the summed
+  best-of-k time per source gives the speedup (timing).  The N=1000
+  scale-free graph is where the vectorised solve pays; the 1,000-node
+  ring is its worst case (the sweep budget runs out and the source
+  goes to the heap kernel), floored so it is never more than 2x slower.
 
 ``repro bench verify`` gates the identity and speedup floors against
 the newest history record (see BASELINES.md).
@@ -27,14 +35,20 @@ the newest history record (see BASELINES.md).
 
 from __future__ import annotations
 
+import math
 import os
 import time
+
+import numpy as np
 
 from repro.bench import bench_suite
 from repro.core.flexible import FlexibleScheduler
 from repro.errors import NoPathError, SchedulingError
 from repro.network import csr, routing
 from repro.network.auxiliary import AuxiliaryGraphBuilder
+from repro.network.csr import kernel
+from repro.network.graph import Network
+from repro.network.node import NodeKind
 from repro.network.paths import tree_from_metric_closure
 from repro.network.state import node_utilisations
 from repro.network.topology import scale_free
@@ -49,6 +63,8 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 DEMAND_GBPS = 4.0
 SPEEDUP_FLOOR = 5.0
+VECTOR_SPEEDUP_FLOOR = 2.0
+RING_SPEEDUP_FLOOR = 0.5
 
 
 def _skip_timing(smoke: bool) -> bool:
@@ -232,13 +248,105 @@ def _scale_campaign(smoke: bool):
     }
 
 
+def _ring(n_nodes):
+    """A plain ring of routers: the deepest graph per edge there is."""
+    network = Network(f"ring-{n_nodes}")
+    for i in range(n_nodes):
+        network.add_node(f"R{i}", NodeKind.ROUTER)
+    for i in range(n_nodes):
+        network.add_link(
+            f"R{i}", f"R{(i + 1) % n_nodes}", 100.0, distance_km=1.0 + i % 7
+        )
+    return network
+
+
+def _best_totals_s(solvers, sources, repeats):
+    """Per solver, the summed best-of-``repeats`` time over ``sources``.
+
+    The solvers take turns on each source, so a drift in host speed
+    lands on every side of the ratio alike.
+    """
+    totals = [0.0] * len(solvers)
+    for source in sources:
+        best = [math.inf] * len(solvers)
+        for _ in range(repeats):
+            for i, solve in enumerate(solvers):
+                start = time.perf_counter()
+                solve(source)
+                best[i] = min(best[i], time.perf_counter() - start)
+        totals = [total + b for total, b in zip(totals, best)]
+    return totals
+
+
+def _vector_campaign(network, smoke: bool, floor: float):
+    """Size-dispatched solve vs the heap kernel on one aux weight array."""
+    n_sources, repeats = (4, 1) if smoke else (20, 7)
+    snapshot = csr.get_snapshot(network)
+    builder = AuxiliaryGraphBuilder(network, demand_gbps=DEMAND_GBPS)
+    array = csr.weight_array(snapshot, builder.cache_token())
+    weights = array.tolist()
+    sources = list(range(0, snapshot.n, snapshot.n // n_sources))[:n_sources]
+
+    def heap(source):
+        return kernel._run(snapshot.indptr, snapshot.indices, weights, source)
+
+    def dispatched(source):
+        return kernel._solve(snapshot, source, weights, array)
+
+    def as_lists(solved):
+        dist, prev, order = solved
+        order = order() if callable(order) else order
+        return [np.asarray(part).tolist() for part in (dist, prev, order)]
+
+    identical = True
+    gave_up = 0
+    for source in sources:
+        expected = as_lists(heap(source)[:3])
+        vector = kernel._vector_solve(snapshot, array, source)
+        if vector is None:
+            gave_up += 1
+        else:
+            identical &= as_lists(vector) == expected
+        identical &= as_lists(dispatched(source)) == expected
+    assert identical, "the dispatched solve diverged from the heap kernel"
+    heap_s, solve_s = _best_totals_s((heap, dispatched), sources, repeats)
+    speedup = heap_s / solve_s if solve_s > 0 else float("inf")
+    if not _skip_timing(smoke):
+        assert speedup >= floor, (
+            f"dispatched solve {speedup:.2f}x the heap kernel on "
+            f"{network.name}, below the {floor}x floor"
+        )
+    return {
+        "vector_edges": snapshot.m,
+        "vector_sources": len(sources),
+        "vector_gave_up": gave_up,
+        "vector_heap_ms": round(heap_s / len(sources) * 1e3, 4),
+        "vector_solve_ms": round(solve_s / len(sources) * 1e3, 4),
+        "vector_speedup": round(speedup, 2),
+        "vector_identical": identical,
+    }
+
+
+def _vector_scale_free_1k(smoke: bool):
+    network = scale_free(n_routers=1000, m_links=2, seed=1, servers_per_site=1)
+    return _vector_campaign(network, smoke, VECTOR_SPEEDUP_FLOOR)
+
+
+def _vector_ring_1k(smoke: bool):
+    return _vector_campaign(_ring(1000), smoke, RING_SPEEDUP_FLOOR)
+
+
 @bench_suite("csr", headline="scale_free_200.speedup")
 def suite(smoke: bool = False) -> dict:
     """CSR kernel identity, throughput, and scale campaigns."""
     return {
         "scale_free_200": _speedup_campaign(smoke),
-        "scale_free_1k": _hub_campaign(smoke),
+        "scale_free_1k": {
+            **_hub_campaign(smoke),
+            **_vector_scale_free_1k(smoke),
+        },
         "scale_free_5k": _scale_campaign(smoke),
+        "ring_1k": _vector_ring_1k(smoke),
     }
 
 
@@ -255,3 +363,13 @@ def test_bench_csr_hub_congestion_scale_free_1k(benchmark):
 def test_bench_csr_scale_free_5k_smoke(benchmark):
     """N=5000 family build + snapshot + schedule smoke."""
     run_once(benchmark, _scale_campaign, SMOKE)
+
+
+def test_bench_csr_vector_scale_free_1k(benchmark):
+    """Vectorised solve identical to the heap kernel and >= 2x at N=1000."""
+    run_once(benchmark, _vector_scale_free_1k, SMOKE)
+
+
+def test_bench_csr_vector_ring_1k(benchmark):
+    """The ring gives up to the heap kernel and stays within 2x of it."""
+    run_once(benchmark, _vector_ring_1k, SMOKE)

@@ -144,6 +144,10 @@ FLOORS: List[Floor] = [
         doc="the N=5000 scale-free regime builds and schedules",
     ),
     Floor(
+        "csr", "scale_free_1k.vector_identical", 1,
+        doc="vectorised SSSP bit-identical to the heap kernel at N=1000",
+    ),
+    Floor(
         "traces", "identical", 1,
         doc="trace+SRLG replay byte-identical between serial and pool",
     ),
@@ -171,6 +175,14 @@ FLOORS: List[Floor] = [
     Floor(
         "csr", "scale_free_200.speedup", 5.0, timing=True,
         doc="speedup over the uncached object-kernel reference at N=200",
+    ),
+    Floor(
+        "csr", "scale_free_1k.vector_speedup", 2.0, timing=True,
+        doc="vectorised SSSP over the heap kernel on N=1000 aux weights",
+    ),
+    Floor(
+        "csr", "ring_1k.vector_speedup", 0.5, timing=True,
+        doc="worst-case ring: a sweep-budget give-up costs at most 2x",
     ),
     Floor(
         "topologies", "clos.builds_per_s", 100.0, timing=True,

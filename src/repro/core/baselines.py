@@ -196,7 +196,7 @@ class ChainScheduler(Scheduler):
         """Nearest-neighbour order over terminals, starting at the root.
 
         Each step scores the whole remaining set against one cached
-        single-source tree's distance dict instead of one point-to-point
+        single-source tree's distances instead of one point-to-point
         query per (step, candidate) pair.  Same floats — the extracted
         path weight *is* the tree distance.
         """
@@ -206,12 +206,12 @@ class ChainScheduler(Scheduler):
         cache = routing.get_cache(network)
         while remaining:
             current = order[-1]
-            distance = cache.sssp(current, spec).distance
+            tree = cache.sssp(current, spec)
             scored = []
             for node in remaining:
-                d = distance.get(node)
-                if d is None:
+                if not tree.reaches(node):
                     raise NoPathError(current, node)
+                d = tree.distance_to(node)
                 scored.append((d, node))
             best = min(scored)[1]
             order.append(best)

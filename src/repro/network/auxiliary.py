@@ -59,8 +59,10 @@ class AuxiliaryWeights:
             "reuse_discount",
         ):
             value = getattr(self, field_name)
-            if value < 0:
-                raise ConfigurationError(f"{field_name} must be >= 0, got {value}")
+            if not 0 <= value < math.inf:
+                raise ConfigurationError(
+                    f"{field_name} must be finite and >= 0, got {value}"
+                )
 
 
 class AuxiliaryGraphBuilder:
@@ -86,9 +88,9 @@ class AuxiliaryGraphBuilder:
         owner: str = "",
         weights: Optional[AuxiliaryWeights] = None,
     ) -> None:
-        if demand_gbps <= 0:
+        if not 0 < demand_gbps < math.inf:
             raise ConfigurationError(
-                f"demand must be > 0 Gbps, got {demand_gbps}"
+                f"demand must be finite and > 0 Gbps, got {demand_gbps}"
             )
         self._network = network
         self._demand = demand_gbps

@@ -20,6 +20,20 @@ This package mirrors the topology into flat arrays once per
   byte-identical, plus the incremental-repair change-cut check that lets
   cached trees survive link deltas without recomputation.
 
+Single-source trees come from one of two solvers, chosen by the
+snapshot's directed-edge count alone.  Below ``VECTOR_MIN_EDGES`` the
+pure-Python heap loop runs.  At or above it a numpy solve runs first:
+label-correcting sweeps find the distances, then the heap loop's
+predecessors and discovery order are rebuilt from its written tie-break
+contract (the kernel docstring states it).  The numpy solve hands the
+source back to the heap loop when a candidate lands within the
+``1e-15`` epsilon of a distance without equalling it, or when its sweep
+budget (one sweep per ``VECTOR_EDGES_PER_SWEEP`` edges) runs out on a
+deep graph.  Either way the tree is bit-identical to the heap loop's.
+Trees are array-backed
+(:class:`~repro.network.paths.ShortestPathTree`), so no per-node dict
+is built unless a caller asks for the mapping views.
+
 Every scheduler routes through :class:`~repro.network.routing.PathCache`,
 which calls these entry points; numpy is a hard dependency.  A weight
 spec whose token the builders cannot lower is an error

@@ -1,6 +1,6 @@
 """Array-native Dijkstra/SSSP, Yen, and the incremental-repair check.
 
-The relaxation loop here is the object kernel's
+The relaxation loop :func:`_run` is the object kernel's
 (:func:`repro.network.paths.dijkstra` / :func:`repro.network.routing.sssp`)
 transliterated onto CSR index arrays: same heap entries ``(distance,
 tick, node)`` with the same monotone tick sequence, same ``1e-15``
@@ -15,6 +15,60 @@ both kernels push in the same order with the same float64 values, the
 settled order, distances, and predecessors are *bit-identical* — which
 is what lets the object kernel serve as the reference oracle the
 equivalence tests and benchmarks check this one against.
+
+Tie-break contract
+------------------
+What ``_run`` returns for a source ``s``, stated without the heap, so
+that a second solver can reproduce it (``rank[u]`` is ``u``'s position
+in settle order, a relaxation's tick orders by ``(rank[u], e)`` with
+``e`` the CSR edge position, and a candidate is ``D[u] + w[e]`` in
+IEEE float64):
+
+* ``D[v]`` is the least candidate over ``v``'s in-edges — provided no
+  candidate ``c != D[v]`` has ``c - 1e-15 <= D[v]``.  Such a near-tie
+  makes ``_run``'s answer depend on the order candidates arrive in; no
+  rule below covers it.
+* ``prev[v]`` is the head of the exact-tie in-edge (``c == D[v]``
+  bitwise) with the smallest tick among heads settled before ``v``:
+  the first exact candidate wins and later equal ones fail the
+  epsilon test.
+* Settle order is ``(D[v], tick of v's winning push)``, the source
+  first.  Settle order and ``prev`` define each other within a class
+  of equal distances (zero-weight edges, hop weights); their fixpoint
+  is unique.
+* ``order`` is the source followed by the reached nodes sorted by
+  their first relaxation with a finite candidate, ``(rank[u], e)``.
+
+Dispatch
+--------
+:func:`_solve` picks the solver from observable input only.  Snapshots
+with fewer than :data:`VECTOR_MIN_EDGES` directed edges run ``_run``.
+Larger ones try :func:`_vector_solve`: label-correcting numpy sweeps
+for ``D``, then the contract above rebuilt in vectorised form, with
+the settle-rank fixpoint iterated over the equal-distance classes
+only.  It hands the source to ``_run`` on a near-tie, or when its
+sweeps or rank passes exceed one per :data:`VECTOR_EDGES_PER_SWEEP`
+edges.  Sweeps grow with hop depth while ``_run`` grows with edge
+count, so the budget caps what a give-up wastes at about half a
+``_run``.  Give-ups are counted as ``csr.vector_fallback`` when
+telemetry is on.  Measured per source under aux weights, best of 5, on a
+2-vCPU VM: ``_run`` and the vectorised solve called directly (ms), the
+sweeps that solve needs, and what the dispatch delivers against
+``_run`` (BASELINES.md has the full table):
+
+=========================  =====  =====  ========  ======  ==========
+family                         m   _run  vector    sweeps  dispatched
+=========================  =====  =====  ========  ======  ==========
+scale-free N=20              114  0.055  0.089          8  ``_run``
+scale-free N=100             594  0.357  0.298         10  ``_run``
+fat-tree k=8                 768  0.350  0.314          7  ``_run``
+scale-free N=200            1194  0.734  0.335         13  2.18x
+waxman N=100                1540  0.528  0.230         10  2.26x
+scale-free N=1000 (hub)     5994  3.091  0.626         13  5.19x
+scale-free N=5000          29994  22.14  2.845         15  7.83x
+metro-mesh 200 sites        1300  0.844  gives up      56  0.74x
+ring N=1000                 2000  1.073  gives up     501  0.70x
+=========================  =====  =====  ========  ======  ==========
 
 The incremental-repair primitive is :func:`tree_unaffected`: a
 change-cut classification over the edges whose weight moved between two
@@ -33,8 +87,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from ... import obs
 from ...errors import NoPathError, TopologyError
 from ..graph import Network
 from ..paths import (
@@ -48,6 +106,17 @@ from .snapshot import CsrSnapshot, get_snapshot
 from .weights import weight_array
 
 _INF = math.inf
+_INT64_LIMIT = 2**63
+
+#: Snapshots with at least this many directed edges try the vectorised
+#: solve first; smaller ones always run :func:`_run`.  See the measured
+#: crossover table in the module docstring.
+VECTOR_MIN_EDGES = 1024
+
+#: A vectorised solve may spend one label-correcting sweep (and one
+#: settle-rank fixpoint pass) per this many directed edges before it
+#: hands the source to :func:`_run`; see the module docstring.
+VECTOR_EDGES_PER_SWEEP = 64
 
 
 def _run(
@@ -131,6 +200,226 @@ def _run(
     return dist, prev, order, settled
 
 
+def _sweep_budget(snapshot: CsrSnapshot) -> int:
+    """Sweeps (and rank passes) one vectorised solve may spend.
+
+    Snapshots below the dispatch cut (reached only by direct calls) get
+    the budget of one at the cut.
+    """
+    return max(snapshot.m, VECTOR_MIN_EDGES) // VECTOR_EDGES_PER_SWEEP
+
+
+def _vector_distances(
+    snapshot: CsrSnapshot, weights: np.ndarray, source_i: int
+) -> Optional[np.ndarray]:
+    """Exact distances by label-correcting sweeps, or ``None`` past the bound.
+
+    Each sweep relaxes the out-edges of the nodes whose distance moved
+    in the previous sweep (Jacobi style: every candidate reads the
+    distances from before the sweep) and lowers each tail to its least
+    candidate.  Each candidate is the IEEE sum ``D[u] + weights[e]``
+    that :func:`_run` computes, so the fixpoint is the least float
+    path sum ``_run`` settles on whenever no near-tie intervenes.  The
+    sweep count grows with the hop depth of the tree; past
+    :func:`_sweep_budget` sweeps the solve gives up (``None``).
+    """
+    heads, tails = snapshot.edge_arrays()
+    dist = np.full(snapshot.n, _INF)
+    dist[source_i] = 0.0
+    moved = np.zeros(snapshot.n, dtype=bool)
+    moved[source_i] = True
+    for _sweep in range(_sweep_budget(snapshot)):
+        edges = np.flatnonzero(moved[heads])
+        if not edges.size:
+            return dist
+        lowered = dist.copy()
+        np.minimum.at(lowered, tails[edges], dist[heads[edges]] + weights[edges])
+        moved = lowered < dist
+        dist = lowered
+        if not moved.any():
+            return dist
+    return None
+
+
+def _vector_solve(
+    snapshot: CsrSnapshot, weights: np.ndarray, source_i: int
+) -> Optional[Tuple[np.ndarray, np.ndarray, Callable[[], np.ndarray]]]:
+    """``(dist, prev, order)`` bit-identical to :func:`_run`, or ``None``.
+
+    Solves the distances with :func:`_vector_distances`, then rebuilds
+    ``_run``'s predecessors and discovery order under the tie-break
+    contract in the module docstring.  ``None`` means "run ``_run``
+    instead": the sweep or rank-pass bound was hit, or a candidate fell
+    inside the relaxation epsilon of a distance without being equal to
+    it, where ``_run``'s answer depends on arrival order.  ``dist`` and
+    ``prev`` are numpy arrays indexed like ``_run``'s lists; ``order``
+    is a zero-argument callable computing it (:func:`_discovery_order`),
+    holding ``weights`` (never its list form).  Weights must lie in
+    ``[0, +inf]``, as :func:`~repro.network.csr.weights.weight_array`
+    guarantees.
+    """
+    n = snapshot.n
+    m1 = snapshot.m + 1
+    # Keys below are (rank, edge) pairs packed as rank * m1 + edge, and
+    # class-major (class, key) pairs packed again on top; stay in int64.
+    invalid = n * m1
+    if n * (invalid + 2) >= _INT64_LIMIT:
+        return None
+    dist = _vector_distances(snapshot, weights, source_i)
+    if dist is None:
+        return None
+    heads, tails = snapshot.edge_arrays()
+
+    candidate = dist[heads] + weights
+    incumbent = dist[tails]
+    relaxable = tails != source_i  # _run never relaxes into the source
+    tie = candidate == incumbent
+    if (~tie & relaxable & (candidate - 1e-15 <= incumbent)).any():
+        return None
+    tie &= (candidate < _INF) & relaxable
+    tie_edges = np.flatnonzero(tie)
+    tie_heads = heads[tie_edges]
+    tie_tails = tails[tie_edges]
+
+    # Settle rank: by distance, then by the tick of the winning push.
+    # Nodes with a distance of their own are ranked by it alone; only
+    # classes of equal distances need the tick, found by fixpoint.
+    by_dist = np.argsort(dist)
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_dist] = np.arange(n)
+    reached = int(np.count_nonzero(dist < _INF))
+    sorted_dist = dist[by_dist[:reached]]
+    equal_next = sorted_dist[1:] == sorted_dist[:-1]
+    if equal_next.any():
+        in_class = np.zeros(reached, dtype=bool)
+        in_class[1:] = equal_next
+        in_class[:-1] |= equal_next
+        slots = np.flatnonzero(in_class)
+        members = by_dist[slots]
+        class_base = np.concatenate(([0], np.cumsum(~equal_next)))[slots]
+        class_base *= invalid + 2
+        class_base += 1
+        is_member = np.zeros(n, dtype=bool)
+        is_member[members] = True
+        into = is_member[tie_tails]
+        m_heads = tie_heads[into]
+        m_tails = tie_tails[into]
+        m_edges = tie_edges[into]
+        placed = members
+        for _pass in range(_sweep_budget(snapshot)):
+            win = _winning_push(rank, m_heads, m_tails, m_edges, m1, invalid)
+            win[source_i] = -1
+            order_in = members[np.argsort(class_base + win[members])]
+            if np.array_equal(order_in, placed):
+                break
+            rank[order_in] = slots
+            placed = order_in
+        else:
+            return None
+
+    win = _winning_push(rank, tie_heads, tie_tails, tie_edges, m1, invalid)
+    targets = np.flatnonzero(dist < _INF)
+    targets = targets[targets != source_i]
+    win = win[targets]
+    if (win == invalid).any():
+        return None
+    prev = np.full(n, -1, dtype=np.int64)
+    prev[targets] = heads[win % m1]
+
+    return dist, prev, partial(
+        _discovery_order, snapshot, weights, dist, rank, source_i
+    )
+
+
+def _winning_push(
+    rank: np.ndarray,
+    heads: np.ndarray,
+    tails: np.ndarray,
+    edges: np.ndarray,
+    m1: int,
+    invalid: int,
+) -> np.ndarray:
+    """Per node, the packed ``(rank[u], e)`` key of its winning push.
+
+    The least key over the given exact-tie edges whose head settles
+    before their tail; ``invalid`` (``n * m1``) where there is none.
+    """
+    head_rank = rank[heads]
+    key = head_rank * m1 + edges
+    key[head_rank >= rank[tails]] = invalid
+    win = np.full(rank.size, invalid, dtype=np.int64)
+    np.minimum.at(win, tails, key)
+    return win
+
+
+def _discovery_order(
+    snapshot: CsrSnapshot,
+    weights: np.ndarray,
+    dist: np.ndarray,
+    rank: np.ndarray,
+    source_i: int,
+) -> np.ndarray:
+    """The reached nodes in ``_run``'s first-discovery order, source first.
+
+    Each node's key is its earliest relaxation with a finite candidate,
+    ``(rank[u], e)``; the vectorised solve defers this to the first
+    reader of a tree's mapping views, the only consumers of ``order``.
+    """
+    heads, tails = snapshot.edge_arrays()
+    m1 = snapshot.m + 1
+    invalid = snapshot.n * m1
+    finite_edges = np.flatnonzero(
+        (dist[heads] + weights < _INF) & (tails != source_i)
+    )
+    first = np.full(snapshot.n, invalid, dtype=np.int64)
+    np.minimum.at(
+        first,
+        tails[finite_edges],
+        rank[heads[finite_edges]] * m1 + finite_edges,
+    )
+    first[source_i] = -1
+    found = np.flatnonzero(first < invalid)
+    return found[np.argsort(first[found])]
+
+
+def _solve(
+    snapshot: CsrSnapshot,
+    source_i: int,
+    weights: List[float],
+    array: Optional[np.ndarray] = None,
+    targets: Optional[bytearray] = None,
+    n_targets: int = 0,
+) -> Tuple[Sequence[float], Sequence[int], Any]:
+    """``(dist, prev, order)`` from the solver the snapshot's size picks.
+
+    The one dispatch point: snapshots with at least
+    :data:`VECTOR_MIN_EDGES` directed edges try :func:`_vector_solve`
+    first (``array`` is ``weights`` as a float64 array, built here when
+    the caller holds none); everything else, and every vectorised
+    give-up, runs :func:`_run`.  ``targets`` only shortens the
+    ``_run`` path (see there); the vectorised solve always settles the
+    whole tree, whose entries agree with an early exit's.  ``order`` is
+    a sequence or, from the vectorised solve, a callable computing one
+    (:class:`~repro.network.paths.ShortestPathTree` accepts either).
+    """
+    if snapshot.m >= VECTOR_MIN_EDGES:
+        if array is None:
+            array = np.asarray(weights, dtype=np.float64)
+        solved = _vector_solve(snapshot, array, source_i)
+        if solved is not None:
+            return solved
+        obs.inc("csr.vector_fallback")
+    dist, prev, order, _settled = _run(
+        snapshot.indptr,
+        snapshot.indices,
+        weights,
+        source_i,
+        targets=targets,
+        n_targets=n_targets,
+    )
+    return dist, prev, order
+
+
 def _source_index(snapshot: CsrSnapshot, source: str) -> int:
     index = snapshot.index.get(source)
     if index is None:
@@ -142,40 +431,46 @@ def _source_index(snapshot: CsrSnapshot, source: str) -> int:
 
 
 def sssp_tree(
-    snapshot: CsrSnapshot, source: str, weights: List[float]
+    snapshot: CsrSnapshot,
+    source: str,
+    weights: List[float],
+    array: Optional[np.ndarray] = None,
 ) -> ShortestPathTree:
-    """Full single-source tree over the snapshot under a weight list."""
+    """Full single-source tree over the snapshot under a weight list.
+
+    ``array`` is the same weights as a float64 numpy array when the
+    caller already holds one (the path cache does); see :func:`_solve`.
+    """
     source_i = _source_index(snapshot, source)
-    dist, prev, order, _settled = _run(
-        snapshot.indptr, snapshot.indices, weights, source_i
+    dist, prev, order = _solve(snapshot, source_i, weights, array)
+    if isinstance(dist, list):
+        # The heap loop's lists, as tuples: a tuple of numbers drops out
+        # of the cyclic GC once a collection has seen it, where cached
+        # lists would be traversed again by every full collection.
+        dist, prev, order = tuple(dist), tuple(prev), tuple(order)
+    return ShortestPathTree(
+        source, snapshot.names, snapshot.index, dist, prev, order
     )
-    names = snapshot.names
-    distance = {}
-    for i in order:
-        distance[names[i]] = dist[i]
-    previous = {}
-    for i in order[1:]:
-        previous[names[i]] = names[prev[i]]
-    return ShortestPathTree(source=source, distance=distance, previous=previous)
 
 
 def _extract_path(
     snapshot: CsrSnapshot,
     source: str,
     destination: str,
-    dist: List[float],
-    prev: List[int],
-    settled: bytearray,
+    dist: Sequence[float],
+    prev: Sequence[int],
     target_i: int,
 ) -> PathResult:
-    if dist[target_i] == _INF or not settled[target_i]:
+    # A target left at a finite distance is settled: a search stops
+    # only once its targets are settled or its frontier is empty.
+    if dist[target_i] == _INF:
         raise NoPathError(source, destination)
     chain = [target_i]
     while prev[chain[-1]] >= 0:
         chain.append(prev[chain[-1]])
     names = snapshot.names
     nodes = tuple(names[i] for i in reversed(chain))
-    return PathResult(nodes=nodes, weight=dist[target_i])
+    return PathResult(nodes=nodes, weight=float(dist[target_i]))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +489,10 @@ def tree_unaffected(
     distances and predecessors as ``tree`` (computed under
     ``old_weights``); the entry may be kept with its array swapped.
     False means "recompute" — it never claims the tree changed, only
-    that identity cannot be proven, so over-reporting is safe.
+    that identity cannot be proven, so over-reporting is safe.  The
+    tree must come from this kernel over a snapshot of the same
+    topology version: its arrays are read by the snapshot's node
+    indices.
 
     Per changed directed edge ``(u, v)``:
 
@@ -208,31 +506,27 @@ def tree_unaffected(
       than the relaxation epsilon; within the epsilon the relaxation's
       outcome depends on arrival order, which a check cannot replay.
     """
-    import numpy as np
-
     changed = np.flatnonzero(old_weights != new_weights)
     if changed.size == 0:
         return True
-    names = snapshot.names
     heads = snapshot.heads
     tails = snapshot.indices
-    distance = tree.distance
-    previous = tree.previous
-    source = tree.source
+    dist = tree.dist
+    prev = tree.prev
+    source_i = tree.index[tree.source]
     for e in changed.tolist():
-        v_name = names[tails[e]]
-        if v_name == source:
+        v = tails[e]
+        if v == source_i:
             continue
-        u_name = names[heads[e]]
+        u = heads[e]
         if new_weights[e] > old_weights[e]:
-            if previous.get(v_name) == u_name:
+            if prev[v] == u:
                 return False
             continue
-        du = distance.get(u_name)
-        if du is None:
+        du = dist[u]
+        if du == _INF:
             continue
-        dv = distance.get(v_name, _INF)
-        if du + new_weights[e] <= dv + 1e-15:
+        if du + new_weights[e] <= dist[v] + 1e-15:
             return False
     return True
 
@@ -241,16 +535,19 @@ def tree_unaffected(
 # Uncached entry points (unshareable specs bypass the path cache)
 # ---------------------------------------------------------------------------
 
-def _snapshot_and_weights(network: Network, spec) -> Tuple[CsrSnapshot, list]:
-    """The refreshed snapshot and lowered weight list for a spec."""
+def _snapshot_and_weights(
+    network: Network, spec
+) -> Tuple[CsrSnapshot, np.ndarray, list]:
+    """The refreshed snapshot and lowered weights (array and list) for a spec."""
     snapshot = get_snapshot(network)
-    return snapshot, weight_array(snapshot, spec.cache_token()).tolist()
+    array = weight_array(snapshot, spec.cache_token())
+    return snapshot, array, array.tolist()
 
 
 def sssp_csr(network: Network, source: str, spec) -> ShortestPathTree:
     """Uncached CSR single-source tree."""
-    snapshot, weights = _snapshot_and_weights(network, spec)
-    return sssp_tree(snapshot, source, weights)
+    snapshot, array, weights = _snapshot_and_weights(network, spec)
+    return sssp_tree(snapshot, source, weights, array)
 
 
 def terminal_tree_csr(
@@ -265,7 +562,7 @@ def terminal_tree_csr(
     terminal_list = list(dict.fromkeys([root, *terminals]))
     if len(terminal_list) == 1:
         return TreeResult(root=root, parent={}, weight=0.0)
-    snapshot, weights = _snapshot_and_weights(network, spec)
+    snapshot, array, weights = _snapshot_and_weights(network, spec)
     index = snapshot.index
     closure = {}
     for i, a in enumerate(terminal_list[:-1]):
@@ -273,17 +570,17 @@ def terminal_tree_csr(
         targets = bytearray(snapshot.n)
         for b in remaining:
             targets[_source_index(snapshot, b)] = 1
-        dist, prev, _order, settled = _run(
-            snapshot.indptr,
-            snapshot.indices,
-            weights,
+        dist, prev, _order = _solve(
+            snapshot,
             _source_index(snapshot, a),
+            weights,
+            array,
             targets=targets,
             n_targets=len(remaining),
         )
         for b in remaining:
             closure[(a, b)] = _extract_path(
-                snapshot, a, b, dist, prev, settled, index[b]
+                snapshot, a, b, dist, prev, index[b]
             )
     # The finisher only reads edge weights for its final sum; the array
     # view returns the same float64s as the scalar weight fn without the
@@ -320,7 +617,7 @@ def array_search(snapshot: CsrSnapshot, weights: List[float]):
                 position = edge_pos.get((u, v))
                 if position is not None:
                     ban_edges.add(position)
-        dist, prev, _order, settled = _run(
+        dist, prev, _order, _settled = _run(
             snapshot.indptr,
             snapshot.indices,
             weights,
@@ -329,7 +626,7 @@ def array_search(snapshot: CsrSnapshot, weights: List[float]):
             ban_nodes,
             ban_edges,
         )
-        return _extract_path(snapshot, src, dst, dist, prev, settled, target_i)
+        return _extract_path(snapshot, src, dst, dist, prev, target_i)
 
     return search
 
@@ -348,7 +645,7 @@ def k_shortest_paths_csr(
     network: Network, source: str, destination: str, k: int, spec
 ) -> List[PathResult]:
     """Uncached CSR Yen: the object control flow over array searches."""
-    snapshot, weights = _snapshot_and_weights(network, spec)
+    snapshot, _array, weights = _snapshot_and_weights(network, spec)
     return _yen(
         network,
         source,

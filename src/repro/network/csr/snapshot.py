@@ -9,7 +9,10 @@ A :class:`CsrSnapshot` is a flat mirror of one
   adjacency order exactly (the byte-identity contract depends on it);
 * **per-edge state overlay** — numpy arrays (``latency``, ``capacity``,
   ``used``, ``failed``) indexed by directed-edge position, from which
-  weight arrays are vectorised.
+  weight arrays are vectorised;
+* **edge endpoint arrays** — ``heads``/``tails`` as int64 numpy arrays
+  (:meth:`CsrSnapshot.edge_arrays`), built on the first vectorised
+  solve and kept for the snapshot's lifetime.
 
 The overlay refreshes *in place*: every :class:`~repro.network.link.Link`
 of the snapshotted network gets the snapshot's dirty set attached, and
@@ -52,6 +55,7 @@ class CsrSnapshot:
         "_positions",
         "_dirty",
         "_synced_epoch",
+        "_edge_arrays",
     )
 
     def __init__(self, network: Network) -> None:
@@ -106,6 +110,23 @@ class CsrSnapshot:
         for link in self._positions:
             link._dirty = self._dirty
         self._synced_epoch = network.epoch
+        self._edge_arrays = None
+
+    def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(heads, tails)`` per directed-edge position, as int64 arrays.
+
+        The structure in the form the vectorised solver gathers from,
+        built on first use and kept for the snapshot's lifetime (the
+        structure cannot change within one topology version).
+        """
+        arrays = self._edge_arrays
+        if arrays is None:
+            arrays = (
+                np.asarray(self.heads, dtype=np.int64),
+                np.asarray(self.indices, dtype=np.int64),
+            )
+            self._edge_arrays = arrays
+        return arrays
 
     def refresh(self) -> int:
         """Drain the dirty set, rewriting touched overlay rows in place.

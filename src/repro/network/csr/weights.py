@@ -31,17 +31,19 @@ from .snapshot import CsrSnapshot
 def weight_array(snapshot: CsrSnapshot, token: Hashable):
     """The per-edge weight array for a recognised cache token.
 
-    Returned arrays are guaranteed non-negative (``[0, +inf]``) — the
+    Returned arrays are guaranteed to lie in ``[0, +inf]`` — the
     array kernel's relaxation loop relies on that to skip the object
-    kernel's per-edge isinf/negative checks.  The recognised builders
-    cannot produce negatives (latencies and auxiliary coefficients are
-    validated non-negative at construction), but if one ever did, the
+    kernel's per-edge isinf/negative checks, and the vectorised solve
+    on it to never meet a NaN.  The recognised builders cannot produce
+    either (latencies, demands and auxiliary coefficients are validated
+    finite and non-negative at construction), but if one ever did, the
     same "negative edge weight" :class:`~repro.errors.TopologyError` the
-    object kernel raises is raised here, naming the first such edge.
+    object kernel raises is raised here (or "NaN edge weight"), naming
+    the first such edge.
 
     Raises:
         TopologyError: for a token no builder recognises, or a lowered
-            array holding a negative weight.
+            array holding a negative or NaN weight.
     """
     kind = token[0] if isinstance(token, tuple) and token else None
     if kind == "latency" and len(token) == 1:
@@ -54,14 +56,16 @@ def weight_array(snapshot: CsrSnapshot, token: Hashable):
         raise TopologyError(
             f"weight token {token!r} cannot be lowered to a CSR weight array"
         )
-    negative = weights < 0.0
-    if negative.any():
-        pos = int(negative.argmax())
+    # ~(w >= 0) also catches NaN, which a plain `w < 0` test lets
+    # through and which the vectorised solver's np.minimum would spread.
+    invalid = ~(weights >= 0.0)
+    if invalid.any():
+        pos = int(invalid.argmax())
         src = snapshot.names[snapshot.heads[pos]]
         dst = snapshot.names[snapshot.indices[pos]]
-        raise TopologyError(
-            f"negative edge weight {float(weights[pos])} on {src}->{dst}"
-        )
+        value = float(weights[pos])
+        kind = "NaN" if math.isnan(value) else "negative"
+        raise TopologyError(f"{kind} edge weight {value} on {src}->{dst}")
     return weights
 
 
@@ -91,12 +95,9 @@ def _aux_array(snapshot: CsrSnapshot, token: tuple):
     if owner is not None:
         # The owner holds capacity somewhere: mark the edges where its
         # held rate covers the demand (the scalar `already` predicate).
-        # Only links in the network's reservation registry can hold
-        # anything, so the scan skips the (vast) unreserved majority.
+        # The reservation registry lists exactly the links it holds.
         positions_of = snapshot._positions
-        for link in snapshot.network._reserved_links:
-            if not link.holds(owner):
-                continue
+        for link in snapshot.network._reservations.links_of(owner):
             for pos, src, dst in positions_of.get(link, ()):
                 if link.owner_gbps(src, dst, owner) >= demand - 1e-9:
                     already[pos] = True

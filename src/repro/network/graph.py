@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import CapacityError, TopologyError
-from .link import Link, MutationEpoch
+from .link import Link, MutationEpoch, ReservationRegistry
 from .node import Node, NodeKind
 
 #: An edge expressed as the (src, dst) node names of a traversal direction.
@@ -44,14 +44,10 @@ class Network:
         # array mirror of this topology, refreshed in place on link-state
         # mutations and rebuilt when topology_version moves.
         self._csr_snapshot = None
-        # (epoch, owner, result) memo for has_reservations(): the
-        # auxiliary cache-token probe asks twice per tree build with no
-        # mutation in between, and the answer is epoch-stable.
-        self._holds_memo: "tuple[int, str, bool] | None" = None
-        # Links currently holding at least one reservation (maintained
-        # by Link.reserve/release via the attached observer set), so
-        # owner scans touch only held links instead of every link.
-        self._reserved_links: "set[Link]" = set()
+        # Which links each owner holds (maintained by Link.reserve/
+        # release via the attached registry), so owner scans touch only
+        # the owner's links.
+        self._reservations = ReservationRegistry()
 
     # ------------------------------------------------------------------
     # Construction
@@ -104,7 +100,8 @@ class Network:
             raise TopologyError(f"duplicate link {u}-{v}")
         link = Link(u, v, capacity_gbps, distance_km=distance_km, latency_ms=latency_ms)
         link._epoch = self._epoch
-        link._reserved_reg = self._reserved_links
+        link._reserved_reg = self._reservations
+        link._ordinal = len(self._links)
         self._epoch.bump()
         self._topology_version += 1
         self._links[self._key(u, v)] = link
@@ -149,20 +146,8 @@ class Network:
         return self.link(u, v).generation
 
     def has_reservations(self, owner: str) -> bool:
-        """True when ``owner`` holds rate anywhere in the network.
-
-        Early-exits on the first hit, and memoises the answer per
-        ``(epoch, owner)`` — the auxiliary-graph cache token and its
-        shareability probe ask back-to-back with no mutation in
-        between, so the second all-links scan is free.
-        """
-        epoch = self.epoch
-        memo = self._holds_memo
-        if memo is not None and memo[0] == epoch and memo[1] == owner:
-            return memo[2]
-        result = any(link.holds(owner) for link in self._reserved_links)
-        self._holds_memo = (epoch, owner, result)
-        return result
+        """True when ``owner`` holds rate anywhere in the network."""
+        return self._reservations.holds_anywhere(owner)
 
     @property
     def node_count(self) -> int:
@@ -263,16 +248,11 @@ class Network:
 
     def release_owner(self, owner: str) -> float:
         """Release everything ``owner`` holds anywhere in the network."""
-        reserved = self._reserved_links
-        if not reserved:
-            return 0.0
-        # Iterate in link insertion order (not set order) so the float
-        # total sums in the same order as a full-table scan would.
-        return sum(
-            link.release_owner(owner)
-            for link in self._links.values()
-            if link in reserved
-        )
+        held = self._reservations.links_of(owner)
+        # Release in link insertion order (not reservation order) so the
+        # float total sums in the same order as a full-table scan would.
+        held.sort(key=lambda link: link._ordinal)
+        return sum((link.release_owner(owner) for link in held), 0.0)
 
     def owner_total_gbps(self, owner: str) -> float:
         """Summed directed-edge rate held by ``owner`` across the network."""

@@ -25,6 +25,44 @@ class Reservation:
     gbps: float
 
 
+class ReservationRegistry:
+    """Which links each owner holds reservations on.
+
+    :class:`~repro.network.graph.Network` owns one and attaches it to
+    every link it creates; each link reports its reservation changes
+    here, so owner-scoped work (``has_reservations``, ``release_owner``,
+    the auxiliary weight lowering) touches only the links an owner
+    actually holds.
+    """
+
+    __slots__ = ("_by_owner",)
+
+    def __init__(self) -> None:
+        # owner -> the links it holds (dict as an ordered set).
+        self._by_owner: "Dict[str, Dict[Link, None]]" = {}
+
+    def holds_anywhere(self, owner: str) -> bool:
+        return owner in self._by_owner
+
+    def links_of(self, owner: str) -> "list[Link]":
+        """The links ``owner`` holds, in the order it first reserved them."""
+        return list(self._by_owner.get(owner, ()))
+
+    def add(self, link: "Link", owner: str) -> None:
+        held = self._by_owner.get(owner)
+        if held is None:
+            held = self._by_owner[owner] = {}
+        held[link] = None
+
+    def discard(self, link: "Link", owner: str) -> None:
+        """``owner`` no longer holds anything on ``link``."""
+        held = self._by_owner.get(owner)
+        if held is not None:
+            held.pop(link, None)
+            if not held:
+                del self._by_owner[owner]
+
+
 class MutationEpoch:
     """A shared monotone counter of network mutations.
 
@@ -87,10 +125,11 @@ class Link:
         # repro.network.csr.snapshot): mutated links add themselves so the
         # snapshot can refresh only the touched overlay rows.
         self._dirty: "set | None" = None
-        # Observer set owned by the containing Network: links holding any
-        # reservation register themselves so owner scans
-        # (has_reservations / release_owner) touch only held links.
-        self._reserved_reg: "set | None" = None
+        # Registry owned by the containing Network: reservation changes
+        # are reported to it so owner scans touch only held links.
+        self._reserved_reg: "ReservationRegistry | None" = None
+        # Position in the containing Network's link insertion order.
+        self._ordinal = 0
         self._epoch = MutationEpoch()
         self._capacity_gbps = float(capacity_gbps)
         self.distance_km = float(distance_km)
@@ -244,7 +283,7 @@ class Link:
         bucket[owner] = bucket.get(owner, 0.0) + gbps
         reg = self._reserved_reg
         if reg is not None:
-            reg.add(self)
+            reg.add(self, owner)
         self._bump()
 
     def release(self, src: str, dst: str, owner: str) -> float:
@@ -256,7 +295,9 @@ class Link:
         direction = self._direction(src, dst)
         released = self._reservations[direction].pop(owner, 0.0)
         if released:
-            self._deregister_if_empty()
+            reg = self._reserved_reg
+            if reg is not None and not self.holds(owner):
+                reg.discard(self, owner)
             self._bump()
         return released
 
@@ -269,13 +310,10 @@ class Link:
                 total += released
                 self._bump()
         if total:
-            self._deregister_if_empty()
+            reg = self._reserved_reg
+            if reg is not None:
+                reg.discard(self, owner)
         return total
-
-    def _deregister_if_empty(self) -> None:
-        reg = self._reserved_reg
-        if reg is not None and not any(self._reservations.values()):
-            reg.discard(self)
 
     def reservations(self, src: str, dst: str) -> Iterator[Reservation]:
         """Iterate the live reservations in one direction."""

@@ -132,7 +132,6 @@ class TreeResult:
         return len(self.path_to_root(node)) - 1
 
 
-@dataclass
 class ShortestPathTree:
     """A full Dijkstra tree from one source under one weight function.
 
@@ -140,18 +139,117 @@ class ShortestPathTree:
     it) so the array kernel (:mod:`repro.network.csr`) can build one
     without importing the cache layer.
 
-    Attributes:
-        source: the tree's root.
-        distance: settled node -> least weight from the source.
-        previous: settled node -> predecessor on its shortest path.
+    The tree is array-backed: ``dist[i]`` and ``prev[i]`` describe the
+    node ``names[i]`` (``prev`` holds a node index, ``-1`` for the
+    source and for unreached nodes, whose ``dist`` is ``inf``), and
+    ``order`` lists the reached node indices in first-discovery order,
+    source first.  Trees the CSR kernel builds share the snapshot's
+    ``names``/``index`` interning, so the change-cut
+    (:func:`~repro.network.csr.tree_unaffected`) reads them by edge
+    endpoint index; the sequences are Python lists or 1-D numpy arrays,
+    whichever the solver produced, and ``order`` may be handed over as
+    a zero-argument callable, run on first read.  :meth:`path_to`,
+    :meth:`reaches` and :meth:`distance_to` read the arrays directly;
+    the :attr:`distance`/:attr:`previous` mappings are built only on
+    request, in first-discovery insertion order.
+
+    Two trees are equal when their sources and mappings are equal.
     """
 
-    source: str
-    distance: Dict[str, float]
-    previous: Dict[str, str]
+    __slots__ = ("source", "names", "index", "dist", "prev", "_order", "_source_i")
+
+    def __init__(
+        self,
+        source: str,
+        names: Sequence[str],
+        index: Dict[str, int],
+        dist: Sequence[float],
+        prev: Sequence[int],
+        order: "Sequence[int] | Callable[[], Sequence[int]]",
+    ) -> None:
+        self.source = source
+        self.names = names
+        self.index = index
+        self.dist = dist
+        self.prev = prev
+        self._order = order
+        self._source_i = index[source]
+
+    @property
+    def order(self) -> Sequence[int]:
+        """Reached node indices in first-discovery order, source first."""
+        order = self._order
+        if callable(order):
+            order = self._order = order()
+        return order
+
+    @classmethod
+    def from_mappings(
+        cls, source: str, distance: Dict[str, float], previous: Dict[str, str]
+    ) -> "ShortestPathTree":
+        """A tree over its own interning of a mapping-form result.
+
+        ``distance`` must list the source first and every other node in
+        discovery order (the object kernel's dict insertion order), and
+        ``previous`` must cover every non-source key of ``distance``.
+        """
+        names = list(distance)
+        index = {name: i for i, name in enumerate(names)}
+        prev = [-1] * len(names)
+        for name, parent in previous.items():
+            prev[index[name]] = index[parent]
+        return cls(
+            source, names, index, list(distance.values()), prev, range(len(names))
+        )
+
+    @property
+    def distance(self) -> Dict[str, float]:
+        """Reached node -> least weight from the source (built on request)."""
+        names = self.names
+        dist = self.dist
+        return {names[i]: float(dist[i]) for i in self.order}
+
+    @property
+    def previous(self) -> Dict[str, str]:
+        """Reached non-source node -> its predecessor (built on request)."""
+        names = self.names
+        prev = self.prev
+        source_i = self._source_i
+        return {names[i]: names[prev[i]] for i in self.order if i != source_i}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ShortestPathTree):
+            return NotImplemented
+        return (
+            self.source == other.source
+            and self.distance == other.distance
+            and self.previous == other.previous
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"ShortestPathTree(source={self.source!r}, "
+            f"distance={self.distance!r}, previous={self.previous!r})"
+        )
+
+    def _reached_index(self, node: str) -> int:
+        """The node's index when the tree reaches it, else -1."""
+        i = self.index.get(node)
+        if i is None:
+            return -1
+        if i == self._source_i or self.prev[i] >= 0:
+            return i
+        return -1
 
     def reaches(self, destination: str) -> bool:
-        return destination == self.source or destination in self.previous
+        return self._reached_index(destination) >= 0
+
+    def distance_to(self, destination: str) -> float:
+        """Least weight from the source, ``inf`` when unreached."""
+        i = self._reached_index(destination)
+        return math.inf if i < 0 else float(self.dist[i])
 
     def path_to(self, destination: str) -> PathResult:
         """Extract the shortest path to ``destination``.
@@ -164,13 +262,19 @@ class ShortestPathTree:
         """
         if destination == self.source:
             return PathResult(nodes=(self.source,), weight=0.0)
-        if destination not in self.previous:
+        target = self._reached_index(destination)
+        if target < 0:
             raise NoPathError(self.source, destination)
+        prev = self.prev
+        names = self.names
+        source_i = self._source_i
         nodes = [destination]
-        while nodes[-1] != self.source:
-            nodes.append(self.previous[nodes[-1]])
+        i = target
+        while i != source_i:
+            i = prev[i]
+            nodes.append(names[i])
         nodes.reverse()
-        return PathResult(nodes=tuple(nodes), weight=self.distance[destination])
+        return PathResult(nodes=tuple(nodes), weight=float(self.dist[target]))
 
 
 def dijkstra(

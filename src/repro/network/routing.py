@@ -151,7 +151,7 @@ def sssp(network: Network, source: str, weight: WeightFn) -> ShortestPathTree:
                 distance[neighbor] = candidate
                 previous[neighbor] = current
                 heapq.heappush(frontier, (candidate, next(counter), neighbor))
-    return ShortestPathTree(source=source, distance=distance, previous=previous)
+    return ShortestPathTree.from_mappings(source, distance, previous)
 
 
 def multi_source_distances(
@@ -385,7 +385,9 @@ class PathCache:
         """The current ``(array, list)`` weight pair for a token, memoised.
 
         One vectorised rebuild per epoch move per token, shared by every
-        lookup and revalidation in between.
+        lookup and revalidation in between.  The kernel's vectorised
+        solve reads the array (and a tree it builds may keep it); the
+        heap loop and the scalar edge-weight views read the list.
         """
         epoch = self._network.epoch
         version = self._network.topology_version
@@ -527,7 +529,9 @@ class PathCache:
             token,
             endpoints=(source,),
             exact=False,
-            compute=lambda: csr_kernel.sssp_tree(snapshot, source, wlist),
+            compute=lambda: csr_kernel.sssp_tree(
+                snapshot, source, wlist, array
+            ),
         )
 
     def shortest_path(

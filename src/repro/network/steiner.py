@@ -35,9 +35,7 @@ def _all_pairs_from(
     result: Dict[str, Dict[str, float]] = {}
     for source in sources:
         tree = sssp(network, source, weight)
-        result[source] = {
-            name: tree.distance.get(name, math.inf) for name in names
-        }
+        result[source] = {name: tree.distance_to(name) for name in names}
     return result
 
 

@@ -269,6 +269,35 @@ class TestVerify:
         assert ("topologies", "clos.builds_per_s") in described
         assert ("failures", "fault_history_ratio") in described
 
+    def test_vector_sssp_floors(self):
+        floors = {(f.suite, f.metric): f for f in FLOORS}
+        identical = floors[("csr", "scale_free_1k.vector_identical")]
+        assert not identical.timing and identical.limit == 1
+        for metric, limit in (
+            ("scale_free_1k.vector_speedup", 2.0),
+            ("ring_1k.vector_speedup", 0.5),
+        ):
+            floor = floors[("csr", metric)]
+            assert floor.timing and floor.op == ">=" and floor.limit == limit
+        suites = {
+            "csr": {
+                "scale_free_200": {"identical": True},
+                "scale_free_1k": {
+                    "hub_utilisation": 0.5,
+                    "vector_identical": False,
+                    "vector_speedup": 3.0,
+                },
+                "scale_free_5k": {"scheduled": 3},
+                "ring_1k": {"vector_speedup": 0.4},
+            }
+        }
+        violated = {
+            v.floor.metric for v in verify_record(_fake_record(suites))
+        }
+        assert "scale_free_1k.vector_identical" in violated
+        assert "ring_1k.vector_speedup" in violated
+        assert "scale_free_1k.vector_speedup" not in violated
+
     def test_fault_history_ratio_floor_is_an_upper_bound(self):
         suites = {"failures": {"fault_history_ratio": 3.6}}
         (violation,) = verify_record(_fake_record(suites))

@@ -29,6 +29,24 @@ class TestAuxiliaryWeights:
         with pytest.raises(ConfigurationError):
             AuxiliaryWeights(reuse_discount=-0.1)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["alpha_bandwidth", "beta_latency", "gamma_congestion", "reuse_discount"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, field, value):
+        # `nan < 0` is False, so a sign test alone let NaN through and
+        # every lowered edge weight became NaN.
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            AuxiliaryWeights(**{field: value})
+
+
+class TestBuilderDemand:
+    @pytest.mark.parametrize("demand", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_invalid_demand_rejected(self, demand):
+        with pytest.raises(ConfigurationError, match="demand must be finite"):
+            AuxiliaryGraphBuilder(pair_net(), demand_gbps=demand)
+
 
 class TestEdgeWeight:
     def test_includes_latency_term(self):

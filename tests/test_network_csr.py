@@ -198,6 +198,15 @@ class TestWeightArrays:
         ):
             csr.weight_array(snapshot, ("latency",))
 
+    def test_nan_weight_raises(self, square_net):
+        # An aux token carrying a NaN coefficient (AuxiliaryWeights
+        # refuses one; the token is built by hand here) lowers to NaN on
+        # every edge, which `weights < 0` would have let through.
+        snapshot = csr.get_snapshot(square_net)
+        token = ("aux", 4.0, None, 1.0, float("nan"), 0.5, 0.01)
+        with pytest.raises(TopologyError, match="NaN edge weight nan on A->B"):
+            csr.weight_array(snapshot, token)
+
     def test_latency_and_hop_bit_equal_to_scalar(self, square_net):
         square_net.fail_link("B", "C")
         snapshot = csr.get_snapshot(square_net)

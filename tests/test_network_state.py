@@ -168,3 +168,56 @@ class TestGenerationBumping:
         assert square_net.has_reservations("t")
         square_net.release_owner("t")
         assert not square_net.has_reservations("t")
+
+    def test_has_reservations_tracks_per_direction_release(self, square_net):
+        square_net.reserve_edge("A", "B", 5.0, "t")
+        square_net.reserve_edge("B", "A", 5.0, "t")
+        square_net.link("A", "B").release("A", "B", "t")
+        assert square_net.has_reservations("t")  # B->A still held
+        square_net.link("A", "B").release("B", "A", "t")
+        assert not square_net.has_reservations("t")
+
+
+class TestReleaseOwnerIndex:
+    def _count_link_releases(self, monkeypatch):
+        from repro.network.link import Link
+
+        calls = []
+        original = Link.release_owner
+
+        def counting(link, owner):
+            calls.append((link.u, link.v))
+            return original(link, owner)
+
+        monkeypatch.setattr(Link, "release_owner", counting)
+        return calls
+
+    def test_touches_only_the_owners_links(self, square_net, monkeypatch):
+        square_net.reserve_edge("C", "D", 1.5, "t")
+        square_net.reserve_edge("A", "B", 2.25, "t")
+        square_net.reserve_edge("B", "C", 3.0, "other")
+        square_net.reserve_edge("D", "A", 4.0, "other")
+        calls = self._count_link_releases(monkeypatch)
+        assert square_net.release_owner("t") == 1.5 + 2.25
+        # Link insertion order (A-B before C-D), not reservation order.
+        assert calls == [("A", "B"), ("C", "D")]
+        assert not square_net.has_reservations("t")
+        assert square_net.has_reservations("other")
+        assert square_net.link("B", "C").used_gbps("B", "C") == 3.0
+
+    def test_total_sums_in_link_insertion_order(self, square_net):
+        rates = {("C", "D"): 1.0, ("D", "A"): 1.0, ("A", "B"): 1e16}
+        for (u, v), gbps in rates.items():
+            square_net.link(u, v).capacity_gbps = 2e16
+            square_net.reserve_edge(u, v, gbps, "t")
+        # Insertion order A-B, C-D, A-D sums (1e16 + 1.0) + 1.0; the
+        # reservation order (1.0 + 1.0) + 1e16 rounds differently.
+        assert square_net.release_owner("t") == (1e16 + 1.0) + 1.0
+        assert (1e16 + 1.0) + 1.0 != (1.0 + 1.0) + 1e16
+
+    def test_unknown_owner_releases_nothing(self, square_net, monkeypatch):
+        square_net.reserve_edge("A", "B", 5.0, "t")
+        calls = self._count_link_releases(monkeypatch)
+        released = square_net.release_owner("nobody")
+        assert released == 0.0 and type(released) is float
+        assert calls == []
