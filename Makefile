@@ -22,8 +22,9 @@ bench-verify:
 # The CSR routing-kernel suite alone (smoke workloads): N=200
 # byte-identity against the object-kernel reference, throughput/hub-
 # congestion probes, the vectorised-SSSP identity against the heap
-# kernel (N=1000 scale-free and the 1,000-node ring), and the N=5000
-# scale-free build-and-schedule smoke, then the floor gate.
+# kernel (N=1000 scale-free and the 1,000-node ring), batched
+# background-flow injection against per-flow object Dijkstra, and the
+# N=5000 scale-free build-and-schedule smoke, then the floor gate.
 bench-csr:
 	PYTHONPATH=src python -m repro.cli bench run --smoke --suite csr
 	PYTHONPATH=src python -m repro.cli bench verify
@@ -39,7 +40,7 @@ perfbench-smoke:
 properties:
 	HYPOTHESIS_PROFILE=ci python -m pytest \
 		tests/test_properties.py tests/test_routing_properties.py \
-		tests/test_csr_vector.py -q
+		tests/test_csr_vector.py tests/test_csr_point.py -q
 
 # A fast end-to-end sanity pass over the scenario machinery.
 smoke:

@@ -28,6 +28,13 @@ unified ``repro bench`` harness:
   scale-free graph is where the vectorised solve pays; the 1,000-node
   ring is its worst case (the sweep budget runs out and the source
   goes to the heap kernel), floored so it is never more than 2x slower.
+* ``scale_free_1k.inject_*`` — static background-flow injection on the
+  N=1000 hub fabric: :meth:`TrafficGenerator.inject_static` (one
+  batched CSR routing pass, snapshot build included) against a
+  benchmark-local reference that routes each flow with the object
+  kernel's Dijkstra and reserves it before drawing the next.  Flows
+  and every link's reservation ledger must be identical (shape); the
+  best-of-k wall times, sides interleaved, give the speedup (timing).
 
 ``repro bench verify`` gates the identity and speedup floors against
 the newest history record (see BASELINES.md).
@@ -49,13 +56,14 @@ from repro.network.auxiliary import AuxiliaryGraphBuilder
 from repro.network.csr import kernel
 from repro.network.graph import Network
 from repro.network.node import NodeKind
-from repro.network.paths import tree_from_metric_closure
+from repro.network.paths import dijkstra, latency_weight, tree_from_metric_closure
 from repro.network.state import node_utilisations
 from repro.network.topology import scale_free
 from repro.network.topology import build_topology
 from repro.sim.rng import RandomStreams
 from repro.tasks.aitask import AITask
 from repro.tasks.models import get_model
+from repro.traffic.generator import TrafficGenerator
 
 from benchmarks.conftest import run_once
 
@@ -65,6 +73,9 @@ DEMAND_GBPS = 4.0
 SPEEDUP_FLOOR = 5.0
 VECTOR_SPEEDUP_FLOOR = 2.0
 RING_SPEEDUP_FLOOR = 0.5
+INJECT_SPEEDUP_FLOOR = 2.0
+INJECT_FLOWS = 50
+INJECT_SEED = 42
 
 
 def _skip_timing(smoke: bool) -> bool:
@@ -336,6 +347,89 @@ def _vector_ring_1k(smoke: bool):
     return _vector_campaign(_ring(1000), smoke, RING_SPEEDUP_FLOOR)
 
 
+def _object_inject_static(network, seed, n_flows, rate_gbps=5.0):
+    """The reference injection: one object-kernel Dijkstra per flow.
+
+    Draws the generator's pairs and flow ids from the same stream and
+    routes and reserves each flow before drawing the next, as static
+    injection did before it routed on the CSR kernel.
+    """
+    rng = RandomStreams(seed).stream("traffic")
+    endpoints = network.node_names(NodeKind.ROUTER)
+    flows = []
+    for index in range(n_flows):
+        src, dst = rng.sample(endpoints, 2)
+        flow_id = f"bg-{index}"
+        try:
+            path = dijkstra(network, src, dst, latency_weight(network)).nodes
+        except NoPathError:
+            continue
+        rate = rate_gbps
+        for edge in zip(path, path[1:]):
+            rate = min(rate, network.residual_gbps(*edge))
+        if rate <= 1e-6:
+            continue
+        network.reserve_path(list(path), rate, flow_id)
+        flows.append((flow_id, path, rate))
+    return flows
+
+
+def _production_inject_static(network, seed, n_flows):
+    generator = TrafficGenerator(network, RandomStreams(seed))
+    return [
+        (flow.flow_id, flow.path, flow.rate_gbps)
+        for flow in generator.inject_static(n_flows)
+    ]
+
+
+def _ledger(network):
+    """Every link's per-direction, per-owner reservations."""
+    return [
+        (src, dst, list(link.reservations(src, dst)))
+        for link in network.links()
+        for src, dst in ((link.u, link.v), (link.v, link.u))
+    ]
+
+
+def _inject_campaign(smoke: bool):
+    """Batched background injection vs per-flow object Dijkstra at N=1000.
+
+    Each pass injects into a fresh copy of the fabric (copying is not
+    timed), so the production side pays its CSR snapshot build every
+    time; the two sides alternate so host drift hits both alike.
+    """
+    repeats = 1 if smoke else 7
+    base = scale_free(n_routers=1000, m_links=2, seed=1, servers_per_site=1)
+    sides = (_object_inject_static, _production_inject_static)
+    best = [math.inf, math.inf]
+    outcomes = [None, None]
+    for _ in range(repeats):
+        for i, inject in enumerate(sides):
+            network = base.copy_topology()
+            start = time.perf_counter()
+            flows = inject(network, INJECT_SEED, INJECT_FLOWS)
+            best[i] = min(best[i], time.perf_counter() - start)
+            outcome = (flows, _ledger(network))
+            assert outcomes[i] is None or outcomes[i] == outcome
+            outcomes[i] = outcome
+    identical = outcomes[0] == outcomes[1]
+    assert identical, "batched injection diverged from per-flow Dijkstra"
+    object_s, csr_s = best
+    speedup = object_s / csr_s if csr_s > 0 else float("inf")
+    if not _skip_timing(smoke):
+        assert speedup >= INJECT_SPEEDUP_FLOOR, (
+            f"batched injection {speedup:.2f}x per-flow object Dijkstra, "
+            f"below the {INJECT_SPEEDUP_FLOOR}x floor"
+        )
+    return {
+        "inject_flows": len(outcomes[1][0]),
+        "inject_object_ms": round(object_s * 1e3, 3),
+        "inject_csr_ms": round(csr_s * 1e3, 3),
+        "inject_speedup": round(speedup, 2),
+        "inject_identical": identical,
+    }
+
+
 @bench_suite("csr", headline="scale_free_200.speedup")
 def suite(smoke: bool = False) -> dict:
     """CSR kernel identity, throughput, and scale campaigns."""
@@ -344,6 +438,7 @@ def suite(smoke: bool = False) -> dict:
         "scale_free_1k": {
             **_hub_campaign(smoke),
             **_vector_scale_free_1k(smoke),
+            **_inject_campaign(smoke),
         },
         "scale_free_5k": _scale_campaign(smoke),
         "ring_1k": _vector_ring_1k(smoke),
@@ -373,3 +468,8 @@ def test_bench_csr_vector_scale_free_1k(benchmark):
 def test_bench_csr_vector_ring_1k(benchmark):
     """The ring gives up to the heap kernel and stays within 2x of it."""
     run_once(benchmark, _vector_ring_1k, SMOKE)
+
+
+def test_bench_csr_inject_scale_free_1k(benchmark):
+    """Batched background injection identical to and >= 2x per-flow Dijkstra."""
+    run_once(benchmark, _inject_campaign, SMOKE)

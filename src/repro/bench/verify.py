@@ -148,6 +148,10 @@ FLOORS: List[Floor] = [
         doc="vectorised SSSP bit-identical to the heap kernel at N=1000",
     ),
     Floor(
+        "csr", "scale_free_1k.inject_identical", 1,
+        doc="batched background flows identical to per-flow object Dijkstra",
+    ),
+    Floor(
         "traces", "identical", 1,
         doc="trace+SRLG replay byte-identical between serial and pool",
     ),
@@ -183,6 +187,10 @@ FLOORS: List[Floor] = [
     Floor(
         "csr", "ring_1k.vector_speedup", 0.5, timing=True,
         doc="worst-case ring: a sweep-budget give-up costs at most 2x",
+    ),
+    Floor(
+        "csr", "scale_free_1k.inject_speedup", 2.0, timing=True,
+        doc="50-flow background injection over per-flow object Dijkstra",
     ),
     Floor(
         "topologies", "clos.builds_per_s", 100.0, timing=True,

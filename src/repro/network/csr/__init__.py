@@ -35,14 +35,17 @@ Trees are array-backed
 is built unless a caller asks for the mapping views.
 
 Every scheduler routes through :class:`~repro.network.routing.PathCache`,
-which calls these entry points; numpy is a hard dependency.  A weight
-spec whose token the builders cannot lower is an error
-(:class:`~repro.errors.TopologyError`), never a silent detour onto the
-object kernel.  That kernel stays as the reference oracle the
+which calls these entry points; numpy is a hard dependency.  One-shot
+point-to-point routes that nobody looks up again — background-traffic
+injection and optical grooming's default lightpaths — bypass the cache
+through :func:`~repro.network.csr.kernel.shortest_paths_csr`, which
+answers a whole batch of pairs from one snapshot and one weight
+lowering.  A weight spec whose token the builders cannot lower is an
+error (:class:`~repro.errors.TopologyError`), never a silent detour onto
+the object kernel.  That kernel stays as the reference oracle the
 equivalence tests and benchmarks compare against, for Yen's control
 flow (which runs over this package's array searches), and for the
-callers outside the schedulers' path: background-traffic injection,
-optical grooming and the Steiner heuristics.
+Steiner heuristics' exact two-terminal shortcut.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .kernel import (
     array_edge_weight,
     array_search,
     k_shortest_paths_csr,
+    shortest_paths_csr,
     sssp_csr,
     sssp_tree,
     terminal_tree_csr,
@@ -66,6 +70,7 @@ __all__ = [
     "get_snapshot",
     "k_shortest_paths_csr",
     "peek_snapshot",
+    "shortest_paths_csr",
     "sssp_csr",
     "sssp_tree",
     "terminal_tree_csr",

@@ -88,7 +88,7 @@ from __future__ import annotations
 import heapq
 import math
 from functools import partial
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -548,6 +548,43 @@ def sssp_csr(network: Network, source: str, spec) -> ShortestPathTree:
     """Uncached CSR single-source tree."""
     snapshot, array, weights = _snapshot_and_weights(network, spec)
     return sssp_tree(snapshot, source, weights, array)
+
+
+def shortest_paths_csr(
+    network: Network, pairs: Sequence[Tuple[str, str]], spec
+) -> List[Union[PathResult, NoPathError]]:
+    """Uncached point-to-point paths for a batch of ``(source, destination)``.
+
+    One snapshot and one weight lowering serve the whole batch, so route
+    every pair before acting on any answer that could move the weights.
+    Each pair is one early-exit solve (see :func:`_solve`), its path
+    bit-identical to :func:`~repro.network.paths.dijkstra` under
+    ``spec.weight_fn()``.  An unreachable pair's slot holds the
+    :class:`~repro.errors.NoPathError` ``dijkstra`` raises for it (the
+    caller raises or skips it); an unknown node raises ``dijkstra``'s
+    :class:`~repro.errors.TopologyError` before any pair is solved.
+    """
+    snapshot, array, weights = _snapshot_and_weights(network, spec)
+    ends = [
+        (_source_index(snapshot, source), _source_index(snapshot, destination))
+        for source, destination in pairs
+    ]
+    results: List[Union[PathResult, NoPathError]] = []
+    for (source, destination), (source_i, target_i) in zip(pairs, ends):
+        targets = bytearray(snapshot.n)
+        targets[target_i] = 1
+        dist, prev, _order = _solve(
+            snapshot, source_i, weights, array, targets=targets, n_targets=1
+        )
+        try:
+            results.append(
+                _extract_path(
+                    snapshot, source, destination, dist, prev, target_i
+                )
+            )
+        except NoPathError as exc:
+            results.append(exc)
+    return results
 
 
 def terminal_tree_csr(

@@ -264,10 +264,13 @@ class Link:
         Repeated reservations by the same owner accumulate.
 
         Raises:
+            ConfigurationError: if ``gbps`` is not finite and positive.
             CapacityError: if the reservation would exceed capacity.
         """
-        if gbps <= 0:
-            raise ConfigurationError(f"reservation must be > 0 Gbps, got {gbps}")
+        if not (math.isfinite(gbps) and gbps > 0):
+            raise ConfigurationError(
+                f"reservation must be finite and > 0 Gbps, got {gbps}"
+            )
         if self.failed:
             raise CapacityError(
                 f"link {self.u}-{self.v} is failed; cannot reserve"

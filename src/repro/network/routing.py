@@ -36,7 +36,10 @@ builders lower it to an array), ``shareable()`` saying whether anyone
 else will ever look the token up, and ``weight_fn()`` for the scalar
 view.  :class:`~repro.network.auxiliary.AuxiliaryGraphBuilder`
 implements it natively; :class:`LatencyWeightSpec` / :class:`HopWeightSpec`
-wrap the plain weights.  The object kernel (:func:`sssp` here and
+wrap the plain weights.  One-shot point-to-point routes (background
+traffic, default lightpaths) skip the cache and go straight to
+:func:`repro.network.csr.shortest_paths_csr`, so they never crowd out
+the schedulers' entries.  The object kernel (:func:`sssp` here and
 :mod:`repro.network.paths`) is not on this path; it remains the
 reference oracle the equivalence tests and benchmarks compare against.
 """

@@ -17,9 +17,10 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence
 
-from ..errors import CapacityError
+from ..errors import CapacityError, NoPathError
+from ..network import csr
 from ..network.graph import Network
-from ..network.paths import dijkstra, latency_weight
+from ..network.routing import LatencyWeightSpec
 from .lightpath import Lightpath
 from .roadm import RoadmPorts
 from .wavelength import AssignmentPolicy, WDMGrid
@@ -87,11 +88,17 @@ class GroomingLayer:
             path: explicit route; defaults to the latency-shortest path.
 
         Raises:
+            NoPathError: no live route from ``src`` to ``dst``.
             WavelengthError: no continuity-feasible channel.
             CapacityError: no free add/drop port at an endpoint.
         """
         if path is None:
-            path = dijkstra(self._network, src, dst, latency_weight(self._network)).nodes
+            (route,) = csr.shortest_paths_csr(
+                self._network, [(src, dst)], LatencyWeightSpec(self._network)
+            )
+            if isinstance(route, NoPathError):
+                raise route
+            path = route.nodes
         channel = self._grid.assign(path, self._policy, self._rng)
         lp = Lightpath(
             path=tuple(path), channel=channel, capacity_gbps=self._grid.channel_gbps

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError, NoPathError
+from ..network import csr
 from ..network.graph import Network
 from ..network.node import NodeKind
-from ..network.paths import dijkstra, latency_weight
+from ..network.paths import PathResult
+from ..network.routing import LatencyWeightSpec
 from ..sim.engine import Simulator
 from ..sim.process import Process
 from ..sim.rng import RandomStreams
@@ -40,8 +43,10 @@ class TrafficGenerator:
         *,
         rate_gbps: float = 5.0,
     ) -> None:
-        if rate_gbps <= 0:
-            raise ConfigurationError(f"rate must be > 0 Gbps, got {rate_gbps}")
+        if not (math.isfinite(rate_gbps) and rate_gbps > 0):
+            raise ConfigurationError(
+                f"rate must be finite and > 0 Gbps, got {rate_gbps}"
+            )
         self._network = network
         self._rng = (streams or RandomStreams(0)).stream("traffic")
         self._rate = rate_gbps
@@ -70,16 +75,26 @@ class TrafficGenerator:
             return leaves
         return self._network.node_names()
 
-    def _inject_one(self) -> Optional[BackgroundFlow]:
-        endpoints = self._endpoints()
+    def _draw(self, endpoints: Sequence[str]) -> Tuple[str, str, str]:
+        """One flow's ``(src, dst, flow_id)``; ids are consumed even if blocked."""
         src, dst = self._rng.sample(endpoints, 2)
-        flow_id = f"bg-{next(self._counter)}"
-        try:
-            path = dijkstra(
-                self._network, src, dst, latency_weight(self._network)
-            ).nodes
-        except NoPathError:
+        return src, dst, f"bg-{next(self._counter)}"
+
+    def _route(
+        self, pairs: Sequence[Tuple[str, str]]
+    ) -> List[Union[PathResult, NoPathError]]:
+        """Latency-shortest paths for every pair, from one weight lowering."""
+        return csr.shortest_paths_csr(
+            self._network, pairs, LatencyWeightSpec(self._network)
+        )
+
+    def _pin(
+        self, flow_id: str, route: Union[PathResult, NoPathError]
+    ) -> Optional[BackgroundFlow]:
+        """Reserve the routed flow at its path's residual, capped at the rate."""
+        if isinstance(route, NoPathError):
             return None
+        path = route.nodes
         rate = self._rate
         for edge in zip(path, path[1:]):
             rate = min(rate, self._network.residual_gbps(*edge))
@@ -91,19 +106,40 @@ class TrafficGenerator:
         self._injected += 1
         return flow
 
+    def _inject_one(self) -> Optional[BackgroundFlow]:
+        src, dst, flow_id = self._draw(self._endpoints())
+        (route,) = self._route([(src, dst)])
+        return self._pin(flow_id, route)
+
     def inject_static(self, n_flows: int) -> List[BackgroundFlow]:
         """Inject up to ``n_flows`` persistent flows (skips blocked pairs).
+
+        Every pair and flow id is drawn first and all pairs are routed
+        in one batch, then the flows are reserved in draw order.  That
+        equals routing and reserving one flow at a time: latency weights
+        read only link latency and failure state, which a reservation
+        leaves alone, while each rate still reads the residuals the
+        earlier flows left.
 
         Returns:
             The flows actually injected.
         """
         if n_flows < 0:
             raise ConfigurationError(f"n_flows must be >= 0, got {n_flows}")
+        endpoints = self._endpoints()
+        draws = [self._draw(endpoints) for _ in range(n_flows)]
+        if not draws:
+            return []
+        version = self._network.topology_version
+        routes = self._route([(src, dst) for src, dst, _flow_id in draws])
         injected = []
-        for _ in range(n_flows):
-            flow = self._inject_one()
+        for (_src, _dst, flow_id), route in zip(draws, routes):
+            flow = self._pin(flow_id, route)
             if flow is not None:
                 injected.append(flow)
+        assert self._network.topology_version == version, (
+            "the topology changed under a batch of routed background flows"
+        )
         return injected
 
     def remove_flow(self, flow_id: str) -> float:

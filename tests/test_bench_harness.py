@@ -298,6 +298,40 @@ class TestVerify:
         assert "ring_1k.vector_speedup" in violated
         assert "scale_free_1k.vector_speedup" not in violated
 
+    def test_background_injection_floors(self):
+        floors = {(f.suite, f.metric): f for f in FLOORS}
+        identical = floors[("csr", "scale_free_1k.inject_identical")]
+        assert not identical.timing and identical.limit == 1
+        speedup = floors[("csr", "scale_free_1k.inject_speedup")]
+        assert speedup.timing and speedup.op == ">=" and speedup.limit == 2.0
+        suites = {
+            "csr": {
+                "scale_free_200": {"identical": True},
+                "scale_free_1k": {
+                    "hub_utilisation": 0.5,
+                    "vector_identical": True,
+                    "inject_identical": False,
+                    "inject_speedup": 1.5,
+                },
+                "scale_free_5k": {"scheduled": 3},
+            }
+        }
+        violated = {
+            v.floor.metric for v in verify_record(_fake_record(suites))
+        }
+        assert "scale_free_1k.inject_identical" in violated
+        assert "scale_free_1k.inject_speedup" in violated
+        suites["csr"]["scale_free_1k"].update(
+            inject_identical=True, inject_speedup=3.5
+        )
+        violated = {
+            v.floor.metric for v in verify_record(_fake_record(suites))
+        }
+        assert not violated & {
+            "scale_free_1k.inject_identical",
+            "scale_free_1k.inject_speedup",
+        }
+
     def test_fault_history_ratio_floor_is_an_upper_bound(self):
         suites = {"failures": {"fault_history_ratio": 3.6}}
         (violation,) = verify_record(_fake_record(suites))

@@ -57,6 +57,16 @@ class TestNonFiniteRejected:
         assert link.capacity_gbps == 100.0
         assert link.residual_gbps("u", "v") == 100.0
 
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    def test_reserve(self, value):
+        link = make_link()
+        generation = link.generation
+        with pytest.raises(ConfigurationError, match="must be finite and > 0"):
+            link.reserve("u", "v", value, "task-a")
+        assert link.used_gbps("u", "v") == 0.0
+        assert not link.holds("task-a")
+        assert link.generation == generation
+
 
 class TestReservations:
     def test_directions_are_independent(self):

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.errors import CapacityError, WavelengthError
+from repro.errors import CapacityError, NoPathError, WavelengthError
 from repro.network.graph import Network
+from repro.network.node import NodeKind
+from repro.network.paths import dijkstra, latency_weight
+from repro.network.topology import nsfnet
 from repro.optical.grooming import GroomingLayer
 from repro.optical.roadm import RoadmPorts
 from repro.optical.wavelength import WDMGrid
@@ -135,3 +138,35 @@ class TestMetrics:
         layer.groom_demand("d1", "x", "y", 30.0)  # 2 hops
         layer.groom_demand("d2", "x", "m", 30.0)  # 1 hop
         assert layer.lit_wavelength_hops == 3
+
+
+class TestDefaultRoute:
+    """The default lightpath is the object kernel's latency-shortest path."""
+
+    @pytest.mark.parametrize("failed", [False, True])
+    def test_equals_object_dijkstra(self, failed):
+        net = nsfnet()
+        if failed:
+            for u, v in net.inter_switch_links()[::4]:
+                net.fail_link(u, v)
+        layer = make_layer(net, n_wavelengths=64)
+        routers = net.node_names(NodeKind.ROUTER)
+        for src, dst in zip(routers, routers[5:] + routers[:5]):
+            try:
+                expected = dijkstra(net, src, dst, latency_weight(net)).nodes
+            except NoPathError:
+                with pytest.raises(NoPathError):
+                    layer.establish(src, dst)
+                continue
+            assert layer.establish(src, dst).path == expected
+
+    def test_unreachable_raises_no_path(self):
+        net = Network()
+        for name in ("a", "b", "c"):
+            net.add_node(name)
+        net.add_link("a", "b", 400.0)
+        layer = make_layer(net)
+        with pytest.raises(NoPathError) as info:
+            layer.establish("a", "c")
+        assert (info.value.source, info.value.destination) == ("a", "c")
+        assert layer.lightpaths == []
