@@ -40,7 +40,8 @@ perfbench-smoke:
 properties:
 	HYPOTHESIS_PROFILE=ci python -m pytest \
 		tests/test_properties.py tests/test_routing_properties.py \
-		tests/test_csr_vector.py tests/test_csr_point.py -q
+		tests/test_csr_vector.py tests/test_csr_point.py \
+		tests/test_network_steiner.py -q
 
 # A fast end-to-end sanity pass over the scenario machinery.
 smoke:

@@ -1,11 +1,14 @@
 """Micro-benchmarks of the algorithmic kernels.
 
 These time the primitives every experiment leans on — shortest paths,
-terminal-tree construction, and one end-to-end schedule of each
-scheduler — so performance regressions in the kernels show up without
-running a full figure sweep.  The registered suite reports per-primitive
-milliseconds into ``BENCH_HISTORY.jsonl``; smoke mode drops the repeat
-count.
+Yen's k-shortest paths, terminal-tree construction, and one end-to-end
+schedule of each scheduler — so performance regressions in the kernels
+show up without running a full figure sweep.  The routing primitives
+are the production CSR kernel's uncached entry points under latency
+weights, so every repeat recomputes (snapshot refresh and weight
+lowering included) instead of hitting a path cache.  The registered
+suite reports per-primitive milliseconds into ``BENCH_HISTORY.jsonl``;
+smoke mode drops the repeat count.
 """
 
 import time
@@ -15,7 +18,8 @@ import pytest
 from repro.bench import bench_suite
 from repro.core.fixed import FixedScheduler
 from repro.core.flexible import FlexibleScheduler
-from repro.network.paths import dijkstra, k_shortest_paths, terminal_tree
+from repro.network import csr
+from repro.network.routing import LatencyWeightSpec
 from repro.network.topology import metro_mesh, random_geometric
 from repro.tasks.aitask import AITask
 from repro.tasks.models import get_model
@@ -31,6 +35,23 @@ def mesh():
     return metro_mesh(n_sites=16, servers_per_site=2)
 
 
+def shortest_path(net, source, destination):
+    (result,) = csr.shortest_paths_csr(
+        net, [(source, destination)], LatencyWeightSpec(net)
+    )
+    return result
+
+
+def k_shortest_paths(net, source, destination, k):
+    return csr.k_shortest_paths_csr(
+        net, source, destination, k, LatencyWeightSpec(net)
+    )
+
+
+def terminal_tree(net, root, terminals):
+    return csr.terminal_tree_csr(net, root, terminals, LatencyWeightSpec(net))
+
+
 def make_task(net, n_locals, demand=10.0):
     servers = net.servers()
     return AITask(
@@ -44,7 +65,7 @@ def make_task(net, n_locals, demand=10.0):
 
 @bench_suite("algorithms", headline="flexible_schedule_ms")
 def suite(smoke: bool = False) -> dict:
-    """Kernel micro-benchmarks: Dijkstra, Yen, terminal trees, schedules."""
+    """Kernel micro-benchmarks: CSR Dijkstra, Yen, terminal trees, schedules."""
     rounds = 3 if smoke else 25
     large_net = random_geometric(60, seed=5, servers_per_site=1)
     mesh = metro_mesh(n_sites=16, servers_per_site=2)
@@ -58,7 +79,7 @@ def suite(smoke: bool = False) -> dict:
             fn()
         return round(1_000.0 * (time.perf_counter() - start) / rounds, 4)
 
-    path = dijkstra(large_net, servers[0], servers[-1])
+    path = shortest_path(large_net, servers[0], servers[-1])
     assert path.nodes[0] == servers[0]
     assert len(k_shortest_paths(large_net, servers[0], servers[-1], 4)) >= 1
     tree = terminal_tree(large_net, servers[0], servers[1:11])
@@ -68,7 +89,7 @@ def suite(smoke: bool = False) -> dict:
     return {
         "rounds": rounds,
         "dijkstra_ms": timed_ms(
-            lambda: dijkstra(large_net, servers[0], servers[-1])
+            lambda: shortest_path(large_net, servers[0], servers[-1])
         ),
         "yen_k4_ms": timed_ms(
             lambda: k_shortest_paths(large_net, servers[0], servers[-1], 4)
@@ -87,7 +108,7 @@ def suite(smoke: bool = False) -> dict:
 
 def test_dijkstra_60_nodes(benchmark, large_net):
     servers = large_net.servers()
-    result = benchmark(dijkstra, large_net, servers[0], servers[-1])
+    result = benchmark(shortest_path, large_net, servers[0], servers[-1])
     assert result.nodes[0] == servers[0]
 
 

@@ -7,7 +7,7 @@ unified ``repro bench`` harness:
   schedule/release loop run by the production scheduler (the CSR kernel
   behind the epoch-keyed :class:`PathCache`) and by a benchmark-local
   reference, :class:`ObjectOracleScheduler`, which builds every tree
-  with the uncached object kernel.  It asserts the schedules are
+  with the uncached object-graph oracle (``tests/oracle.py``).  It asserts the schedules are
   byte-identical (the kernel's contract, asserted always) and that
   production clears the 5x throughput floor over the reference (timing,
   skipped on smoke records).  Wall clocks are best-of-three per side —
@@ -31,8 +31,8 @@ unified ``repro bench`` harness:
 * ``scale_free_1k.inject_*`` — static background-flow injection on the
   N=1000 hub fabric: :meth:`TrafficGenerator.inject_static` (one
   batched CSR routing pass, snapshot build included) against a
-  benchmark-local reference that routes each flow with the object
-  kernel's Dijkstra and reserves it before drawing the next.  Flows
+  reference that routes each flow with the oracle's object Dijkstra
+  and reserves it before drawing the next.  Flows
   and every link's reservation ledger must be identical (shape); the
   best-of-k wall times, sides interleaved, give the speedup (timing).
 
@@ -56,7 +56,7 @@ from repro.network.auxiliary import AuxiliaryGraphBuilder
 from repro.network.csr import kernel
 from repro.network.graph import Network
 from repro.network.node import NodeKind
-from repro.network.paths import dijkstra, latency_weight, tree_from_metric_closure
+from repro.network.paths import latency_weight
 from repro.network.state import node_utilisations
 from repro.network.topology import scale_free
 from repro.network.topology import build_topology
@@ -66,6 +66,7 @@ from repro.tasks.models import get_model
 from repro.traffic.generator import TrafficGenerator
 
 from benchmarks.conftest import run_once
+from tests.oracle import ObjectOracleCache, dijkstra
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
@@ -102,13 +103,13 @@ def _workload(network, n_tasks, n_locals, seed=7, demand=DEMAND_GBPS):
 
 
 class ObjectOracleScheduler(FlexibleScheduler):
-    """The reference side: every tree from the uncached object kernel.
+    """The reference side: every tree from the uncached object oracle.
 
-    One :func:`repro.network.routing.sssp` per terminal (except the
-    last) over the auxiliary builder's scalar weight function, then the
-    shared :func:`~repro.network.paths.tree_from_metric_closure`
-    finisher — the construction the production path must reproduce byte
-    for byte.
+    The oracle's terminal tree runs one object-graph SSSP per terminal
+    (except the last) over the auxiliary builder's scalar weight
+    function, then the shared
+    :func:`~repro.network.paths.tree_from_metric_closure` finisher — the
+    construction the production path must reproduce byte for byte.
     """
 
     def _build_tree(self, task, network):
@@ -118,19 +119,12 @@ class ObjectOracleScheduler(FlexibleScheduler):
             owner=task.task_id,
             weights=self.weights,
         )
-        weight = builder.weight_fn()
-        terminals = list(dict.fromkeys([task.global_node, *task.local_nodes]))
-        closure = {}
         try:
-            for i, a in enumerate(terminals[:-1]):
-                tree = routing.sssp(network, a, weight)
-                for b in terminals[i + 1 :]:
-                    closure[(a, b)] = tree.path_to(b)
+            return ObjectOracleCache(network).terminal_tree(
+                task.global_node, task.local_nodes, builder
+            )
         except NoPathError as exc:
             raise SchedulingError(f"task {task.task_id!r}: {exc}") from exc
-        return tree_from_metric_closure(
-            task.global_node, terminals, closure, weight
-        )
 
 
 def _campaign(n_routers, n_tasks, n_locals, scheduler_cls):
@@ -348,7 +342,7 @@ def _vector_ring_1k(smoke: bool):
 
 
 def _object_inject_static(network, seed, n_flows, rate_gbps=5.0):
-    """The reference injection: one object-kernel Dijkstra per flow.
+    """The reference injection: one oracle object Dijkstra per flow.
 
     Draws the generator's pairs and flow ids from the same stream and
     routes and reserves each flow before drawing the next, as static

@@ -64,17 +64,13 @@ from .network import (
     NetworkState,
     Node,
     NodeKind,
-    dijkstra,
-    k_shortest_paths,
     metro_mesh,
     fat_tree,
     metro_ring,
-    minimum_spanning_tree,
     nsfnet,
     random_geometric,
     scale_free,
     spine_leaf,
-    terminal_tree,
     toy_triangle,
 )
 from .orchestrator import Orchestrator, build_servers_for, run_scenario
@@ -141,10 +137,6 @@ __all__ = [
     "NetworkState",
     "AuxiliaryGraphBuilder",
     "AuxiliaryWeights",
-    "dijkstra",
-    "k_shortest_paths",
-    "minimum_spanning_tree",
-    "terminal_tree",
     "toy_triangle",
     "metro_ring",
     "metro_mesh",

@@ -252,7 +252,7 @@ def run_optimality_gap(
     2(1 − 1/k) bound — evidence that the poster's MST construction is
     near-optimal on realistic metro fabrics, not just "a heuristic".
     """
-    from ..network.paths import latency_weight, terminal_tree
+    from ..network.routing import LatencyWeightSpec, get_cache
     from ..network.steiner import steiner_tree_cost
 
     if n_samples < 1:
@@ -270,14 +270,15 @@ def run_optimality_gap(
         description="terminal-MST weight vs exact Steiner optimum",
         parameters={"n_samples": n_samples, "seed": seed},
     )
-    weight = latency_weight(network)
+    spec = LatencyWeightSpec(network)
+    cache = get_cache(network)
     rng = RandomStreams(seed).stream("optgap")
     for n_locals in n_locals_values:
         gaps: List[float] = []
         for _ in range(n_samples):
             terminals = rng.sample(servers, n_locals + 1)
-            optimum = steiner_tree_cost(network, terminals, weight)
-            tree = terminal_tree(network, terminals[0], terminals[1:], weight)
+            optimum = steiner_tree_cost(network, terminals, spec)
+            tree = cache.terminal_tree(terminals[0], terminals[1:], spec)
             gaps.append(tree.weight / optimum if optimum > 0 else 1.0)
         k = n_locals + 1
         result.add(

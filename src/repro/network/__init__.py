@@ -3,10 +3,10 @@
 This package models the data plane the paper's testbed provides physically:
 ROADM/IP-router/server nodes connected by capacitated fibre links.  On top
 of the topology it implements the routing machinery both schedulers need —
-shortest paths (Dijkstra), k-shortest paths (Yen), minimum spanning trees
-(Prim/Kruskal), terminal trees on the metric closure (the MST construction
-of the paper's flexible scheduler), and the per-procedure auxiliary graphs
-whose weights blend bandwidth consumption with latency.
+one CSR routing kernel behind an epoch-keyed path cache (shortest paths,
+Yen's k-shortest paths, terminal trees on the metric closure: the MST
+construction of the paper's flexible scheduler), and the per-procedure
+auxiliary graphs whose weights blend bandwidth consumption with latency.
 """
 
 from .auxiliary import AuxiliaryGraphBuilder, AuxiliaryWeights
@@ -16,11 +16,7 @@ from .node import Node, NodeKind
 from .paths import (
     PathResult,
     TreeResult,
-    dijkstra,
-    k_shortest_paths,
-    minimum_spanning_tree,
     path_latency_ms,
-    terminal_tree,
 )
 from .routing import (
     CacheStats,
@@ -29,9 +25,7 @@ from .routing import (
     PathCache,
     ShortestPathTree,
     get_cache,
-    multi_source_distances,
     peek_cache,
-    sssp,
 )
 from .state import LinkUtilisation, NetworkState
 from .topology import (
@@ -56,11 +50,7 @@ __all__ = [
     "NodeKind",
     "PathResult",
     "TreeResult",
-    "dijkstra",
-    "k_shortest_paths",
-    "minimum_spanning_tree",
     "path_latency_ms",
-    "terminal_tree",
     "MutationEpoch",
     "CacheStats",
     "HopWeightSpec",
@@ -68,9 +58,7 @@ __all__ = [
     "PathCache",
     "ShortestPathTree",
     "get_cache",
-    "multi_source_distances",
     "peek_cache",
-    "sssp",
     "LinkUtilisation",
     "NetworkState",
     "dumbbell",

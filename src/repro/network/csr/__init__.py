@@ -1,10 +1,11 @@
 """Array-native CSR routing kernel: the one production routing path.
 
-The object-graph kernel (:mod:`repro.network.paths`) traverses ``Link``
-objects through dict lookups and per-edge weight closures; at N=200 that
-Python overhead — not algorithmic redundancy — dominates schedule time.
-This package mirrors the topology into flat arrays once per
-``Network.topology_version`` and runs the same algorithms over them:
+An object-graph search (the reference oracle in ``tests/oracle.py``)
+traverses ``Link`` objects through dict lookups and per-edge weight
+closures; at N=200 that Python overhead — not algorithmic redundancy —
+dominates schedule time.  This package mirrors the topology into flat
+arrays once per ``Network.topology_version`` and runs the same
+algorithms over them:
 
 * :mod:`~repro.network.csr.snapshot` — the CSR adjacency snapshot
   (``indptr``/``indices`` plus numpy per-edge state arrays) with a
@@ -16,7 +17,7 @@ This package mirrors the topology into flat arrays once per
   token to vectorised per-edge weight arrays;
 * :mod:`~repro.network.csr.kernel` — array Dijkstra/SSSP and Yen's
   k-shortest-paths whose relaxation order, tie-breaking counter, and
-  ``1e-15`` epsilon mirror the object kernel exactly, so results are
+  ``1e-15`` epsilon mirror the oracle's heap loop exactly, so results are
   byte-identical, plus the incremental-repair change-cut check that lets
   cached trees survive link deltas without recomputation.
 
@@ -42,10 +43,12 @@ through :func:`~repro.network.csr.kernel.shortest_paths_csr`, which
 answers a whole batch of pairs from one snapshot and one weight
 lowering.  A weight spec whose token the builders cannot lower is an
 error (:class:`~repro.errors.TopologyError`), never a silent detour onto
-the object kernel.  That kernel stays as the reference oracle the
-equivalence tests and benchmarks compare against, for Yen's control
-flow (which runs over this package's array searches), and for the
-Steiner heuristics' exact two-terminal shortcut.
+another kernel: this is the only routing kernel in the package.  Yen's
+control flow (:func:`repro.network.paths.k_shortest_paths`) runs over
+this package's array searches, and the exact Steiner cost
+(:mod:`repro.network.steiner`) reads its trees through the path cache.
+The object-graph reference the equivalence tests and benchmarks
+compare against lives in ``tests/oracle.py``.
 """
 
 from __future__ import annotations

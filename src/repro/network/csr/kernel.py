@@ -1,20 +1,19 @@
 """Array-native Dijkstra/SSSP, Yen, and the incremental-repair check.
 
-The relaxation loop :func:`_run` is the object kernel's
-(:func:`repro.network.paths.dijkstra` / :func:`repro.network.routing.sssp`)
+The relaxation loop :func:`_run` is the reference oracle's object-graph
+heap loop (``sssp`` in ``tests/oracle.py``, kept out of the package)
 transliterated onto CSR index arrays: same heap entries ``(distance,
 tick, node)`` with the same monotone tick sequence, same ``1e-15``
 relaxation epsilon, same neighbour iteration order (CSR rows are built
-in adjacency insertion order).  The object kernel's per-edge
-infinite-weight skip is subsumed by the relaxation test and its
-negative-weight raise moves to
-:func:`~repro.network.csr.weights.weight_array`, which only ever hands
-this loop values in ``[0, +inf]`` (a +inf edge can never beat an
-incumbent).  Because ties are broken by the tick counter and
-both kernels push in the same order with the same float64 values, the
+in adjacency insertion order).  The oracle's per-edge infinite-weight
+skip is subsumed by the relaxation test and its negative-weight raise
+moves to :func:`~repro.network.csr.weights.weight_array`, which only
+ever hands this loop values in ``[0, +inf]`` (a +inf edge can never
+beat an incumbent).  Because ties are broken by the tick counter and
+both loops push in the same order with the same float64 values, the
 settled order, distances, and predecessors are *bit-identical* — which
-is what lets the object kernel serve as the reference oracle the
-equivalence tests and benchmarks check this one against.
+is what lets the oracle serve as the reference the equivalence tests
+and benchmarks check this kernel against.
 
 Tie-break contract
 ------------------
@@ -134,7 +133,7 @@ def _run(
 
     Returns ``(dist, prev, order, settled)`` with ``order`` listing node
     indices in first-discovery order (source first) — the same order the
-    object kernel inserts keys into its result dicts.
+    reference oracle inserts keys into its result dicts.
 
     ``targets``/``n_targets`` allow a multi-target early exit: the loop
     stops once every flagged node is settled.  Settled entries are
@@ -154,7 +153,7 @@ def _run(
     push = heapq.heappush
     banned = ban_nodes is not None
     # weight_array guarantees entries in [0, +inf] (it refuses to lower
-    # anything negative), so the object kernel's isinf() skip and
+    # anything negative), so the oracle loop's isinf() skip and
     # negative-weight raise are both subsumed by the relaxation test:
     # a +inf edge yields nd = inf, which never beats any incumbent.
     while frontier:
@@ -423,8 +422,8 @@ def _solve(
 def _source_index(snapshot: CsrSnapshot, source: str) -> int:
     index = snapshot.index.get(source)
     if index is None:
-        # Raise the same TopologyError the object kernel's node lookup
-        # does (the snapshot covers every node of its version).
+        # Raise the same TopologyError the network's node lookup does
+        # (the snapshot covers every node of its version).
         snapshot.network.node(source)
         raise TopologyError(f"node {source!r} missing from CSR snapshot")
     return index
@@ -558,10 +557,11 @@ def shortest_paths_csr(
     One snapshot and one weight lowering serve the whole batch, so route
     every pair before acting on any answer that could move the weights.
     Each pair is one early-exit solve (see :func:`_solve`), its path
-    bit-identical to :func:`~repro.network.paths.dijkstra` under
-    ``spec.weight_fn()``.  An unreachable pair's slot holds the
-    :class:`~repro.errors.NoPathError` ``dijkstra`` raises for it (the
-    caller raises or skips it); an unknown node raises ``dijkstra``'s
+    bit-identical to the reference oracle's object Dijkstra
+    (``tests/oracle.py``) under ``spec.weight_fn()``.  An unreachable
+    pair's slot holds the :class:`~repro.errors.NoPathError` a
+    point-to-point query raises for it (the caller raises or skips it);
+    an unknown node raises the network's
     :class:`~repro.errors.TopologyError` before any pair is solved.
     """
     snapshot, array, weights = _snapshot_and_weights(network, spec)
@@ -590,12 +590,16 @@ def shortest_paths_csr(
 def terminal_tree_csr(
     network: Network, root: str, terminals: Sequence[str], spec
 ) -> TreeResult:
-    """Uncached CSR terminal tree, byte-identical to ``paths.terminal_tree``.
+    """Uncached CSR terminal tree, byte-identical to the cached one.
 
-    One array SSSP per terminal (except the last) replaces the object
-    construction's per-pair Dijkstras; the closure feeds the shared
-    :func:`~repro.network.paths.tree_from_metric_closure` finisher.
+    One array solve per terminal (except the last), stopping once the
+    later terminals are settled, builds the metric closure; it feeds the
+    shared :func:`~repro.network.paths.tree_from_metric_closure`
+    finisher.  An unknown root raises the network's
+    :class:`~repro.errors.TopologyError` even when it is the only
+    terminal.
     """
+    network.node(root)
     terminal_list = list(dict.fromkeys([root, *terminals]))
     if len(terminal_list) == 1:
         return TreeResult(root=root, parent={}, weight=0.0)
@@ -631,10 +635,10 @@ def array_search(snapshot: CsrSnapshot, weights: List[float]):
     """A Yen ``search`` hook backed by the array kernel.
 
     Each call is an early-exit point-to-point query, bit-identical to
-    :func:`~repro.network.paths.dijkstra` under the same bans.  Bans
-    arrive as the object algorithm's name/edge sets; they are interned
-    to index form per spur search (spur path lengths dwarf the interning
-    cost).
+    the reference oracle's ban-aware object search (``tests/oracle.py``)
+    under the same bans.  Bans arrive as Yen's name/edge sets; they are
+    interned to index form per spur search (spur path lengths dwarf the
+    interning cost).
     """
     index = snapshot.index
     edge_pos = snapshot.edge_pos
@@ -681,10 +685,9 @@ def array_edge_weight(snapshot: CsrSnapshot, weights: List[float]):
 def k_shortest_paths_csr(
     network: Network, source: str, destination: str, k: int, spec
 ) -> List[PathResult]:
-    """Uncached CSR Yen: the object control flow over array searches."""
+    """Uncached CSR Yen: the shared control flow over array searches."""
     snapshot, _array, weights = _snapshot_and_weights(network, spec)
     return _yen(
-        network,
         source,
         destination,
         k,

@@ -5,8 +5,8 @@ A :class:`CsrSnapshot` is a flat mirror of one
 
 * **structure** — ``indptr``/``indices`` in compressed-sparse-row form
   over node indices, interned from node names in insertion order so the
-  array kernel's neighbour iteration order matches the object kernel's
-  adjacency order exactly (the byte-identity contract depends on it);
+  array kernel's neighbour iteration order matches ``Network.neighbors``
+  (the reference oracle's order) exactly (the byte-identity contract depends on it);
 * **per-edge state overlay** — numpy arrays (``latency``, ``capacity``,
   ``used``, ``failed``) indexed by directed-edge position, from which
   weight arrays are vectorised;

@@ -32,13 +32,13 @@ def weight_array(snapshot: CsrSnapshot, token: Hashable):
     """The per-edge weight array for a recognised cache token.
 
     Returned arrays are guaranteed to lie in ``[0, +inf]`` — the
-    array kernel's relaxation loop relies on that to skip the object
-    kernel's per-edge isinf/negative checks, and the vectorised solve
-    on it to never meet a NaN.  The recognised builders cannot produce
+    array kernel's relaxation loop relies on that to skip the reference
+    oracle's per-edge isinf/negative checks (``tests/oracle.py``), and
+    the vectorised solve on it to never meet a NaN.  The recognised builders cannot produce
     either (latencies, demands and auxiliary coefficients are validated
     finite and non-negative at construction), but if one ever did, the
     same "negative edge weight" :class:`~repro.errors.TopologyError` the
-    object kernel raises is raised here (or "NaN edge weight"), naming
+    oracle raises is raised here (or "NaN edge weight"), naming
     the first such edge.
 
     Raises:

@@ -1,16 +1,22 @@
-"""Routing algorithms: Dijkstra, Yen's k-shortest paths, MSTs, terminal trees.
+"""Routing results and the finishers the CSR kernel shares with its oracle.
 
-All algorithms take an explicit *weight function* over directed edges
-(``weight(src, dst) -> float``).  A weight of ``math.inf`` marks an edge as
-unusable (e.g. no residual capacity), letting callers express admission
-control without mutating the topology.  The default weight is propagation
-latency, which makes ``dijkstra`` the paper's baseline "shortest path".
+Weights are functions over directed edges (``weight(src, dst) ->
+float``).  A weight of ``math.inf`` marks an edge as unusable (e.g. no
+residual capacity), letting callers express admission control without
+mutating the topology.  :func:`latency_weight` and :func:`hop_weight`
+are the scalar forms of the latency and hop specs the CSR kernel
+lowers to arrays; the reference oracle in ``tests/oracle.py`` routes
+on them directly.
 
-The flexible scheduler's tree construction is :func:`terminal_tree`: an MST
-over the *metric closure* of the terminal set (global + local models),
-expanded back to physical hops — the classic 2-approximation of the Steiner
-tree, matching the poster's "find MSTs between the global model and local
-models on the auxiliary graph".
+The searches themselves live in :mod:`repro.network.csr`.  What stays
+here is the result types (:class:`PathResult`, :class:`TreeResult`,
+:class:`ShortestPathTree`), Yen's control flow
+(:func:`k_shortest_paths`, driven by an injected point-to-point
+search), and :func:`tree_from_metric_closure`: the flexible scheduler's
+MST over the *metric closure* of the terminal set (global + local
+models), expanded back to physical hops — the classic 2-approximation
+of the Steiner tree, matching the poster's "find MSTs between the
+global model and local models on the auxiliary graph".
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..errors import NoPathError, TopologyError
 from .graph import Network
@@ -183,25 +189,6 @@ class ShortestPathTree:
             order = self._order = order()
         return order
 
-    @classmethod
-    def from_mappings(
-        cls, source: str, distance: Dict[str, float], previous: Dict[str, str]
-    ) -> "ShortestPathTree":
-        """A tree over its own interning of a mapping-form result.
-
-        ``distance`` must list the source first and every other node in
-        discovery order (the object kernel's dict insertion order), and
-        ``previous`` must cover every non-source key of ``distance``.
-        """
-        names = list(distance)
-        index = {name: i for i, name in enumerate(names)}
-        prev = [-1] * len(names)
-        for name, parent in previous.items():
-            prev[index[name]] = index[parent]
-        return cls(
-            source, names, index, list(distance.values()), prev, range(len(names))
-        )
-
     @property
     def distance(self) -> Dict[str, float]:
         """Reached node -> least weight from the source (built on request)."""
@@ -254,8 +241,8 @@ class ShortestPathTree:
     def path_to(self, destination: str) -> PathResult:
         """Extract the shortest path to ``destination``.
 
-        Identical to ``dijkstra(network, source, destination, weight)``
-        on the same network state.
+        Identical to a point-to-point search from the source that stops
+        once ``destination`` is settled, on the same network state.
 
         Raises:
             NoPathError: if the destination was unreachable.
@@ -277,106 +264,32 @@ class ShortestPathTree:
         return PathResult(nodes=tuple(nodes), weight=float(self.dist[target]))
 
 
-def dijkstra(
-    network: Network,
-    source: str,
-    destination: str,
-    weight: Optional[WeightFn] = None,
-) -> PathResult:
-    """Least-weight path between two nodes.
-
-    Ties are broken deterministically by insertion order of neighbours.
-
-    Raises:
-        NoPathError: if the destination is unreachable under ``weight``
-            (edges with infinite weight are skipped).
-    """
-    network.node(source)
-    network.node(destination)
-    if weight is None:
-        weight = latency_weight(network)
-    if source == destination:
-        return PathResult(nodes=(source,), weight=0.0)
-
-    distance: Dict[str, float] = {source: 0.0}
-    previous: Dict[str, str] = {}
-    counter = itertools.count()
-    frontier: List[Tuple[float, int, str]] = [(0.0, next(counter), source)]
-    settled: Set[str] = set()
-    while frontier:
-        dist, _tick, current = heapq.heappop(frontier)
-        if current in settled:
-            continue
-        settled.add(current)
-        if current == destination:
-            break
-        for neighbor in network.neighbors(current):
-            if neighbor in settled:
-                continue
-            edge_cost = weight(current, neighbor)
-            if math.isinf(edge_cost):
-                continue
-            if edge_cost < 0:
-                raise TopologyError(
-                    f"negative edge weight {edge_cost} on {current}->{neighbor}"
-                )
-            candidate = dist + edge_cost
-            if candidate < distance.get(neighbor, math.inf) - 1e-15:
-                distance[neighbor] = candidate
-                previous[neighbor] = current
-                heapq.heappush(frontier, (candidate, next(counter), neighbor))
-    if destination not in distance or destination not in settled:
-        raise NoPathError(source, destination)
-    nodes = [destination]
-    while nodes[-1] != source:
-        nodes.append(previous[nodes[-1]])
-    nodes.reverse()
-    return PathResult(nodes=tuple(nodes), weight=distance[destination])
-
-
 def k_shortest_paths(
-    network: Network,
     source: str,
     destination: str,
     k: int,
-    weight: Optional[WeightFn] = None,
+    weight: WeightFn,
     *,
-    search: Optional[Callable[..., PathResult]] = None,
+    search: Callable[..., PathResult],
 ) -> List[PathResult]:
     """Yen's algorithm: up to ``k`` loop-free least-weight paths.
 
     Returns fewer than ``k`` paths when the graph does not contain that
     many distinct simple paths.
 
-    ``search`` injects the point-to-point solver used for the initial
-    path and every spur search — ``search(src, dst, banned_edges,
-    banned_nodes) -> PathResult`` — so the CSR kernel can drive this
-    exact control flow with its array Dijkstra.  The default wraps
-    :func:`dijkstra` with a ban-aware weight, as the algorithm always
-    did; any injected solver must be bit-identical to that default.
+    ``search`` is the point-to-point solver used for the initial path
+    and every spur search — ``search(src, dst, banned_edges,
+    banned_nodes) -> PathResult``, which must skip every banned edge and
+    every edge touching a banned node.  ``weight`` prices the root
+    segments Yen prefixes to spur paths.  The CSR kernel drives this
+    control flow with its array search
+    (:func:`~repro.network.csr.kernel.array_search`).
 
     Raises:
         NoPathError: if not even one path exists.
     """
     if k <= 0:
         raise TopologyError(f"k must be > 0, got {k}")
-    if weight is None:
-        weight = latency_weight(network)
-    if search is None:
-
-        def search(src, dst, banned_edges, banned_nodes):  # noqa: F811
-            if not banned_edges and not banned_nodes:
-                return dijkstra(network, src, dst, weight)
-
-            def spur_weight(a: str, b: str) -> float:
-                if (a, b) in banned_edges:
-                    return math.inf
-                if b in banned_nodes or a in banned_nodes:
-                    return math.inf
-                return weight(a, b)
-
-            return dijkstra(network, src, dst, spur_weight)
-
     best = search(source, destination, set(), set())
     paths: List[PathResult] = [best]
     candidates: List[Tuple[float, int, PathResult]] = []
@@ -422,95 +335,6 @@ def k_shortest_paths(
     return paths
 
 
-def minimum_spanning_tree(
-    network: Network,
-    *,
-    weight: Optional[WeightFn] = None,
-    root: Optional[str] = None,
-) -> TreeResult:
-    """Prim's MST over the whole network (undirected interpretation).
-
-    The weight of the undirected edge {u, v} is taken as
-    ``min(weight(u, v), weight(v, u))``.
-
-    Raises:
-        TopologyError: if the network is empty or disconnected under
-            finite-weight edges.
-    """
-    names = network.node_names()
-    if not names:
-        raise TopologyError("cannot build an MST of an empty network")
-    if weight is None:
-        weight = latency_weight(network)
-    start = root if root is not None else names[0]
-    network.node(start)
-
-    parent: Dict[str, str] = {}
-    in_tree: Set[str] = {start}
-    counter = itertools.count()
-    frontier: List[Tuple[float, int, str, str]] = []
-
-    def push_edges(node: str) -> None:
-        for neighbor in network.neighbors(node):
-            if neighbor in in_tree:
-                continue
-            cost = min(weight(node, neighbor), weight(neighbor, node))
-            if math.isinf(cost):
-                continue
-            heapq.heappush(frontier, (cost, next(counter), neighbor, node))
-
-    push_edges(start)
-    total = 0.0
-    while frontier and len(in_tree) < len(names):
-        cost, _tick, node, via = heapq.heappop(frontier)
-        if node in in_tree:
-            continue
-        in_tree.add(node)
-        parent[node] = via
-        total += cost
-        push_edges(node)
-    if len(in_tree) < len(names):
-        missing = sorted(set(names) - in_tree)
-        raise TopologyError(
-            f"network is disconnected; unreachable nodes: {missing[:5]}"
-        )
-    return TreeResult(root=start, parent=parent, weight=total)
-
-
-def terminal_tree(
-    network: Network,
-    root: str,
-    terminals: Sequence[str],
-    weight: Optional[WeightFn] = None,
-) -> TreeResult:
-    """Tree spanning ``{root} ∪ terminals`` via MST on the metric closure.
-
-    This is the flexible scheduler's core construction: compute shortest
-    paths between every pair of terminal nodes (under the auxiliary-graph
-    weight), build the complete "closure" graph on the terminals, take its
-    MST, then expand each MST edge back into its physical hops.  Shared
-    physical hops are merged, so the result is a tree embedded in the real
-    topology whose leaves/branches define routing paths and aggregation
-    points.
-
-    Raises:
-        NoPathError: if some terminal is unreachable from the rest.
-    """
-    if weight is None:
-        weight = latency_weight(network)
-    terminal_list = list(dict.fromkeys([root, *terminals]))  # dedupe, keep order
-    if len(terminal_list) == 1:
-        return TreeResult(root=root, parent={}, weight=0.0)
-
-    # Metric closure: all-pairs shortest paths among terminals.
-    closure: Dict[Tuple[str, str], PathResult] = {}
-    for i, a in enumerate(terminal_list):
-        for b in terminal_list[i + 1 :]:
-            closure[(a, b)] = dijkstra(network, a, b, weight)
-
-    return tree_from_metric_closure(root, terminal_list, closure, weight)
-
-
 def tree_from_metric_closure(
     root: str,
     terminal_list: Sequence[str],
@@ -519,13 +343,15 @@ def tree_from_metric_closure(
 ) -> TreeResult:
     """MST over a precomputed metric closure, expanded to physical hops.
 
-    The second half of :func:`terminal_tree`, split out so the routing
-    kernel (:mod:`repro.network.routing`) can feed it a closure built
-    from cached single-source shortest-path trees and still produce a
-    byte-identical result.  ``closure`` must hold one
-    :class:`PathResult` per ordered terminal pair ``(a, b)`` with ``a``
-    before ``b`` in ``terminal_list``; the reverse direction is derived
-    by reversal, exactly as the uncached construction does.
+    The second half of a terminal-tree construction: the path cache
+    (:meth:`repro.network.routing.PathCache.terminal_tree`) feeds it a
+    closure from cached single-source trees, the uncached CSR entry
+    point (:func:`repro.network.csr.terminal_tree_csr`) one from
+    early-exit solves, and the reference oracle one from its object
+    searches, so all three produce byte-identical trees.  ``closure``
+    must hold one :class:`PathResult` per ordered terminal pair
+    ``(a, b)`` with ``a`` before ``b`` in ``terminal_list``; the reverse
+    direction is derived by reversal.
     """
 
     def closure_path(a: str, b: str) -> PathResult:

@@ -11,9 +11,9 @@ results.  Two ideas carry it:
   :meth:`PathCache.sssp` keeps the whole distance/predecessor tree, so a
   metric closure over ``T`` terminals costs ``T - 1`` passes instead of
   ``T·(T-1)/2``, and a path to any destination is an O(path)
-  extraction.  Extraction is bit-identical to
-  :func:`repro.network.paths.dijkstra`: a destination's predecessor
-  chain is fully settled before the search would have stopped there.
+  extraction.  Extraction is bit-identical to a point-to-point search
+  that stops at the destination: a destination's predecessor chain is
+  fully settled before the search would have stopped there.
 
 * **Validation by weight-array comparison.**  Every
   :class:`~repro.network.link.Link` mutation advances the network's
@@ -39,16 +39,14 @@ implements it natively; :class:`LatencyWeightSpec` / :class:`HopWeightSpec`
 wrap the plain weights.  One-shot point-to-point routes (background
 traffic, default lightpaths) skip the cache and go straight to
 :func:`repro.network.csr.shortest_paths_csr`, so they never crowd out
-the schedulers' entries.  The object kernel (:func:`sssp` here and
-:mod:`repro.network.paths`) is not on this path; it remains the
-reference oracle the equivalence tests and benchmarks compare against.
+the schedulers' entries.  The reference oracle the equivalence tests
+and benchmarks compare this path against is one object-graph heap loop
+over ``spec.weight_fn()`` in ``tests/oracle.py``; no copy of it lives
+in the package.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -109,110 +107,6 @@ class HopWeightSpec:
 
     def weight_fn(self) -> WeightFn:
         return hop_weight(self._network)
-
-
-# ---------------------------------------------------------------------------
-# Single-source shortest-path trees
-# ---------------------------------------------------------------------------
-
-# ShortestPathTree is defined in repro.network.paths (so the CSR kernel
-# can build one without importing this cache layer) and re-exported from
-# here, its historical home.
-
-
-def sssp(network: Network, source: str, weight: WeightFn) -> ShortestPathTree:
-    """Dijkstra from ``source`` to every reachable node.
-
-    The relaxation loop mirrors :func:`repro.network.paths.dijkstra`
-    exactly (same tie-breaking counter, same ``1e-15`` epsilon, same
-    neighbour order) with the destination early-exit removed, so
-    :meth:`ShortestPathTree.path_to` reproduces its output bit-for-bit.
-    """
-    network.node(source)
-    distance: Dict[str, float] = {source: 0.0}
-    previous: Dict[str, str] = {}
-    counter = itertools.count()
-    frontier: List[Tuple[float, int, str]] = [(0.0, next(counter), source)]
-    settled: set = set()
-    while frontier:
-        dist, _tick, current = heapq.heappop(frontier)
-        if current in settled:
-            continue
-        settled.add(current)
-        for neighbor in network.neighbors(current):
-            if neighbor in settled:
-                continue
-            edge_cost = weight(current, neighbor)
-            if math.isinf(edge_cost):
-                continue
-            if edge_cost < 0:
-                raise TopologyError(
-                    f"negative edge weight {edge_cost} on {current}->{neighbor}"
-                )
-            candidate = dist + edge_cost
-            if candidate < distance.get(neighbor, math.inf) - 1e-15:
-                distance[neighbor] = candidate
-                previous[neighbor] = current
-                heapq.heappush(frontier, (candidate, next(counter), neighbor))
-    return ShortestPathTree.from_mappings(source, distance, previous)
-
-
-def multi_source_distances(
-    network: Network,
-    sources: Sequence[str],
-    weight: Optional[WeightFn] = None,
-) -> Tuple[Dict[str, float], Dict[str, str]]:
-    """One Dijkstra pass from *all* sources at once.
-
-    Returns ``(distance, nearest)``: for every reachable node, the least
-    weight to its closest source and which source that is.  This is the
-    single-pass Voronoi partition classic Steiner heuristics (Mehlhorn)
-    build on.  No scheduler calls it yet — the schedulers' closures need
-    exact per-pair paths to stay byte-identical — but it is the kernel
-    primitive for coverage checks (the scheduler benchmark uses it to
-    assert every router reaches a server) and for a future
-    Mehlhorn-style approximate closure.  Ties break towards the earlier
-    source in ``sources``.
-    """
-    if not sources:
-        raise TopologyError("multi_source_distances needs at least one source")
-    if weight is None:
-        weight = latency_weight(network)
-    distance: Dict[str, float] = {}
-    nearest: Dict[str, str] = {}
-    counter = itertools.count()
-    frontier: List[Tuple[float, int, str, str]] = []
-    for source in sources:
-        network.node(source)
-        if source not in distance:
-            distance[source] = 0.0
-            nearest[source] = source
-            frontier.append((0.0, next(counter), source, source))
-    heapq.heapify(frontier)
-    settled: set = set()
-    while frontier:
-        dist, _tick, current, origin = heapq.heappop(frontier)
-        if current in settled:
-            continue
-        settled.add(current)
-        nearest[current] = origin
-        for neighbor in network.neighbors(current):
-            if neighbor in settled:
-                continue
-            edge_cost = weight(current, neighbor)
-            if math.isinf(edge_cost):
-                continue
-            if edge_cost < 0:
-                raise TopologyError(
-                    f"negative edge weight {edge_cost} on {current}->{neighbor}"
-                )
-            candidate = dist + edge_cost
-            if candidate < distance.get(neighbor, math.inf) - 1e-15:
-                distance[neighbor] = candidate
-                heapq.heappush(
-                    frontier, (candidate, next(counter), neighbor, origin)
-                )
-    return distance, nearest
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +486,6 @@ class PathCache:
             endpoints=(source, destination),
             exact=True,
             compute=lambda: k_shortest_paths(
-                self._network,
                 source,
                 destination,
                 k,
@@ -609,14 +502,15 @@ class PathCache:
         Builds the metric closure from one :meth:`sssp` per terminal
         (except the last — closure pairs are ordered) and finishes with
         the shared :func:`~repro.network.paths.tree_from_metric_closure`,
-        so the result is byte-identical to the object kernel's
-        :func:`~repro.network.paths.terminal_tree`.
+        so the result is byte-identical to
+        :func:`~repro.network.csr.terminal_tree_csr` and to the oracle's
+        object construction.
         """
         terminal_list = list(dict.fromkeys([root, *terminals]))
-        if len(terminal_list) == 1:
-            return TreeResult(root=root, parent={}, weight=0.0)
         for terminal in terminal_list:
             self._network.node(terminal)
+        if len(terminal_list) == 1:
+            return TreeResult(root=root, parent={}, weight=0.0)
         # One shareable/token evaluation for the whole tree: the network
         # is not mutated during this read-only construction, so the
         # answers cannot change between sources.

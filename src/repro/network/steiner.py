@@ -14,58 +14,47 @@ scheduler.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from ..errors import ConfigurationError, NoPathError
 from .graph import Network
-from .paths import WeightFn, dijkstra, latency_weight
-from .routing import sssp
-
-
-def _all_pairs_from(
-    network: Network, sources: Sequence[str], weight: WeightFn
-) -> Dict[str, Dict[str, float]]:
-    """Shortest-path cost from each source to every node.
-
-    One single-source pass per source via the routing kernel's
-    :func:`~repro.network.routing.sssp` — the same tree construction the
-    schedulers' path cache memoises.
-    """
-    names = network.node_names()
-    result: Dict[str, Dict[str, float]] = {}
-    for source in sources:
-        tree = sssp(network, source, weight)
-        result[source] = {name: tree.distance_to(name) for name in names}
-    return result
+from . import routing
 
 
 def steiner_tree_cost(
     network: Network,
     terminals: Sequence[str],
-    weight: Optional[WeightFn] = None,
+    spec: Optional[Any] = None,
 ) -> float:
     """Exact minimum Steiner tree cost connecting ``terminals``.
+
+    Shortest-path costs come from the network's path cache (the CSR
+    kernel), so they are the distances the schedulers' trees are built
+    from.
 
     Args:
         network: the topology (undirected edge cost =
             ``min(weight(u,v), weight(v,u))`` is implied by using the
             weight symmetrically; pass a symmetric weight for exactness).
         terminals: nodes the tree must connect (duplicates ignored).
-        weight: edge weight; defaults to propagation latency.
+        spec: weight spec (see :mod:`repro.network.routing`); defaults
+            to :class:`~repro.network.routing.LatencyWeightSpec`.
 
     Raises:
         ConfigurationError: with more than 12 terminals (complexity wall).
         NoPathError: if the terminals are not mutually reachable.
+        TopologyError: if a terminal is not a node of ``network``.
     """
-    if weight is None:
-        weight = latency_weight(network)
+    if spec is None:
+        spec = routing.LatencyWeightSpec(network)
     terms = list(dict.fromkeys(terminals))
     for t in terms:
         network.node(t)
     if len(terms) <= 1:
         return 0.0
     if len(terms) == 2:
-        return dijkstra(network, terms[0], terms[1], weight).weight
+        cache = routing.get_cache(network)
+        return cache.shortest_path(terms[0], terms[1], spec).weight
     if len(terms) > 12:
         raise ConfigurationError(
             f"Dreyfus-Wagner is exponential in terminals; got {len(terms)}"
@@ -78,9 +67,9 @@ def steiner_tree_cost(
     n = len(names)
 
     # Shortest-path costs from every node (sources = all nodes is n
-    # Dijkstras; fine at validation scale).
-    sp = _all_pairs_from(network, names, weight)
-    dist = [[sp[u][v] for v in names] for u in names]
+    # SSSPs; fine at validation scale).
+    trees = routing.get_cache(network).batched_sssp(names, spec)
+    dist = [[trees[u].distance_to(v) for v in names] for u in names]
 
     INF = math.inf
     size = 1 << k

@@ -163,7 +163,9 @@ def load_trace(path: str) -> TraceSeries:
             )
         epochs = payload["epochs"]
         try:
-            arrivals = tuple(int(epoch["arrivals"]) for epoch in epochs)
+            # Arrivals pass through unconverted: TraceSeries rejects a
+            # non-int count (1.7, true) as the CSV loader's int() does.
+            arrivals = tuple(epoch["arrivals"] for epoch in epochs)
             demands = tuple(float(epoch["demand_gbps"]) for epoch in epochs)
             epoch_ms = float(payload["epoch_ms"])
         except (KeyError, TypeError, ValueError) as exc:

@@ -1,32 +1,159 @@
-"""The object-kernel reference oracle for the production routing path.
+"""The object-graph reference oracle for the production routing path.
 
-Production schedulers route every query through the network's
-:class:`~repro.network.routing.PathCache`, which runs the CSR kernel.
-:class:`ObjectOracleCache` answers the same queries with the object
-kernel (:mod:`repro.network.paths` and :func:`repro.network.routing.sssp`)
-over ``spec.weight_fn()``, uncached.  :func:`object_oracle` swaps it in
-for :func:`~repro.network.routing.get_cache`, so a production scheduler's
+Production routes every query on the CSR kernel (:mod:`repro.network.csr`),
+mostly through the network's :class:`~repro.network.routing.PathCache`.
+This module is the reference it is checked against, and the only copy
+of the object-graph relaxation loop: :func:`sssp`, one heap loop over
+``Network.neighbors`` and a scalar weight function, uncached.  Its
+point-to-point :func:`dijkstra` is the same loop with an early exit, the
+ban-aware search driving Yen's shared control flow
+(:func:`k_shortest_paths`) wraps :func:`dijkstra`, and
+:func:`terminal_tree` feeds a metric closure read off one :func:`sssp`
+tree per terminal to the package's own finisher.
+
+:class:`ObjectOracleCache` answers the path cache's queries with these
+over ``spec.weight_fn()``, and :func:`object_oracle` swaps it in for
+:func:`~repro.network.routing.get_cache`, so a production scheduler's
 own control flow can be replayed against the oracle and compared.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import math
 from contextlib import contextmanager
 
 import pytest
 
-from repro.network import routing
-from repro.network.paths import dijkstra, k_shortest_paths, terminal_tree
+from repro.errors import TopologyError
+from repro.network import paths, routing
+from repro.network.paths import (
+    ShortestPathTree,
+    TreeResult,
+    latency_weight,
+    tree_from_metric_closure,
+)
+
+
+def sssp(network, source, weight, destination=None):
+    """Dijkstra from ``source``; stop once ``destination`` is settled.
+
+    Ties break by a monotone push counter, neighbours are relaxed in
+    ``Network.neighbors`` order, and a relaxation must beat the
+    incumbent by more than ``1e-15`` — the contract the CSR kernel's
+    ``_run`` transliterates.  Without a destination the tree is complete;
+    with one, ``path_to(destination)`` is the point-to-point answer
+    (its predecessor chain is settled).  Discovery order is the order
+    nodes first received a label, source first.
+    """
+    network.node(source)
+    if destination is not None:
+        network.node(destination)
+    distance = {source: 0.0}
+    previous = {}
+    counter = itertools.count()
+    frontier = [(0.0, next(counter), source)]
+    settled = set()
+    while frontier:
+        dist, _tick, current = heapq.heappop(frontier)
+        if current in settled:
+            continue
+        settled.add(current)
+        if current == destination:
+            break
+        for neighbor in network.neighbors(current):
+            if neighbor in settled:
+                continue
+            edge_cost = weight(current, neighbor)
+            if math.isinf(edge_cost):
+                continue
+            if edge_cost < 0:
+                raise TopologyError(
+                    f"negative edge weight {edge_cost} on {current}->{neighbor}"
+                )
+            candidate = dist + edge_cost
+            if candidate < distance.get(neighbor, math.inf) - 1e-15:
+                distance[neighbor] = candidate
+                previous[neighbor] = current
+                heapq.heappush(frontier, (candidate, next(counter), neighbor))
+    names = list(distance)
+    index = {name: i for i, name in enumerate(names)}
+    prev = [-1] * len(names)
+    for name, parent in previous.items():
+        prev[index[name]] = index[parent]
+    return ShortestPathTree(
+        source, names, index, list(distance.values()), prev, range(len(names))
+    )
+
+
+def dijkstra(network, source, destination, weight=None):
+    """Least-weight path; raises ``NoPathError`` when unreachable."""
+    if weight is None:
+        weight = latency_weight(network)
+    return sssp(network, source, weight, destination).path_to(destination)
+
+
+def _ban_aware_search(network, weight):
+    """Yen's ``search`` hook: :func:`dijkstra` skipping banned edges/nodes."""
+
+    def search(src, dst, banned_edges, banned_nodes):
+        if not banned_edges and not banned_nodes:
+            return dijkstra(network, src, dst, weight)
+
+        def spur_weight(a, b):
+            if (a, b) in banned_edges:
+                return math.inf
+            if b in banned_nodes or a in banned_nodes:
+                return math.inf
+            return weight(a, b)
+
+        return dijkstra(network, src, dst, spur_weight)
+
+    return search
+
+
+def k_shortest_paths(network, source, destination, k, weight=None):
+    """Yen's shared control flow over the object search."""
+    if weight is None:
+        weight = latency_weight(network)
+    return paths.k_shortest_paths(
+        source,
+        destination,
+        k,
+        weight,
+        search=_ban_aware_search(network, weight),
+    )
+
+
+def terminal_tree(network, root, terminals, weight=None):
+    """MST on the metric closure, one :func:`sssp` per terminal but the last."""
+    if weight is None:
+        weight = latency_weight(network)
+    terminal_list = list(dict.fromkeys([root, *terminals]))
+    for terminal in terminal_list:
+        network.node(terminal)
+    if len(terminal_list) == 1:
+        return TreeResult(root=root, parent={}, weight=0.0)
+    closure = {}
+    for i, a in enumerate(terminal_list[:-1]):
+        tree = sssp(network, a, weight)
+        for b in terminal_list[i + 1 :]:
+            closure[(a, b)] = tree.path_to(b)
+    return tree_from_metric_closure(root, terminal_list, closure, weight)
 
 
 class ObjectOracleCache:
-    """Uncached object-kernel stand-in for a network's ``PathCache``."""
+    """Uncached object-graph stand-in for a network's ``PathCache``."""
 
     def __init__(self, network) -> None:
         self._network = network
 
     def sssp(self, source, spec):
-        return routing.sssp(self._network, source, spec.weight_fn())
+        return sssp(self._network, source, spec.weight_fn())
+
+    def batched_sssp(self, sources, spec):
+        return {source: self.sssp(source, spec) for source in sources}
 
     def shortest_path(self, source, destination, spec):
         return dijkstra(self._network, source, destination, spec.weight_fn())

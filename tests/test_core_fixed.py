@@ -21,7 +21,7 @@ class TestRouting:
             assert upload[0] == local and upload[-1] == "S-G"
 
     def test_paths_are_shortest_by_latency(self, triangle_net, small_task):
-        from repro.network.paths import dijkstra
+        from tests.oracle import dijkstra
 
         schedule = FixedScheduler().schedule(small_task, triangle_net)
         for local in small_task.local_nodes:

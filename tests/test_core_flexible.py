@@ -142,7 +142,7 @@ class TestWeights:
         scheduler.schedule(task, mesh_net)  # completes
 
     def test_latency_only_weights_give_shortest_paths(self, mesh_net):
-        from repro.network.paths import dijkstra
+        from tests.oracle import dijkstra
 
         weights = AuxiliaryWeights(
             alpha_bandwidth=0.0, beta_latency=1.0, gamma_congestion=0.0

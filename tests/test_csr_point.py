@@ -1,10 +1,9 @@
-"""Batched point-to-point queries against the object kernel's Dijkstra.
+"""Batched point-to-point queries against the oracle's object Dijkstra.
 
 ``csr.shortest_paths_csr`` answers a batch of ``(source, destination)``
 pairs from one snapshot and one weight lowering, one early-exit solve
-per pair.  Every answer must equal :func:`repro.network.paths.dijkstra`
-under the spec's scalar weight function (the ``tests/oracle.py``
-reference): the same nodes, the same weight bit for bit, and the same
+per pair.  Every answer must equal the ``tests/oracle.py`` reference's
+Dijkstra under the spec's scalar weight function: the same nodes, the same weight bit for bit, and the same
 :class:`NoPathError` where Dijkstra raises one.  Graphs are drawn on
 both sides of ``kernel.VECTOR_MIN_EDGES``, so both the heap loop and
 the vectorised solve answer.  The hypothesis suites are derandomised,

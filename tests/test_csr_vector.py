@@ -35,9 +35,9 @@ from repro.network.routing import (
     HopWeightSpec,
     LatencyWeightSpec,
     PathCache,
-    sssp,
 )
 from repro.network.topology import scale_free
+from tests.oracle import sssp
 
 INF = math.inf
 

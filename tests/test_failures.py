@@ -8,7 +8,8 @@ from repro.core.fixed import FixedScheduler
 from repro.core.flexible import FlexibleScheduler
 from repro.errors import CapacityError, ConfigurationError
 from repro.network.auxiliary import AuxiliaryGraphBuilder
-from repro.network.paths import dijkstra, hop_weight, latency_weight
+from repro.network.paths import hop_weight, latency_weight
+from repro.network.routing import LatencyWeightSpec, get_cache
 from repro.network.topology import metro_mesh
 from repro.orchestrator.database import Database, TaskStatus
 from repro.orchestrator.orchestrator import Orchestrator
@@ -83,10 +84,11 @@ class TestRoutingAroundFailures:
         assert math.isinf(hop_weight(square_net)("A", "C"))
 
     def test_dijkstra_detours(self, square_net):
-        before = dijkstra(square_net, "A", "C").nodes
+        spec = LatencyWeightSpec(square_net)
+        before = get_cache(square_net).shortest_path("A", "C", spec).nodes
         assert before == ("A", "C")
         square_net.fail_link("A", "C")
-        after = dijkstra(square_net, "A", "C").nodes
+        after = get_cache(square_net).shortest_path("A", "C", spec).nodes
         assert after == ("A", "B", "C")
 
     def test_auxiliary_weight_infinite_on_failed(self, square_net):
@@ -97,7 +99,9 @@ class TestRoutingAroundFailures:
     def test_restore_reopens_route(self, square_net):
         square_net.fail_link("A", "C")
         square_net.restore_link("A", "C")
-        assert dijkstra(square_net, "A", "C").nodes == ("A", "C")
+        spec = LatencyWeightSpec(square_net)
+        path = get_cache(square_net).shortest_path("A", "C", spec)
+        assert path.nodes == ("A", "C")
 
 
 class TestFailureStatePropagation:

@@ -8,20 +8,15 @@ from repro.network import csr
 from repro.network.auxiliary import AuxiliaryGraphBuilder
 from repro.network.graph import Network
 from repro.network.node import NodeKind
-from repro.network.paths import (
-    dijkstra,
-    k_shortest_paths,
-    terminal_tree,
-)
 from repro.network.routing import (
     HopWeightSpec,
     LatencyWeightSpec,
     PathCache,
     _Entry,
     peek_cache,
-    sssp,
 )
 from repro.network.topology import metro_mesh, scale_free
+from tests.oracle import dijkstra, k_shortest_paths, sssp, terminal_tree
 
 
 def _tree_key(tree):

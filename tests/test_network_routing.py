@@ -1,47 +1,38 @@
 """Unit tests for the routing kernel: SSSP trees and the path cache."""
 
-import math
-
 import pytest
 
 from repro.errors import NoPathError, TopologyError
 from repro.network.auxiliary import AuxiliaryGraphBuilder
 from repro.network.graph import Network
-from repro.network.node import NodeKind
-from repro.network.paths import (
-    dijkstra,
-    k_shortest_paths,
-    latency_weight,
-    terminal_tree,
-)
 from repro.network.routing import (
     HopWeightSpec,
     LatencyWeightSpec,
     PathCache,
     get_cache,
-    multi_source_distances,
     peek_cache,
-    sssp,
 )
 from repro.network.topology import metro_mesh, scale_free
-from tests.oracle import object_oracle
+from tests.oracle import dijkstra, k_shortest_paths, object_oracle, terminal_tree
 
 
 class TestSssp:
     def test_matches_point_to_point_dijkstra(self, square_net):
-        weight = latency_weight(square_net)
-        for source in square_net.node_names():
-            tree = sssp(square_net, source, weight)
-            for destination in square_net.node_names():
-                expected = dijkstra(square_net, source, destination, weight)
-                assert tree.path_to(destination) == expected
+        for spec in (LatencyWeightSpec(square_net), HopWeightSpec(square_net)):
+            weight = spec.weight_fn()
+            for source in square_net.node_names():
+                tree = PathCache(square_net).sssp(source, spec)
+                for destination in square_net.node_names():
+                    expected = dijkstra(square_net, source, destination, weight)
+                    assert tree.path_to(destination) == expected
 
     def test_matches_on_larger_topology(self):
         net = metro_mesh(n_sites=8, servers_per_site=2)
-        weight = latency_weight(net)
+        spec = LatencyWeightSpec(net)
+        weight = spec.weight_fn()
         names = net.node_names()
         for source in names[:4]:
-            tree = sssp(net, source, weight)
+            tree = PathCache(net).sssp(source, spec)
             for destination in names:
                 assert tree.path_to(destination) == dijkstra(
                     net, source, destination, weight
@@ -53,48 +44,20 @@ class TestSssp:
         net.add_node("b")
         net.add_node("c")
         net.add_link("a", "b", 100.0)
-        tree = sssp(net, "a", latency_weight(net))
+        tree = PathCache(net).sssp("a", LatencyWeightSpec(net))
         assert tree.reaches("b")
         assert not tree.reaches("c")
         with pytest.raises(NoPathError):
             tree.path_to("c")
 
     def test_source_path_is_trivial(self, square_net):
-        tree = sssp(square_net, "A", latency_weight(square_net))
+        tree = PathCache(square_net).sssp("A", LatencyWeightSpec(square_net))
         assert tree.path_to("A").nodes == ("A",)
         assert tree.path_to("A").weight == 0.0
 
     def test_unknown_source_rejected(self, square_net):
         with pytest.raises(TopologyError):
-            sssp(square_net, "nope", latency_weight(square_net))
-
-
-class TestMultiSource:
-    def test_matches_min_over_single_sources(self, square_net):
-        weight = latency_weight(square_net)
-        sources = ["A", "C"]
-        distance, nearest = multi_source_distances(square_net, sources, weight)
-        for name in square_net.node_names():
-            best = min(
-                sssp(square_net, s, weight).distance.get(name, math.inf)
-                for s in sources
-            )
-            assert distance[name] == pytest.approx(best)
-            assert nearest[name] in sources
-
-    def test_failed_region_unreached(self):
-        net = Network()
-        for name in "abc":
-            net.add_node(name)
-        net.add_link("a", "b", 100.0)
-        net.add_link("b", "c", 100.0)
-        net.fail_link("b", "c")
-        distance, _ = multi_source_distances(net, ["a"])
-        assert "c" not in distance
-
-    def test_empty_sources_rejected(self, square_net):
-        with pytest.raises(TopologyError):
-            multi_source_distances(square_net, [])
+            PathCache(square_net).sssp("nope", LatencyWeightSpec(square_net))
 
 
 class TestGenerationsAndEpoch:

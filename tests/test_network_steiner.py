@@ -1,19 +1,34 @@
-"""Tests for the exact Steiner tree DP and the MST approximation bound."""
+"""Tests for the exact Steiner tree DP and the MST approximation bound.
+
+Both sides route on the production kernel: the DP reads shortest-path
+costs from the network's path cache, and the heuristic is the cache's
+terminal tree.  One test replays the DP on the reference oracle
+(``tests/oracle.py``) and requires the same cost bit for bit.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigurationError, NoPathError
+from repro.errors import ConfigurationError, NoPathError, TopologyError
 from repro.network.graph import Network
-from repro.network.paths import dijkstra, hop_weight, latency_weight, terminal_tree
+from repro.network.routing import HopWeightSpec, LatencyWeightSpec, get_cache
 from repro.network.steiner import steiner_tree_cost
 from repro.network.topology import metro_mesh
+from repro.sim.rng import RandomStreams
+from tests.oracle import object_oracle
+
+
+def terminal_tree(net, terminals):
+    return get_cache(net).terminal_tree(
+        terminals[0], terminals[1:], LatencyWeightSpec(net)
+    )
 
 
 class TestExactInstances:
     def test_two_terminals_is_shortest_path(self, square_net):
         cost = steiner_tree_cost(square_net, ["A", "D"])
-        assert cost == pytest.approx(dijkstra(square_net, "A", "D").weight)
+        # A->C->D: 5 km + 10 km at 0.005 ms/km.
+        assert cost == pytest.approx((5 + 10) * 0.005)
 
     def test_single_terminal_is_free(self, square_net):
         assert steiner_tree_cost(square_net, ["A"]) == 0.0
@@ -40,7 +55,7 @@ class TestExactInstances:
 
     def test_hop_weight_counts_edges(self, line_net):
         cost = steiner_tree_cost(
-            line_net, ["S1", "S2", "S3"], hop_weight(line_net)
+            line_net, ["S1", "S2", "S3"], HopWeightSpec(line_net)
         )
         assert cost == 4.0  # S1-R1-R2 trunk + two server drops
 
@@ -57,7 +72,7 @@ class TestGuards:
             steiner_tree_cost(mesh_net, servers[:13])
 
     def test_unknown_terminal_rejected(self, square_net):
-        with pytest.raises(Exception):
+        with pytest.raises(TopologyError):
             steiner_tree_cost(square_net, ["A", "ghost"])
 
 
@@ -66,23 +81,35 @@ class TestApproximationBound:
         servers = mesh_net.servers()
         terminals = servers[:6]
         optimum = steiner_tree_cost(
-            mesh_net, terminals, latency_weight(mesh_net)
+            mesh_net, terminals, LatencyWeightSpec(mesh_net)
         )
-        tree = terminal_tree(mesh_net, terminals[0], terminals[1:])
+        tree = terminal_tree(mesh_net, terminals)
         assert tree.weight >= optimum - 1e-9
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000), st.integers(3, 6))
     def test_textbook_two_approximation_bound(self, seed, k):
-        """terminal_tree is the metric-closure MST heuristic, guaranteed
-        within 2(1 - 1/k) of the optimal Steiner tree."""
-        from repro.sim.rng import RandomStreams
-
+        """The terminal tree is the metric-closure MST heuristic,
+        guaranteed within 2(1 - 1/k) of the optimal Steiner tree."""
         net = metro_mesh(n_sites=8, servers_per_site=2)
         rng = RandomStreams(seed).stream("steiner")
         terminals = rng.sample(net.servers(), k)
-        weight = latency_weight(net)
-        optimum = steiner_tree_cost(net, terminals, weight)
-        tree = terminal_tree(net, terminals[0], terminals[1:], weight)
+        optimum = steiner_tree_cost(net, terminals, LatencyWeightSpec(net))
+        tree = terminal_tree(net, terminals)
         bound = 2.0 * (1.0 - 1.0 / k) * optimum
         assert optimum - 1e-9 <= tree.weight <= bound + 1e-9
+
+
+class TestOracleAgreement:
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_cost_equals_object_oracle(self, k):
+        """The DP on cached CSR trees equals the DP on object Dijkstra."""
+        net = metro_mesh(n_sites=6, servers_per_site=2)
+        rng = RandomStreams(k).stream("steiner")
+        for _ in range(3):
+            terminals = rng.sample(net.servers(), k)
+            for spec in (LatencyWeightSpec(net), HopWeightSpec(net)):
+                production = steiner_tree_cost(net, terminals, spec)
+                with object_oracle():
+                    reference = steiner_tree_cost(net, terminals, spec)
+                assert production == reference

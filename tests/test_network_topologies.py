@@ -44,9 +44,10 @@ class TestMetroRing:
         # The IP ring runs router-to-router so in-network aggregation is
         # possible at intermediate sites (the paper's grooming routers).
         net = metro_ring(6)
-        from repro.network.paths import dijkstra
+        from repro.network.routing import LatencyWeightSpec, get_cache
 
-        path = dijkstra(net, "SRV-0-0", "SRV-3-0").nodes
+        spec = LatencyWeightSpec(net)
+        path = get_cache(net).shortest_path("SRV-0-0", "SRV-3-0", spec).nodes
         intermediate_kinds = {net.node(n).kind for n in path[1:-1]}
         assert NodeKind.ROUTER in intermediate_kinds
         assert NodeKind.ROADM not in intermediate_kinds

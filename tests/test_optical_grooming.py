@@ -5,11 +5,12 @@ import pytest
 from repro.errors import CapacityError, NoPathError, WavelengthError
 from repro.network.graph import Network
 from repro.network.node import NodeKind
-from repro.network.paths import dijkstra, latency_weight
+from repro.network.paths import latency_weight
 from repro.network.topology import nsfnet
 from repro.optical.grooming import GroomingLayer
 from repro.optical.roadm import RoadmPorts
 from repro.optical.wavelength import WDMGrid
+from tests.oracle import dijkstra
 
 
 @pytest.fixture
@@ -141,7 +142,7 @@ class TestMetrics:
 
 
 class TestDefaultRoute:
-    """The default lightpath is the object kernel's latency-shortest path."""
+    """The default lightpath is the oracle's latency-shortest path."""
 
     @pytest.mark.parametrize("failed", [False, True])
     def test_equals_object_dijkstra(self, failed):

@@ -2,11 +2,11 @@
 
 Covered invariants:
 
-* Dijkstra returns optimal weights (checked against brute-force
-  enumeration on small random graphs) and valid physical paths;
-* MST weight equals the brute-force minimum spanning tree weight;
+* shortest paths are optimal (checked against brute-force enumeration
+  on small random graphs) and valid physical paths;
 * terminal trees are acyclic, connect every terminal, and never beat the
   optimal Steiner weight by being invalid;
+* Yen's first paths are the brute-force cheapest simple paths;
 * link reservations conserve capacity and release exactly;
 * aggregation plans conserve contributions (merges + delivered == sources);
 * the flexible scheduler never consumes more bandwidth than the fixed
@@ -15,9 +15,6 @@ Covered invariants:
 """
 
 from __future__ import annotations
-
-import itertools
-import math
 
 import pytest
 
@@ -29,7 +26,7 @@ from repro.core.flexible import FlexibleScheduler
 from repro.errors import CapacityError
 from repro.network.graph import Network
 from repro.network.node import NodeKind
-from repro.network.paths import dijkstra, minimum_spanning_tree, terminal_tree
+from repro.network.routing import LatencyWeightSpec, get_cache
 from repro.optical.timeslot import TimeslotTable
 from repro.tasks.aggregation import UploadAggregationPlan
 from repro.tasks.aitask import AITask
@@ -81,13 +78,23 @@ def path_weight(net: Network, path):
     return sum(net.edge_latency_ms(a, b) for a, b in zip(path, path[1:]))
 
 
+def shortest(net: Network, source: str, destination: str):
+    return get_cache(net).shortest_path(
+        source, destination, LatencyWeightSpec(net)
+    )
+
+
+def terminal_tree(net: Network, root: str, terminals):
+    return get_cache(net).terminal_tree(root, terminals, LatencyWeightSpec(net))
+
+
 class TestDijkstraProperties:
     @settings(max_examples=40, deadline=None)
     @given(connected_graphs())
     def test_dijkstra_is_optimal(self, net):
         names = net.node_names()
         source, destination = names[0], names[-1]
-        result = dijkstra(net, source, destination)
+        result = shortest(net, source, destination)
         best = min(
             path_weight(net, p) for p in all_simple_paths(net, source, destination)
         )
@@ -97,50 +104,10 @@ class TestDijkstraProperties:
     @given(connected_graphs())
     def test_dijkstra_path_is_physical_and_simple(self, net):
         names = net.node_names()
-        result = dijkstra(net, names[0], names[-1])
+        result = shortest(net, names[0], names[-1])
         assert len(set(result.nodes)) == len(result.nodes)
         for a, b in zip(result.nodes, result.nodes[1:]):
             assert net.has_link(a, b)
-
-
-class TestMstProperties:
-    @settings(max_examples=30, deadline=None)
-    @given(connected_graphs(max_nodes=6))
-    def test_mst_weight_is_optimal(self, net):
-        tree = minimum_spanning_tree(net)
-        links = list(net.links())
-        n = net.node_count
-        # Brute force: try every (n-1)-subset of links that spans.
-        best = math.inf
-        for subset in itertools.combinations(links, n - 1):
-            parent = {name: name for name in net.node_names()}
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            components = n
-            weight = 0.0
-            for link in subset:
-                ra, rb = find(link.u), find(link.v)
-                if ra != rb:
-                    parent[ra] = rb
-                    components -= 1
-                weight += link.latency_ms
-            if components == 1:
-                best = min(best, weight)
-        assert tree.weight == pytest.approx(best)
-
-    @settings(max_examples=30, deadline=None)
-    @given(connected_graphs())
-    def test_mst_is_spanning_and_acyclic(self, net):
-        tree = minimum_spanning_tree(net)
-        assert tree.nodes == set(net.node_names())
-        assert len(tree.parent) == net.node_count - 1
-        for node in net.node_names():
-            tree.path_to_root(node)  # raises on cycles
 
 
 class TestTerminalTreeProperties:
@@ -169,7 +136,7 @@ class TestTerminalTreeProperties:
             st.lists(st.sampled_from(names[1:]), min_size=1, unique=True)
         )
         tree = terminal_tree(net, root, terminals)
-        star = sum(dijkstra(net, root, t).weight for t in terminals)
+        star = sum(shortest(net, root, t).weight for t in terminals)
         assert tree.weight <= star + 1e-9
 
 
@@ -178,15 +145,15 @@ class TestKShortestProperties:
     @given(connected_graphs(min_nodes=4, max_nodes=6))
     def test_yen_enumerates_cheapest_simple_paths(self, net):
         """Yen's first three paths equal the brute-force three cheapest."""
-        from repro.network.paths import k_shortest_paths
-
         names = net.node_names()
         source, destination = names[0], names[-1]
         enumerated = sorted(
             path_weight(net, p)
             for p in all_simple_paths(net, source, destination)
         )
-        found = k_shortest_paths(net, source, destination, 3)
+        found = get_cache(net).k_shortest_paths(
+            source, destination, 3, LatencyWeightSpec(net)
+        )
         for expected, result in zip(enumerated[:3], found):
             assert result.weight == pytest.approx(expected)
 

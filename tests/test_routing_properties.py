@@ -1,27 +1,27 @@
 """Property-based tests (hypothesis) for the routing kernel.
 
-The invariants the scheduler hot path leans on, checked over random
-connected topologies with random interleaved mutations:
+The invariants the scheduler hot path leans on, checked on the
+production entry points over random connected topologies with random
+interleaved mutations:
 
-* ``terminal_tree`` spans root and every terminal, and its weight never
+* the terminal tree spans root and every terminal, and its weight never
   exceeds the sum of pairwise terminal shortest paths (the metric-MST
   bound its 2-approximation guarantee rests on);
-* ``k_shortest_paths`` returns simple (loop-free) paths in
-  non-decreasing weight order, the first being the shortest path;
-* routing is deterministic: repeated calls return identical results;
+* Yen's k-shortest paths are simple (loop-free) and in non-decreasing
+  weight order, the first being the shortest path;
+* routing is deterministic: repeated uncached calls return identical
+  results;
 * the epoch-keyed cache is transparent: any interleaving of reserve /
   release / fail / restore mutations leaves cached results byte-equal
-  to a fresh uncached computation;
-* ``sssp`` agrees with point-to-point Dijkstra on every destination,
-  and ``multi_source_distances`` equals the min over per-source trees;
-* the CSR array kernel is byte-identical to the object kernel on every
-  query, under any interleaving of mutations, and a ``prune()``-repaired
-  CSR cache entry equals recomputation from scratch.
+  to a fresh computation by the reference oracle (``tests/oracle.py``);
+* a cached single-source tree agrees with the oracle's point-to-point
+  Dijkstra on every destination;
+* the CSR array kernel is byte-identical to the oracle on every query,
+  under any interleaving of mutations, and a ``prune()``-repaired CSR
+  cache entry equals recomputation from scratch.
 """
 
 from __future__ import annotations
-
-import math
 
 import pytest
 
@@ -33,18 +33,8 @@ from repro.network import csr
 from repro.network.auxiliary import AuxiliaryGraphBuilder
 from repro.network.graph import Network
 from repro.network.node import NodeKind
-from repro.network.paths import (
-    dijkstra,
-    k_shortest_paths,
-    latency_weight,
-    terminal_tree,
-)
-from repro.network.routing import (
-    LatencyWeightSpec,
-    PathCache,
-    multi_source_distances,
-    sssp,
-)
+from repro.network.routing import LatencyWeightSpec, PathCache, get_cache
+from tests.oracle import dijkstra, sssp, terminal_tree
 
 
 @st.composite
@@ -85,12 +75,16 @@ def graphs_with_terminals(draw):
     return net, root, terminals
 
 
+def _tree(net, root, terminals):
+    return get_cache(net).terminal_tree(root, terminals, LatencyWeightSpec(net))
+
+
 class TestTerminalTreeInvariants:
     @settings(max_examples=60, deadline=None)
     @given(graphs_with_terminals())
     def test_spans_all_terminals(self, case):
         net, root, terminals = case
-        tree = terminal_tree(net, root, terminals)
+        tree = _tree(net, root, terminals)
         for terminal in [root, *terminals]:
             path = tree.path_to_root(terminal)
             assert path[-1] == root
@@ -109,10 +103,11 @@ class TestTerminalTreeInvariants:
         well-defined.
         """
         net, root, terminals = case
-        tree = terminal_tree(net, root, terminals)
+        tree = _tree(net, root, terminals)
+        spec = LatencyWeightSpec(net)
         nodes = list(dict.fromkeys([root, *terminals]))
         pairwise = sum(
-            dijkstra(net, a, b).weight
+            get_cache(net).shortest_path(a, b, spec).weight
             for i, a in enumerate(nodes)
             for b in nodes[i + 1 :]
         )
@@ -122,8 +117,9 @@ class TestTerminalTreeInvariants:
     @given(graphs_with_terminals())
     def test_deterministic_across_repeated_calls(self, case):
         net, root, terminals = case
-        first = terminal_tree(net, root, terminals)
-        second = terminal_tree(net, root, terminals)
+        spec = LatencyWeightSpec(net)
+        first = csr.terminal_tree_csr(net, root, terminals, spec)
+        second = csr.terminal_tree_csr(net, root, terminals, spec)
         assert first.parent == second.parent
         assert first.weight == second.weight
 
@@ -134,10 +130,11 @@ class TestKShortestInvariants:
     def test_loop_free_and_non_decreasing(self, net, k):
         names = net.node_names()
         source, destination = names[0], names[-1]
-        paths = k_shortest_paths(net, source, destination, k)
+        spec = LatencyWeightSpec(net)
+        paths = get_cache(net).k_shortest_paths(source, destination, k, spec)
         assert 1 <= len(paths) <= k
         assert paths[0].weight == pytest.approx(
-            dijkstra(net, source, destination).weight
+            get_cache(net).shortest_path(source, destination, spec).weight
         )
         seen = set()
         for path in paths:
@@ -152,8 +149,9 @@ class TestKShortestInvariants:
     @given(connected_graphs(), st.integers(1, 3))
     def test_deterministic_across_repeated_calls(self, net, k):
         names = net.node_names()
-        first = k_shortest_paths(net, names[0], names[-1], k)
-        second = k_shortest_paths(net, names[0], names[-1], k)
+        spec = LatencyWeightSpec(net)
+        first = csr.k_shortest_paths_csr(net, names[0], names[-1], k, spec)
+        second = csr.k_shortest_paths_csr(net, names[0], names[-1], k, spec)
         assert first == second
 
 
@@ -161,31 +159,15 @@ class TestSsspAgreement:
     @settings(max_examples=50, deadline=None)
     @given(connected_graphs())
     def test_sssp_matches_dijkstra_everywhere(self, net):
-        weight = latency_weight(net)
+        spec = LatencyWeightSpec(net)
+        weight = spec.weight_fn()
         names = net.node_names()
         source = names[0]
-        tree = sssp(net, source, weight)
+        tree = PathCache(net).sssp(source, spec)
         for destination in names:
             assert tree.path_to(destination) == dijkstra(
                 net, source, destination, weight
             )
-
-    @settings(max_examples=40, deadline=None)
-    @given(connected_graphs(), st.data())
-    def test_multi_source_is_min_over_sources(self, net, data):
-        names = net.node_names()
-        sources = data.draw(
-            st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True)
-        )
-        weight = latency_weight(net)
-        distance, nearest = multi_source_distances(net, sources, weight)
-        trees = {s: sssp(net, s, weight) for s in sources}
-        for name in names:
-            best = min(
-                trees[s].distance.get(name, math.inf) for s in sources
-            )
-            assert distance[name] == pytest.approx(best)
-            assert nearest[name] in sources
 
 
 #: One network mutation of the cache-transparency state machine.

@@ -5,8 +5,12 @@ import pytest
 from repro.errors import ConfigurationError, TaskError
 from repro.network.graph import Network
 from repro.network.node import NodeKind
-from repro.network.paths import terminal_tree
+from repro.network.routing import LatencyWeightSpec, get_cache
 from repro.tasks.aggregation import AggregationModel, UploadAggregationPlan
+
+
+def terminal_tree(net, root, terminals):
+    return get_cache(net).terminal_tree(root, terminals, LatencyWeightSpec(net))
 
 
 class TestAggregationModel:

@@ -371,8 +371,8 @@ class TestCompose:
 class TestCompositeFamily:
     def test_diameter_exceeds_any_single_region(self):
         """The composite is the deepest fabric the path cache sees."""
-        from repro.network.paths import hop_weight
-        from repro.network.routing import sssp
+        from repro.network import csr
+        from repro.network.routing import HopWeightSpec
 
         net = build_topology(
             "multi-metro-wan",
@@ -384,7 +384,7 @@ class TestCompositeFamily:
             best = 0
             names = graph.node_names(NodeKind.ROUTER)
             for source in names:
-                tree = sssp(graph, source, hop_weight(graph))
+                tree = csr.sssp_csr(graph, source, HopWeightSpec(graph))
                 best = max(
                     best,
                     max(int(tree.distance[name]) for name in names),

@@ -36,6 +36,15 @@ def build(builder, params, seed=0):
     return builder(metro_mesh(), dict(params), streams(seed))
 
 
+def write_json_trace(path, arrivals):
+    """A one-epoch JSON trace whose arrival count is ``arrivals`` verbatim."""
+    payload = {
+        "epoch_ms": 100.0,
+        "epochs": [{"arrivals": arrivals, "demand_gbps": 5.0}],
+    }
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
 # ---------------------------------------------------------------------------
 # TraceSeries + file formats
 # ---------------------------------------------------------------------------
@@ -82,6 +91,27 @@ class TestTraceSeries:
     def test_unknown_extension_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match="extension"):
             load_trace(str(tmp_path / "trace.yaml"))
+
+    @pytest.mark.parametrize(
+        "csv_count, json_count",
+        [("3", 3), ("1.7", 1.7), ("true", True), ("2.0", 2.0), ("-1", -1)],
+    )
+    def test_csv_and_json_loaders_agree(self, tmp_path, csv_count, json_count):
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text(
+            f"epoch_ms,arrivals,demand_gbps\n100.0,{csv_count},5.0\n",
+            encoding="utf-8",
+        )
+        json_path = tmp_path / "t.json"
+        write_json_trace(json_path, json_count)
+        outcomes = []
+        for path in (csv_path, json_path):
+            try:
+                outcomes.append(load_trace(str(path)).arrivals)
+            except ConfigurationError:
+                outcomes.append("rejected")
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == ((3,) if json_count == 3 else "rejected")
 
 
 class TestSynthesis:
@@ -320,6 +350,17 @@ class TestTracesCli:
 
     def test_show_missing_file_errors(self, tmp_path):
         assert main(["traces", "show", str(tmp_path / "nope.csv")]) == 2
+
+    @pytest.mark.parametrize("count", [1.7, True])
+    def test_show_non_integer_arrivals_errors(self, tmp_path, capsys, count):
+        path = tmp_path / "frac.json"
+        write_json_trace(path, count)
+        assert main(["traces", "show", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = [line for line in captured.err.splitlines() if line.strip()]
+        assert len(lines) == 1 and "ERROR" in lines[0], captured.err
+        assert "arrivals must be ints" in lines[0]
 
     def test_synth_is_seed_stable(self, tmp_path):
         a = tmp_path / "a.json"

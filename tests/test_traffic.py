@@ -6,17 +6,18 @@ from repro.errors import ConfigurationError, NoPathError
 from repro.network import routing
 from repro.network.graph import Network
 from repro.network.node import NodeKind
-from repro.network.paths import dijkstra, latency_weight
+from repro.network.paths import latency_weight
 from repro.network.topology import metro_mesh, nsfnet, scale_free
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.traffic.generator import TrafficGenerator
+from tests.oracle import dijkstra
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
 def oracle_inject_static(network, seed, n_flows, rate_gbps=5.0):
-    """Static injection one flow at a time on the object kernel's Dijkstra.
+    """Static injection one flow at a time on the oracle's object Dijkstra.
 
     Draws the generator's pairs and flow ids from the same stream, then
     routes each flow and reserves it before drawing the next: the
