@@ -41,7 +41,7 @@ properties:
 	HYPOTHESIS_PROFILE=ci python -m pytest \
 		tests/test_properties.py tests/test_routing_properties.py \
 		tests/test_csr_vector.py tests/test_csr_point.py \
-		tests/test_network_steiner.py -q
+		tests/test_network_steiner.py tests/test_evaluation_properties.py -q
 
 # A fast end-to-end sanity pass over the scenario machinery.
 smoke:

@@ -16,6 +16,13 @@ the best of ``REPEATS`` fresh orchestrators.  The handlers look
 affected tasks up by owner, so the ratio stays near 1; a handler that
 rescans the history per owner costs O(owners x history) and breaks the
 floor.
+
+``fault_cache_revalidations`` (shape, floored ``== 0``) counts the path
+cache's revalidations during one ``handle_link_failure`` +
+``handle_link_restore`` of a hub span, with a warm cache of 600 entries
+and no task on the span.  Fault handlers leave validation to the next
+lookup, so the count is 0; a handler that revalidates the cache eagerly
+costs one revalidation per entry per event.
 """
 
 import dataclasses
@@ -25,7 +32,8 @@ import time
 from repro.bench import bench_suite
 from repro.core.flexible import FlexibleScheduler
 from repro.experiments.extensions import run_failure_recovery
-from repro.network.topology import metro_mesh
+from repro.network.routing import HopWeightSpec, LatencyWeightSpec, get_cache
+from repro.network.topology import metro_mesh, scale_free
 from repro.orchestrator.database import TaskStatus
 from repro.orchestrator.orchestrator import Orchestrator
 from repro.tasks.aitask import AITask
@@ -83,6 +91,22 @@ def fault_history_ratio(repeats: int = REPEATS) -> float:
     return min(with_history) / min(without)
 
 
+def fault_cache_revalidations() -> int:
+    """Cache revalidations one fail + restore of an idle hub span runs."""
+    network = scale_free(n_routers=150, seed=5)
+    orchestrator = Orchestrator(network, FlexibleScheduler())
+    cache = get_cache(network)
+    for spec in (LatencyWeightSpec(network), HopWeightSpec(network)):
+        cache.batched_sssp(network.node_names(), spec)
+    assert len(cache) >= 500
+    hub = max(network.node_names(), key=lambda name: len(network.neighbors(name)))
+    span = (hub, network.neighbors(hub)[0])
+    before = cache.stats.snapshot()
+    assert orchestrator.handle_link_failure(*span) == {}
+    orchestrator.handle_link_restore(*span)
+    return cache.stats.delta(before)["revalidations"]
+
+
 @bench_suite("failures", headline="repair_rate")
 def suite(smoke: bool = False) -> dict:
     """Failure recovery: the mesh keeps most tasks running through cuts."""
@@ -114,6 +138,7 @@ def suite(smoke: bool = False) -> dict:
         "fault_history_ratio": round(
             fault_history_ratio(3 if smoke else REPEATS), 3
         ),
+        "fault_cache_revalidations": fault_cache_revalidations(),
     }
 
 

@@ -104,6 +104,10 @@ FLOORS: List[Floor] = [
         doc="fig3a saving not suspiciously above the paper band",
     ),
     Floor(
+        "fig3a", "transfer_calls_per_path", 1.5, op="<=",
+        doc="evaluation prices each distinct (size, rate) stage once",
+    ),
+    Floor(
         "fig3b", "bandwidth_gap_widens", 1,
         doc="fig3b fixed-vs-flexible bandwidth gap widens with locals",
     ),
@@ -150,6 +154,10 @@ FLOORS: List[Floor] = [
     Floor(
         "csr", "scale_free_1k.inject_identical", 1,
         doc="batched background flows identical to per-flow object Dijkstra",
+    ),
+    Floor(
+        "failures", "fault_cache_revalidations", 0, op="<=",
+        doc="link fault and restore leave cache validation to lookups",
     ),
     Floor(
         "traces", "identical", 1,

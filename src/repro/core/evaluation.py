@@ -32,7 +32,7 @@ Modelling choices (documented because they shape the results):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from ..errors import SchedulingError
 from ..network.graph import Network
@@ -107,26 +107,31 @@ class ScheduleEvaluator:
         return 1000.0 * task.model.train_gflop_per_round / speed
 
     def _pipelined_path_ms(
-        self,
-        path: Sequence[str],
-        stage_sizes_mb: Sequence[float],
-        stage_rates: Sequence[float],
+        self, prop: float, stages: Iterable[Tuple[float, float]]
     ) -> float:
-        """Latency of a chunk-pipelined transfer along ``path``.
+        """Latency of a chunk-pipelined transfer with propagation ``prop``.
 
-        ``stage_sizes_mb[i]`` / ``stage_rates[i]`` describe hop ``i``.
-        Total time = summed propagation + the slowest stage's transfer
-        time (which includes the protocol's handshake and loss effects at
-        the path's end-to-end RTT).
+        ``stages`` yields each hop's ``(size_mb, rate)``.  Total time =
+        summed propagation + the slowest stage's transfer time (which
+        includes the protocol's handshake and loss effects at the path's
+        end-to-end RTT).  ``transfer_ms`` is pure and ``max`` order-free,
+        so each distinct stage is priced once.
         """
-        prop = path_latency_ms(self._network, path)
         rtt = 2.0 * prop
+        transfer_ms = self._config.transport.transfer_ms
         slowest = 0.0
-        for size, rate in zip(stage_sizes_mb, stage_rates):
-            slowest = max(
-                slowest, self._config.transport.transfer_ms(size, rate, rtt)
-            )
+        for size, rate in dict.fromkeys(stages):
+            slowest = max(slowest, transfer_ms(size, rate, rtt))
         return prop + slowest
+
+    @staticmethod
+    def _edge_rate(rates: Dict[Edge, float], src: str, dst: str) -> float:
+        try:
+            return rates[(src, dst)]
+        except KeyError:
+            raise SchedulingError(
+                f"no reserved rate on tree edge {(src, dst)}"
+            ) from None
 
     # ------------------------------------------------------------------
     # Broadcast
@@ -141,31 +146,37 @@ class ScheduleEvaluator:
         if schedule.broadcast_tree is None:
             for local in task.local_nodes:
                 path = schedule.broadcast_path_of(local)
-                rate = schedule.broadcast_flow_rates[local]
-                hops = len(path) - 1
-                ms = self._pipelined_path_ms(path, [size] * hops, [rate] * hops)
+                stage = (size, schedule.broadcast_flow_rates[local])
+                prop = path_latency_ms(self._network, path)
+                ms = self._pipelined_path_ms(prop, [stage] * (len(path) - 1))
                 latency = max(latency, ms)
                 cpu += self._config.transport.endpoint_cpu_ms(size)
             return latency, cpu
 
         tree = schedule.broadcast_tree
         terminals = set(task.local_nodes)
+        # child -> latency of its tree edge, read once per tree.  Each
+        # path still sums root-first with sum(), as path_latency_ms does
+        # (a running prefix sum would not match sum() on Python >= 3.12,
+        # which compensates float additions).
+        edge_ms: Dict[str, float] = {}
         for local in task.local_nodes:
             path = schedule.broadcast_path_of(local)  # root -> local
-            rates = []
+            stages = []
             for src, dst in zip(path, path[1:]):
-                key: Edge = (src, dst)
-                if key not in schedule.broadcast_edge_rates:
-                    raise SchedulingError(f"no reserved rate on tree edge {key}")
-                rates.append(schedule.broadcast_edge_rates[key])
-            ms = self._pipelined_path_ms(path, [size] * len(rates), rates)
+                rate = self._edge_rate(schedule.broadcast_edge_rates, src, dst)
+                stages.append((size, rate))
+                if dst not in edge_ms:
+                    edge_ms[dst] = self._network.edge_latency_ms(src, dst)
+            prop = sum(edge_ms[node] for node in path[1:])
+            ms = self._pipelined_path_ms(prop, stages)
             # Intermediate model endpoints relay at application level.
             relays = sum(1 for node in path[1:-1] if node in terminals)
             ms += relays * self._config.relay_overhead_ms
             latency = max(latency, ms)
         # Endpoint CPU: one send/receive pair per tree edge (the payload
         # crosses each edge exactly once thanks to in-network replication).
-        cpu = len(tree.edges) * self._config.transport.endpoint_cpu_ms(size)
+        cpu = len(tree.parent) * self._config.transport.endpoint_cpu_ms(size)
         return latency, cpu
 
     # ------------------------------------------------------------------
@@ -183,9 +194,9 @@ class ScheduleEvaluator:
             cpu = 0.0
             for local in task.local_nodes:
                 path = schedule.upload_path_of(local)
-                rate = schedule.upload_flow_rates[local]
-                hops = len(path) - 1
-                ms = self._pipelined_path_ms(path, [size] * hops, [rate] * hops)
+                stage = (size, schedule.upload_flow_rates[local])
+                prop = path_latency_ms(self._network, path)
+                ms = self._pipelined_path_ms(prop, [stage] * (len(path) - 1))
                 completion = max(completion, self._train_ms(task, local) + ms)
                 cpu += self._config.transport.endpoint_cpu_ms(size)
             merges = max(0, task.n_locals - 1)
@@ -196,27 +207,31 @@ class ScheduleEvaluator:
         tree = schedule.upload_tree
         plan = UploadAggregationPlan(self._network, tree, task.local_nodes)
         terminals = set(task.local_nodes)
+        # Per tree node, computed once: the latency of its parent edge,
+        # and its (merge time, relay flag).  Each path still sums from
+        # the local upward, as the per-path formulas do.
+        edge_ms: Dict[str, float] = {}
+        node_terms: Dict[str, Tuple[float, bool]] = {}
         completion = 0.0
         for local in task.local_nodes:
             path = schedule.upload_path_of(local)  # local -> root
-            sizes: List[float] = []
-            rates: List[float] = []
+            stages = []
             for src, dst in zip(path, path[1:]):
-                key: Edge = (src, dst)
-                if key not in schedule.upload_edge_rates:
-                    raise SchedulingError(f"no reserved rate on tree edge {key}")
-                rates.append(schedule.upload_edge_rates[key])
-                sizes.append(size * plan.payloads_on_edge(src))
-            ms = self._pipelined_path_ms(path, sizes, rates)
+                rate = self._edge_rate(schedule.upload_edge_rates, src, dst)
+                stages.append((size * plan.payloads_on_edge(src), rate))
+                if src not in edge_ms:
+                    edge_ms[src] = self._network.edge_latency_ms(src, dst)
+                if dst not in node_terms:
+                    merges = plan.at(dst).merges
+                    node_terms[dst] = (
+                        agg.merge_ms(size, merges),
+                        dst in terminals or merges > 0,
+                    )
+            prop = sum(edge_ms[node] for node in path[:-1])
+            ms = self._pipelined_path_ms(prop, stages)
             # Merge compute and relay turnover along the way up.
-            merge_ms = sum(
-                agg.merge_ms(size, plan.at(node).merges) for node in path[1:]
-            )
-            relays = sum(
-                1
-                for node in path[1:-1]
-                if node in terminals or plan.at(node).merges > 0
-            )
+            merge_ms = sum(node_terms[node][0] for node in path[1:])
+            relays = sum(node_terms[node][1] for node in path[1:-1])
             ms += merge_ms + relays * self._config.relay_overhead_ms
             completion = max(completion, self._train_ms(task, local) + ms)
         # Endpoint CPU: one send/receive pair per payload crossing each

@@ -28,7 +28,10 @@ results.  Two ideas carry it:
   topology-version move drops everything — a new link offers paths no
   array of the old shape could describe.  Because the kernel is a
   deterministic function of the array, a surviving entry is
-  byte-identical to a recompute.
+  byte-identical to a recompute.  Validation happens only at lookup:
+  link failures, restores, drains and capacity changes leave the cache
+  alone, and :meth:`PathCache.prune` (called after a node failure) only
+  drops entries by containment, never revalidates.
 
 Weight functions enter the cache via a small *spec* protocol: a
 ``cache_token()`` identifying the weight semantics (the CSR weight
@@ -160,13 +163,12 @@ class CacheStats:
 class _Entry:
     """One cached result: its value (or raised error) and its weight array.
 
-    ``token`` is kept so revalidation can rebuild the current array
-    without a live weight spec (that is what makes orchestrator-time
-    repair possible).  ``exact`` entries survive only an element-equal
-    array; the others are full trees the change-cut may keep across
-    unequal arrays.  ``endpoints`` names the query's source/destination
-    nodes so pruning after a node failure can drop entries anchored at
-    the dead node by containment.
+    ``token`` names the weight array the entry is validated against.
+    ``exact`` entries survive only an element-equal array; the others
+    are full trees the change-cut may keep across unequal arrays.
+    ``endpoints`` names the query's source/destination nodes so pruning
+    after a node failure can drop entries anchored at the dead node by
+    containment.
     """
 
     value: Any
@@ -227,53 +229,28 @@ class PathCache:
         self._entries.clear()
 
     def prune(self, dead_nodes: Sequence[str] = ()) -> int:
-        """Drop stale entries; repair entries that provably survive.
+        """Drop entries no lookup may serve again, by containment only.
 
-        Called by the orchestrator after failure/repair events so a long
-        campaign with many faults does not accumulate dead entries; a
-        lookup would lazily catch staleness anyway, pruning reclaims
-        memory eagerly.
-
-        ``dead_nodes`` names nodes that just went down: any entry whose
-        source or destination set touches one is dropped by containment
-        (an unreachable-source tree is valid under every array, yet must
-        not serve a "node exists and is isolated" answer for a node that
-        is *down*).
-
-        Every other entry whose epoch moved is revalidated against its
-        token's current weight array; entries the comparison (or the
-        :func:`~repro.network.csr.tree_unaffected` change-cut) clears
-        are kept with the new array (counted in ``stats.repairs``)
-        instead of dropped.  Returns how many entries were dropped.
+        The orchestrator calls this after a node failure.  An entry whose
+        source or destination set touches one of ``dead_nodes`` is
+        dropped: an unreachable-source tree is valid under every array,
+        yet must not serve a "node exists and is isolated" answer for a
+        node that is *down*.  Entries from an older ``topology_version``
+        are dropped too.  Nothing is revalidated here: every other entry
+        is checked against the current weight array by the next lookup
+        that reaches it.  Returns how many entries were dropped.
         """
         dead = frozenset(dead_nodes)
-        epoch = self._network.epoch
         version = self._network.topology_version
-        snapshot = None
-        repaired = 0
-        stale = []
-        for key, entry in self._entries.items():
-            if dead and not dead.isdisjoint(entry.endpoints):
-                stale.append(key)
-                continue
-            if entry.topology_version != version:
-                stale.append(key)
-                continue
-            if entry.epoch == epoch:
-                continue
-            if snapshot is None:
-                with obs.span("csr.repair", entries=len(self._entries)):
-                    snapshot = csr_kernel.get_snapshot(self._network)
-            if self._validate(entry, snapshot):
-                repaired += 1
-            else:
-                stale.append(key)
+        stale = [
+            key
+            for key, entry in self._entries.items()
+            if entry.topology_version != version
+            or not dead.isdisjoint(entry.endpoints)
+        ]
         for key in stale:
             del self._entries[key]
         self.stats.invalidations += len(stale)
-        self.stats.repairs += repaired
-        if repaired:
-            obs.inc("csr.repair", repaired)
         return len(stale)
 
     # -- validation --------------------------------------------------------
@@ -303,8 +280,9 @@ class PathCache:
         rebuilt (memoised) and compared: an element-equal array replays
         the identical array computation; for tree entries the
         :func:`~repro.network.csr.tree_unaffected` change-cut additionally
-        keeps entries whose array delta provably cannot move the tree.
-        A surviving entry adopts the new array and epoch.
+        keeps entries whose array delta provably cannot move the tree,
+        counted in ``stats.repairs``.  A surviving entry adopts the new
+        array and epoch.
         """
         if entry.topology_version != self._network.topology_version:
             return False
@@ -313,14 +291,12 @@ class PathCache:
             return True
         new_array, _wlist = self._weight_arrays(snapshot, entry.token)
         self.stats.revalidations += 1
-        if entry.exact or entry.error is not None:
-            valid = bool((entry.warray == new_array).all())
-        else:
-            valid = csr_kernel.tree_unaffected(
+        if not (entry.warray == new_array).all():
+            if entry.exact or not csr_kernel.tree_unaffected(
                 snapshot, entry.value, entry.warray, new_array
-            )
-        if not valid:
-            return False
+            ):
+                return False
+            self.stats.repairs += 1
         entry.warray = new_array
         entry.epoch = epoch
         return True

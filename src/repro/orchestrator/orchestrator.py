@@ -310,40 +310,20 @@ class Orchestrator:
         """Move the control-plane clock forward (event log timestamps)."""
         self._clock_ms = max(self._clock_ms, time_ms)
 
-    def _prune_path_cache(self, dead_nodes: "tuple[str, ...]" = ()) -> None:
-        """Eagerly drop routing-cache entries made stale by a topology event.
-
-        Failures and repairs change weights on the affected links, so
-        cached results computed under the old weight arrays may be dead.
-        The cache would notice lazily on the next lookup, but campaigns
-        with long fault timelines reschedule in bursts right after each
-        event — pruning here keeps memory bounded and the post-event
-        lookups cheap (entries the change-cut clears are repaired in
-        place rather than dropped).
-
-        ``dead_nodes`` names devices that just went down: entries whose
-        source or terminal set contains one are dropped by containment,
-        covering results that never read any of the dead node's links
-        (e.g. a tree rooted at the now-dead node).
-        """
-        cache = routing.peek_cache(self.network)
-        if cache is not None:
-            cache.prune(dead_nodes=dead_nodes)
-
     def handle_link_failure(self, u: str, v: str) -> Dict[str, bool]:
         """Fail a link and repair every running task routed across it.
 
         Affected tasks have their reservations released and are re-run
         through the scheduler on the degraded topology.  Tasks that can
         be re-routed keep RUNNING (with fresh flow rules); tasks that
-        cannot are marked BLOCKED.
+        cannot are marked BLOCKED.  The routing cache is left alone: the
+        next lookup of each entry validates it against the new weights.
 
         Returns:
             affected task id -> True if repaired, False if blocked.
         """
         affected = self._running_owners(u, v)
         self.network.fail_link(u, v)
-        self._prune_path_cache()
         self.database.log(self._clock_ms, f"link {u}-{v} failed; {len(affected)} tasks affected")
         return {
             task_id: self._reschedule(
@@ -355,9 +335,11 @@ class Orchestrator:
         }
 
     def handle_link_restore(self, u: str, v: str) -> None:
-        """Bring a failed link back (re-optimisation is the policy's job)."""
+        """Bring a failed link back (re-optimisation is the policy's job).
+
+        Cached routes are validated at their next lookup, not here.
+        """
         self.network.restore_link(u, v)
-        self._prune_path_cache()
         self.database.log(self._clock_ms, f"link {u}-{v} restored")
 
     def handle_node_failure(self, name: str) -> Dict[str, bool]:
@@ -367,7 +349,9 @@ class Orchestrator:
         scheduler on the degraded topology, exactly like a link failure.
         Tasks with a model endpoint *on* the node (its global or a local
         model host) cannot survive the outage: their containers die with
-        the device, so they are torn down and marked BLOCKED.
+        the device, so they are torn down and marked BLOCKED.  Cached
+        routes anchored at the node are pruned by containment; every
+        other entry is validated at its next lookup.
 
         Returns:
             affected task id -> True if re-routed, False if blocked.
@@ -382,7 +366,9 @@ class Orchestrator:
         for neighbor in self.network.neighbors(name):
             affected.update(self._running_owners(name, neighbor))
         self.network.fail_node(name)
-        self._prune_path_cache(dead_nodes=(name,))
+        cache = routing.peek_cache(self.network)
+        if cache is not None:
+            cache.prune(dead_nodes=(name,))
         self.database.log(
             self._clock_ms,
             f"node {name} failed; {len(affected)} tasks affected",
@@ -407,9 +393,8 @@ class Orchestrator:
         return outcomes
 
     def handle_node_restore(self, name: str) -> None:
-        """Bring a downed device back into service."""
+        """Bring a downed device back into service (cache validated at lookup)."""
         self.network.restore_node(name)
-        self._prune_path_cache()
         self.database.log(self._clock_ms, f"node {name} restored")
 
     def handle_link_drain(self, u: str, v: str) -> Dict[str, bool]:
@@ -421,7 +406,8 @@ class Orchestrator:
         the fabric while the span is still nominally healthy.  When the
         forecast fault then lands, nothing is left on the span to
         interrupt.  A no-op when the link is already down (an earlier
-        fault beat the forecast).
+        fault beat the forecast).  Like a failure, it leaves the routing
+        cache to validate at lookup.
 
         Returns:
             affected task id -> True if drained off, False if blocked.
@@ -434,7 +420,6 @@ class Orchestrator:
             return {}
         affected = self._running_owners(u, v)
         self.network.fail_link(u, v)
-        self._prune_path_cache()
         self.database.log(
             self._clock_ms,
             f"link {u}-{v} draining ahead of forecast fault; "
@@ -462,14 +447,14 @@ class Orchestrator:
         oversubscribed by unmovable flows is left carrying them (the
         reservation invariant is enforced at admission, not
         retroactively).  Growing capacity never moves anybody:
-        re-optimisation is the rescheduling policy's job.
+        re-optimisation is the rescheduling policy's job.  Cached routes
+        are validated at their next lookup.
 
         Returns:
             evicted task id -> True if re-scheduled, False if blocked.
         """
         link = self.network.link(u, v)
         link.capacity_gbps = capacity_gbps
-        self._prune_path_cache()
         self.database.log(
             self._clock_ms,
             f"link {u}-{v} capacity set to {capacity_gbps:g} Gbps",

@@ -9,11 +9,12 @@ testbed.  Every transition and task outcome is reported to the
 :class:`~repro.resilience.accounting.AvailabilityAccountant`.
 
 Routing through the handlers also keeps the epoch-keyed
-:class:`~repro.network.routing.PathCache` honest: each handler bumps the
-affected links' generations (via ``fail_link``/``restore_link``/
-``fail_node``/``restore_node``) and prunes cache entries that read them,
-so the re-schedule storm right after a fault never consumes a
-shortest-path tree computed on the pre-fault fabric.
+:class:`~repro.network.routing.PathCache` honest: each handler moves the
+network's epoch (via ``fail_link``/``restore_link``/``fail_node``/
+``restore_node``), so the next lookup of every entry validates it
+against the post-fault weights and the re-schedule storm right after a
+fault never consumes a shortest-path tree computed on the pre-fault
+fabric.  A node failure also prunes the entries anchored at the node.
 
 Beyond independent link/node processes the injector plays three
 correlated-failure shapes:

@@ -45,7 +45,8 @@ class TraceSeries:
         epoch_ms: epoch duration; epoch ``e`` spans
             ``[e * epoch_ms, (e + 1) * epoch_ms)``.
         arrivals: tasks arriving in each epoch.
-        demand_gbps: mean per-task demand of each epoch's arrivals.
+        demand_gbps: mean per-task demand of each epoch's arrivals,
+            stored as floats.
     """
 
     name: str
@@ -92,6 +93,9 @@ class TraceSeries:
                     f"trace {self.name!r}: demands must be finite numbers "
                     f"> 0 Gbps, got {demand!r}"
                 )
+        object.__setattr__(
+            self, "demand_gbps", tuple(float(d) for d in self.demand_gbps)
+        )
 
     @property
     def n_epochs(self) -> int:
@@ -163,10 +167,11 @@ def load_trace(path: str) -> TraceSeries:
             )
         epochs = payload["epochs"]
         try:
-            # Arrivals pass through unconverted: TraceSeries rejects a
-            # non-int count (1.7, true) as the CSV loader's int() does.
+            # Arrivals and demands pass through unconverted: TraceSeries
+            # rejects a non-int count (1.7, true) and a non-number demand
+            # (true, "2"), as the CSV loader's int()/float() do.
             arrivals = tuple(epoch["arrivals"] for epoch in epochs)
-            demands = tuple(float(epoch["demand_gbps"]) for epoch in epochs)
+            demands = tuple(epoch["demand_gbps"] for epoch in epochs)
             epoch_ms = float(payload["epoch_ms"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(

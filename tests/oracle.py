@@ -15,6 +15,12 @@ tree per terminal to the package's own finisher.
 over ``spec.weight_fn()``, and :func:`object_oracle` swaps it in for
 :func:`~repro.network.routing.get_cache`, so a production scheduler's
 own control flow can be replayed against the oracle and compared.
+
+:class:`ReferenceEvaluator` is the same idea for schedule evaluation: the
+per-local evaluator that walks every local's path again, pricing each
+hop with its own ``transfer_ms`` call and re-reading link latencies and
+aggregation-plan records, against which the one-pass-per-tree
+production evaluator is checked field for field.
 """
 
 from __future__ import annotations
@@ -26,14 +32,17 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.errors import TopologyError
+from repro.core.evaluation import ScheduleEvaluator
+from repro.errors import SchedulingError, TopologyError
 from repro.network import paths, routing
 from repro.network.paths import (
     ShortestPathTree,
     TreeResult,
     latency_weight,
+    path_latency_ms,
     tree_from_metric_closure,
 )
+from repro.tasks.aggregation import UploadAggregationPlan
 
 
 def sssp(network, source, weight, destination=None):
@@ -177,3 +186,106 @@ def object_oracle():
             lambda network, max_entries=None: ObjectOracleCache(network),
         )
         yield
+
+
+class ReferenceEvaluator(ScheduleEvaluator):
+    """Per-local schedule evaluation: every path priced from scratch.
+
+    Overrides the broadcast and upload procedures with the straight
+    per-local walk (``report``/``round_latency`` combine them as in
+    production): propagation is ``path_latency_ms`` of each path,
+    every hop is one ``transfer_ms`` call, and merge time and relay
+    flags are looked up again for every path through a node.
+    """
+
+    def _path_ms(self, path, stage_sizes_mb, stage_rates):
+        prop = path_latency_ms(self._network, path)
+        rtt = 2.0 * prop
+        slowest = 0.0
+        for size, rate in zip(stage_sizes_mb, stage_rates):
+            slowest = max(
+                slowest, self._config.transport.transfer_ms(size, rate, rtt)
+            )
+        return prop + slowest
+
+    def _broadcast(self, schedule):
+        task = schedule.task
+        size = task.size_mb
+        latency = 0.0
+        cpu = 0.0
+        if schedule.broadcast_tree is None:
+            for local in task.local_nodes:
+                path = schedule.broadcast_path_of(local)
+                rate = schedule.broadcast_flow_rates[local]
+                hops = len(path) - 1
+                ms = self._path_ms(path, [size] * hops, [rate] * hops)
+                latency = max(latency, ms)
+                cpu += self._config.transport.endpoint_cpu_ms(size)
+            return latency, cpu
+        tree = schedule.broadcast_tree
+        terminals = set(task.local_nodes)
+        for local in task.local_nodes:
+            path = schedule.broadcast_path_of(local)
+            rates = []
+            for src, dst in zip(path, path[1:]):
+                key = (src, dst)
+                if key not in schedule.broadcast_edge_rates:
+                    raise SchedulingError(f"no reserved rate on tree edge {key}")
+                rates.append(schedule.broadcast_edge_rates[key])
+            ms = self._path_ms(path, [size] * len(rates), rates)
+            relays = sum(1 for node in path[1:-1] if node in terminals)
+            ms += relays * self._config.relay_overhead_ms
+            latency = max(latency, ms)
+        cpu = len(tree.edges) * self._config.transport.endpoint_cpu_ms(size)
+        return latency, cpu
+
+    def _upload(self, schedule):
+        task = schedule.task
+        size = task.size_mb
+        agg = self._config.aggregation
+        if schedule.upload_tree is None:
+            completion = 0.0
+            cpu = 0.0
+            for local in task.local_nodes:
+                path = schedule.upload_path_of(local)
+                rate = schedule.upload_flow_rates[local]
+                hops = len(path) - 1
+                ms = self._path_ms(path, [size] * hops, [rate] * hops)
+                completion = max(completion, self._train_ms(task, local) + ms)
+                cpu += self._config.transport.endpoint_cpu_ms(size)
+            merges = max(0, task.n_locals - 1)
+            completion += agg.merge_ms(size, merges)
+            agg_nodes = (task.global_node,) if merges else ()
+            return completion, cpu, agg_nodes
+        tree = schedule.upload_tree
+        plan = UploadAggregationPlan(self._network, tree, task.local_nodes)
+        terminals = set(task.local_nodes)
+        completion = 0.0
+        for local in task.local_nodes:
+            path = schedule.upload_path_of(local)
+            sizes = []
+            rates = []
+            for src, dst in zip(path, path[1:]):
+                key = (src, dst)
+                if key not in schedule.upload_edge_rates:
+                    raise SchedulingError(f"no reserved rate on tree edge {key}")
+                rates.append(schedule.upload_edge_rates[key])
+                sizes.append(size * plan.payloads_on_edge(src))
+            ms = self._path_ms(path, sizes, rates)
+            merge_ms = sum(
+                agg.merge_ms(size, plan.at(node).merges) for node in path[1:]
+            )
+            relays = sum(
+                1
+                for node in path[1:-1]
+                if node in terminals or plan.at(node).merges > 0
+            )
+            ms += merge_ms + relays * self._config.relay_overhead_ms
+            completion = max(completion, self._train_ms(task, local) + ms)
+        cpu = sum(
+            self._config.transport.endpoint_cpu_ms(
+                size * plan.payloads_on_edge(child)
+            )
+            for child, _parent in tree.edges
+        )
+        return completion, cpu, tuple(sorted(plan.aggregation_nodes))

@@ -333,11 +333,41 @@ class TestVerify:
         }
 
     def test_fault_history_ratio_floor_is_an_upper_bound(self):
-        suites = {"failures": {"fault_history_ratio": 3.6}}
+        suites = {
+            "failures": {
+                "fault_history_ratio": 3.6, "fault_cache_revalidations": 0
+            }
+        }
         (violation,) = verify_record(_fake_record(suites))
         assert violation.floor.metric == "fault_history_ratio"
         suites["failures"]["fault_history_ratio"] = 1.0
         assert verify_record(_fake_record(suites)) == []
+
+
+    def test_sub_change_count_floors(self):
+        floors = {(f.suite, f.metric): f for f in FLOORS}
+        for key, limit in (
+            (("failures", "fault_cache_revalidations"), 0),
+            (("fig3a", "transfer_calls_per_path"), 1.5),
+        ):
+            floor = floors[key]
+            assert not floor.timing and floor.op == "<=" and floor.limit == limit
+        suites = {
+            "failures": {"fault_cache_revalidations": 600},
+            "fig3a": {
+                "latency_saving_pct": 20.0, "transfer_calls_per_path": 3.8
+            },
+        }
+        violated = {
+            v.floor.metric
+            for v in verify_record(_fake_record(suites, smoke=True))
+        }
+        assert violated == {
+            "fault_cache_revalidations", "transfer_calls_per_path"
+        }
+        suites["failures"]["fault_cache_revalidations"] = 0
+        suites["fig3a"]["transfer_calls_per_path"] = 1.0
+        assert verify_record(_fake_record(suites, smoke=True)) == []
 
 
 class TestReport:

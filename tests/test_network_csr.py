@@ -293,31 +293,50 @@ class TestCacheCsrIntegration:
             object_tree = sssp(square_net, source, spec.weight_fn())
             assert _tree_key(array_tree) == _tree_key(object_tree)
 
-    def test_prune_repairs_surviving_entries(self, square_net):
+    def test_lookup_repairs_surviving_entries(self, square_net):
         cache = PathCache(square_net)
         spec = LatencyWeightSpec(square_net)
         cached = cache.sssp("A", spec)
         assert cached.previous["D"] == "C"  # A-D unused by the tree
         square_net.fail_link("A", "D")
-        dropped = cache.prune()
-        assert dropped == 0
-        assert cache.stats.repairs == 1
-        # The repaired entry serves the post-failure truth (as mappings:
-        # a repaired tree keeps its original discovery order, which is
-        # not observable through path_to/distance lookups).
+        # The lookup revalidates and repairs the entry in place; it
+        # serves the post-failure truth (as mappings: a repaired tree
+        # keeps its original discovery order, which is not observable
+        # through path_to/distance lookups).
         repaired = cache.sssp("A", spec)
+        assert repaired is cached
         fresh = sssp(square_net, "A", spec.weight_fn())
         assert repaired.distance == fresh.distance
         assert repaired.previous == fresh.previous
         assert cache.stats.hits == 1
+        assert cache.stats.revalidations == 1
+        assert cache.stats.repairs == 1
+        assert cache.stats.invalidations == 0
 
-    def test_prune_drops_entries_the_cut_cannot_clear(self, square_net):
+    def test_lookup_drops_entries_the_cut_cannot_clear(self, square_net):
         cache = PathCache(square_net)
         spec = LatencyWeightSpec(square_net)
         cache.sssp("A", spec)
         square_net.fail_link("A", "C")  # a tree edge
-        assert cache.prune() == 1
-        assert len(cache) == 0
+        recomputed = cache.sssp("A", spec)
+        fresh = sssp(square_net, "A", spec.weight_fn())
+        assert recomputed.distance == fresh.distance
+        assert recomputed.previous == fresh.previous
+        assert cache.stats.revalidations == 1
+        assert cache.stats.invalidations == 1
+        assert cache.stats.repairs == 0
+        assert cache.stats.misses == 2
+        assert len(cache) == 1
+
+    def test_unchanged_array_is_not_a_repair(self, square_net):
+        cache = PathCache(square_net)
+        spec = LatencyWeightSpec(square_net)
+        cache.sssp("A", spec)
+        square_net.reserve_edge("A", "B", 1.0, "t1")  # epoch moves, latency not
+        cache.sssp("A", spec)
+        assert cache.stats.revalidations == 1
+        assert cache.stats.hits == 1
+        assert cache.stats.repairs == 0
 
     def test_batched_sssp_matches_single_calls(self):
         net = metro_mesh(n_sites=6, servers_per_site=2)

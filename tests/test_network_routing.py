@@ -233,15 +233,24 @@ class TestPathCache:
         cache.invalidate()
         assert len(cache) == 0
 
-    def test_prune_drops_stale_keeps_fresh(self, square_net):
+    def test_lookup_drops_stale_keeps_fresh(self, square_net):
         cache = PathCache(square_net)
         spec = LatencyWeightSpec(square_net)
         cache.shortest_path("A", "C", spec)
+        cache.shortest_path("D", "B", spec)
         square_net.fail_link("A", "B")
-        dropped = cache.prune()
-        # The A->C SSSP read A-B's weight, so it is generation-stale.
-        assert dropped == 1
-        assert len(cache) == 0
+        assert len(cache) == 2  # a failure alone touches no entry
+        # The A-rooted SSSP used A-B as a tree edge, so its lookup
+        # recomputes; the D-rooted one never used it and is repaired.
+        for source, destination in (("A", "C"), ("D", "B")):
+            assert cache.shortest_path(source, destination, spec) == dijkstra(
+                square_net, source, destination
+            )
+        assert cache.stats.revalidations == 2
+        assert cache.stats.invalidations == 1
+        assert cache.stats.repairs == 1
+        assert cache.stats.hits == 1
+        assert len(cache) == 2
 
     def test_invalid_max_entries(self, square_net):
         with pytest.raises(TopologyError):
@@ -400,7 +409,7 @@ class TestSchedulerWiring:
 
 
 class TestOrchestratorPruning:
-    def test_failure_event_prunes_stale_entries(self):
+    def test_failure_event_serves_only_fresh_entries(self):
         from repro.core.flexible import FlexibleScheduler
         from repro.network import csr
         from repro.orchestrator.orchestrator import Orchestrator
@@ -413,9 +422,9 @@ class TestOrchestratorPruning:
         assert cache is not None and len(cache) > 0
         u, v = net.inter_switch_links()[0]
         orchestrator.handle_link_failure(u, v)
-        # Every entry the cache would still serve must equal a fresh
-        # computation under the post-failure weights: prune() dropped or
-        # repaired anything the failure (or rescheduling) made stale.
+        # The handler leaves the cache alone; every entry a lookup would
+        # still serve must equal a fresh computation under the
+        # post-failure weights.
         snapshot = csr.get_snapshot(net)
         for (kind, source, token), entry in list(cache._entries.items()):
             assert kind == "sssp"

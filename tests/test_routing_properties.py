@@ -17,7 +17,7 @@ interleaved mutations:
 * a cached single-source tree agrees with the oracle's point-to-point
   Dijkstra on every destination;
 * the CSR array kernel is byte-identical to the oracle on every query,
-  under any interleaving of mutations, and a ``prune()``-repaired CSR
+  under any interleaving of mutations, and a lookup-repaired CSR
   cache entry equals recomputation from scratch.
 """
 
@@ -280,13 +280,13 @@ class TestCsrObjectEquivalence:
         ),
     )
     def test_incremental_repair_matches_from_scratch(self, case, script):
-        """A prune()-repaired CSR entry answers like a fresh computation.
+        """A lookup-repaired CSR entry answers like a fresh computation.
 
-        Primes the cache with CSR trees, then after every mutation runs
-        the orchestrator's eager prune (the repair path) and checks each
-        surviving or recomputed entry against an uncached object SSSP —
-        as mappings, since a repaired tree keeps its original discovery
-        order.
+        Primes the cache with CSR trees, then after every mutation looks
+        each source up again (the lookup validates, repairs or
+        recomputes) and checks the answer against an uncached object
+        SSSP — as mappings, since a repaired tree keeps its original
+        discovery order.
         """
         net, root, terminals = case
         cache = PathCache(net)
@@ -297,9 +297,12 @@ class TestCsrObjectEquivalence:
         links = list(net.links())
         for action, rng in script:
             _apply_mutation(net, links, action, rng)
-            cache.prune()
+            before = cache.stats.snapshot()
             for source in sources:
                 cached = cache.sssp(source, spec)
                 fresh = sssp(net, source, spec.weight_fn())
                 assert cached.distance == fresh.distance
                 assert cached.previous == fresh.previous
+            moved = cache.stats.delta(before)
+            assert moved["hits"] + moved["misses"] == len(sources)
+            assert moved["repairs"] <= moved["revalidations"] <= len(sources)

@@ -36,11 +36,11 @@ def build(builder, params, seed=0):
     return builder(metro_mesh(), dict(params), streams(seed))
 
 
-def write_json_trace(path, arrivals):
-    """A one-epoch JSON trace whose arrival count is ``arrivals`` verbatim."""
+def write_json_trace(path, arrivals, demand=5.0):
+    """A one-epoch JSON trace holding ``arrivals`` and ``demand`` verbatim."""
     payload = {
         "epoch_ms": 100.0,
-        "epochs": [{"arrivals": arrivals, "demand_gbps": 5.0}],
+        "epochs": [{"arrivals": arrivals, "demand_gbps": demand}],
     }
     path.write_text(json.dumps(payload), encoding="utf-8")
 
@@ -112,6 +112,37 @@ class TestTraceSeries:
                 outcomes.append("rejected")
         assert outcomes[0] == outcomes[1]
         assert outcomes[0] == ((3,) if json_count == 3 else "rejected")
+
+
+    @pytest.mark.parametrize("demand", [True, "2", "5.0", None, [5.0]])
+    def test_json_demand_must_be_a_number(self, tmp_path, demand):
+        path = tmp_path / "t.json"
+        write_json_trace(path, 1, demand)
+        with pytest.raises(ConfigurationError, match="demands must be"):
+            load_trace(str(path))
+
+    @pytest.mark.parametrize(
+        "csv_demand, json_demand, expected",
+        [("2", 2, (2.0,)), ("2.5", 2.5, (2.5,)), ("true", True, "rejected")],
+    )
+    def test_csv_and_json_demands_agree(
+        self, tmp_path, csv_demand, json_demand, expected
+    ):
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text(
+            f"epoch_ms,arrivals,demand_gbps\n100.0,1,{csv_demand}\n",
+            encoding="utf-8",
+        )
+        json_path = tmp_path / "t.json"
+        write_json_trace(json_path, 1, json_demand)
+        for path in (csv_path, json_path):
+            try:
+                demands = load_trace(str(path)).demand_gbps
+            except ConfigurationError:
+                demands = "rejected"
+            assert demands == expected
+            if demands != "rejected":
+                assert all(type(d) is float for d in demands)
 
 
 class TestSynthesis:
@@ -361,6 +392,17 @@ class TestTracesCli:
         lines = [line for line in captured.err.splitlines() if line.strip()]
         assert len(lines) == 1 and "ERROR" in lines[0], captured.err
         assert "arrivals must be ints" in lines[0]
+
+    @pytest.mark.parametrize("demand", [True, "2"])
+    def test_show_non_number_demand_errors(self, tmp_path, capsys, demand):
+        path = tmp_path / "demand.json"
+        write_json_trace(path, 1, demand)
+        assert main(["traces", "show", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = [line for line in captured.err.splitlines() if line.strip()]
+        assert len(lines) == 1 and "ERROR" in lines[0], captured.err
+        assert "demands must be finite numbers" in lines[0]
 
     def test_synth_is_seed_stable(self, tmp_path):
         a = tmp_path / "a.json"
