@@ -18,10 +18,14 @@ from .. import obs
 from ..errors import SchedulingError
 from ..network.graph import Network
 from ..network.paths import TreeResult
+from ..tasks.aggregation import UploadAggregationPlan
 from ..tasks.aitask import AITask
 
 #: A directed edge key used throughout schedule records.
 Edge = Tuple[str, str]
+
+#: Flows and tree edges allocated less than this rate are blocked.
+MIN_RATE_GBPS = 1e-3
 
 
 def traced_schedule(
@@ -58,14 +62,21 @@ def traced_schedule(
 class TaskSchedule:
     """The outcome of scheduling one task.
 
-    Exactly one of two shapes is populated per procedure:
+    Exactly one of two shapes is populated, each reserved by one routine:
 
-    * **path-based** (fixed scheduler): ``broadcast_routes`` /
+    * **path-based** (fixed and ksp-lb schedulers, reserved by
+      :func:`~repro.core.fixed.reserve_flows`): ``broadcast_routes`` /
       ``upload_routes`` map each local node to its end-to-end path, with
       per-local rates in ``broadcast_flow_rates`` / ``upload_flow_rates``;
-    * **tree-based** (flexible scheduler): ``broadcast_tree`` /
-      ``upload_tree`` carry the routed trees, with per-directed-edge rates
-      in ``broadcast_edge_rates`` / ``upload_edge_rates``.
+    * **tree-based** (flexible and chain schedulers, reserved by
+      :func:`~repro.core.flexible.reserve_trees`): ``broadcast_tree``
+      carries the broadcast tree and ``upload_plan`` the upload tree's
+      :class:`~repro.tasks.aggregation.UploadAggregationPlan`, built
+      once when the upload tree was reserved (``upload_tree`` reads the
+      tree through it).
+
+    Both shapes record the rate reserved on every directed edge in
+    ``broadcast_edge_rates`` / ``upload_edge_rates``.
 
     ``consumed_bandwidth_gbps`` — the paper's Fig. 3b metric — is the sum
     of reserved rate over every directed edge either shape occupies.
@@ -78,7 +89,7 @@ class TaskSchedule:
     broadcast_flow_rates: Dict[str, float] = field(default_factory=dict)
     upload_flow_rates: Dict[str, float] = field(default_factory=dict)
     broadcast_tree: Optional[TreeResult] = None
-    upload_tree: Optional[TreeResult] = None
+    upload_plan: Optional[UploadAggregationPlan] = None
     broadcast_edge_rates: Dict[Edge, float] = field(default_factory=dict)
     upload_edge_rates: Dict[Edge, float] = field(default_factory=dict)
 
@@ -86,6 +97,11 @@ class TaskSchedule:
     def owner(self) -> str:
         """The reservation owner tag in the network."""
         return self.task.task_id
+
+    @property
+    def upload_tree(self) -> Optional[TreeResult]:
+        """The upload tree (tree-based schedules), read from the plan."""
+        return None if self.upload_plan is None else self.upload_plan.tree
 
     @property
     def is_tree_based(self) -> bool:
@@ -140,10 +156,21 @@ class Scheduler(abc.ABC):
     Concrete schedulers must reserve capacity on the network as part of
     :meth:`schedule`, tagged with the task id, so that a later
     :meth:`release` (or :meth:`Network.release_owner`) frees it exactly.
+
+    Args:
+        min_rate_gbps: admission floor; scheduling fails if any flow or
+            tree edge would receive less than this.
     """
 
     #: short name used in reports ("fixed-spff", "flexible-mst", ...).
     name: str = "scheduler"
+
+    def __init__(self, min_rate_gbps: float = MIN_RATE_GBPS) -> None:
+        if min_rate_gbps <= 0:
+            raise SchedulingError(
+                f"min_rate_gbps must be > 0, got {min_rate_gbps}"
+            )
+        self._min_rate = min_rate_gbps
 
     @abc.abstractmethod
     def schedule(self, task: AITask, network: Network) -> TaskSchedule:

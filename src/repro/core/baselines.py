@@ -21,16 +21,16 @@ flexible scheduler can be judged against more than the weakest strawman:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import NoPathError, SchedulingError
 from ..network import csr, routing
 from ..network.graph import Network
 from ..network.paths import PathResult, TreeResult, latency_weight
-from ..tasks.aggregation import UploadAggregationPlan
 from ..tasks.aitask import AITask
-from .base import Edge, Scheduler, TaskSchedule, traced_schedule
-from .fixed import MIN_RATE_GBPS
+from .base import MIN_RATE_GBPS, Edge, Scheduler, TaskSchedule, traced_schedule
+from .fixed import reserve_flows
+from .flexible import reserve_trees
 
 
 class KspLoadBalancedScheduler(Scheduler):
@@ -49,12 +49,8 @@ class KspLoadBalancedScheduler(Scheduler):
     def __init__(self, k: int = 3, min_rate_gbps: float = MIN_RATE_GBPS) -> None:
         if k < 1:
             raise SchedulingError(f"k must be >= 1, got {k}")
-        if min_rate_gbps <= 0:
-            raise SchedulingError(
-                f"min_rate_gbps must be > 0, got {min_rate_gbps}"
-            )
+        super().__init__(min_rate_gbps)
         self._k = k
-        self._min_rate = min_rate_gbps
 
     def _best_path(
         self,
@@ -111,64 +107,14 @@ class KspLoadBalancedScheduler(Scheduler):
 
         # Phase 2: equal-share rates where this task's flows still share
         # an edge (unavoidable on the global node's access link).
-        snapshot = csr.get_snapshot(network)
-        residual = snapshot.residual_list()
-        edge_pos = snapshot.edge_pos
-
-        def flow_rate(path: Tuple[str, ...]) -> float:
-            return min(
-                [task.demand_gbps]
-                + [
-                    residual[edge_pos[(a, b)]] / planned[(a, b)]
-                    for a, b in zip(path, path[1:])
-                ]
-            )
-
-        broadcast_rates = {
-            local: flow_rate(path) for local, path in broadcast_paths.items()
-        }
-        upload_rates = {
-            local: flow_rate(path) for local, path in upload_paths.items()
-        }
-        blocked = [
-            local
-            for local in task.local_nodes
-            if broadcast_rates[local] < self._min_rate
-            or upload_rates[local] < self._min_rate
-        ]
-        if blocked:
-            raise SchedulingError(
-                f"task {task.task_id!r}: locals {blocked} blocked on every "
-                f"candidate path"
-            )
-
-        broadcast_edges: Dict[Edge, float] = {}
-        upload_edges: Dict[Edge, float] = {}
-        try:
-            for local, path in broadcast_paths.items():
-                network.reserve_path(list(path), broadcast_rates[local], task.task_id)
-                for edge in zip(path, path[1:]):
-                    broadcast_edges[edge] = (
-                        broadcast_edges.get(edge, 0.0) + broadcast_rates[local]
-                    )
-            for local, path in upload_paths.items():
-                network.reserve_path(list(path), upload_rates[local], task.task_id)
-                for edge in zip(path, path[1:]):
-                    upload_edges[edge] = (
-                        upload_edges.get(edge, 0.0) + upload_rates[local]
-                    )
-        except Exception:
-            network.release_owner(task.task_id)
-            raise
-        return TaskSchedule(
-            task=task,
-            scheduler=self.name,
-            broadcast_routes=broadcast_paths,
-            upload_routes=upload_paths,
-            broadcast_flow_rates=broadcast_rates,
-            upload_flow_rates=upload_rates,
-            broadcast_edge_rates=broadcast_edges,
-            upload_edge_rates=upload_edges,
+        return reserve_flows(
+            self.name,
+            task,
+            network,
+            self._min_rate,
+            broadcast_paths,
+            upload_paths,
+            " on every candidate path",
         )
 
 
@@ -184,13 +130,6 @@ class ChainScheduler(Scheduler):
     """
 
     name = "chain"
-
-    def __init__(self, min_rate_gbps: float = MIN_RATE_GBPS) -> None:
-        if min_rate_gbps <= 0:
-            raise SchedulingError(
-                f"min_rate_gbps must be > 0, got {min_rate_gbps}"
-            )
-        self._min_rate = min_rate_gbps
 
     def _visit_order(self, task: AITask, network: Network) -> List[str]:
         """Nearest-neighbour order over terminals, starting at the root.
@@ -238,49 +177,9 @@ class ChainScheduler(Scheduler):
             tree.path_to_root(local)  # validates connectivity
         return tree
 
-    def _reserve(
-        self,
-        task: AITask,
-        network: Network,
-        tree: TreeResult,
-        *,
-        towards_root: bool,
-        multiplicity: Optional[Dict[str, int]] = None,
-    ) -> Dict[Edge, float]:
-        rates: Dict[Edge, float] = {}
-        for child, parent in tree.edges:
-            payloads = (multiplicity or {}).get(child, 1)
-            demand = task.demand_gbps * payloads
-            edge: Edge = (child, parent) if towards_root else (parent, child)
-            held = network.link(*edge).owner_gbps(edge[0], edge[1], task.task_id)
-            rate = min(max(demand - held, 0.0), network.residual_gbps(*edge))
-            if held + rate < self._min_rate:
-                network.release_owner(task.task_id)
-                raise SchedulingError(
-                    f"task {task.task_id!r}: chain edge {edge} has no "
-                    "residual capacity"
-                )
-            if rate > 0:
-                network.reserve_edge(edge[0], edge[1], rate, task.task_id)
-            rates[edge] = held + rate
-        return rates
-
     @traced_schedule
     def schedule(self, task: AITask, network: Network) -> TaskSchedule:
         tree = self._chain_tree(task, network)
-        broadcast_rates = self._reserve(task, network, tree, towards_root=False)
-        plan = UploadAggregationPlan(network, tree, task.local_nodes)
-        multiplicity = {
-            child: plan.payloads_on_edge(child) for child, _ in tree.edges
-        }
-        upload_rates = self._reserve(
-            task, network, tree, towards_root=True, multiplicity=multiplicity
-        )
-        return TaskSchedule(
-            task=task,
-            scheduler=self.name,
-            broadcast_tree=tree,
-            upload_tree=tree,
-            broadcast_edge_rates=broadcast_rates,
-            upload_edge_rates=upload_rates,
+        return reserve_trees(
+            self.name, task, network, self._min_rate, tree, lambda: tree
         )

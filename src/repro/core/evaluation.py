@@ -37,7 +37,7 @@ from typing import Callable, Dict, Iterable, Optional, Tuple
 from ..errors import SchedulingError
 from ..network.graph import Network
 from ..network.paths import path_latency_ms
-from ..tasks.aggregation import AggregationModel, UploadAggregationPlan
+from ..tasks.aggregation import AggregationModel
 from ..tasks.aitask import AITask
 from ..transport.protocols import TcpTransport, Transport
 from .base import Edge, TaskSchedule
@@ -188,7 +188,8 @@ class ScheduleEvaluator:
         size = task.size_mb
         agg = self._config.aggregation
 
-        if schedule.upload_tree is None:
+        plan = schedule.upload_plan
+        if plan is None:
             # Fixed: k end-to-end uploads, then k-1 serialised merges at G.
             completion = 0.0
             cpu = 0.0
@@ -204,8 +205,6 @@ class ScheduleEvaluator:
             agg_nodes = (task.global_node,) if merges else ()
             return completion, cpu, agg_nodes
 
-        tree = schedule.upload_tree
-        plan = UploadAggregationPlan(self._network, tree, task.local_nodes)
         terminals = set(task.local_nodes)
         # Per tree node, computed once: the latency of its parent edge,
         # and its (merge time, relay flag).  Each path still sums from
@@ -218,11 +217,11 @@ class ScheduleEvaluator:
             stages = []
             for src, dst in zip(path, path[1:]):
                 rate = self._edge_rate(schedule.upload_edge_rates, src, dst)
-                stages.append((size * plan.payloads_on_edge(src), rate))
+                stages.append((size * plan.edge_payloads[src], rate))
                 if src not in edge_ms:
                     edge_ms[src] = self._network.edge_latency_ms(src, dst)
                 if dst not in node_terms:
-                    merges = plan.at(dst).merges
+                    merges = plan.merges[dst]
                     node_terms[dst] = (
                         agg.merge_ms(size, merges),
                         dst in terminals or merges > 0,
@@ -238,31 +237,18 @@ class ScheduleEvaluator:
         # tree edge (aggregated payloads cross once).
         cpu = sum(
             self._config.transport.endpoint_cpu_ms(
-                size * plan.payloads_on_edge(child)
+                size * plan.edge_payloads[child]
             )
-            for child, _parent in tree.edges
+            for child, _parent in plan.tree.edges
         )
-        return completion, cpu, tuple(sorted(plan.aggregation_nodes))
+        return completion, cpu, plan.aggregation_nodes
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def round_latency(self, schedule: TaskSchedule) -> RoundLatency:
         """Latency breakdown of one training round."""
-        task = schedule.task
-        broadcast_ms, _ = self._broadcast(schedule)
-        upload_completion, _, _ = self._upload(schedule)
-        training_ms = max(
-            self._train_ms(task, local) for local in task.local_nodes
-        )
-        upload_ms = max(0.0, upload_completion - training_ms)
-        total = broadcast_ms + upload_completion + self._config.control_overhead_ms
-        return RoundLatency(
-            broadcast_ms=broadcast_ms,
-            training_ms=training_ms,
-            upload_ms=upload_ms,
-            total_ms=total,
-        )
+        return self.report(schedule).round_latency
 
     def report(self, schedule: TaskSchedule) -> TaskReport:
         """Full evaluation of a scheduled task."""

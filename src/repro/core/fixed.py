@@ -19,11 +19,16 @@ Concretely, for a task with global node G and locals L1..Lk:
 The equal-share step is the charitable reading of "first fit" — a literal
 greedy first-come allocation would starve later locals entirely and make
 the baseline look worse than the paper reports.
+
+Step 2's rates and the reservation are :func:`reserve_flows`, the one
+path reservation: the ksp-lb baseline
+(:class:`~repro.core.baselines.KspLoadBalancedScheduler`) reserves
+through it too.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..errors import NoPathError, SchedulingError
 from ..network import csr, routing
@@ -31,8 +36,86 @@ from ..network.graph import Network
 from ..tasks.aitask import AITask
 from .base import Edge, Scheduler, TaskSchedule, traced_schedule
 
-#: Flows allocated less than this rate are considered blocked.
-MIN_RATE_GBPS = 1e-3
+Route = Tuple[str, ...]
+
+
+def reserve_flows(
+    name: str,
+    task: AITask,
+    network: Network,
+    min_rate: float,
+    broadcast_paths: Dict[str, Route],
+    upload_paths: Dict[str, Route],
+    blocked_reason: str,
+) -> TaskSchedule:
+    """Reserve a path schedule: one equal-share flow per local and procedure.
+
+    Every flow gets the task's demand, bounded on each edge it crosses by
+    the edge's residual capacity divided by the number of this task's
+    flows there.  A local whose broadcast or upload flow falls under
+    ``min_rate`` blocks the task (the error names the locals, then
+    ``blocked_reason``) before anything is reserved.  Per-edge totals
+    are the sums of per-flow rates, which by construction never exceed
+    the residual observed here.
+    """
+    edge_flows: Dict[Edge, int] = {}
+    for paths in (broadcast_paths, upload_paths):
+        for path in paths.values():
+            for edge in zip(path, path[1:]):
+                edge_flows[edge] = edge_flows.get(edge, 0) + 1
+
+    # The residuals are gathered in one vectorised subtraction over the
+    # CSR snapshot (same floats as ``residual_gbps``: capacity minus
+    # recorded use).
+    snapshot = csr.get_snapshot(network)
+    residual = snapshot.residual_list()
+    edge_pos = snapshot.edge_pos
+
+    def flow_rate(path: Route) -> float:
+        rate = task.demand_gbps
+        for edge in zip(path, path[1:]):
+            rate = min(rate, residual[edge_pos[edge]] / edge_flows[edge])
+        return rate
+
+    broadcast_rates = {
+        local: flow_rate(path) for local, path in broadcast_paths.items()
+    }
+    upload_rates = {local: flow_rate(path) for local, path in upload_paths.items()}
+    blocked = [
+        local
+        for local in task.local_nodes
+        if broadcast_rates[local] < min_rate or upload_rates[local] < min_rate
+    ]
+    if blocked:
+        raise SchedulingError(
+            f"task {task.task_id!r}: locals {blocked} blocked{blocked_reason}"
+        )
+
+    broadcast_edges: Dict[Edge, float] = {}
+    upload_edges: Dict[Edge, float] = {}
+    try:
+        for paths, rates, reserved in (
+            (broadcast_paths, broadcast_rates, broadcast_edges),
+            (upload_paths, upload_rates, upload_edges),
+        ):
+            for local, path in paths.items():
+                for edge in zip(path, path[1:]):
+                    network.reserve_edge(*edge, rates[local], task.task_id)
+                    reserved[edge] = reserved.get(edge, 0.0) + rates[local]
+    except Exception:
+        network.release_owner(task.task_id)
+        raise
+
+    return TaskSchedule(
+        task=task,
+        scheduler=name,
+        broadcast_routes=broadcast_paths,
+        upload_routes=upload_paths,
+        broadcast_flow_rates=broadcast_rates,
+        upload_flow_rates=upload_rates,
+        broadcast_edge_rates=broadcast_edges,
+        upload_edge_rates=upload_edges,
+    )
 
 
 class FixedScheduler(Scheduler):
@@ -41,27 +124,16 @@ class FixedScheduler(Scheduler):
     Shortest paths resolve through the network's
     :class:`~repro.network.routing.PathCache` (latency weights survive
     reservations, so hits are common).
-
-    Args:
-        min_rate_gbps: admission floor; scheduling fails if any flow
-            would receive less than this.
     """
 
     name = "fixed-spff"
-
-    def __init__(self, min_rate_gbps: float = MIN_RATE_GBPS) -> None:
-        if min_rate_gbps <= 0:
-            raise SchedulingError(
-                f"min_rate_gbps must be > 0, got {min_rate_gbps}"
-            )
-        self._min_rate = min_rate_gbps
 
     @traced_schedule
     def schedule(self, task: AITask, network: Network) -> TaskSchedule:
         cache = routing.get_cache(network)
         spec = routing.LatencyWeightSpec(network)
-        broadcast_paths: Dict[str, Tuple[str, ...]] = {}
-        upload_paths: Dict[str, Tuple[str, ...]] = {}
+        broadcast_paths: Dict[str, Route] = {}
+        upload_paths: Dict[str, Route] = {}
         try:
             for local in task.local_nodes:
                 broadcast_paths[local] = cache.shortest_path(
@@ -74,79 +146,12 @@ class FixedScheduler(Scheduler):
             raise SchedulingError(
                 f"task {task.task_id!r}: {exc}"
             ) from exc
-
-        # Count how many of this task's flows cross each directed edge.
-        edge_flows: Dict[Edge, int] = {}
-        for paths in (broadcast_paths, upload_paths):
-            for path in paths.values():
-                for edge in zip(path, path[1:]):
-                    edge_flows[edge] = edge_flows.get(edge, 0) + 1
-
-        # Equal-share rate per flow: bounded by the demand and by the
-        # residual capacity divided by this task's flow count on every
-        # edge the flow crosses.  The residuals are gathered in one
-        # vectorised subtraction over the CSR snapshot (same floats as
-        # ``residual_gbps``: capacity minus recorded use).
-        snapshot = csr.get_snapshot(network)
-        residual = snapshot.residual_list()
-        edge_pos = snapshot.edge_pos
-
-        def flow_rate(path: Tuple[str, ...]) -> float:
-            rate = task.demand_gbps
-            for edge in zip(path, path[1:]):
-                share = residual[edge_pos[edge]] / edge_flows[edge]
-                rate = min(rate, share)
-            return rate
-
-        broadcast_rates = {
-            local: flow_rate(path) for local, path in broadcast_paths.items()
-        }
-        upload_rates = {
-            local: flow_rate(path) for local, path in upload_paths.items()
-        }
-        blocked = [
-            local
-            for local in task.local_nodes
-            if broadcast_rates[local] < self._min_rate
-            or upload_rates[local] < self._min_rate
-        ]
-        if blocked:
-            raise SchedulingError(
-                f"task {task.task_id!r}: locals {blocked} blocked; "
-                "no residual capacity on their shortest paths"
-            )
-
-        # Reserve.  Per-edge totals are the sums of per-flow rates, which
-        # by construction never exceed the residual observed above.
-        broadcast_edges: Dict[Edge, float] = {}
-        upload_edges: Dict[Edge, float] = {}
-        reserved: List[Edge] = []
-        try:
-            for local, path in broadcast_paths.items():
-                for edge in zip(path, path[1:]):
-                    network.reserve_edge(*edge, broadcast_rates[local], task.task_id)
-                    reserved.append(edge)
-                    broadcast_edges[edge] = (
-                        broadcast_edges.get(edge, 0.0) + broadcast_rates[local]
-                    )
-            for local, path in upload_paths.items():
-                for edge in zip(path, path[1:]):
-                    network.reserve_edge(*edge, upload_rates[local], task.task_id)
-                    reserved.append(edge)
-                    upload_edges[edge] = (
-                        upload_edges.get(edge, 0.0) + upload_rates[local]
-                    )
-        except Exception:
-            network.release_owner(task.task_id)
-            raise
-
-        return TaskSchedule(
-            task=task,
-            scheduler=self.name,
-            broadcast_routes=broadcast_paths,
-            upload_routes=upload_paths,
-            broadcast_flow_rates=broadcast_rates,
-            upload_flow_rates=upload_rates,
-            broadcast_edge_rates=broadcast_edges,
-            upload_edge_rates=upload_edges,
+        return reserve_flows(
+            self.name,
+            task,
+            network,
+            self._min_rate,
+            broadcast_paths,
+            upload_paths,
+            "; no residual capacity on their shortest paths",
         )

@@ -21,16 +21,24 @@ Implementation:
 3. rebuild the auxiliary graph for the **upload** procedure (reservations
    from step 2 now count as load; reuse discounts apply to this task's own
    edges) and find the upload tree; reserve leaf-to-root;
-4. derive the **multi-aggregation plan**: merges run at every
+4. the same reservation derives the **multi-aggregation plan**
+   (:class:`~repro.tasks.aggregation.UploadAggregationPlan`, built once
+   per upload tree before its edges are reserved): merges run at every
    aggregation-capable node of the upload tree with two or more incoming
    payloads, so each tree edge carries a single aggregated payload
    (``k - 1`` merges total, distributed over the tree instead of
-   serialised at G).
+   serialised at G).  Edges below a node that cannot aggregate carry one
+   payload per descendant source and reserve that multiple of the
+   demand.  The schedule carries the plan, so evaluation and round
+   execution never derive it again.
+
+:func:`reserve_trees` is the one tree reservation: the chain baseline
+(:class:`~repro.core.baselines.ChainScheduler`) reserves through it too.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from ..errors import NoPathError, SchedulingError
 from ..network import routing
@@ -39,10 +47,90 @@ from ..network.graph import Network
 from ..network.paths import TreeResult
 from ..tasks.aggregation import UploadAggregationPlan
 from ..tasks.aitask import AITask
-from .base import Edge, Scheduler, TaskSchedule, traced_schedule
+from .base import MIN_RATE_GBPS, Edge, Scheduler, TaskSchedule, traced_schedule
 
-#: Edges allocated less than this rate are considered blocked.
-MIN_RATE_GBPS = 1e-3
+
+def reserve_trees(
+    name: str,
+    task: AITask,
+    network: Network,
+    min_rate: float,
+    broadcast_tree: TreeResult,
+    upload_tree: Callable[[], TreeResult],
+) -> TaskSchedule:
+    """Reserve a tree schedule: broadcast root-to-leaf, then upload.
+
+    ``upload_tree`` is called once the broadcast tree is reserved, so a
+    scheduler may route upload over the load that reservation left.  The
+    upload tree's aggregation plan is built here, once: each upload edge
+    reserves the demand times the payloads it carries, and the returned
+    schedule (named ``name``) carries the plan.
+
+    Raises:
+        SchedulingError: when a tree edge cannot get ``min_rate``;
+            everything the task holds is released first.
+    """
+    broadcast_rates = _reserve_edges(
+        task,
+        network,
+        min_rate,
+        [((parent, child), 1) for child, parent in broadcast_tree.edges],
+    )
+    tree = upload_tree()
+    plan = UploadAggregationPlan.build(network, tree, task.local_nodes)
+    upload_rates = _reserve_edges(
+        task,
+        network,
+        min_rate,
+        [
+            ((child, parent), plan.edge_payloads[child])
+            for child, parent in tree.edges
+        ],
+    )
+    return TaskSchedule(
+        task=task,
+        scheduler=name,
+        broadcast_tree=broadcast_tree,
+        upload_plan=plan,
+        broadcast_edge_rates=broadcast_rates,
+        upload_edge_rates=upload_rates,
+    )
+
+
+def _reserve_edges(
+    task: AITask,
+    network: Network,
+    min_rate: float,
+    edges: Iterable[Tuple[Edge, int]],
+) -> Dict[Edge, float]:
+    """Reserve the demand times ``payloads`` on each directed edge, in order.
+
+    Rate the task already holds on an edge (path reuse across procedures)
+    counts towards the demand; only the shortfall is reserved.  An edge
+    that carries a payload but is left below ``min_rate`` — no residual
+    capacity, or a demand under the floor — blocks the task.  An upload
+    edge under a branch without sources carries none: it reserves
+    nothing and is recorded at the rate already held.
+    """
+    rates: Dict[Edge, float] = {}
+    for edge, payloads in edges:
+        demand = task.demand_gbps * payloads
+        link = network.link(*edge)
+        held = link.owner_gbps(edge[0], edge[1], task.task_id)
+        if held >= demand - 1e-9:
+            rate = 0.0
+        else:
+            rate = min(demand - held, link.residual_gbps(*edge))
+        if payloads and held + rate < min_rate:
+            network.release_owner(task.task_id)
+            raise SchedulingError(
+                f"task {task.task_id!r}: tree edge {edge} has no residual "
+                "capacity"
+            )
+        if rate > 0:
+            link.reserve(edge[0], edge[1], rate, task.task_id)
+        rates[edge] = held + rate
+    return rates
 
 
 class FlexibleScheduler(Scheduler):
@@ -64,12 +152,8 @@ class FlexibleScheduler(Scheduler):
         weights: Optional[AuxiliaryWeights] = None,
         min_rate_gbps: float = MIN_RATE_GBPS,
     ) -> None:
-        if min_rate_gbps <= 0:
-            raise SchedulingError(
-                f"min_rate_gbps must be > 0, got {min_rate_gbps}"
-            )
+        super().__init__(min_rate_gbps)
         self._weights = weights or AuxiliaryWeights()
-        self._min_rate = min_rate_gbps
 
     @property
     def weights(self) -> AuxiliaryWeights:
@@ -89,76 +173,17 @@ class FlexibleScheduler(Scheduler):
         except NoPathError as exc:
             raise SchedulingError(f"task {task.task_id!r}: {exc}") from exc
 
-    def _reserve_tree(
-        self,
-        task: AITask,
-        network: Network,
-        tree: TreeResult,
-        *,
-        towards_root: bool,
-        edge_multiplicity: Optional[Dict[str, int]] = None,
-    ) -> Dict[Edge, float]:
-        """Reserve the demanded rate on each tree edge, one direction.
-
-        ``towards_root=False`` reserves parent->child (broadcast),
-        ``towards_root=True`` reserves child->parent (upload).
-
-        ``edge_multiplicity`` maps a child node to the number of payloads
-        its parent edge carries (> 1 below non-aggregating branch points);
-        the reservation scales with it so multi-payload edges are honestly
-        accounted.  Edges where this task already holds the needed rate
-        (path reuse across procedures/rescheduling) are not re-reserved.
-        """
-        rates: Dict[Edge, float] = {}
-        for child, parent in tree.edges:
-            payloads = (edge_multiplicity or {}).get(child, 1)
-            demand = task.demand_gbps * payloads
-            edge: Edge = (child, parent) if towards_root else (parent, child)
-            link = network.link(*edge)
-            held = link.owner_gbps(edge[0], edge[1], task.task_id)
-            if held >= demand - 1e-9:
-                rates[edge] = held
-                continue
-            rate = min(demand - held, link.residual_gbps(*edge))
-            if held + rate < self._min_rate:
-                network.release_owner(task.task_id)
-                raise SchedulingError(
-                    f"task {task.task_id!r}: tree edge {edge} has no residual "
-                    "capacity"
-                )
-            if rate > 0:
-                link.reserve(edge[0], edge[1], rate, task.task_id)
-            rates[edge] = held + rate
-        return rates
-
     @traced_schedule
     def schedule(self, task: AITask, network: Network) -> TaskSchedule:
-        broadcast_tree = self._build_tree(task, network)
-        broadcast_rates = self._reserve_tree(
-            task, network, broadcast_tree, towards_root=False
-        )
         # Upload gets its own auxiliary graph: the broadcast reservations
         # now shape congestion, and the task's own edges are discounted,
         # which is what lets upload reuse the broadcast tree's fibre in
         # the opposite direction when that remains the best choice.
-        upload_tree = self._build_tree(task, network)
-        plan = UploadAggregationPlan(network, upload_tree, task.local_nodes)
-        multiplicity = {
-            child: plan.payloads_on_edge(child)
-            for child, _parent in upload_tree.edges
-        }
-        upload_rates = self._reserve_tree(
+        return reserve_trees(
+            self.name,
             task,
             network,
-            upload_tree,
-            towards_root=True,
-            edge_multiplicity=multiplicity,
-        )
-        return TaskSchedule(
-            task=task,
-            scheduler=self.name,
-            broadcast_tree=broadcast_tree,
-            upload_tree=upload_tree,
-            broadcast_edge_rates=broadcast_rates,
-            upload_edge_rates=upload_rates,
+            self._min_rate,
+            self._build_tree(task, network),
+            lambda: self._build_tree(task, network),
         )

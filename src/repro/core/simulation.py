@@ -38,7 +38,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ..errors import SchedulingError
 from ..network.graph import Network
 from ..network.paths import TreeResult, path_latency_ms
-from ..tasks.aggregation import UploadAggregationPlan
 from .base import Edge, TaskSchedule
 from .evaluation import EvaluationConfig, SpeedFn
 
@@ -96,8 +95,9 @@ class RoundExecutor:
     """Executes one task's training rounds as simulator events.
 
     Args:
-        network: topology (latencies, aggregation capabilities).
-        schedule: the routes/trees + reserved rates to execute.
+        network: topology (latencies).
+        schedule: the routes/trees + reserved rates to execute; a tree
+            schedule's upload plan says where merges run.
         config: same evaluation-model parameters the analytic path uses.
         speed_fn: per-node training speed override.
     """
@@ -178,9 +178,9 @@ class RoundExecutor:
 
         # ---------------- upload machinery (defined first so broadcast
         # completions can trigger training) ----------------
-        if self._schedule.upload_tree is not None:
-            tree = self._schedule.upload_tree
-            plan = UploadAggregationPlan(self._network, tree, task.local_nodes)
+        plan = self._schedule.upload_plan
+        if plan is not None:
+            tree = plan.tree
             terminals = set(task.local_nodes)
             relays = _relay_points(tree, terminals, set(plan.aggregation_nodes))
             segments = _logical_segments(tree, relays)
@@ -202,7 +202,7 @@ class RoundExecutor:
                 streams = inputs[relay]
                 first = max(s[0] for s in streams)
                 last = max(s[1] for s in streams)
-                merges = plan.at(relay).merges
+                merges = plan.merges[relay]
                 if merges:
                     last += self._config.aggregation.merge_ms(size, merges)
                 if relay == tree.root:
@@ -216,7 +216,7 @@ class RoundExecutor:
                     overhead = self._config.relay_overhead_ms
                     first, last = first + overhead, last + overhead
                 parent, chain = parent_of[relay]
-                payloads = plan.payloads_on_edge(relay)
+                payloads = plan.edge_payloads[relay]
                 rates = self._edge_rates(
                     chain, self._schedule.upload_edge_rates, reverse=False
                 )

@@ -52,34 +52,21 @@ class SdnController:
 
     @staticmethod
     def _rules_for(schedule: TaskSchedule) -> List[FlowRule]:
-        rules: List[FlowRule] = []
-        seen: set = set()
+        """One rule per directed edge the schedule reserves, per procedure.
 
-        def add(device: str, procedure: str, next_hop: str) -> None:
-            key = (device, procedure, next_hop)
-            if key not in seen:
-                seen.add(key)
-                rules.append(
-                    FlowRule(
-                        device=device,
-                        task_id=schedule.task.task_id,
-                        procedure=procedure,
-                        next_hop=next_hop,
-                    )
-                )
-
-        for edge in schedule.broadcast_edge_rates:
-            add(edge[0], "broadcast", edge[1])
-        for edge in schedule.upload_edge_rates:
-            add(edge[0], "upload", edge[1])
-        if not schedule.is_tree_based:
-            for local, path in schedule.broadcast_routes.items():
-                for src, dst in zip(path, path[1:]):
-                    add(src, "broadcast", dst)
-            for local, path in schedule.upload_routes.items():
-                for src, dst in zip(path, path[1:]):
-                    add(src, "upload", dst)
-        return rules
+        Both schedule shapes list every hop they use in their edge-rate
+        maps (a path schedule sums its flows' rates per hop), so the maps
+        name every rule, each once.
+        """
+        task_id = schedule.task.task_id
+        return [
+            FlowRule(device=src, task_id=task_id, procedure=procedure, next_hop=dst)
+            for procedure, rates in (
+                ("broadcast", schedule.broadcast_edge_rates),
+                ("upload", schedule.upload_edge_rates),
+            )
+            for src, dst in rates
+        ]
 
     def install(self, schedule: TaskSchedule) -> float:
         """Program the schedule's rules.

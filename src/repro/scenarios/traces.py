@@ -36,6 +36,16 @@ from ..errors import ConfigurationError
 from ..tasks.aitask import AITask
 
 
+def _finite_number(value: object) -> bool:
+    """True for an int or float (not a bool) with a finite float value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class TraceSeries:
     """A per-epoch arrival/demand series.
@@ -55,12 +65,7 @@ class TraceSeries:
     demand_gbps: Tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not (
-            isinstance(self.epoch_ms, (int, float))
-            and not isinstance(self.epoch_ms, bool)
-            and math.isfinite(self.epoch_ms)
-            and self.epoch_ms > 0
-        ):
+        if not (_finite_number(self.epoch_ms) and self.epoch_ms > 0):
             raise ConfigurationError(
                 f"trace epoch_ms must be a finite number > 0, "
                 f"got {self.epoch_ms!r}"
@@ -83,12 +88,7 @@ class TraceSeries:
                 f"trace {self.name!r}: needs at least one arrival"
             )
         for demand in self.demand_gbps:
-            if (
-                isinstance(demand, bool)
-                or not isinstance(demand, (int, float))
-                or not math.isfinite(demand)
-                or demand <= 0
-            ):
+            if not (_finite_number(demand) and demand > 0):
                 raise ConfigurationError(
                     f"trace {self.name!r}: demands must be finite numbers "
                     f"> 0 Gbps, got {demand!r}"
@@ -172,14 +172,17 @@ def load_trace(path: str) -> TraceSeries:
             # (true, "2"), as the CSV loader's int()/float() do.
             arrivals = tuple(epoch["arrivals"] for epoch in epochs)
             demands = tuple(epoch["demand_gbps"] for epoch in epochs)
-            epoch_ms = float(payload["epoch_ms"])
+            epoch_ms = payload["epoch_ms"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(
                 f"trace file {path!r}: malformed epoch entry: {exc}"
             ) from None
         return TraceSeries(
             name=str(payload.get("name", name)),
-            epoch_ms=epoch_ms,
+            # Only a finite number is converted: float() would also take
+            # a bool or a string (true -> 1.0, "5" -> 5.0), which
+            # TraceSeries rejects when passed through as is.
+            epoch_ms=float(epoch_ms) if _finite_number(epoch_ms) else epoch_ms,
             arrivals=arrivals,
             demand_gbps=demands,
         )

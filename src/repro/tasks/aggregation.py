@@ -6,17 +6,19 @@ input into the running aggregate).  The flexible scheduler performs these
 merges at the "middle and final nodes of the upload procedure" (the
 poster), i.e. at every aggregation-capable branch node of the upload tree.
 
-:class:`UploadAggregationPlan` walks a routed tree bottom-up and derives,
-per node, how many payloads arrive, how many merges run there, and how many
-payloads continue upward.  Nodes that cannot aggregate (e.g. ROADMs) relay
-all incoming payloads unchanged, which costs upstream bandwidth — exactly
-the behaviour that makes aggregation-point choice matter.
+:class:`UploadAggregationPlan` is a frozen record of one routed upload
+tree's aggregation: the merges at each node, the payloads crossing each
+tree edge, and the nodes that merge.  Nodes that cannot aggregate (e.g.
+ROADMs) relay all incoming payloads unchanged, which costs upstream
+bandwidth — exactly the behaviour that makes aggregation-point choice
+matter.  The tree reservation builds each plan exactly once (it sizes the
+upload reservation from ``edge_payloads``) and the schedule carries it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, Sequence, Tuple
 
 from ..errors import ConfigurationError, TaskError
 from ..network.graph import Network
@@ -58,118 +60,74 @@ class AggregationModel:
         return n_merges * (self.fixed_overhead_ms + self.merge_ms_per_mb * size_mb)
 
 
-@dataclass
-class NodeAggregation:
-    """What happens at one tree node during upload.
+@dataclass(frozen=True)
+class UploadAggregationPlan:
+    """Bottom-up aggregation schedule over one upload tree.
+
+    A merge runs at every aggregation-capable node that receives two or
+    more payloads (its children's plus its own local model, if it hosts
+    one) and forwards a single aggregate; a node that cannot aggregate
+    relays every payload unchanged.  The tree reservation builds the plan
+    once with :meth:`build` and the :class:`~repro.core.base.TaskSchedule`
+    carries it, so evaluation and round execution read these fields
+    instead of walking the tree again.
 
     Attributes:
-        node: the node name.
-        payloads_in: replicas arriving from children plus the node's own
-            local contribution (if it hosts a local model).
-        merges: merges executed here (0 when the node cannot aggregate or
-            receives fewer than two payloads).
-        payloads_out: replicas forwarded towards the parent.
-    """
-
-    node: str
-    payloads_in: int
-    merges: int
-    payloads_out: int
-
-
-class UploadAggregationPlan:
-    """Bottom-up aggregation schedule over an upload tree.
-
-    Args:
-        network: supplies per-node aggregation capability.
         tree: the upload tree (root = global node).
-        sources: nodes contributing a local model payload.
-
-    Raises:
-        TaskError: if a source is not part of the tree.
+        merges: node -> merges executed there, for every tree node.
+        edge_payloads: child -> model replicas crossing its
+            ``child -> parent`` tree edge (> 1 below a relay that cannot
+            aggregate).
+        aggregation_nodes: nodes executing at least one merge, in name
+            order.
     """
 
-    def __init__(
-        self, network: Network, tree: TreeResult, sources: Sequence[str]
-    ) -> None:
-        self._network = network
-        self._tree = tree
-        self._sources: Set[str] = set(sources)
-        missing = self._sources - tree.nodes
+    tree: TreeResult
+    merges: Dict[str, int]
+    edge_payloads: Dict[str, int]
+    aggregation_nodes: Tuple[str, ...]
+
+    @classmethod
+    def build(
+        cls, network: Network, tree: TreeResult, sources: Sequence[str]
+    ) -> "UploadAggregationPlan":
+        """Walk ``tree`` bottom-up from the ``sources`` holding a payload.
+
+        Raises:
+            TaskError: if a source is not part of the tree.
+        """
+        own = set(sources)
+        missing = own - tree.nodes
         if missing:
             raise TaskError(
                 f"sources {sorted(missing)} are not in the upload tree"
             )
-        self._per_node: Dict[str, NodeAggregation] = {}
-        self._edge_payloads: Dict[str, int] = {}
-        self._build()
-
-    def _build(self) -> None:
-        children = self._tree.children()
+        children = tree.children()
         # Post-order traversal (iterative, deterministic child order).
         order: List[str] = []
-        stack = [self._tree.root]
+        stack = [tree.root]
         while stack:
             node = stack.pop()
             order.append(node)
             stack.extend(children.get(node, []))
+        merges: Dict[str, int] = {}
+        edge_payloads: Dict[str, int] = {}
         for node in reversed(order):
-            arriving = sum(
-                self._edge_payloads[child] for child in children.get(node, [])
-            )
-            own = 1 if node in self._sources else 0
-            payloads_in = arriving + own
-            can_aggregate = self._network.node(node).can_aggregate
-            if can_aggregate and payloads_in >= 2:
-                merges = payloads_in - 1
-                payloads_out = 1
+            payloads = sum(edge_payloads[child] for child in children.get(node, []))
+            if node in own:
+                payloads += 1
+            if payloads >= 2 and network.node(node).can_aggregate:
+                merges[node] = payloads - 1
+                payloads = 1
             else:
-                merges = 0
-                payloads_out = payloads_in
-            self._per_node[node] = NodeAggregation(
-                node=node,
-                payloads_in=payloads_in,
-                merges=merges,
-                payloads_out=payloads_out,
-            )
-            if node != self._tree.root:
-                self._edge_payloads[node] = payloads_out
-
-    @property
-    def tree(self) -> TreeResult:
-        return self._tree
-
-    def at(self, node: str) -> NodeAggregation:
-        """The aggregation record for one tree node."""
-        try:
-            return self._per_node[node]
-        except KeyError:
-            raise TaskError(f"node {node!r} is not in the upload tree") from None
-
-    def payloads_on_edge(self, child: str) -> int:
-        """Model replicas crossing the ``child -> parent`` tree edge."""
-        try:
-            return self._edge_payloads[child]
-        except KeyError:
-            raise TaskError(
-                f"node {child!r} has no parent edge in the upload tree"
-            ) from None
-
-    @property
-    def total_merges(self) -> int:
-        """Merges across all nodes; always ``len(sources) - 1`` when the
-        root aggregates (conservation of contributions)."""
-        return sum(record.merges for record in self._per_node.values())
-
-    @property
-    def aggregation_nodes(self) -> List[str]:
-        """Nodes that execute at least one merge, in name order."""
-        return sorted(
-            node for node, record in self._per_node.items() if record.merges > 0
+                merges[node] = 0
+            if node != tree.root:
+                edge_payloads[node] = payloads
+        return cls(
+            tree=tree,
+            merges=merges,
+            edge_payloads=edge_payloads,
+            aggregation_nodes=tuple(
+                sorted(node for node, count in merges.items() if count)
+            ),
         )
-
-    @property
-    def delivered_payloads(self) -> int:
-        """Replicas reaching the root after its own merges (1 when the
-        root can aggregate; more when it cannot)."""
-        return self._per_node[self._tree.root].payloads_out

@@ -33,6 +33,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.core.evaluation import ScheduleEvaluator
+from repro.core.metrics import RoundLatency
 from repro.errors import SchedulingError, TopologyError
 from repro.network import paths, routing
 from repro.network.paths import (
@@ -192,11 +193,31 @@ class ReferenceEvaluator(ScheduleEvaluator):
     """Per-local schedule evaluation: every path priced from scratch.
 
     Overrides the broadcast and upload procedures with the straight
-    per-local walk (``report``/``round_latency`` combine them as in
-    production): propagation is ``path_latency_ms`` of each path,
-    every hop is one ``transfer_ms`` call, and merge time and relay
-    flags are looked up again for every path through a node.
+    per-local walk (``report`` combines them as in production):
+    propagation is ``path_latency_ms`` of each path, every hop is one
+    ``transfer_ms`` call, and merge time and relay flags are looked up
+    again for every path through a node.  ``round_latency`` composes the
+    round from those terms itself, where production reads it off
+    ``report``.
     """
+
+    def round_latency(self, schedule):
+        task = schedule.task
+        broadcast_ms, _ = self._broadcast(schedule)
+        upload_completion, _, _ = self._upload(schedule)
+        training_ms = max(
+            self._train_ms(task, local) for local in task.local_nodes
+        )
+        return RoundLatency(
+            broadcast_ms=broadcast_ms,
+            training_ms=training_ms,
+            upload_ms=max(0.0, upload_completion - training_ms),
+            total_ms=(
+                broadcast_ms
+                + upload_completion
+                + self._config.control_overhead_ms
+            ),
+        )
 
     def _path_ms(self, path, stage_sizes_mb, stage_rates):
         prop = path_latency_ms(self._network, path)
@@ -258,7 +279,7 @@ class ReferenceEvaluator(ScheduleEvaluator):
             agg_nodes = (task.global_node,) if merges else ()
             return completion, cpu, agg_nodes
         tree = schedule.upload_tree
-        plan = UploadAggregationPlan(self._network, tree, task.local_nodes)
+        plan = UploadAggregationPlan.build(self._network, tree, task.local_nodes)
         terminals = set(task.local_nodes)
         completion = 0.0
         for local in task.local_nodes:
@@ -270,22 +291,23 @@ class ReferenceEvaluator(ScheduleEvaluator):
                 if key not in schedule.upload_edge_rates:
                     raise SchedulingError(f"no reserved rate on tree edge {key}")
                 rates.append(schedule.upload_edge_rates[key])
-                sizes.append(size * plan.payloads_on_edge(src))
+                sizes.append(size * plan.edge_payloads[src])
             ms = self._path_ms(path, sizes, rates)
             merge_ms = sum(
-                agg.merge_ms(size, plan.at(node).merges) for node in path[1:]
+                agg.merge_ms(size, plan.merges[node]) for node in path[1:]
             )
             relays = sum(
                 1
                 for node in path[1:-1]
-                if node in terminals or plan.at(node).merges > 0
+                if node in terminals or plan.merges[node] > 0
             )
             ms += merge_ms + relays * self._config.relay_overhead_ms
             completion = max(completion, self._train_ms(task, local) + ms)
         cpu = sum(
             self._config.transport.endpoint_cpu_ms(
-                size * plan.payloads_on_edge(child)
+                size * plan.edge_payloads[child]
             )
             for child, _parent in tree.edges
         )
-        return completion, cpu, tuple(sorted(plan.aggregation_nodes))
+        agg_nodes = tuple(sorted(node for node, n in plan.merges.items() if n))
+        return completion, cpu, agg_nodes

@@ -37,6 +37,20 @@ class TestMain:
         data = json.loads(path.read_text())
         assert data["name"] == "fig1"
 
+    def test_sweep_blocks_a_demand_below_the_rate_floor(self, tmp_path, capsys):
+        path = tmp_path / "tiny.json"
+        argv = [
+            "scenarios", "sweep", "toy-triangle",
+            "--set", "demand_gbps=1e-10", "--seeds", "0", "--save", str(path),
+        ]
+        assert main(argv) == 0
+        assert "ERROR" not in capsys.readouterr().err
+        rows = json.loads(path.read_text())["rows"]
+        assert {row["scheduler"] for row in rows} == {"fixed-spff", "flexible-mst"}
+        for row in rows:
+            assert (row["served"], row["blocked"]) == (0, 1)
+            assert row["bandwidth_gbps"] == 0.0
+
     def test_abl_rdma_runs(self, capsys):
         assert main(["abl-rdma"]) == 0
         out = capsys.readouterr().out

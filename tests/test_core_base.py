@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.base import TaskSchedule
+from repro.core.base import MIN_RATE_GBPS, TaskSchedule
+from repro.core.baselines import ChainScheduler, KspLoadBalancedScheduler
 from repro.core.fixed import FixedScheduler
 from repro.core.flexible import FlexibleScheduler
 from repro.errors import SchedulingError
@@ -66,3 +67,45 @@ class TestAggregates:
         flexible = FlexibleScheduler().schedule(task, mesh_net.copy_topology())
         assert not fixed.is_tree_based
         assert flexible.is_tree_based
+
+
+class TestTreeSchedulePlan:
+    @pytest.mark.parametrize("scheduler", [FlexibleScheduler, ChainScheduler])
+    def test_upload_tree_reads_through_the_plan(self, mesh_net, scheduler):
+        task = make_mesh_task(mesh_net, 4)
+        schedule = scheduler().schedule(task, mesh_net)
+        assert schedule.upload_tree is schedule.upload_plan.tree
+        assert set(schedule.upload_plan.edge_payloads) == set(
+            schedule.upload_tree.parent
+        )
+
+    def test_path_schedule_has_no_plan(self, mesh_net):
+        schedule = FixedScheduler().schedule(make_mesh_task(mesh_net, 3), mesh_net)
+        assert schedule.upload_plan is None
+        assert schedule.upload_tree is None
+
+
+_SCHEDULERS = [
+    FixedScheduler,
+    FlexibleScheduler,
+    KspLoadBalancedScheduler,
+    ChainScheduler,
+]
+
+
+class TestMinRateFloor:
+    """A demand under the admission floor blocks on every scheduler."""
+
+    @pytest.mark.parametrize("scheduler", _SCHEDULERS)
+    @pytest.mark.parametrize("demand", [1e-10, 1e-9, MIN_RATE_GBPS / 2])
+    def test_demand_below_floor_blocks(self, mesh_net, scheduler, demand):
+        task = make_mesh_task(mesh_net, 4, demand_gbps=demand)
+        with pytest.raises(SchedulingError):
+            scheduler().schedule(task, mesh_net)
+        assert mesh_net.total_reserved_gbps() == 0.0
+
+    @pytest.mark.parametrize("scheduler", _SCHEDULERS)
+    def test_demand_at_floor_is_admitted(self, mesh_net, scheduler):
+        task = make_mesh_task(mesh_net, 4, demand_gbps=MIN_RATE_GBPS)
+        schedule = scheduler().schedule(task, mesh_net)
+        assert min(schedule.occupied_edges().values()) >= MIN_RATE_GBPS

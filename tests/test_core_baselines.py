@@ -91,11 +91,12 @@ class TestChainScheduler:
         # more than one payload.
         task = make_mesh_task(mesh_net, 6)
         schedule = ChainScheduler().schedule(task, mesh_net)
-        plan = UploadAggregationPlan(
+        plan = schedule.upload_plan
+        assert plan == UploadAggregationPlan.build(
             mesh_net, schedule.upload_tree, task.local_nodes
         )
         for child, _parent in schedule.upload_tree.edges:
-            assert plan.payloads_on_edge(child) == 1
+            assert plan.edge_payloads[child] == 1
 
     def test_bandwidth_beats_fixed(self, mesh_net):
         task = make_mesh_task(mesh_net, 8)

@@ -98,7 +98,7 @@ class TestMissingRateDetection:
             task=schedule.task,
             scheduler=schedule.scheduler,
             broadcast_tree=schedule.broadcast_tree,
-            upload_tree=schedule.upload_tree,
+            upload_plan=schedule.upload_plan,
             broadcast_edge_rates={},  # wiped
             upload_edge_rates=schedule.upload_edge_rates,
         )

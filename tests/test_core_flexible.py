@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.core.base import MIN_RATE_GBPS
 from repro.core.fixed import FixedScheduler
-from repro.core.flexible import FlexibleScheduler
+from repro.core.flexible import FlexibleScheduler, reserve_trees
 from repro.errors import SchedulingError
 from repro.network.auxiliary import AuxiliaryWeights
+from repro.network.graph import Network
+from repro.network.node import NodeKind
+from repro.network.paths import TreeResult
 from repro.network.topology import dumbbell
 from repro.tasks.aggregation import UploadAggregationPlan
 from repro.tasks.aitask import AITask
@@ -80,11 +84,13 @@ class TestMultiplicityReservation:
     def test_upload_edges_scale_with_payloads(self, mesh_net):
         task = make_mesh_task(mesh_net, 6)
         schedule = FlexibleScheduler().schedule(task, mesh_net)
-        plan = UploadAggregationPlan(
+        plan = schedule.upload_plan
+        # The schedule carries the plan its reservation was sized by.
+        assert plan == UploadAggregationPlan.build(
             mesh_net, schedule.upload_tree, task.local_nodes
         )
         for child, parent in schedule.upload_tree.edges:
-            payloads = plan.payloads_on_edge(child)
+            payloads = plan.edge_payloads[child]
             rate = schedule.upload_edge_rates[(child, parent)]
             assert rate == pytest.approx(
                 min(payloads * task.demand_gbps, rate), rel=1e-6
@@ -164,10 +170,47 @@ class TestAggregationPlacement:
         # With several locals the upload tree should merge before the root.
         task = make_mesh_task(mesh_net, 8)
         schedule = FlexibleScheduler().schedule(task, mesh_net)
-        plan = UploadAggregationPlan(
-            mesh_net, schedule.upload_tree, task.local_nodes
-        )
         intermediate = [
-            node for node in plan.aggregation_nodes if node != task.global_node
+            node
+            for node in schedule.upload_plan.aggregation_nodes
+            if node != task.global_node
         ]
         assert intermediate, "expected in-network aggregation below the root"
+
+
+class TestSourcelessSpur:
+    """A tree branch with no source below it carries no upload payload."""
+
+    @staticmethod
+    def _spur(demand_gbps):
+        net = Network("spur")
+        for name in ("g", "r", "l"):
+            net.add_node(name, NodeKind.SERVER)
+        net.add_node("x", NodeKind.ROUTER)
+        for a, b in (("g", "r"), ("r", "l"), ("r", "x")):
+            net.add_link(a, b, 100.0)
+        tree = TreeResult(root="g", parent={"r": "g", "l": "r", "x": "r"}, weight=0.0)
+        task = AITask(
+            task_id="t",
+            model=get_model("resnet18"),
+            global_node="g",
+            local_nodes=("l",),
+            demand_gbps=demand_gbps,
+        )
+        return net, tree, task
+
+    def test_spur_reserves_nothing_upward_and_admits(self):
+        net, tree, task = self._spur(10.0)
+        schedule = reserve_trees(
+            "flexible-mst", task, net, MIN_RATE_GBPS, tree, lambda: tree
+        )
+        assert schedule.upload_plan.edge_payloads["x"] == 0
+        assert schedule.upload_edge_rates[("x", "r")] == 0.0
+        assert net.link("x", "r").owner_gbps("x", "r", "t") == 0.0
+        assert schedule.broadcast_edge_rates[("r", "x")] == 10.0
+
+    def test_demand_below_floor_blocks_despite_spur(self):
+        net, tree, task = self._spur(1e-10)
+        with pytest.raises(SchedulingError, match="tree edge"):
+            reserve_trees("chain", task, net, MIN_RATE_GBPS, tree, lambda: tree)
+        assert net.total_reserved_gbps() == 0.0

@@ -11,8 +11,10 @@ The cases stress what the shared terms depend on: ROADMs that relay
 without aggregating (multi-payload upload edges), zero-latency edges,
 per-edge rates drawn from a small set (repeated and distinct stages on
 one path), locals that are relays for other locals, both schedule
-shapes (path-based fixed, tree-based flexible), the real schedulers on
-random meshes, and both the TCP and RDMA transports.
+shapes (path-based fixed, tree-based flexible), all four real
+schedulers on random meshes, and both the TCP and RDMA transports.
+``round_latency()`` must also equal the reference's own composition of
+the round from its broadcast and upload terms.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.core.base import TaskSchedule
+from repro.core.baselines import ChainScheduler, KspLoadBalancedScheduler
 from repro.core.evaluation import EvaluationConfig, ScheduleEvaluator
 from repro.core.fixed import FixedScheduler
 from repro.core.flexible import FlexibleScheduler
@@ -30,6 +33,7 @@ from repro.errors import ReproError
 from repro.network.graph import Network
 from repro.network.node import NodeKind
 from repro.network.paths import TreeResult
+from repro.tasks.aggregation import UploadAggregationPlan
 from repro.tasks.aitask import AITask
 from repro.tasks.models import MLModelSpec
 from repro.transport.protocols import RdmaTransport, TcpTransport
@@ -109,7 +113,7 @@ def tree_schedules(draw):
             task=task,
             scheduler="flexible-mst",
             broadcast_tree=tree,
-            upload_tree=tree,
+            upload_plan=UploadAggregationPlan.build(net, tree, locals_),
             broadcast_edge_rates={
                 (p, c): draw(_RATES) for c, p in tree.parent.items()
             },
@@ -163,6 +167,16 @@ def mesh_tasks(draw):
     return net, task
 
 
+#: Every scheduler, one per reservation routine user (path: fixed and
+#: ksp-lb; tree: flexible and chain).
+_SCHEDULERS = {
+    "chain": ChainScheduler,
+    "fixed": FixedScheduler,
+    "flexible": FlexibleScheduler,
+    "ksp-lb": KspLoadBalancedScheduler,
+}
+
+
 def _assert_same(network, schedule, config):
     production = ScheduleEvaluator(network, config)
     reference = ReferenceEvaluator(network, config)
@@ -180,10 +194,10 @@ def test_report_equals_per_local_reference(case, config):
 
 
 @settings(max_examples=60, deadline=None)
-@given(mesh_tasks(), configs(), st.sampled_from(["fixed", "flexible"]))
+@given(mesh_tasks(), configs(), st.sampled_from(sorted(_SCHEDULERS)))
 def test_scheduler_reports_equal_per_local_reference(case, config, which):
     network, task = case
-    scheduler = FixedScheduler() if which == "fixed" else FlexibleScheduler()
+    scheduler = _SCHEDULERS[which]()
     try:
         schedule = scheduler.schedule(task, network)
     except ReproError:
@@ -207,7 +221,7 @@ def test_missing_tree_rate_is_reported_like_the_reference():
         ),
         scheduler="flexible-mst",
         broadcast_tree=tree,
-        upload_tree=tree,
+        upload_plan=UploadAggregationPlan.build(net, tree, ("l",)),
         broadcast_edge_rates={("g", "r"): 5.0},
         upload_edge_rates={("l", "r"): 5.0, ("r", "g"): 5.0},
     )

@@ -29,6 +29,7 @@ from repro.core.flexible import FlexibleScheduler
 from repro.orchestrator.campaign import CampaignRunner, orchestrator_for
 from repro.resilience import FaultInjector
 from repro.scenarios import SweepConfig, get_scenario, run_sweep
+from repro.tasks.aggregation import UploadAggregationPlan
 from tests.oracle import object_oracle
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -154,3 +155,50 @@ def test_fault_event_log_matches_golden(name):
     assert event_log_digests(name) == golden[name], (
         f"campaign {name!r} no longer reproduces its pinned event log"
     )
+
+
+def test_trace_campaign_builds_one_plan_per_flexible_attempt(monkeypatch, tmp_path):
+    """The tree reservation is the only place an upload plan is built.
+
+    On the pinned trace campaign every plan is built inside a flexible
+    ``schedule()`` attempt, at most once per attempt (an attempt blocked
+    before its upload tree builds none), and each admitted schedule
+    carries the plan its attempt built: evaluation, round execution and
+    the fixed scheduler build none.
+    """
+    attempts = []  # per flexible attempt: its schedule, or None if blocked
+    builds = []  # (index of the attempt that built it, plan)
+    current = [None]
+    build = UploadAggregationPlan.build.__func__
+    schedule = FlexibleScheduler.schedule
+
+    def counted_build(cls, *args, **kwargs):
+        plan = build(cls, *args, **kwargs)
+        builds.append((current[0], plan))
+        return plan
+
+    def counted_schedule(self, task, network):
+        current[0] = len(attempts)
+        attempts.append(None)
+        try:
+            attempts[-1] = schedule(self, task, network)
+        finally:
+            current[0] = None
+        return attempts[-1]
+
+    monkeypatch.setattr(UploadAggregationPlan, "build", classmethod(counted_build))
+    monkeypatch.setattr(FlexibleScheduler, "schedule", counted_schedule)
+    run_sweep(
+        GOLDEN_SWEEPS["trace_srlg_campaign"],
+        jsonl_path=str(tmp_path / "rows.jsonl"),
+    )
+    admitted = [s for s in attempts if s is not None]
+    assert admitted
+    owners = [owner for owner, _plan in builds]
+    assert None not in owners
+    assert len(owners) == len(set(owners))
+    plans = dict(builds)
+    for index, scheduled in enumerate(attempts):
+        if scheduled is not None:
+            assert scheduled.upload_plan is plans[index]
+    assert len(admitted) <= len(builds) <= len(attempts)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.baselines import KspLoadBalancedScheduler
 from repro.core.fixed import FixedScheduler
 from repro.errors import OrchestrationError
 from repro.network.state import NetworkState
@@ -77,6 +78,27 @@ class TestSdnController:
         ruled_edges = {(r.device, r.next_hop) for r in rules}
         for edge in schedule.occupied_edges():
             assert edge in ruled_edges
+
+    @pytest.mark.parametrize("scheduler", [FixedScheduler, KspLoadBalancedScheduler])
+    def test_every_route_hop_has_a_rule(self, mesh_net, scheduler):
+        schedule = scheduler().schedule(make_mesh_task(mesh_net, 4), mesh_net)
+        sdn = SdnController()
+        sdn.install(schedule)
+        rules = {
+            (r.procedure, r.device, r.next_hop)
+            for r in sdn.rules_of(schedule.task.task_id)
+        }
+        hops = {
+            (procedure, src, dst)
+            for procedure, routes in (
+                ("broadcast", schedule.broadcast_routes),
+                ("upload", schedule.upload_routes),
+            )
+            for path in routes.values()
+            for src, dst in zip(path, path[1:])
+        }
+        assert hops and hops <= rules
+        assert sdn.total_rules == len(rules)  # one rule per hop, no repeats
 
     def test_double_install_rejected(self, mesh_net):
         sdn = SdnController()

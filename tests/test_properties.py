@@ -195,8 +195,12 @@ class TestAggregationConservation:
             st.lists(st.sampled_from(names[1:]), min_size=1, unique=True)
         )
         tree = terminal_tree(net, root, sources)
-        plan = UploadAggregationPlan(net, tree, sources)
-        assert plan.total_merges + plan.delivered_payloads == len(sources)
+        plan = UploadAggregationPlan.build(net, tree, sources)
+        into_root = sum(
+            plan.edge_payloads[child] for child in tree.children().get(root, [])
+        )
+        delivered = into_root - plan.merges[root]
+        assert sum(plan.merges.values()) + delivered == len(sources)
 
     @settings(max_examples=40, deadline=None)
     @given(connected_graphs(min_nodes=4), st.data())
@@ -207,9 +211,10 @@ class TestAggregationConservation:
             st.lists(st.sampled_from(names[1:]), min_size=1, unique=True)
         )
         tree = terminal_tree(net, root, sources)
-        plan = UploadAggregationPlan(net, tree, sources)
+        plan = UploadAggregationPlan.build(net, tree, sources)
+        assert set(plan.edge_payloads) == set(tree.parent)
         for child, _parent in tree.edges:
-            assert plan.payloads_on_edge(child) >= 1
+            assert plan.edge_payloads[child] >= 1
 
 
 class TestSchedulerDominance:

@@ -49,45 +49,56 @@ def star_network(center_kind=NodeKind.ROUTER):
     return net
 
 
+def delivered_payloads(plan, sources):
+    """Replicas leaving the root after its own merges."""
+    root = plan.tree.root
+    arriving = sum(
+        plan.edge_payloads[child] for child in plan.tree.children().get(root, [])
+    )
+    return arriving + (root in sources) - plan.merges[root]
+
+
 class TestUploadAggregationPlan:
     def test_router_branch_merges(self):
         net = star_network(NodeKind.ROUTER)
         tree = terminal_tree(net, "root", ["s1", "s2", "s3"])
-        plan = UploadAggregationPlan(net, tree, ["s1", "s2", "s3"])
-        assert plan.at("mid").merges == 2
-        assert plan.at("mid").payloads_out == 1
-        assert plan.payloads_on_edge("mid") == 1
-        assert plan.aggregation_nodes == ["mid"]
+        plan = UploadAggregationPlan.build(net, tree, ["s1", "s2", "s3"])
+        assert plan.merges["mid"] == 2
+        assert plan.edge_payloads["mid"] == 1
+        assert plan.aggregation_nodes == ("mid",)
+        assert plan.tree is tree
 
     def test_roadm_branch_cannot_merge(self):
         net = star_network(NodeKind.ROADM)
         tree = terminal_tree(net, "root", ["s1", "s2", "s3"])
-        plan = UploadAggregationPlan(net, tree, ["s1", "s2", "s3"])
-        assert plan.at("mid").merges == 0
-        assert plan.payloads_on_edge("mid") == 3  # unmerged replicas
+        plan = UploadAggregationPlan.build(net, tree, ["s1", "s2", "s3"])
+        assert plan.merges["mid"] == 0
+        assert plan.edge_payloads["mid"] == 3  # unmerged replicas
         # The root (a server) then merges everything.
-        assert plan.at("root").merges == 2
+        assert plan.merges["root"] == 2
+        assert plan.aggregation_nodes == ("root",)
 
     def test_total_merges_is_sources_minus_one(self):
         for kind in (NodeKind.ROUTER, NodeKind.ROADM):
             net = star_network(kind)
             tree = terminal_tree(net, "root", ["s1", "s2", "s3"])
-            plan = UploadAggregationPlan(net, tree, ["s1", "s2", "s3"])
-            assert plan.total_merges == 2
+            plan = UploadAggregationPlan.build(net, tree, ["s1", "s2", "s3"])
+            assert sum(plan.merges.values()) == 2
 
     def test_delivered_payloads_is_one(self):
         net = star_network()
         tree = terminal_tree(net, "root", ["s1", "s2", "s3"])
-        plan = UploadAggregationPlan(net, tree, ["s1", "s2", "s3"])
-        assert plan.delivered_payloads == 1
+        sources = ["s1", "s2", "s3"]
+        plan = UploadAggregationPlan.build(net, tree, sources)
+        assert delivered_payloads(plan, sources) == 1
 
     def test_leaf_sources_emit_one_payload(self):
         net = star_network()
         tree = terminal_tree(net, "root", ["s1", "s2", "s3"])
-        plan = UploadAggregationPlan(net, tree, ["s1", "s2", "s3"])
+        plan = UploadAggregationPlan.build(net, tree, ["s1", "s2", "s3"])
         for source in ("s1", "s2", "s3"):
-            assert plan.payloads_on_edge(source) == 1
-            assert plan.at(source).merges == 0
+            assert plan.edge_payloads[source] == 1
+            assert plan.merges[source] == 0
 
     def test_intermediate_source_contributes_own_payload(self):
         # Chain: root - mid(server source) - s1(source).
@@ -98,32 +109,33 @@ class TestUploadAggregationPlan:
         net.add_link("root", "mid", 100.0)
         net.add_link("mid", "s1", 100.0)
         tree = terminal_tree(net, "root", ["mid", "s1"])
-        plan = UploadAggregationPlan(net, tree, ["mid", "s1"])
-        record = plan.at("mid")
-        assert record.payloads_in == 2  # child payload + own
-        assert record.merges == 1
-        assert plan.payloads_on_edge("mid") == 1
+        plan = UploadAggregationPlan.build(net, tree, ["mid", "s1"])
+        # Two payloads in (the child's plus its own): one merge, one out.
+        assert plan.edge_payloads["s1"] == 1
+        assert plan.merges["mid"] == 1
+        assert plan.edge_payloads["mid"] == 1
 
     def test_source_outside_tree_rejected(self):
         net = star_network()
         tree = terminal_tree(net, "root", ["s1", "s2"])
         with pytest.raises(TaskError):
-            UploadAggregationPlan(net, tree, ["s1", "s3"])
+            UploadAggregationPlan.build(net, tree, ["s1", "s3"])
 
     def test_unknown_node_queries_rejected(self):
         net = star_network()
         tree = terminal_tree(net, "root", ["s1"])
-        plan = UploadAggregationPlan(net, tree, ["s1"])
-        with pytest.raises(TaskError):
-            plan.at("nope")
-        with pytest.raises(TaskError):
-            plan.payloads_on_edge("root")  # root has no parent edge
+        plan = UploadAggregationPlan.build(net, tree, ["s1"])
+        assert set(plan.merges) == tree.nodes
+        assert "nope" not in plan.merges
+        assert "root" not in plan.edge_payloads  # root has no parent edge
+        assert set(plan.edge_payloads) == set(tree.parent)
 
     def test_conservation_property(self, mesh_net):
         """Every source's contribution reaches the root exactly once."""
         servers = mesh_net.servers()
         root, sources = servers[0], servers[1:9]
         tree = terminal_tree(mesh_net, root, sources)
-        plan = UploadAggregationPlan(mesh_net, tree, sources)
+        plan = UploadAggregationPlan.build(mesh_net, tree, sources)
         # merges + delivered payloads == number of sources
-        assert plan.total_merges + plan.delivered_payloads == len(sources)
+        total_merges = sum(plan.merges.values())
+        assert total_merges + delivered_payloads(plan, sources) == len(sources)

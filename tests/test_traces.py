@@ -36,10 +36,10 @@ def build(builder, params, seed=0):
     return builder(metro_mesh(), dict(params), streams(seed))
 
 
-def write_json_trace(path, arrivals, demand=5.0):
-    """A one-epoch JSON trace holding ``arrivals`` and ``demand`` verbatim."""
+def write_json_trace(path, arrivals, demand=5.0, epoch_ms=100.0):
+    """A one-epoch JSON trace holding its arguments verbatim."""
     payload = {
-        "epoch_ms": 100.0,
+        "epoch_ms": epoch_ms,
         "epochs": [{"arrivals": arrivals, "demand_gbps": demand}],
     }
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -120,6 +120,13 @@ class TestTraceSeries:
         write_json_trace(path, 1, demand)
         with pytest.raises(ConfigurationError, match="demands must be"):
             load_trace(str(path))
+
+    @pytest.mark.parametrize("epoch_ms", [100, 100.0, 2.5])
+    def test_json_numeric_epoch_loads_as_float(self, tmp_path, epoch_ms):
+        path = tmp_path / "t.json"
+        write_json_trace(path, 1, epoch_ms=epoch_ms)
+        loaded = load_trace(str(path)).epoch_ms
+        assert type(loaded) is float and loaded == float(epoch_ms)
 
     @pytest.mark.parametrize(
         "csv_demand, json_demand, expected",
@@ -393,7 +400,8 @@ class TestTracesCli:
         assert len(lines) == 1 and "ERROR" in lines[0], captured.err
         assert "arrivals must be ints" in lines[0]
 
-    @pytest.mark.parametrize("demand", [True, "2"])
+    # 10**400 is a JSON integer beyond the float range.
+    @pytest.mark.parametrize("demand", [True, "2", 10**400])
     def test_show_non_number_demand_errors(self, tmp_path, capsys, demand):
         path = tmp_path / "demand.json"
         write_json_trace(path, 1, demand)
@@ -403,6 +411,17 @@ class TestTracesCli:
         lines = [line for line in captured.err.splitlines() if line.strip()]
         assert len(lines) == 1 and "ERROR" in lines[0], captured.err
         assert "demands must be finite numbers" in lines[0]
+
+    @pytest.mark.parametrize("epoch_ms", [True, "5", 10**400])
+    def test_show_non_number_epoch_errors(self, tmp_path, capsys, epoch_ms):
+        path = tmp_path / "epoch.json"
+        write_json_trace(path, 1, epoch_ms=epoch_ms)
+        assert main(["traces", "show", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = [line for line in captured.err.splitlines() if line.strip()]
+        assert len(lines) == 1 and "ERROR" in lines[0], captured.err
+        assert "epoch_ms must be a finite number" in lines[0]
 
     def test_synth_is_seed_stable(self, tmp_path):
         a = tmp_path / "a.json"
