@@ -1,4 +1,4 @@
-.PHONY: test bench bench-smoke bench-csr bench-verify perfbench-smoke smoke sweep-smoke topo-smoke obs-smoke obs-collect-smoke traces-smoke examples-smoke properties all
+.PHONY: test bench bench-smoke bench-csr bench-verify perfbench-smoke sink-digest smoke sweep-smoke topo-smoke obs-smoke obs-collect-smoke traces-smoke examples-smoke properties all
 
 # Tier-1: the full test suite (pyproject.toml supplies pythonpath/testpaths).
 test:
@@ -36,12 +36,20 @@ bench-csr:
 perfbench-smoke:
 	python3 perfbench/run.py --workload all --seed 1 --seconds 2 --trace 1
 
+# One SHA-256 per perfbench sink (three workloads, seeds 3 and 42, rounds
+# 0-1, serial backend).  A change that must keep behaviour byte-identical
+# prints the same twelve lines as its parent; pass a parent checkout's
+# path to hash that one: python3 tools/sink_digest.py ../parent
+sink-digest:
+	python3 tools/sink_digest.py
+
 # The hypothesis property suites under the derandomized CI profile.
 properties:
 	HYPOTHESIS_PROFILE=ci python -m pytest \
 		tests/test_properties.py tests/test_routing_properties.py \
 		tests/test_csr_vector.py tests/test_csr_point.py \
-		tests/test_network_steiner.py tests/test_evaluation_properties.py -q
+		tests/test_network_steiner.py tests/test_evaluation_properties.py \
+		tests/test_ledger_properties.py -q
 
 # A fast end-to-end sanity pass over the scenario machinery.
 smoke:

@@ -11,7 +11,7 @@ auxiliary graphs whose weights blend bandwidth consumption with latency.
 
 from .auxiliary import AuxiliaryGraphBuilder, AuxiliaryWeights
 from .graph import Network
-from .link import Link, MutationEpoch, Reservation
+from .link import Link, LinkLedger, Reservation
 from .node import Node, NodeKind
 from .paths import (
     PathResult,
@@ -45,13 +45,13 @@ __all__ = [
     "AuxiliaryWeights",
     "Network",
     "Link",
+    "LinkLedger",
     "Reservation",
     "Node",
     "NodeKind",
     "PathResult",
     "TreeResult",
     "path_latency_ms",
-    "MutationEpoch",
     "CacheStats",
     "HopWeightSpec",
     "LatencyWeightSpec",

@@ -8,9 +8,9 @@ arrays once per ``Network.topology_version`` and runs the same
 algorithms over them:
 
 * :mod:`~repro.network.csr.snapshot` — the CSR adjacency snapshot
-  (``indptr``/``indices`` plus numpy per-edge state arrays) with a
-  dirty-link overlay so reserve/release refreshes touched rows in place
-  instead of rebuilding;
+  (``indptr``/``indices`` plus numpy per-edge state arrays) whose
+  overlay is re-gathered from the network's link ledger when its epoch
+  moves, so reserve/release never forces a rebuild;
 * :mod:`~repro.network.csr.weights` — ``cache_token()``-driven array
   weight builders lowering :class:`~repro.network.routing.LatencyWeightSpec`,
   :class:`~repro.network.routing.HopWeightSpec`, and the auxiliary-graph

@@ -1,4 +1,4 @@
-"""The CSR adjacency snapshot with a dirty-link state overlay.
+"""The CSR adjacency snapshot with a ledger-gathered state overlay.
 
 A :class:`CsrSnapshot` is a flat mirror of one
 :class:`~repro.network.graph.Network` at one ``topology_version``:
@@ -14,13 +14,15 @@ A :class:`CsrSnapshot` is a flat mirror of one
   (:meth:`CsrSnapshot.edge_arrays`), built on the first vectorised
   solve and kept for the snapshot's lifetime.
 
-The overlay refreshes *in place*: every :class:`~repro.network.link.Link`
-of the snapshotted network gets the snapshot's dirty set attached, and
-each mutation adds the link to it.  ``refresh()`` drains the set and
-rewrites only the touched rows, so a reserve/release churn of thousands
-of epochs never forces a rebuild.  Only structural growth (a new node or
-link — ``topology_version`` moved) discards the snapshot, mirroring the
-path cache's invalidation rule.
+The overlay is a gather from the network's
+:class:`~repro.network.link.LinkLedger`: ``slot_of_pos`` maps each
+directed-edge position to its ledger slot, and ``refresh()`` re-gathers
+``used``, ``capacity`` and ``failed`` with one vector gather each when
+the ledger epoch moved (and does nothing when it did not), so a
+reserve/release churn of thousands of epochs never forces a rebuild.
+Only structural growth (a new node or link — ``topology_version``
+moved) discards the snapshot, mirroring the path cache's invalidation
+rule.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import numpy as np
 
 from ... import obs
 from ..graph import Network
-from ..link import Link
 
 
 class CsrSnapshot:
@@ -48,12 +49,11 @@ class CsrSnapshot:
         "indices",
         "heads",
         "edge_pos",
+        "slot_of_pos",
         "latency",
         "capacity",
         "used",
         "failed",
-        "_positions",
-        "_dirty",
         "_synced_epoch",
         "_edge_arrays",
     )
@@ -74,12 +74,8 @@ class CsrSnapshot:
         indices: List[int] = []
         heads: List[int] = []
         self.edge_pos: Dict[Tuple[str, str], int] = {}
-        # link -> [(position, src_name, dst_name), ...] for dirty refresh.
-        self._positions: Dict[Link, List[Tuple[int, str, str]]] = {}
+        slots: List[int] = []
         latency: List[float] = []
-        capacity: List[float] = []
-        used: List[float] = []
-        failed: List[bool] = []
         index = self.index
         for u_i, u in enumerate(self.names):
             for v in network.neighbors(u):
@@ -88,28 +84,16 @@ class CsrSnapshot:
                 heads.append(u_i)
                 link = network.link(u, v)
                 self.edge_pos[(u, v)] = pos
-                self._positions.setdefault(link, []).append((pos, u, v))
+                slots.append(link.slot(u, v))
                 latency.append(link.latency_ms)
-                capacity.append(link.capacity_gbps)
-                used.append(link.used_gbps(u, v))
-                failed.append(link.failed)
             indptr.append(len(indices))
         self.indptr = indptr
         self.indices = indices
         self.heads = heads
         self.m = len(indices)
+        self.slot_of_pos = np.asarray(slots, dtype=np.intp)
         self.latency = np.asarray(latency, dtype=np.float64)
-        self.capacity = np.asarray(capacity, dtype=np.float64)
-        self.used = np.asarray(used, dtype=np.float64)
-        self.failed = np.asarray(failed, dtype=bool)
-
-        # Attach the dirty set to every link so future mutations report
-        # themselves; links added later bump topology_version, which
-        # discards this snapshot wholesale.
-        self._dirty: set = set()
-        for link in self._positions:
-            link._dirty = self._dirty
-        self._synced_epoch = network.epoch
+        self._gather()
         self._edge_arrays = None
 
     def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -129,30 +113,26 @@ class CsrSnapshot:
         return arrays
 
     def refresh(self) -> int:
-        """Drain the dirty set, rewriting touched overlay rows in place.
+        """Re-gather the overlay from the ledger if its epoch moved.
 
-        Returns the number of links refreshed.  Must not be called after
+        Returns the number of directed edges re-gathered: 0 when the
+        epoch is unchanged, ``m`` otherwise.  Must not be called after
         the network's topology version moved — :func:`get_snapshot`
         rebuilds instead.
         """
-        network = self.network
-        if network.epoch == self._synced_epoch:
+        if self.network.ledger.epoch == self._synced_epoch:
             return 0
-        touched = len(self._dirty)
-        if touched:
-            used = self.used
-            failed = self.failed
-            capacity = self.capacity
-            for link in self._dirty:
-                down = link.failed
-                cap = link.capacity_gbps
-                for pos, src, dst in self._positions[link]:
-                    used[pos] = link.used_gbps(src, dst)
-                    failed[pos] = down
-                    capacity[pos] = cap
-            self._dirty.clear()
-        self._synced_epoch = network.epoch
-        return touched
+        self._gather()
+        return self.m
+
+    def _gather(self) -> None:
+        """Read ``used``, ``capacity`` and ``failed`` out of the ledger slots."""
+        ledger = self.network.ledger
+        slots = self.slot_of_pos
+        self.used = np.frombuffer(ledger.used)[slots]
+        self.capacity = np.frombuffer(ledger.capacity)[slots]
+        self.failed = np.frombuffer(ledger.failed, dtype=bool)[slots]
+        self._synced_epoch = ledger.epoch
 
     def residual_list(self) -> List[float]:
         """Residual capacity per directed-edge position, as a list.
@@ -177,9 +157,8 @@ def get_snapshot(network: Network) -> CsrSnapshot:
         obs.inc("csr.rebuild")
         network._csr_snapshot = snapshot
     else:
-        refreshed = snapshot.refresh()
-        if refreshed:
-            obs.inc("csr.refresh_links", refreshed)
+        if snapshot.refresh():
+            obs.inc("csr.refresh")
     return snapshot
 
 

@@ -95,12 +95,12 @@ def _aux_array(snapshot: CsrSnapshot, token: tuple):
     if owner is not None:
         # The owner holds capacity somewhere: mark the edges where its
         # held rate covers the demand (the scalar `already` predicate).
-        # The reservation registry lists exactly the links it holds.
-        positions_of = snapshot._positions
-        for link in snapshot.network._reservations.links_of(owner):
-            for pos, src, dst in positions_of.get(link, ()):
+        # The ledger's registry lists exactly the links it holds.
+        edge_pos = snapshot.edge_pos
+        for link in snapshot.network.ledger.links_of(owner):
+            for src, dst in ((link.u, link.v), (link.v, link.u)):
                 if link.owner_gbps(src, dst, owner) >= demand - 1e-9:
-                    already[pos] = True
+                    already[edge_pos[(src, dst)]] = True
 
     bandwidth_cost = demand / capacity
     if owner is not None:

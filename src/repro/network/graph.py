@@ -1,10 +1,11 @@
-"""The :class:`Network` container: nodes + links + reservation bookkeeping.
+"""The :class:`Network` container: nodes + links + their link-state ledger.
 
 ``Network`` is deliberately a thin, explicit adjacency structure rather
 than a wrapper over an external graph library: the schedulers need exact
 control over per-direction residual capacity, owner-tagged reservations,
 and deterministic iteration order (insertion order everywhere), all of
-which are easier to guarantee in ~200 lines than to retrofit.
+which are easier to guarantee in ~200 lines than to retrofit.  Link
+state lives in the network's one :class:`~repro.network.link.LinkLedger`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import CapacityError, TopologyError
-from .link import Link, MutationEpoch, ReservationRegistry
+from .link import Link, LinkLedger
 from .node import Node, NodeKind
 
 #: An edge expressed as the (src, dst) node names of a traversal direction.
@@ -31,23 +32,19 @@ class Network:
         self._nodes: Dict[str, Node] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
         self._adjacency: Dict[str, List[str]] = {}
-        # One shared mutation epoch for every link; see Link.generation.
-        self._epoch = MutationEpoch()
-        # Structure counter: bumped when nodes/links are *added*.  Link
-        # generations cover state changes on existing links, but a new
-        # link offers paths no cached Dijkstra ever read, so the routing
-        # cache must key on structure separately.
+        # The state of every link, and the epoch that moves with it.
+        self.ledger = LinkLedger()
+        # Structure counter: bumped when nodes/links are *added*.  The
+        # epoch covers state changes on existing links, but a new link
+        # offers paths no cached search ever read, so the routing cache
+        # must key on structure separately.
         self._topology_version = 0
         # Lazily attached by repro.network.routing.get_cache().
         self._path_cache = None
         # Lazily attached by repro.network.csr.get_snapshot(): the flat
-        # array mirror of this topology, refreshed in place on link-state
-        # mutations and rebuilt when topology_version moves.
+        # array mirror of this topology, re-gathered from the ledger when
+        # the epoch moved and rebuilt when topology_version moves.
         self._csr_snapshot = None
-        # Which links each owner holds (maintained by Link.reserve/
-        # release via the attached registry), so owner scans touch only
-        # the owner's links.
-        self._reservations = ReservationRegistry()
 
     # ------------------------------------------------------------------
     # Construction
@@ -76,7 +73,7 @@ class Network:
         self._nodes[name] = node
         self._adjacency[name] = []
         self._topology_version += 1
-        self._epoch.bump()
+        self.ledger.epoch += 1
         return node
 
     def add_link(
@@ -98,11 +95,15 @@ class Network:
                 raise TopologyError(f"unknown node {endpoint!r} for link {u}-{v}")
         if self._key(u, v) in self._links:
             raise TopologyError(f"duplicate link {u}-{v}")
-        link = Link(u, v, capacity_gbps, distance_km=distance_km, latency_ms=latency_ms)
-        link._epoch = self._epoch
-        link._reserved_reg = self._reservations
-        link._ordinal = len(self._links)
-        self._epoch.bump()
+        link = Link(
+            u,
+            v,
+            capacity_gbps,
+            distance_km=distance_km,
+            latency_ms=latency_ms,
+            ledger=self.ledger,
+        )
+        self.ledger.epoch += 1
         self._topology_version += 1
         self._links[self._key(u, v)] = link
         self._adjacency[u].append(v)
@@ -123,31 +124,27 @@ class Network:
     def epoch(self) -> int:
         """Monotone counter of all state mutations across the network.
 
-        Bumped whenever any link's reservations or failure state change
-        (and on topology growth).  Two equal epochs guarantee that *no*
-        link changed in between, which lets the routing cache skip
-        per-edge generation checks entirely.
+        The ledger's epoch: bumped whenever any link's reservations,
+        capacity or failure state change (and on topology growth).  Two
+        equal epochs guarantee that *no* ledger slot changed in between,
+        which lets the routing cache and the CSR snapshot skip all work.
         """
-        return self._epoch.value
+        return self.ledger.epoch
 
     @property
     def topology_version(self) -> int:
         """Monotone counter of structural growth (nodes/links added).
 
-        Separate from :attr:`epoch`: link generations can prove that no
+        Separate from :attr:`epoch`: an equal epoch proves that no
         *existing* link changed, but a newly added link offers paths no
         cached computation ever read, so the routing cache invalidates
         on any version change.
         """
         return self._topology_version
 
-    def link_generation(self, u: str, v: str) -> int:
-        """The mutation generation of one link (see Link.generation)."""
-        return self.link(u, v).generation
-
     def has_reservations(self, owner: str) -> bool:
         """True when ``owner`` holds rate anywhere in the network."""
-        return self._reservations.holds_anywhere(owner)
+        return self.ledger.holds_anywhere(owner)
 
     @property
     def node_count(self) -> int:
@@ -230,28 +227,33 @@ class Network:
     def reserve_path(self, path: List[str], gbps: float, owner: str) -> None:
         """Reserve rate on every directed edge of ``path`` atomically.
 
-        Either every hop is reserved or none is (failed hops are rolled
-        back before the error propagates).
+        Either every hop is reserved or none is: an unknown hop fails
+        before anything is reserved, and when a hop lacks capacity the
+        hops already reserved are put back, last first, to exactly what
+        ``owner`` held on them before the call.
 
         Raises:
+            TopologyError: if two consecutive path nodes share no link.
             CapacityError: if any hop lacks capacity.
         """
-        reserved: List[DirectedEdge] = []
+        hops = [(self.link(src, dst), src, dst) for src, dst in zip(path, path[1:])]
+        reserved: List[Tuple[Link, str, str, float]] = []
         try:
-            for src, dst in zip(path, path[1:]):
-                self.reserve_edge(src, dst, gbps, owner)
-                reserved.append((src, dst))
+            for link, src, dst in hops:
+                held = link.owner_gbps(src, dst, owner)
+                link.reserve(src, dst, gbps, owner)
+                reserved.append((link, src, dst, held))
         except CapacityError:
-            for src, dst in reserved:
-                self.link(src, dst).release(src, dst, owner)
+            for link, src, dst, held in reversed(reserved):
+                link.restore_owner_gbps(src, dst, owner, held)
             raise
 
     def release_owner(self, owner: str) -> float:
         """Release everything ``owner`` holds anywhere in the network."""
-        held = self._reservations.links_of(owner)
+        held = self.ledger.links_of(owner)
         # Release in link insertion order (not reservation order) so the
         # float total sums in the same order as a full-table scan would.
-        held.sort(key=lambda link: link._ordinal)
+        held.sort(key=lambda link: link._slot)
         return sum((link.release_owner(owner) for link in held), 0.0)
 
     def owner_total_gbps(self, owner: str) -> float:
@@ -264,11 +266,14 @@ class Network:
 
     def total_reserved_gbps(self) -> float:
         """Summed reserved rate over all directed edges (the paper's
-        "consumed bandwidth" metric)."""
+        "consumed bandwidth" metric).
+
+        Added slot by slot — link insertion order, ``u -> v`` before
+        ``v -> u`` — so the float is the same on every Python version.
+        """
         total = 0.0
-        for link in self._links.values():
-            total += link.used_gbps(link.u, link.v)
-            total += link.used_gbps(link.v, link.u)
+        for used in self.ledger.used:
+            total += used
         return total
 
     def edge_latency_ms(self, src: str, dst: str) -> float:

@@ -1,15 +1,21 @@
-"""Capacitated, bidirectional fibre links with per-direction reservations.
+"""Capacitated, bidirectional fibre links and the ledger that holds their state.
 
 A :class:`Link` joins two nodes and offers ``capacity_gbps`` independently
 in each direction (as a fibre pair does).  Consumers reserve rate under an
 *owner* tag — a task id, a background-traffic flow id — so releases are
 exact and leak-free: releasing an owner returns precisely what that owner
 reserved, and the invariant ``used <= capacity`` holds at all times.
+
+Link state lives in one :class:`LinkLedger` per network.  A link keeps
+its per-direction owner buckets and, after each mutation of a direction,
+writes that direction's ledger slot as one ``sum()`` of the bucket in
+insertion order: the same float a fresh sum of the bucket gives.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterator, Tuple
 
@@ -25,62 +31,53 @@ class Reservation:
     gbps: float
 
 
-class ReservationRegistry:
-    """Which links each owner holds reservations on.
+class LinkLedger:
+    """The link state of one network: epoch, owner registry, and slots.
 
-    :class:`~repro.network.graph.Network` owns one and attaches it to
-    every link it creates; each link reports its reservation changes
-    here, so owner-scoped work (``has_reservations``, ``release_owner``,
-    the auxiliary weight lowering) touches only the links an owner
-    actually holds.
+    Slot ``2·ordinal`` of ``used``/``capacity``/``failed`` is a link's
+    ``u -> v`` direction and ``2·ordinal + 1`` its ``v -> u``.  The
+    slots are :class:`array.array` buffers: links read and write Python
+    floats, the CSR snapshot gathers them through a numpy view, and
+    ``attach`` grows them amortised.  ``epoch`` counts mutations (and
+    topology growth); two equal epochs mean no slot changed.
     """
 
-    __slots__ = ("_by_owner",)
+    __slots__ = ("epoch", "used", "capacity", "failed", "_held")
 
     def __init__(self) -> None:
+        self.epoch = 0
+        self.used = array("d")
+        self.capacity = array("d")
+        self.failed = array("b")
         # owner -> the links it holds (dict as an ordered set).
-        self._by_owner: "Dict[str, Dict[Link, None]]" = {}
+        self._held: "Dict[str, Dict[Link, None]]" = {}
+
+    def attach(self, capacity_gbps: float) -> int:
+        """Open a new link's two slots; returns the ``u -> v`` slot."""
+        slot = len(self.used)
+        self.used.extend((0.0, 0.0))
+        self.capacity.extend((capacity_gbps, capacity_gbps))
+        self.failed.extend((0, 0))
+        return slot
 
     def holds_anywhere(self, owner: str) -> bool:
-        return owner in self._by_owner
+        return owner in self._held
 
     def links_of(self, owner: str) -> "list[Link]":
         """The links ``owner`` holds, in the order it first reserved them."""
-        return list(self._by_owner.get(owner, ()))
+        return list(self._held.get(owner, ()))
 
     def add(self, link: "Link", owner: str) -> None:
-        held = self._by_owner.get(owner)
-        if held is None:
-            held = self._by_owner[owner] = {}
-        held[link] = None
+        """``owner`` holds something on ``link``."""
+        self._held.setdefault(owner, {})[link] = None
 
     def discard(self, link: "Link", owner: str) -> None:
         """``owner`` no longer holds anything on ``link``."""
-        held = self._by_owner.get(owner)
+        held = self._held.get(owner)
         if held is not None:
             held.pop(link, None)
             if not held:
-                del self._by_owner[owner]
-
-
-class MutationEpoch:
-    """A shared monotone counter of network mutations.
-
-    :class:`~repro.network.graph.Network` hands one instance to every
-    link it owns, so any state change anywhere in the topology —
-    reservation, release, failure, repair — advances a single epoch the
-    routing cache (:mod:`repro.network.routing`) can compare against for
-    a cheap "nothing changed at all" fast path.  Links built standalone
-    get a private epoch, keeping :class:`Link` usable on its own.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def bump(self) -> None:
-        self.value += 1
+                del self._held[owner]
 
 
 class Link:
@@ -93,6 +90,7 @@ class Link:
         distance_km: fibre length; drives propagation latency unless
             ``latency_ms`` is given explicitly.
         latency_ms: explicit one-way propagation latency override.
+        ledger: the network's ledger (a standalone link gets its own).
     """
 
     def __init__(
@@ -103,6 +101,7 @@ class Link:
         *,
         distance_km: float = 10.0,
         latency_ms: "float | None" = None,
+        ledger: "LinkLedger | None" = None,
     ) -> None:
         if u == v:
             raise ConfigurationError(f"self-loop link at {u!r} is not allowed")
@@ -120,18 +119,6 @@ class Link:
         self.v = v
         self._forced_failed = False
         self._endpoints_down = 0
-        self._generation = 0
-        # Observer set owned by an attached CSR snapshot (see
-        # repro.network.csr.snapshot): mutated links add themselves so the
-        # snapshot can refresh only the touched overlay rows.
-        self._dirty: "set | None" = None
-        # Registry owned by the containing Network: reservation changes
-        # are reported to it so owner scans touch only held links.
-        self._reserved_reg: "ReservationRegistry | None" = None
-        # Position in the containing Network's link insertion order.
-        self._ordinal = 0
-        self._epoch = MutationEpoch()
-        self._capacity_gbps = float(capacity_gbps)
         self.distance_km = float(distance_km)
         self._latency_ms = (
             float(latency_ms) if latency_ms is not None else propagation_ms(distance_km)
@@ -141,11 +128,11 @@ class Link:
                 f"link {u}-{v}: latency must be finite and >= 0 ms, "
                 f"got {self._latency_ms}"
             )
-        # direction key -> owner -> reserved gbps
-        self._reservations: Dict[Tuple[str, str], Dict[str, float]] = {
-            (u, v): {},
-            (v, u): {},
-        }
+        # Per direction (0: u -> v, 1: v -> u): owner -> reserved gbps.
+        self._buckets: Tuple[Dict[str, float], Dict[str, float]] = ({}, {})
+        self.ledger = ledger if ledger is not None else LinkLedger()
+        # The u -> v slot; v -> u is the next one.
+        self._slot = self.ledger.attach(float(capacity_gbps))
 
     @property
     def latency_ms(self) -> float:
@@ -157,11 +144,11 @@ class Link:
         """Usable rate per direction.
 
         Writable — partial-degradation scenarios may shrink a live
-        link — and every change bumps the generation, since capacity
-        feeds residuals, utilisation, and admission in every cached
-        weight function.
+        link — and every change advances the ledger epoch, since
+        capacity feeds residuals, utilisation, and admission in every
+        cached weight function.
         """
-        return self._capacity_gbps
+        return self.ledger.capacity[self._slot]
 
     @capacity_gbps.setter
     def capacity_gbps(self, value: float) -> None:
@@ -171,27 +158,11 @@ class Link:
                 f"link {self.u}-{self.v}: capacity must be finite and > 0 Gbps, "
                 f"got {value}"
             )
-        if value != self._capacity_gbps:
-            self._capacity_gbps = value
-            self._bump()
-
-    @property
-    def generation(self) -> int:
-        """Monotone counter of this link's state changes.
-
-        Bumped on every reservation, release, failure, or repair that
-        actually alters the link, together with the shared network
-        epoch the routing cache compares against.
-        """
-        return self._generation
-
-    def _bump(self) -> None:
-        """Record a mutation of this link's state."""
-        self._generation += 1
-        self._epoch.bump()
-        dirty = self._dirty
-        if dirty is not None:
-            dirty.add(self)
+        ledger = self.ledger
+        slot = self._slot
+        if value != ledger.capacity[slot]:
+            ledger.capacity[slot] = ledger.capacity[slot + 1] = value
+            ledger.epoch += 1
 
     @property
     def failed(self) -> bool:
@@ -202,7 +173,7 @@ class Link:
         causes are tracked separately so overlapping faults compose: a
         span failure during a node outage survives the node's repair.
         """
-        return self._forced_failed or self._endpoints_down > 0
+        return self.ledger.failed[self._slot] != 0
 
     @failed.setter
     def failed(self, value: bool) -> None:
@@ -210,12 +181,12 @@ class Link:
         value = bool(value)
         if value != self._forced_failed:
             self._forced_failed = value
-            self._bump()
+            self._write_failed()
 
     def mark_endpoint_down(self) -> None:
         """Record one endpoint node going down (counted, not idempotent)."""
         self._endpoints_down += 1
-        self._bump()
+        self._write_failed()
 
     def mark_endpoint_up(self) -> None:
         """Record one endpoint node coming back."""
@@ -224,23 +195,38 @@ class Link:
                 f"link {self.u}-{self.v}: endpoint repaired while none down"
             )
         self._endpoints_down -= 1
-        self._bump()
+        self._write_failed()
+
+    def _write_failed(self) -> None:
+        """Write both failed slots from the two causes."""
+        down = self._forced_failed or self._endpoints_down > 0
+        ledger = self.ledger
+        slot = self._slot
+        ledger.failed[slot] = ledger.failed[slot + 1] = down
+        ledger.epoch += 1
 
     @property
     def endpoints(self) -> Tuple[str, str]:
         """The two endpoint names in construction order."""
         return (self.u, self.v)
 
-    def _direction(self, src: str, dst: str) -> Tuple[str, str]:
-        if (src, dst) not in self._reservations:
-            raise ConfigurationError(
-                f"link {self.u}-{self.v} has no direction {src}->{dst}"
-            )
-        return (src, dst)
+    def _direction(self, src: str, dst: str) -> int:
+        """0 for ``u -> v``, 1 for ``v -> u``."""
+        if src == self.u and dst == self.v:
+            return 0
+        if src == self.v and dst == self.u:
+            return 1
+        raise ConfigurationError(
+            f"link {self.u}-{self.v} has no direction {src}->{dst}"
+        )
+
+    def slot(self, src: str, dst: str) -> int:
+        """The ledger slot of the ``src -> dst`` direction."""
+        return self._slot + self._direction(src, dst)
 
     def used_gbps(self, src: str, dst: str) -> float:
         """Total reserved rate in the ``src -> dst`` direction."""
-        return sum(self._reservations[self._direction(src, dst)].values())
+        return self.ledger.used[self._slot + self._direction(src, dst)]
 
     def residual_gbps(self, src: str, dst: str) -> float:
         """Free rate in the ``src -> dst`` direction."""
@@ -252,11 +238,11 @@ class Link:
 
     def owner_gbps(self, src: str, dst: str, owner: str) -> float:
         """Rate currently reserved by ``owner`` in that direction."""
-        return self._reservations[self._direction(src, dst)].get(owner, 0.0)
+        return self._buckets[self._direction(src, dst)].get(owner, 0.0)
 
     def holds(self, owner: str) -> bool:
         """True when ``owner`` has a reservation in either direction."""
-        return any(owner in bucket for bucket in self._reservations.values())
+        return any(owner in bucket for bucket in self._buckets)
 
     def reserve(self, src: str, dst: str, gbps: float, owner: str) -> None:
         """Reserve ``gbps`` for ``owner`` in the ``src -> dst`` direction.
@@ -276,18 +262,20 @@ class Link:
                 f"link {self.u}-{self.v} is failed; cannot reserve"
             )
         direction = self._direction(src, dst)
-        if self.used_gbps(src, dst) + gbps > self.capacity_gbps + 1e-9:
+        ledger = self.ledger
+        slot = self._slot + direction
+        used = ledger.used[slot]
+        capacity = ledger.capacity[slot]
+        if used + gbps > capacity + 1e-9:
             raise CapacityError(
                 f"link {src}->{dst}: cannot reserve {gbps} Gbps for {owner!r}; "
-                f"{self.residual_gbps(src, dst):.3f} Gbps free of "
-                f"{self.capacity_gbps} Gbps"
+                f"{capacity - used:.3f} Gbps free of {capacity} Gbps"
             )
-        bucket = self._reservations[direction]
+        bucket = self._buckets[direction]
         bucket[owner] = bucket.get(owner, 0.0) + gbps
-        reg = self._reserved_reg
-        if reg is not None:
-            reg.add(self, owner)
-        self._bump()
+        ledger.used[slot] = sum(bucket.values())
+        ledger.add(self, owner)
+        ledger.epoch += 1
 
     def release(self, src: str, dst: str, owner: str) -> float:
         """Release everything ``owner`` holds in that direction.
@@ -296,31 +284,47 @@ class Link:
             The rate released (0.0 if the owner held nothing).
         """
         direction = self._direction(src, dst)
-        released = self._reservations[direction].pop(owner, 0.0)
+        bucket = self._buckets[direction]
+        released = bucket.pop(owner, 0.0)
         if released:
-            reg = self._reserved_reg
-            if reg is not None and not self.holds(owner):
-                reg.discard(self, owner)
-            self._bump()
+            ledger = self.ledger
+            ledger.used[self._slot + direction] = sum(bucket.values())
+            if owner not in self._buckets[1 - direction]:
+                ledger.discard(self, owner)
+            ledger.epoch += 1
         return released
+
+    def restore_owner_gbps(self, src: str, dst: str, owner: str, gbps: float) -> None:
+        """Undo reservations made since ``owner`` held ``gbps`` there.
+
+        The owner keeps its bucket position, so the slot sums as before.
+        """
+        if not gbps:
+            self.release(src, dst, owner)
+            return
+        direction = self._direction(src, dst)
+        bucket = self._buckets[direction]
+        bucket[owner] = gbps
+        self.ledger.used[self._slot + direction] = sum(bucket.values())
+        self.ledger.epoch += 1
 
     def release_owner(self, owner: str) -> float:
         """Release the owner's reservations in *both* directions."""
+        ledger = self.ledger
         total = 0.0
-        for direction in list(self._reservations):
-            released = self._reservations[direction].pop(owner, 0.0)
+        for direction, bucket in enumerate(self._buckets):
+            released = bucket.pop(owner, 0.0)
             if released:
                 total += released
-                self._bump()
+                ledger.used[self._slot + direction] = sum(bucket.values())
+                ledger.epoch += 1
         if total:
-            reg = self._reserved_reg
-            if reg is not None:
-                reg.discard(self, owner)
+            ledger.discard(self, owner)
         return total
 
     def reservations(self, src: str, dst: str) -> Iterator[Reservation]:
         """Iterate the live reservations in one direction."""
-        for owner, gbps in sorted(self._reservations[self._direction(src, dst)].items()):
+        for owner, gbps in sorted(self._buckets[self._direction(src, dst)].items()):
             yield Reservation(owner=owner, gbps=gbps)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -16,12 +16,15 @@ results.  Two ideas carry it:
   fully settled before the search would have stopped there.
 
 * **Validation by weight-array comparison.**  Every
-  :class:`~repro.network.link.Link` mutation advances the network's
-  ``epoch``, and structural growth advances its ``topology_version``.
-  An entry remembers the epoch, the topology version and the per-edge
-  weight array it was computed from.  A lookup at an equal epoch is a
-  free hit.  After the epoch moves, the token's current array is
-  rebuilt once (vectorised, memoised per epoch) and compared: an
+  :class:`~repro.network.link.Link` mutation writes the network's link
+  ledger and advances its ``epoch``; structural growth advances the
+  ``topology_version``.  The epoch is the one validation key: the CSR
+  snapshot re-gathers its overlay from the ledger slots when it moved,
+  and the cache compares against it.  An entry remembers the epoch, the
+  topology version and the per-edge weight array it was computed from.
+  A lookup at an equal epoch is a free hit.  After the epoch moves, the
+  token's current array is rebuilt once (vectorised from the gathered
+  overlay, memoised per epoch) and compared: an
   element-equal array replays the identical computation, and for full
   trees the :func:`~repro.network.csr.tree_unaffected` change-cut also
   keeps entries whose array delta provably cannot move the tree.  A

@@ -87,7 +87,9 @@ def node_utilisations(network: Network, node: str) -> Dict[Tuple[str, str], floa
     The hub-congestion probe scale benchmarks use: on large topologies a
     full :meth:`NetworkState.capture` walks every link, while a hub's
     neighbourhood is a few rows.  The rates come from the CSR snapshot's
-    vectorised overlay arrays (same floats as ``link.used_gbps``).
+    overlay arrays, gathered from the network's link ledger at the
+    current epoch (the same slots ``link.used_gbps`` and
+    ``link.capacity_gbps`` read).
     """
     network.node(node)
     from . import csr

@@ -3,7 +3,9 @@
 Events are ordered by ``(time, priority, sequence)``.  The monotonically
 increasing sequence number makes ordering *stable*: two events scheduled for
 the same instant with equal priority fire in scheduling order, which keeps
-simulations deterministic across runs and platforms.
+simulations deterministic across runs and platforms.  The heap holds
+``(time, priority, sequence, event)`` tuples, so the unique sequence
+settles every comparison before an event is compared.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import SimulationError
 
@@ -48,14 +50,14 @@ class EventQueue:
     """A stable min-heap of :class:`Event` objects."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
 
     def __len__(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for entry in self._heap if not entry[3].cancelled)
 
     def __bool__(self) -> bool:
-        return any(not event.cancelled for event in self._heap)
+        return any(not entry[3].cancelled for entry in self._heap)
 
     def push(
         self,
@@ -68,28 +70,23 @@ class EventQueue:
         """Schedule ``action`` at ``time`` and return the event handle."""
         if time < 0:
             raise SimulationError(f"cannot schedule event at negative time {time}")
-        event = Event(
-            time=time,
-            priority=priority,
-            sequence=next(self._counter),
-            action=action,
-            name=name,
-        )
-        heapq.heappush(self._heap, event)
+        sequence = next(self._counter)
+        event = Event(time, priority, sequence, action, name)
+        heapq.heappush(self._heap, (time, priority, sequence, event))
         return event
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest live event, or ``None`` if empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[3]
             if not event.cancelled:
                 return event
         return None
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest live event without removing it."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][3].cancelled:
             heapq.heappop(self._heap)
         if not self._heap:
             return None
-        return self._heap[0].time
+        return self._heap[0][0]

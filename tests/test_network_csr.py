@@ -7,6 +7,7 @@ from repro.errors import NoPathError, TopologyError
 from repro.network import csr
 from repro.network.auxiliary import AuxiliaryGraphBuilder
 from repro.network.graph import Network
+from repro.network.link import Link
 from repro.network.node import NodeKind
 from repro.network.routing import (
     HopWeightSpec,
@@ -55,6 +56,42 @@ class TestSnapshot:
         reverse = second.edge_pos[("B", "A")]
         assert second.used[forward] == 7.0
         assert second.used[reverse] == 0.0  # per-direction accounting
+
+    def test_refresh_reads_no_link(self, square_net, monkeypatch):
+        """The overlay re-syncs from the ledger slots, not link by link.
+
+        Count floor: reserving on K distinct links and re-syncing makes
+        zero ``Link`` state reads (a per-link refresh loop makes >= K).
+        """
+        csr.get_snapshot(square_net)
+        links = list(square_net.links())
+        for link in links:
+            square_net.reserve_edge(link.u, link.v, 1.5, "t")
+
+        reads = []
+        used_gbps = Link.used_gbps
+
+        def counted_used(self, src, dst):
+            reads.append("used_gbps")
+            return used_gbps(self, src, dst)
+
+        monkeypatch.setattr(Link, "used_gbps", counted_used)
+        for name in ("failed", "capacity_gbps"):
+            prop = Link.__dict__[name]
+
+            def counted(self, fget=prop.fget, name=name):
+                reads.append(name)
+                return fget(self)
+
+            monkeypatch.setattr(Link, name, property(counted, prop.fset))
+        snapshot = csr.get_snapshot(square_net)
+        monkeypatch.undo()
+
+        assert reads == []
+        for link in links:
+            assert snapshot.used[snapshot.edge_pos[(link.u, link.v)]] == 1.5
+            assert snapshot.used[snapshot.edge_pos[(link.v, link.u)]] == 0.0
+        assert snapshot.refresh() == 0  # epoch unchanged: nothing to gather
 
     def test_topology_growth_rebuilds(self, square_net):
         first = csr.get_snapshot(square_net)

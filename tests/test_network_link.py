@@ -60,12 +60,13 @@ class TestNonFiniteRejected:
     @pytest.mark.parametrize("value", NON_FINITE, ids=str)
     def test_reserve(self, value):
         link = make_link()
-        generation = link.generation
+        epoch = link.ledger.epoch
         with pytest.raises(ConfigurationError, match="must be finite and > 0"):
             link.reserve("u", "v", value, "task-a")
         assert link.used_gbps("u", "v") == 0.0
         assert not link.holds("task-a")
-        assert link.generation == generation
+        assert link.ledger.epoch == epoch
+        assert list(link.ledger.used) == [0.0, 0.0]
 
 
 class TestReservations:

@@ -61,20 +61,32 @@ class TestSssp:
 
 
 class TestGenerationsAndEpoch:
-    def test_reserve_bumps_generation_and_epoch(self, square_net):
+    def test_reserve_writes_slot_and_bumps_epoch(self, square_net):
         link = square_net.link("A", "B")
-        before_gen, before_epoch = link.generation, square_net.epoch
+        used = square_net.ledger.used
+        before_slots, before_epoch = list(used), square_net.epoch
         square_net.reserve_edge("A", "B", 5.0, "t")
-        assert link.generation == before_gen + 1
         assert square_net.epoch == before_epoch + 1
+        slot = link.slot("A", "B")
+        assert used[slot] == 5.0
+        # Only the reserved direction's slot moved.
+        assert [x for i, x in enumerate(used) if i != slot] == [
+            x for i, x in enumerate(before_slots) if i != slot
+        ]
 
     def test_release_owner_bumps_only_touched_links(self, square_net):
         square_net.reserve_edge("A", "B", 5.0, "t")
-        ab, bc = square_net.link("A", "B"), square_net.link("B", "C")
-        gen_ab, gen_bc = ab.generation, bc.generation
+        square_net.reserve_edge("C", "D", 2.0, "other")
+        ledger = square_net.ledger
+        ab = square_net.link("A", "B")
+        before = list(ledger.used)
+        epoch = square_net.epoch
         square_net.release_owner("t")
-        assert ab.generation == gen_ab + 1
-        assert bc.generation == gen_bc  # untouched link unchanged
+        assert square_net.epoch == epoch + 1  # one touched direction
+        assert ledger.used[ab.slot("A", "B")] == 0.0
+        for i, x in enumerate(ledger.used):  # untouched slots unchanged
+            if i != ab.slot("A", "B"):
+                assert x == before[i]
 
     def test_noop_release_does_not_bump(self, square_net):
         epoch = square_net.epoch
@@ -83,12 +95,16 @@ class TestGenerationsAndEpoch:
 
     def test_fail_and_restore_bump_once_each(self, square_net):
         link = square_net.link("A", "B")
-        gen = link.generation
+        failed = square_net.ledger.failed
+        epoch = square_net.epoch
         square_net.fail_link("A", "B")
         square_net.fail_link("A", "B")  # idempotent: no second bump
-        assert link.generation == gen + 1
+        assert square_net.epoch == epoch + 1
+        assert failed[link.slot("A", "B")] == failed[link.slot("B", "A")] == 1
+        assert sum(failed) == 2  # no other link's slot moved
         square_net.restore_link("A", "B")
-        assert link.generation == gen + 2
+        assert square_net.epoch == epoch + 2
+        assert sum(failed) == 0
 
 
 class TestPathCache:
@@ -191,8 +207,9 @@ class TestPathCache:
     def test_topology_growth_invalidates(self):
         """A newly added link must be visible to cached queries.
 
-        Link generations cannot catch this (no *read* link changed), so
-        the cache keys on the network's topology_version separately.
+        The epoch alone cannot say which paths a new link opens (no
+        *read* ledger slot changed), so the cache keys on the network's
+        topology_version separately.
         """
         net = Network()
         for name in "abc":

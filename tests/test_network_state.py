@@ -1,5 +1,5 @@
 """Tests for network-state snapshots, node fault idempotence, and the
-mutation-generation bookkeeping the routing cache keys on."""
+link-ledger epoch and slots the routing cache and CSR snapshot key on."""
 
 import pytest
 
@@ -99,12 +99,17 @@ class TestNodeFaultIdempotence:
 
 class TestGenerationBumping:
     def test_fail_node_bumps_incident_links_only(self, square_net):
+        ledger = square_net.ledger
         incident = square_net.link("A", "B")
         distant = square_net.link("B", "C")
-        gen_incident, gen_distant = incident.generation, distant.generation
+        epoch = square_net.epoch
         square_net.fail_node("A")
-        assert incident.generation == gen_incident + 1
-        assert distant.generation == gen_distant
+        # One bump per incident link.
+        assert square_net.epoch == epoch + square_net.degree("A")
+        for src, dst in (("A", "B"), ("B", "A")):
+            assert ledger.failed[incident.slot(src, dst)] == 1
+        for src, dst in (("B", "C"), ("C", "B")):
+            assert ledger.failed[distant.slot(src, dst)] == 0
 
     def test_idempotent_node_fail_does_not_bump(self, square_net):
         square_net.fail_node("A")
@@ -130,29 +135,34 @@ class TestGenerationBumping:
         square_net.release_owner("t")
         assert square_net.epoch == epoch + 2
 
-    def test_capacity_change_bumps_generation(self, square_net):
+    def test_capacity_change_bumps_epoch(self, square_net):
         link = square_net.link("A", "B")
-        generation = link.generation
+        ledger = square_net.ledger
+        epoch = square_net.epoch
         link.capacity_gbps = 40.0  # partial degradation
         assert link.capacity_gbps == 40.0
-        assert link.generation == generation + 1
+        assert ledger.capacity[link.slot("A", "B")] == 40.0
+        assert ledger.capacity[link.slot("B", "A")] == 40.0
+        assert square_net.epoch == epoch + 1
         link.capacity_gbps = 40.0  # no-op write
-        assert link.generation == generation + 1
+        assert square_net.epoch == epoch + 1
         with pytest.raises(ConfigurationError):
             link.capacity_gbps = 0.0
-
-    def test_link_generation_accessor(self, square_net):
-        before = square_net.link_generation("A", "B")
-        square_net.reserve_edge("A", "B", 5.0, "t")
-        assert square_net.link_generation("A", "B") == before + 1
+        assert square_net.epoch == epoch + 1
 
     def test_standalone_link_has_private_epoch(self):
         from repro.network.link import Link
 
         link = Link("a", "b", 100.0)
-        generation = link.generation
+        other = Link("a", "b", 100.0)
+        assert link.ledger is not other.ledger
+        assert (link.slot("a", "b"), link.slot("b", "a")) == (0, 1)
+        epoch = link.ledger.epoch
         link.reserve("a", "b", 5.0, "t")
-        assert link.generation == generation + 1
+        assert link.ledger.epoch == epoch + 1
+        assert list(link.ledger.used) == [5.0, 0.0]
+        assert other.ledger.epoch == 0
+        assert list(other.ledger.used) == [0.0, 0.0]
 
     def test_topology_growth_bumps_epoch(self):
         net = Network()

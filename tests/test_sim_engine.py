@@ -66,6 +66,36 @@ class TestEventQueue:
         with pytest.raises(SimulationError):
             queue.push(-1.0, lambda: None)
 
+    def test_events_order_by_time_priority_sequence(self):
+        def make(time, priority, sequence):
+            return Event(time, priority, sequence, lambda: None)
+
+        late = make(2.0, 0, 0)
+        low = make(1.0, 5, 1)
+        high = make(1.0, 1, 2)
+        second = make(1.0, 5, 3)
+        assert sorted([late, second, low, high]) == [high, low, second, late]
+
+    def test_heap_compares_no_events(self, monkeypatch):
+        """Count floor: heap order is settled by key tuples alone."""
+        calls = []
+        less = Event.__lt__
+
+        def counted(self, other):
+            calls.append(1)
+            return less(self, other)
+
+        monkeypatch.setattr(Event, "__lt__", counted)
+        queue = EventQueue()
+        fired = []
+        for i in range(40):
+            queue.push(float(i % 3), lambda i=i: fired.append(i), priority=i % 2)
+        while (event := queue.pop()) is not None:
+            event.action()
+        assert calls == []
+        expected = sorted(range(40), key=lambda i: (i % 3, i % 2, i))
+        assert fired == expected
+
 
 class TestSimulator:
     def test_clock_starts_at_zero(self):
