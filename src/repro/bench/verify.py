@@ -124,6 +124,14 @@ FLOORS: List[Floor] = [
         doc="flexible scheduler admits the whole campaign mix",
     ),
     Floor(
+        "campaign", "evaluations_per_schedule", 1.0, op="<=",
+        doc="a campaign evaluates each schedule once, not every round",
+    ),
+    Floor(
+        "campaign", "plan_builds_per_flexible_attempt", 1.0, op="<=",
+        doc="only the tree reservation builds an upload plan",
+    ),
+    Floor(
         "resilience", "min_availability", 1e-9,
         doc="fault-injected campaigns still make progress",
     ),

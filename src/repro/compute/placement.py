@@ -19,18 +19,28 @@ from .server import Server
 PlacementPolicy = Callable[[Sequence[Server], ResourceDemand], Server]
 
 
+def _no_fit(servers: Sequence[Server], demand: ResourceDemand) -> PlacementError:
+    return PlacementError(
+        f"no server fits demand {demand} among {len(servers)} candidates"
+    )
+
+
 def _feasible(servers: Sequence[Server], demand: ResourceDemand) -> List[Server]:
     fitting = [s for s in servers if s.fits(demand)]
     if not fitting:
-        raise PlacementError(
-            f"no server fits demand {demand} among {len(servers)} candidates"
-        )
+        raise _no_fit(servers, demand)
     return fitting
 
 
 def first_fit(servers: Sequence[Server], demand: ResourceDemand) -> Server:
-    """The first server (in given order) with room — the SPFF baseline."""
-    return _feasible(servers, demand)[0]
+    """The first server (in given order) with room — the SPFF baseline.
+
+    Servers after the first fit are not tested.
+    """
+    for server in servers:
+        if server.fits(demand):
+            return server
+    raise _no_fit(servers, demand)
 
 
 def best_fit(servers: Sequence[Server], demand: ResourceDemand) -> Server:

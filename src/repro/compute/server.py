@@ -44,6 +44,12 @@ class Server:
         self.gpu_gflops = float(gpu_gflops)
         self.memory_gb = float(memory_gb)
         self._containers: Dict[str, Container] = {}
+        # Summed demand of the hosted containers per dimension, rewritten
+        # after every place/evict as one sum() in placement order (never
+        # a running total, which would drift from sum() in the last bits).
+        self._used_cpu = 0
+        self._used_gpu = 0
+        self._used_mem = 0
 
     # ------------------------------------------------------------------
     @property
@@ -51,43 +57,44 @@ class Server:
         """Hosted containers in placement order."""
         return list(self._containers.values())
 
-    def _used(self) -> ResourceDemand:
-        cpu = sum(c.demand.cpu_cores for c in self._containers.values())
-        gpu = sum(c.demand.gpu_gflops for c in self._containers.values())
-        mem = sum(c.demand.memory_gb for c in self._containers.values())
-        return ResourceDemand(cpu_cores=cpu, gpu_gflops=gpu, memory_gb=mem)
+    def _resum(self) -> None:
+        hosted = self._containers.values()
+        self._used_cpu = sum(c.demand.cpu_cores for c in hosted)
+        self._used_gpu = sum(c.demand.gpu_gflops for c in hosted)
+        self._used_mem = sum(c.demand.memory_gb for c in hosted)
 
     @property
     def used(self) -> ResourceDemand:
         """Summed demand of hosted containers."""
-        return self._used()
+        return ResourceDemand(
+            cpu_cores=self._used_cpu,
+            gpu_gflops=self._used_gpu,
+            memory_gb=self._used_mem,
+        )
 
     @property
     def free(self) -> ResourceDemand:
         """Per-dimension spare capacity."""
-        used = self._used()
         return ResourceDemand(
-            cpu_cores=self.cpu_cores - used.cpu_cores,
-            gpu_gflops=self.gpu_gflops - used.gpu_gflops,
-            memory_gb=self.memory_gb - used.memory_gb,
+            cpu_cores=self.cpu_cores - self._used_cpu,
+            gpu_gflops=self.gpu_gflops - self._used_gpu,
+            memory_gb=self.memory_gb - self._used_mem,
         )
 
     def fits(self, demand: ResourceDemand) -> bool:
         """Whether ``demand`` fits in the current spare capacity."""
-        free = self.free
         return (
-            demand.cpu_cores <= free.cpu_cores + 1e-9
-            and demand.gpu_gflops <= free.gpu_gflops + 1e-9
-            and demand.memory_gb <= free.memory_gb + 1e-9
+            demand.cpu_cores <= self.cpu_cores - self._used_cpu + 1e-9
+            and demand.gpu_gflops <= self.gpu_gflops - self._used_gpu + 1e-9
+            and demand.memory_gb <= self.memory_gb - self._used_mem + 1e-9
         )
 
     def load_fraction(self) -> float:
         """Max per-dimension utilisation — the binding constraint."""
-        used = self._used()
         return max(
-            used.cpu_cores / self.cpu_cores,
-            used.gpu_gflops / self.gpu_gflops,
-            used.memory_gb / self.memory_gb,
+            self._used_cpu / self.cpu_cores,
+            self._used_gpu / self.gpu_gflops,
+            self._used_mem / self.memory_gb,
         )
 
     def place(self, container: Container) -> None:
@@ -107,6 +114,7 @@ class Server:
             )
         container.server = self.name
         self._containers[container.container_id] = container
+        self._resum()
 
     def evict(self, container_id: str) -> Container:
         """Remove a container and return it.
@@ -120,6 +128,7 @@ class Server:
             raise PlacementError(
                 f"container {container_id!r} not on {self.name!r}"
             ) from None
+        self._resum()
         container.server = None
         return container
 

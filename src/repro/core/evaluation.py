@@ -27,16 +27,26 @@ Modelling choices (documented because they shape the results):
 * tree edges below non-aggregating branch points (e.g. ROADMs) carry one
   payload *per descendant source*; the pipelined stage time scales with
   that multiplicity.
+
+Cost: a report walks each tree once.  Every local climbs only to its
+nearest ancestor already done and extends that node's record of its
+path (edge latencies, distinct stages, merge times, relay count); each
+path's floats are still summed in the per-local order with ``sum()``, so
+the result equals a per-local walk bit for bit.  Each local's training
+time, each distinct endpoint CPU term and (on path-based schedules) each
+link's latency is computed once per report.  The orchestrator then
+computes a report once per schedule: ``Orchestrator.evaluate`` keeps it
+on the task record until the schedule is released.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..errors import SchedulingError
+from ..errors import SchedulingError, TopologyError
 from ..network.graph import Network
-from ..network.paths import path_latency_ms
+from ..network.paths import TreeResult
 from ..tasks.aggregation import AggregationModel
 from ..tasks.aitask import AITask
 from ..transport.protocols import TcpTransport, Transport
@@ -107,22 +117,45 @@ class ScheduleEvaluator:
         return 1000.0 * task.model.train_gflop_per_round / speed
 
     def _pipelined_path_ms(
-        self, prop: float, stages: Iterable[Tuple[float, float]]
+        self, prop: float, stages: Tuple[Tuple[float, float], ...]
     ) -> float:
         """Latency of a chunk-pipelined transfer with propagation ``prop``.
 
-        ``stages`` yields each hop's ``(size_mb, rate)``.  Total time =
-        summed propagation + the slowest stage's transfer time (which
-        includes the protocol's handshake and loss effects at the path's
-        end-to-end RTT).  ``transfer_ms`` is pure and ``max`` order-free,
-        so each distinct stage is priced once.
+        ``stages`` holds the path's distinct ``(size_mb, rate)`` hops.
+        Total time = summed propagation + the slowest stage's transfer
+        time (which includes the protocol's handshake and loss effects at
+        the path's end-to-end RTT).  ``transfer_ms`` is pure and ``max``
+        order-free, so each distinct stage is priced once.
         """
         rtt = 2.0 * prop
         transfer_ms = self._config.transport.transfer_ms
         slowest = 0.0
-        for size, rate in dict.fromkeys(stages):
+        for size, rate in stages:
             slowest = max(slowest, transfer_ms(size, rate, rtt))
         return prop + slowest
+
+    def _link_ms(self, latency: Dict[Edge, float], src: str, dst: str) -> float:
+        """Latency of link ``src``-``dst`` through the report's memo.
+
+        ``latency`` holds the links a report has read, under both
+        directions, so each link is read once per report whichever
+        direction or procedure crosses it first.
+        """
+        ms = latency.get((src, dst))
+        if ms is None:
+            ms = self._network.edge_latency_ms(src, dst)
+            latency[(src, dst)] = latency[(dst, src)] = ms
+        return ms
+
+    def _path_prop_ms(
+        self, path: Tuple[str, ...], latency: Dict[Edge, float]
+    ) -> float:
+        """Summed propagation along ``path``, first hop first."""
+        hops = []
+        for edge in zip(path, path[1:]):
+            ms = latency.get(edge)
+            hops.append(ms if ms is not None else self._link_ms(latency, *edge))
+        return sum(hops)
 
     @staticmethod
     def _edge_rate(rates: Dict[Edge, float], src: str, dst: str) -> float:
@@ -133,114 +166,189 @@ class ScheduleEvaluator:
                 f"no reserved rate on tree edge {(src, dst)}"
             ) from None
 
+    @staticmethod
+    def _walk_up(
+        tree: TreeResult, local: str, done: Dict[str, tuple]
+    ) -> List[str]:
+        """``local`` and its ancestors up to the first node in ``done``.
+
+        Raises the :class:`TopologyError` ``tree.path_to_root(local)``
+        raises: a local cut off from the root, or a parent cycle (a walk
+        longer than the tree has edges repeats a node).
+        """
+        parent = tree.parent
+        segment: List[str] = []
+        node = local
+        while node not in done:
+            segment.append(node)
+            up = parent.get(node)
+            if up is None:
+                raise TopologyError(
+                    f"node {local!r} is not connected to root {tree.root!r}"
+                )
+            if len(segment) > len(parent):
+                raise TopologyError(
+                    f"cycle detected while walking {local!r} to root"
+                )
+            node = up
+        return segment
+
     # ------------------------------------------------------------------
     # Broadcast
     # ------------------------------------------------------------------
-    def _broadcast(self, schedule: TaskSchedule) -> Tuple[float, float]:
+    def _broadcast(
+        self, schedule: TaskSchedule, latency: Dict[Edge, float]
+    ) -> Tuple[float, float]:
         """(procedure latency, endpoint cpu) of the broadcast procedure."""
         task = schedule.task
         size = task.size_mb
-        latency = 0.0
-        cpu = 0.0
+        transport = self._config.transport
+        latency_ms = 0.0
 
         if schedule.broadcast_tree is None:
+            cpu = 0.0
+            cpu_ms = transport.endpoint_cpu_ms(size)
             for local in task.local_nodes:
                 path = schedule.broadcast_path_of(local)
                 stage = (size, schedule.broadcast_flow_rates[local])
-                prop = path_latency_ms(self._network, path)
-                ms = self._pipelined_path_ms(prop, [stage] * (len(path) - 1))
-                latency = max(latency, ms)
-                cpu += self._config.transport.endpoint_cpu_ms(size)
-            return latency, cpu
+                prop = self._path_prop_ms(path, latency)
+                ms = self._pipelined_path_ms(
+                    prop, (stage,) if len(path) > 1 else ()
+                )
+                latency_ms = max(latency_ms, ms)
+                cpu += cpu_ms
+            return latency_ms, cpu
 
         tree = schedule.broadcast_tree
+        parent = tree.parent
+        rates = schedule.broadcast_edge_rates
         terminals = set(task.local_nodes)
-        # child -> latency of its tree edge, read once per tree.  Each
-        # path still sums root-first with sum(), as path_latency_ms does
-        # (a running prefix sum would not match sum() on Python >= 3.12,
+        relay_ms = self._config.relay_overhead_ms
+        # Per tree node, for its root -> node path: the edge latencies in
+        # path order, the distinct stages in first-seen order, and the
+        # relays strictly between the root and the node.  Each local only
+        # extends the record of its nearest finished ancestor; the path
+        # still sums root-first with sum(), as path_latency_ms does (a
+        # running prefix sum would not match sum() on Python >= 3.12,
         # which compensates float additions).
-        edge_ms: Dict[str, float] = {}
+        done: Dict[str, tuple] = {tree.root: ((), (), 0)}
         for local in task.local_nodes:
-            path = schedule.broadcast_path_of(local)  # root -> local
-            stages = []
-            for src, dst in zip(path, path[1:]):
-                rate = self._edge_rate(schedule.broadcast_edge_rates, src, dst)
-                stages.append((size, rate))
-                if dst not in edge_ms:
-                    edge_ms[dst] = self._network.edge_latency_ms(src, dst)
-            prop = sum(edge_ms[node] for node in path[1:])
-            ms = self._pipelined_path_ms(prop, stages)
+            for node in reversed(self._walk_up(tree, local, done)):
+                up = parent[node]
+                lats, stages, relays = done[up]
+                stage = (size, self._edge_rate(rates, up, node))
+                done[node] = (
+                    lats + (self._link_ms(latency, up, node),),
+                    stages if stage in stages else stages + (stage,),
+                    relays + (up != tree.root and up in terminals),
+                )
+            lats, stages, relays = done[local]
+            ms = self._pipelined_path_ms(sum(lats), stages)
             # Intermediate model endpoints relay at application level.
-            relays = sum(1 for node in path[1:-1] if node in terminals)
-            ms += relays * self._config.relay_overhead_ms
-            latency = max(latency, ms)
+            ms += relays * relay_ms
+            latency_ms = max(latency_ms, ms)
         # Endpoint CPU: one send/receive pair per tree edge (the payload
         # crosses each edge exactly once thanks to in-network replication).
-        cpu = len(tree.parent) * self._config.transport.endpoint_cpu_ms(size)
-        return latency, cpu
+        cpu = len(parent) * transport.endpoint_cpu_ms(size)
+        return latency_ms, cpu
 
     # ------------------------------------------------------------------
     # Upload (training readiness gates each source)
     # ------------------------------------------------------------------
-    def _upload(self, schedule: TaskSchedule) -> Tuple[float, float, Tuple[str, ...]]:
-        """(completion incl. training, endpoint cpu, aggregation nodes)."""
+    def _upload(
+        self,
+        schedule: TaskSchedule,
+        train_ms: List[float],
+        latency: Dict[Edge, float],
+    ) -> Tuple[float, float, Tuple[str, ...]]:
+        """(completion incl. training, endpoint cpu, aggregation nodes).
+
+        ``train_ms`` holds each local's training time, in local order.
+        """
         task = schedule.task
         size = task.size_mb
         agg = self._config.aggregation
+        transport = self._config.transport
+        completion = 0.0
 
         plan = schedule.upload_plan
         if plan is None:
             # Fixed: k end-to-end uploads, then k-1 serialised merges at G.
-            completion = 0.0
             cpu = 0.0
-            for local in task.local_nodes:
+            cpu_ms = transport.endpoint_cpu_ms(size)
+            for local, train in zip(task.local_nodes, train_ms):
                 path = schedule.upload_path_of(local)
                 stage = (size, schedule.upload_flow_rates[local])
-                prop = path_latency_ms(self._network, path)
-                ms = self._pipelined_path_ms(prop, [stage] * (len(path) - 1))
-                completion = max(completion, self._train_ms(task, local) + ms)
-                cpu += self._config.transport.endpoint_cpu_ms(size)
+                prop = self._path_prop_ms(path, latency)
+                ms = self._pipelined_path_ms(
+                    prop, (stage,) if len(path) > 1 else ()
+                )
+                completion = max(completion, train + ms)
+                cpu += cpu_ms
             merges = max(0, task.n_locals - 1)
             completion += agg.merge_ms(size, merges)
             agg_nodes = (task.global_node,) if merges else ()
             return completion, cpu, agg_nodes
 
+        tree = plan.tree
+        root = tree.root
+        parent = tree.parent
+        rates = schedule.upload_edge_rates
+        payloads = plan.edge_payloads
         terminals = set(task.local_nodes)
-        # Per tree node, computed once: the latency of its parent edge,
-        # and its (merge time, relay flag).  Each path still sums from
-        # the local upward, as the per-path formulas do.
-        edge_ms: Dict[str, float] = {}
+        relay_ms = self._config.relay_overhead_ms
+        # Per tree node, computed once: its (merge time, relay flag).
         node_terms: Dict[str, Tuple[float, bool]] = {}
-        completion = 0.0
-        for local in task.local_nodes:
-            path = schedule.upload_path_of(local)  # local -> root
-            stages = []
-            for src, dst in zip(path, path[1:]):
-                rate = self._edge_rate(schedule.upload_edge_rates, src, dst)
-                stages.append((size * plan.edge_payloads[src], rate))
-                if src not in edge_ms:
-                    edge_ms[src] = self._network.edge_latency_ms(src, dst)
-                if dst not in node_terms:
-                    merges = plan.merges[dst]
-                    node_terms[dst] = (
+        # Per tree node, for its node -> root path: the edge latencies in
+        # path order, the distinct stages in first-seen order, the merge
+        # times of every node above it, and the relays strictly between
+        # the node and the root.  Each path still sums from the local
+        # upward, as the per-path formulas do.
+        done: Dict[str, tuple] = {root: ((), (), (), 0)}
+        for local, train in zip(task.local_nodes, train_ms):
+            # Read the new edges bottom-up, in the per-path lookup order,
+            # then extend each finished ancestor's record top-down.
+            edges = []
+            for node in self._walk_up(tree, local, done):
+                up = parent[node]
+                rate = self._edge_rate(rates, node, up)
+                stage = (size * payloads[node], rate)
+                ms = self._link_ms(latency, node, up)
+                terms = node_terms.get(up)
+                if terms is None:
+                    merges = plan.merges[up]
+                    terms = node_terms[up] = (
                         agg.merge_ms(size, merges),
-                        dst in terminals or merges > 0,
+                        up in terminals or merges > 0,
                     )
-            prop = sum(edge_ms[node] for node in path[:-1])
-            ms = self._pipelined_path_ms(prop, stages)
+                edges.append((node, up, ms, stage, terms))
+            for node, up, ms, stage, (merge_ms, relay) in reversed(edges):
+                lats, stages, merge_terms, relays = done[up]
+                if stages[:1] != (stage,):
+                    # First-seen order from this node up: its stage leads.
+                    stages = (stage,) + tuple(s for s in stages if s != stage)
+                done[node] = (
+                    (ms,) + lats,
+                    stages,
+                    (merge_ms,) + merge_terms,
+                    relays + (up != root and relay),
+                )
+            lats, stages, merge_terms, relays = done[local]
+            ms = self._pipelined_path_ms(sum(lats), stages)
             # Merge compute and relay turnover along the way up.
-            merge_ms = sum(node_terms[node][0] for node in path[1:])
-            relays = sum(node_terms[node][1] for node in path[1:-1])
-            ms += merge_ms + relays * self._config.relay_overhead_ms
-            completion = max(completion, self._train_ms(task, local) + ms)
+            ms += sum(merge_terms) + relays * relay_ms
+            completion = max(completion, train + ms)
         # Endpoint CPU: one send/receive pair per payload crossing each
-        # tree edge (aggregated payloads cross once).
-        cpu = sum(
-            self._config.transport.endpoint_cpu_ms(
-                size * plan.edge_payloads[child]
-            )
-            for child, _parent in plan.tree.edges
-        )
+        # tree edge (aggregated payloads cross once), priced once per
+        # payload count and summed in tree edge order.
+        cpu_of: Dict[int, float] = {}
+        cpu_terms = []
+        for child in sorted(parent):
+            count = payloads[child]
+            if count not in cpu_of:
+                cpu_of[count] = transport.endpoint_cpu_ms(size * count)
+            cpu_terms.append(cpu_of[count])
+        cpu = sum(cpu_terms)
         return completion, cpu, plan.aggregation_nodes
 
     # ------------------------------------------------------------------
@@ -253,11 +361,13 @@ class ScheduleEvaluator:
     def report(self, schedule: TaskSchedule) -> TaskReport:
         """Full evaluation of a scheduled task."""
         task = schedule.task
-        broadcast_ms, broadcast_cpu = self._broadcast(schedule)
-        upload_completion, upload_cpu, agg_nodes = self._upload(schedule)
-        training_ms = max(
-            self._train_ms(task, local) for local in task.local_nodes
+        latency: Dict[Edge, float] = {}
+        broadcast_ms, broadcast_cpu = self._broadcast(schedule, latency)
+        train_ms = [self._train_ms(task, local) for local in task.local_nodes]
+        upload_completion, upload_cpu, agg_nodes = self._upload(
+            schedule, train_ms, latency
         )
+        training_ms = max(train_ms)
         round_total = (
             broadcast_ms + upload_completion + self._config.control_overhead_ms
         )

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.base import TaskSchedule
+from ..core.evaluation import EvaluationConfig
+from ..core.metrics import TaskReport
 from ..errors import OrchestrationError
 from ..network.state import NetworkState
 from ..tasks.aitask import AITask
@@ -31,6 +33,9 @@ class TaskRecord:
         schedule: live schedule while RUNNING.
         remaining_rounds: rounds left to run.
         reschedules: how many times the task was re-scheduled.
+        evaluated: ``(schedule, config, report)`` of the last evaluation,
+            kept while the task holds that schedule (the orchestrator
+            drops it whenever it releases the schedule).
     """
 
     task: AITask
@@ -38,6 +43,9 @@ class TaskRecord:
     schedule: Optional[TaskSchedule] = None
     remaining_rounds: int = 0
     reschedules: int = 0
+    evaluated: Optional[
+        Tuple[TaskSchedule, EvaluationConfig, TaskReport]
+    ] = field(default=None, compare=False, repr=False)
 
 
 class Database:

@@ -135,10 +135,11 @@ class Orchestrator:
                 pass  # never deployed (admission failed mid-way)
 
     def _release(self, record: TaskRecord) -> None:
-        """Free a RUNNING task's network capacity and flow rules."""
+        """Free a RUNNING task's network capacity, flow rules and report."""
         assert record.schedule is not None
         self.scheduler.release(record.schedule, self.network)
         self.sdn.remove(record.task.task_id)
+        record.evaluated = None
 
     def _block(self, record: TaskRecord) -> None:
         """Mark a task BLOCKED; BLOCKED is terminal, so free its compute."""
@@ -257,14 +258,30 @@ class Orchestrator:
         return record
 
     def evaluate(self, task_id: str) -> TaskReport:
-        """Evaluate a RUNNING task's schedule under the current config."""
+        """Evaluate a RUNNING task's schedule under the current config.
+
+        A report is computed once per schedule: it is kept on the record
+        and returned again while the task holds the same schedule and
+        ``self.evaluation`` is the same config object.  Releasing the
+        schedule (completion, re-schedule, block) drops it.
+        """
         record = self.database.record(task_id)
-        if record.schedule is None:
+        schedule = record.schedule
+        if schedule is None:
             raise OrchestrationError(f"task {task_id!r} has no schedule")
+        evaluated = record.evaluated
+        if (
+            evaluated is not None
+            and evaluated[0] is schedule
+            and evaluated[1] is self.evaluation
+        ):
+            return evaluated[2]
         evaluator = ScheduleEvaluator(
             self.network, self.evaluation, speed_fn=self._speed_fn(record.task)
         )
-        return evaluator.report(record.schedule)
+        report = evaluator.report(schedule)
+        record.evaluated = (schedule, self.evaluation, report)
+        return report
 
     # ------------------------------------------------------------------
     # Re-scheduling loop (challenge #1)

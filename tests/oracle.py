@@ -193,7 +193,9 @@ class ReferenceEvaluator(ScheduleEvaluator):
     """Per-local schedule evaluation: every path priced from scratch.
 
     Overrides the broadcast and upload procedures with the straight
-    per-local walk (``report`` combines them as in production):
+    per-local walk (``report`` combines them as in production; the
+    per-report terms production hands its procedures, the training times
+    and the link latency memo, are ignored and recomputed here):
     propagation is ``path_latency_ms`` of each path, every hop is one
     ``transfer_ms`` call, and merge time and relay flags are looked up
     again for every path through a node.  ``round_latency`` composes the
@@ -229,7 +231,7 @@ class ReferenceEvaluator(ScheduleEvaluator):
             )
         return prop + slowest
 
-    def _broadcast(self, schedule):
+    def _broadcast(self, schedule, _latency=None):
         task = schedule.task
         size = task.size_mb
         latency = 0.0
@@ -260,7 +262,7 @@ class ReferenceEvaluator(ScheduleEvaluator):
         cpu = len(tree.edges) * self._config.transport.endpoint_cpu_ms(size)
         return latency, cpu
 
-    def _upload(self, schedule):
+    def _upload(self, schedule, _train_ms=None, _latency=None):
         task = schedule.task
         size = task.size_mb
         agg = self._config.aggregation

@@ -349,6 +349,8 @@ class TestVerify:
         for key, limit in (
             (("failures", "fault_cache_revalidations"), 0),
             (("fig3a", "transfer_calls_per_path"), 1.5),
+            (("campaign", "evaluations_per_schedule"), 1.0),
+            (("campaign", "plan_builds_per_flexible_attempt"), 1.0),
         ):
             floor = floors[key]
             assert not floor.timing and floor.op == "<=" and floor.limit == limit
@@ -357,16 +359,28 @@ class TestVerify:
             "fig3a": {
                 "latency_saving_pct": 20.0, "transfer_calls_per_path": 3.8
             },
+            # The per-round re-pricing of a campaign: 22 report() calls
+            # for 12 schedules on the pinned trace campaign.
+            "campaign": {
+                "flexible_blocked": 0,
+                "evaluations_per_schedule": 1.833,
+                "plan_builds_per_flexible_attempt": 2.0,
+            },
         }
         violated = {
             v.floor.metric
             for v in verify_record(_fake_record(suites, smoke=True))
         }
         assert violated == {
-            "fault_cache_revalidations", "transfer_calls_per_path"
+            "fault_cache_revalidations",
+            "transfer_calls_per_path",
+            "evaluations_per_schedule",
+            "plan_builds_per_flexible_attempt",
         }
         suites["failures"]["fault_cache_revalidations"] = 0
         suites["fig3a"]["transfer_calls_per_path"] = 1.0
+        suites["campaign"]["evaluations_per_schedule"] = 1.0
+        suites["campaign"]["plan_builds_per_flexible_attempt"] = 1.0
         assert verify_record(_fake_record(suites, smoke=True)) == []
 
 

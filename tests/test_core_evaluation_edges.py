@@ -5,13 +5,17 @@ import pytest
 from repro.core.evaluation import EvaluationConfig, ScheduleEvaluator
 from repro.core.fixed import FixedScheduler
 from repro.core.flexible import FlexibleScheduler
-from repro.errors import SchedulingError
+from repro.core.base import TaskSchedule
+from repro.errors import SchedulingError, TopologyError
 from repro.network.graph import Network
 from repro.network.node import NodeKind
+from repro.network.paths import TreeResult
+from repro.tasks.aggregation import UploadAggregationPlan
 from repro.tasks.aitask import AITask
 from repro.tasks.models import MLModelSpec, get_model
 
 from tests.conftest import make_mesh_task
+from tests.oracle import ReferenceEvaluator
 
 
 def tiny_model():
@@ -111,6 +115,94 @@ class TestMissingRateDetection:
         evaluator = ScheduleEvaluator(mesh_net, speed_fn=lambda n: 0.0)
         with pytest.raises(SchedulingError):
             evaluator.round_latency(schedule)
+
+
+class TestOnePassErrorParity:
+    """The one-pass tree walk fails exactly as the per-local path walk.
+
+    Each local walks up only to its nearest finished ancestor, so a
+    broken tree must still surface as ``TreeResult.path_to_root``'s
+    ``TopologyError`` (not a ``KeyError`` from the parent map, nor an
+    endless loop), and a missing rate must name the edge the per-local
+    walk meets first: the root-most one going down (broadcast), the
+    bottom-most one going up (upload).
+    """
+
+    GOOD = {"r": "g", "m": "r", "l": "r"}
+
+    @pytest.fixture
+    def net(self):
+        net = Network("broken-trees")
+        for name in ("g", "m", "l", "a", "b"):
+            net.add_node(name, NodeKind.SERVER)
+        net.add_node("r", NodeKind.ROUTER)
+        for u, v in ("gr", "rm", "rl", "ra", "la", "ab"):
+            net.add_link(u, v, 100.0, latency_ms=0.1)
+        return net
+
+    def _schedule(self, net, broadcast_parent, upload_parent, **rates):
+        locals_ = ("m", "l")
+        broadcast = TreeResult(root="g", parent=broadcast_parent, weight=0.0)
+        upload = TreeResult(root="g", parent=upload_parent, weight=0.0)
+        return TaskSchedule(
+            task=AITask(
+                task_id="t",
+                model=tiny_model(),
+                global_node="g",
+                local_nodes=locals_,
+            ),
+            scheduler="flexible-mst",
+            broadcast_tree=broadcast,
+            upload_plan=UploadAggregationPlan.build(net, upload, locals_),
+            broadcast_edge_rates=rates.get(
+                "broadcast", {(p, c): 5.0 for c, p in broadcast_parent.items()}
+            ),
+            upload_edge_rates=rates.get(
+                "upload", {(c, p): 5.0 for c, p in upload_parent.items()}
+            ),
+        )
+
+    def _errors(self, net, schedule, expected):
+        messages = []
+        for evaluator in (ScheduleEvaluator(net), ReferenceEvaluator(net)):
+            with pytest.raises(expected) as caught:
+                evaluator.report(schedule)
+            assert type(caught.value) is expected
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        return messages[0]
+
+    @pytest.mark.parametrize("side", ["broadcast", "upload"])
+    def test_local_cut_off_from_root(self, net, side):
+        broken = {"r": "g", "m": "r", "l": "a", "a": "b"}
+        trees = {"broadcast": self.GOOD, "upload": self.GOOD, side: broken}
+        schedule = self._schedule(net, trees["broadcast"], trees["upload"])
+        message = self._errors(net, schedule, TopologyError)
+        assert message == "node 'l' is not connected to root 'g'"
+
+    @pytest.mark.parametrize("side", ["broadcast", "upload"])
+    def test_parent_cycle(self, net, side):
+        broken = {"r": "g", "m": "r", "l": "a", "a": "b", "b": "a"}
+        trees = {"broadcast": self.GOOD, "upload": self.GOOD, side: broken}
+        schedule = self._schedule(net, trees["broadcast"], trees["upload"])
+        message = self._errors(net, schedule, TopologyError)
+        assert message == "cycle detected while walking 'l' to root"
+
+    def test_missing_broadcast_rate_names_the_root_most_edge(self, net):
+        deep = {"r": "g", "m": "r", "l": "a", "a": "r"}
+        schedule = self._schedule(
+            net, deep, self.GOOD, broadcast={("g", "r"): 5.0, ("r", "m"): 5.0}
+        )
+        message = self._errors(net, schedule, SchedulingError)
+        assert message == "no reserved rate on tree edge ('r', 'a')"
+
+    def test_missing_upload_rate_names_the_bottom_most_edge(self, net):
+        deep = {"r": "g", "m": "r", "l": "a", "a": "r"}
+        schedule = self._schedule(
+            net, self.GOOD, deep, upload={("r", "g"): 5.0, ("m", "r"): 5.0}
+        )
+        message = self._errors(net, schedule, SchedulingError)
+        assert message == "no reserved rate on tree edge ('l', 'a')"
 
 
 class TestRelayOverheadKnob:

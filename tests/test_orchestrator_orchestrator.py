@@ -3,11 +3,13 @@
 import pytest
 
 from repro.compute.manager import ComputingManager
+from repro.core.evaluation import EvaluationConfig, ScheduleEvaluator
 from repro.core.fixed import FixedScheduler
 from repro.core.flexible import FlexibleScheduler
 from repro.core.rescheduling import ReschedulingPolicy
 from repro.errors import OrchestrationError
 from repro.network.topology import dumbbell, metro_mesh
+from repro.orchestrator.campaign import CampaignRunner
 from repro.orchestrator.database import TaskStatus
 from repro.orchestrator.orchestrator import Orchestrator, build_servers_for
 from repro.tasks.aitask import AITask
@@ -111,6 +113,95 @@ class TestEvaluation:
     def test_evaluate_unscheduled_rejected(self, orchestrator, mesh_net):
         task = make_mesh_task(mesh_net, 3)
         orchestrator.tasks.submit(task)  # pending, never scheduled
+        with pytest.raises(OrchestrationError):
+            orchestrator.evaluate(task.task_id)
+
+
+class TestReportMemo:
+    """One report per live schedule: kept on the record, dropped on release."""
+
+    def _count_reports(self, monkeypatch):
+        calls = []
+        report = ScheduleEvaluator.report
+
+        def counted(self, schedule):
+            calls.append(schedule)
+            return report(self, schedule)
+
+        monkeypatch.setattr(ScheduleEvaluator, "report", counted)
+        return calls
+
+    def test_campaign_rounds_share_one_report(self, monkeypatch, mesh_net):
+        calls = self._count_reports(monkeypatch)
+        orchestrator = Orchestrator(mesh_net, FlexibleScheduler())
+        task = make_mesh_task(mesh_net, 4, rounds=5)
+        reports = []
+        evaluate = orchestrator.evaluate
+
+        def recorded(task_id):
+            reports.append(evaluate(task_id))
+            return reports[-1]
+
+        orchestrator.evaluate = recorded
+        result = CampaignRunner(orchestrator, [task]).run()
+        assert result.outcomes[task.task_id].rounds_run == 5
+        assert len(reports) == 5
+        assert all(report is reports[0] for report in reports)
+        assert len(calls) == 1
+
+    def test_rescheduled_task_gets_a_new_report(self, orchestrator, mesh_net):
+        task = make_mesh_task(mesh_net, 4)
+        record = orchestrator.admit(task)
+        first = orchestrator.evaluate(task.task_id)
+        old_schedule = record.schedule
+        hosts = {task.global_node, *task.local_nodes}
+        u, v = next(
+            (u, v)
+            for u, v in old_schedule.occupied_edges()
+            if u not in hosts and v not in hosts
+        )
+        outcomes = orchestrator.handle_link_failure(u, v)
+        assert outcomes == {task.task_id: True}
+        assert record.schedule is not old_schedule
+        assert record.evaluated is None
+        second = orchestrator.evaluate(task.task_id)
+        assert second is not first
+        assert record.evaluated == (record.schedule, orchestrator.evaluation, second)
+        assert orchestrator.evaluate(task.task_id) is second
+
+    def test_replaced_config_yields_a_fresh_report(self, orchestrator, mesh_net):
+        task = make_mesh_task(mesh_net, 4)
+        record = orchestrator.admit(task)
+        first = orchestrator.evaluate(task.task_id)
+        # An equal config is still a new object: the memo keys on identity.
+        orchestrator.evaluation = EvaluationConfig()
+        assert orchestrator.evaluate(task.task_id) is not first
+        orchestrator.evaluation = EvaluationConfig(relay_overhead_ms=1.0)
+        third = orchestrator.evaluate(task.task_id)
+        expected = ScheduleEvaluator(
+            mesh_net,
+            orchestrator.evaluation,
+            speed_fn=orchestrator._speed_fn(record.task),
+        ).report(record.schedule)
+        assert third == expected
+        assert third != first
+
+    def test_complete_drops_the_report(self, orchestrator, mesh_net):
+        task = make_mesh_task(mesh_net, 4)
+        record = orchestrator.admit(task)
+        orchestrator.evaluate(task.task_id)
+        assert record.evaluated is not None
+        orchestrator.complete(task.task_id)
+        assert record.evaluated is None
+
+    def test_block_drops_the_report(self, orchestrator, mesh_net):
+        task = make_mesh_task(mesh_net, 4)
+        record = orchestrator.admit(task)
+        orchestrator.evaluate(task.task_id)
+        outcomes = orchestrator.handle_node_failure(task.local_nodes[0])
+        assert outcomes == {task.task_id: False}
+        assert record.status is TaskStatus.BLOCKED
+        assert record.schedule is None and record.evaluated is None
         with pytest.raises(OrchestrationError):
             orchestrator.evaluate(task.task_id)
 
