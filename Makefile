@@ -49,7 +49,8 @@ properties:
 		tests/test_properties.py tests/test_routing_properties.py \
 		tests/test_csr_vector.py tests/test_csr_point.py \
 		tests/test_network_steiner.py tests/test_evaluation_properties.py \
-		tests/test_ledger_properties.py tests/test_compute_properties.py -q
+		tests/test_ledger_properties.py tests/test_compute_properties.py \
+		tests/test_control_plane_properties.py -q
 
 # A fast end-to-end sanity pass over the scenario machinery.
 smoke:

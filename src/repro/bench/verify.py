@@ -132,6 +132,26 @@ FLOORS: List[Floor] = [
         doc="only the tree reservation builds an upload plan",
     ),
     Floor(
+        "control_plane", "fixed.reserves_per_edge", 1.0, op="<=",
+        doc="a path schedule reserves each directed edge once",
+    ),
+    Floor(
+        "control_plane", "sdn.flow_rules_built_per_install", 0, op="<=",
+        doc="SDN installs keep the schedule; rules are built only when read",
+    ),
+    Floor(
+        "control_plane", "ledger.sums_per_reserve", 1.0, op="<=",
+        doc="a reserve writes its ledger slot with one bucket sum",
+    ),
+    Floor(
+        "control_plane", "csr.idle_refresh_regathers", 0, op="<=",
+        doc="an overlay refresh at an unchanged epoch gathers nothing",
+    ),
+    Floor(
+        "control_plane", "csr.refresh_link_reads", 0, op="<=",
+        doc="the overlay re-syncs from ledger slots, reading no link",
+    ),
+    Floor(
         "resilience", "min_availability", 1e-9,
         doc="fault-injected campaigns still make progress",
     ),

@@ -23,7 +23,9 @@ the baseline look worse than the paper reports.
 Step 2's rates and the reservation are :func:`reserve_flows`, the one
 path reservation: the ksp-lb baseline
 (:class:`~repro.core.baselines.KspLoadBalancedScheduler`) reserves
-through it too.
+through it too.  It reserves each directed edge once, for the sum of
+the task's flow rates there (broadcast and upload flows on one edge
+share the owner's bucket entry), not once per flow and hop.
 """
 
 from __future__ import annotations
@@ -57,6 +59,11 @@ def reserve_flows(
     ``blocked_reason``) before anything is reserved.  Per-edge totals
     are the sums of per-flow rates, which by construction never exceed
     the residual observed here.
+
+    The reservation makes one ``Link.reserve`` per directed edge, in
+    first-use order, of that edge's summed flow rates; ``task`` must
+    hold nothing yet (a fresh owner's bucket entry then equals the
+    total that per-hop reserves would have accumulated).
     """
     edge_flows: Dict[Edge, int] = {}
     for paths in (broadcast_paths, upload_paths):
@@ -91,17 +98,26 @@ def reserve_flows(
             f"task {task.task_id!r}: locals {blocked} blocked{blocked_reason}"
         )
 
+    # Each procedure's edge map, and each directed edge's total over
+    # both procedures, sum the flow rates in one chain: broadcast locals,
+    # then upload locals, hop by hop.  That is the order per-hop reserves
+    # would add them to the owner's bucket, so one reserve per edge of
+    # the total leaves the same float at the same bucket position.
     broadcast_edges: Dict[Edge, float] = {}
     upload_edges: Dict[Edge, float] = {}
+    totals: Dict[Edge, float] = {}
+    for paths, rates, reserved in (
+        (broadcast_paths, broadcast_rates, broadcast_edges),
+        (upload_paths, upload_rates, upload_edges),
+    ):
+        for local, path in paths.items():
+            rate = rates[local]
+            for edge in zip(path, path[1:]):
+                reserved[edge] = reserved.get(edge, 0.0) + rate
+                totals[edge] = totals.get(edge, 0.0) + rate
     try:
-        for paths, rates, reserved in (
-            (broadcast_paths, broadcast_rates, broadcast_edges),
-            (upload_paths, upload_rates, upload_edges),
-        ):
-            for local, path in paths.items():
-                for edge in zip(path, path[1:]):
-                    network.reserve_edge(*edge, rates[local], task.task_id)
-                    reserved[edge] = reserved.get(edge, 0.0) + rates[local]
+        for (src, dst), total in totals.items():
+            network.reserve_edge(src, dst, total, task.task_id)
     except Exception:
         network.release_owner(task.task_id)
         raise

@@ -87,7 +87,7 @@ from __future__ import annotations
 import heapq
 import math
 from functools import partial
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -556,34 +556,46 @@ def shortest_paths_csr(
 
     One snapshot and one weight lowering serve the whole batch, so route
     every pair before acting on any answer that could move the weights.
-    Each pair is one early-exit solve (see :func:`_solve`), its path
-    bit-identical to the reference oracle's object Dijkstra
-    (``tests/oracle.py``) under ``spec.weight_fn()``.  An unreachable
-    pair's slot holds the :class:`~repro.errors.NoPathError` a
-    point-to-point query raises for it (the caller raises or skips it);
-    an unknown node raises the network's
-    :class:`~repro.errors.TopologyError` before any pair is solved.
+    Pairs are grouped by source: each distinct source is one solve (see
+    :func:`_solve`) that stops once all of its destinations are settled.
+    Settled entries are final, so each path is the one a per-pair
+    early-exit solve gives, bit-identical to the reference oracle's
+    object Dijkstra (``tests/oracle.py``) under ``spec.weight_fn()``.
+    An unreachable pair's slot holds the
+    :class:`~repro.errors.NoPathError` a point-to-point query raises for
+    it (the caller raises or skips it); an unknown node raises the
+    network's :class:`~repro.errors.TopologyError` before any pair is
+    solved.
     """
     snapshot, array, weights = _snapshot_and_weights(network, spec)
     ends = [
         (_source_index(snapshot, source), _source_index(snapshot, destination))
         for source, destination in pairs
     ]
-    results: List[Union[PathResult, NoPathError]] = []
-    for (source, destination), (source_i, target_i) in zip(pairs, ends):
+    slots_by_source: Dict[int, List[int]] = {}
+    for slot, (source_i, _target_i) in enumerate(ends):
+        slots_by_source.setdefault(source_i, []).append(slot)
+    results: List[Union[PathResult, NoPathError, None]] = [None] * len(pairs)
+    for source_i, slots in slots_by_source.items():
         targets = bytearray(snapshot.n)
-        targets[target_i] = 1
+        for slot in slots:
+            targets[ends[slot][1]] = 1
         dist, prev, _order = _solve(
-            snapshot, source_i, weights, array, targets=targets, n_targets=1
+            snapshot,
+            source_i,
+            weights,
+            array,
+            targets=targets,
+            n_targets=targets.count(1),
         )
-        try:
-            results.append(
-                _extract_path(
-                    snapshot, source, destination, dist, prev, target_i
+        for slot in slots:
+            source, destination = pairs[slot]
+            try:
+                results[slot] = _extract_path(
+                    snapshot, source, destination, dist, prev, ends[slot][1]
                 )
-            )
-        except NoPathError as exc:
-            results.append(exc)
+            except NoPathError as exc:
+                results[slot] = exc
     return results
 
 

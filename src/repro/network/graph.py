@@ -354,11 +354,7 @@ class Network:
 
     def owners_on_link(self, u: str, v: str) -> List[str]:
         """Reservation owners (both directions) on one link, sorted."""
-        link = self.link(u, v)
-        owners = set()
-        for src, dst in ((link.u, link.v), (link.v, link.u)):
-            owners.update(r.owner for r in link.reservations(src, dst))
-        return sorted(owners)
+        return sorted(self.link(u, v).owners())
 
     # ------------------------------------------------------------------
     # Copies

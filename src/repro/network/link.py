@@ -244,6 +244,11 @@ class Link:
         """True when ``owner`` has a reservation in either direction."""
         return any(owner in bucket for bucket in self._buckets)
 
+    def owners(self) -> "set[str]":
+        """Every owner with a reservation in either direction."""
+        forward, backward = self._buckets
+        return forward.keys() | backward.keys()
+
     def reserve(self, src: str, dst: str, gbps: float, owner: str) -> None:
         """Reserve ``gbps`` for ``owner`` in the ``src -> dst`` direction.
 

@@ -360,7 +360,9 @@ def tree_from_metric_closure(
         reverse = closure[(b, a)]
         return PathResult(nodes=tuple(reversed(reverse.nodes)), weight=reverse.weight)
 
-    # Prim over the closure, starting at the root.
+    # Prim over the closure, starting at the root.  A pair's weight is
+    # the same in both orientations, so pushes read it from whichever
+    # one the closure holds.
     in_tree = {root}
     counter = itertools.count()
     frontier: List[Tuple[float, int, str, str]] = []
@@ -369,9 +371,10 @@ def tree_from_metric_closure(
         for b in terminal_list:
             if b in in_tree:
                 continue
-            heapq.heappush(
-                frontier, (closure_path(a, b).weight, next(counter), b, a)
-            )
+            path = closure.get((a, b))
+            if path is None:
+                path = closure[(b, a)]
+            heapq.heappush(frontier, (path.weight, next(counter), b, a))
 
     push(root)
     closure_parent: Dict[str, str] = {}

@@ -264,11 +264,17 @@ class Orchestrator:
         and returned again while the task holds the same schedule and
         ``self.evaluation`` is the same config object.  Releasing the
         schedule (completion, re-schedule, block) drops it.
+
+        Raises:
+            OrchestrationError: unless the task is RUNNING (a completed
+                task keeps its schedule record, but not its capacity).
         """
         record = self.database.record(task_id)
+        if record.status is not TaskStatus.RUNNING:
+            raise OrchestrationError(
+                f"task {task_id!r} is {record.status.value}, not running"
+            )
         schedule = record.schedule
-        if schedule is None:
-            raise OrchestrationError(f"task {task_id!r} has no schedule")
         evaluated = record.evaluated
         if (
             evaluated is not None

@@ -1,15 +1,18 @@
 """The SDN controller: schedules in, flow rules out.
 
 The physical testbed programs ROADMs and routers; here the controller
-materialises a :class:`~repro.core.base.TaskSchedule` into per-hop
-:class:`FlowRule` entries, tracks them per task for clean removal, and
-accounts the reconfiguration cost the re-scheduling trade-off pays.
+keeps each task's installed :class:`~repro.core.base.TaskSchedule` as
+its rule table.  A schedule's edge-rate maps name every directed edge
+it reserves, each once per procedure, so a rule is one map key: the
+controller counts rules at install time (to charge the reconfiguration
+cost the re-scheduling trade-off pays) and builds :class:`FlowRule`
+entries only when someone reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Iterator, List
 
 from ..core.base import TaskSchedule
 from ..errors import OrchestrationError
@@ -32,8 +35,26 @@ class FlowRule:
     next_hop: str
 
 
+def _rule_count(schedule: TaskSchedule) -> int:
+    """One rule per directed edge the schedule reserves, per procedure."""
+    return len(schedule.broadcast_edge_rates) + len(schedule.upload_edge_rates)
+
+
+def _rules(schedule: TaskSchedule) -> Iterator[FlowRule]:
+    """The schedule's rules: broadcast first, then upload, in map order."""
+    task_id = schedule.task.task_id
+    for procedure, rates in (
+        ("broadcast", schedule.broadcast_edge_rates),
+        ("upload", schedule.upload_edge_rates),
+    ):
+        for src, dst in rates:
+            yield FlowRule(
+                device=src, task_id=task_id, procedure=procedure, next_hop=dst
+            )
+
+
 class SdnController:
-    """Installs and removes flow rules derived from schedules.
+    """Installs and removes the flow rules of schedules.
 
     Args:
         rule_install_ms: modelled time to program one rule; exposed so the
@@ -46,27 +67,9 @@ class SdnController:
                 f"rule_install_ms must be >= 0, got {rule_install_ms}"
             )
         self.rule_install_ms = rule_install_ms
-        self._rules: Dict[str, List[FlowRule]] = {}
+        # task id -> the installed schedule, in install order.
+        self._schedules: Dict[str, TaskSchedule] = {}
         self._reconfigurations = 0
-        self._rules_installed_total = 0
-
-    @staticmethod
-    def _rules_for(schedule: TaskSchedule) -> List[FlowRule]:
-        """One rule per directed edge the schedule reserves, per procedure.
-
-        Both schedule shapes list every hop they use in their edge-rate
-        maps (a path schedule sums its flows' rates per hop), so the maps
-        name every rule, each once.
-        """
-        task_id = schedule.task.task_id
-        return [
-            FlowRule(device=src, task_id=task_id, procedure=procedure, next_hop=dst)
-            for procedure, rates in (
-                ("broadcast", schedule.broadcast_edge_rates),
-                ("upload", schedule.upload_edge_rates),
-            )
-            for src, dst in rates
-        ]
 
     def install(self, schedule: TaskSchedule) -> float:
         """Program the schedule's rules.
@@ -78,30 +81,30 @@ class SdnController:
             OrchestrationError: if the task already has rules installed.
         """
         task_id = schedule.task.task_id
-        if task_id in self._rules:
+        if task_id in self._schedules:
             raise OrchestrationError(
                 f"task {task_id!r} already has flow rules; remove them first"
             )
-        rules = self._rules_for(schedule)
-        self._rules[task_id] = rules
+        self._schedules[task_id] = schedule
         self._reconfigurations += 1
-        self._rules_installed_total += len(rules)
-        return len(rules) * self.rule_install_ms
+        return _rule_count(schedule) * self.rule_install_ms
 
     def remove(self, task_id: str) -> int:
         """Delete all rules of a task; returns how many were removed."""
-        return len(self._rules.pop(task_id, []))
+        schedule = self._schedules.pop(task_id, None)
+        return 0 if schedule is None else _rule_count(schedule)
 
     def rules_of(self, task_id: str) -> List[FlowRule]:
         """Live rules of one task (empty when none)."""
-        return list(self._rules.get(task_id, []))
+        schedule = self._schedules.get(task_id)
+        return [] if schedule is None else list(_rules(schedule))
 
     def rules_on(self, device: str) -> List[FlowRule]:
         """Live rules installed on one device, across tasks."""
         return [
             rule
-            for rules in self._rules.values()
-            for rule in rules
+            for schedule in self._schedules.values()
+            for rule in _rules(schedule)
             if rule.device == device
         ]
 
@@ -113,4 +116,4 @@ class SdnController:
     @property
     def total_rules(self) -> int:
         """Live rules currently installed."""
-        return sum(len(rules) for rules in self._rules.values())
+        return sum(_rule_count(schedule) for schedule in self._schedules.values())

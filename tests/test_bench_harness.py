@@ -351,6 +351,11 @@ class TestVerify:
             (("fig3a", "transfer_calls_per_path"), 1.5),
             (("campaign", "evaluations_per_schedule"), 1.0),
             (("campaign", "plan_builds_per_flexible_attempt"), 1.0),
+            (("control_plane", "fixed.reserves_per_edge"), 1.0),
+            (("control_plane", "sdn.flow_rules_built_per_install"), 0),
+            (("control_plane", "ledger.sums_per_reserve"), 1.0),
+            (("control_plane", "csr.idle_refresh_regathers"), 0),
+            (("control_plane", "csr.refresh_link_reads"), 0),
         ):
             floor = floors[key]
             assert not floor.timing and floor.op == "<=" and floor.limit == limit
@@ -366,6 +371,16 @@ class TestVerify:
                 "evaluations_per_schedule": 1.833,
                 "plan_builds_per_flexible_attempt": 2.0,
             },
+            # Per-hop reserves and eagerly built flow rules as measured
+            # on the pinned fixture before one reserve per edge; a
+            # double re-sum per reserve; a refresh that ignores the
+            # epoch and reads every link.
+            "control_plane": {
+                "fixed": {"reserves_per_edge": 1.507},
+                "sdn": {"flow_rules_built_per_install": 27.4},
+                "ledger": {"sums_per_reserve": 2.0},
+                "csr": {"idle_refresh_regathers": 144, "refresh_link_reads": 432},
+            },
         }
         violated = {
             v.floor.metric
@@ -376,11 +391,22 @@ class TestVerify:
             "transfer_calls_per_path",
             "evaluations_per_schedule",
             "plan_builds_per_flexible_attempt",
+            "fixed.reserves_per_edge",
+            "sdn.flow_rules_built_per_install",
+            "ledger.sums_per_reserve",
+            "csr.idle_refresh_regathers",
+            "csr.refresh_link_reads",
         }
         suites["failures"]["fault_cache_revalidations"] = 0
         suites["fig3a"]["transfer_calls_per_path"] = 1.0
         suites["campaign"]["evaluations_per_schedule"] = 1.0
         suites["campaign"]["plan_builds_per_flexible_attempt"] = 1.0
+        suites["control_plane"] = {
+            "fixed": {"reserves_per_edge": 1.0},
+            "sdn": {"flow_rules_built_per_install": 0.0},
+            "ledger": {"sums_per_reserve": 1.0},
+            "csr": {"idle_refresh_regathers": 0, "refresh_link_reads": 0},
+        }
         assert verify_record(_fake_record(suites, smoke=True)) == []
 
 

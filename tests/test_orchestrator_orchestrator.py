@@ -117,6 +117,17 @@ class TestEvaluation:
             orchestrator.evaluate(task.task_id)
 
 
+    def test_evaluate_completed_rejected(self, orchestrator, mesh_net):
+        """A completed task keeps its schedule record but no capacity."""
+        task = make_mesh_task(mesh_net, 3)
+        record = orchestrator.admit(task)
+        orchestrator.complete(task.task_id)
+        assert record.schedule is not None
+        with pytest.raises(OrchestrationError, match="not running"):
+            orchestrator.evaluate(task.task_id)
+        assert record.evaluated is None
+
+
 class TestReportMemo:
     """One report per live schedule: kept on the record, dropped on release."""
 
