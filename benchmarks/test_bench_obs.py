@@ -33,7 +33,6 @@ trajectory but not floored — it *is* scheduler noise at this scale.
 
 from __future__ import annotations
 
-import os
 import time
 
 from repro import obs
@@ -185,7 +184,3 @@ def test_bench_obs_suite_smoke():
     assert metrics["collect_identical"] is True
     assert metrics["collect_records"] > 0
     assert metrics["touches"] > 0
-    # The smoke sweep's sub-100ms wall makes the overhead bound noisy
-    # on shared runners; same escape hatch as the other suites.
-    if os.environ.get("REPRO_SKIP_TIMING_ASSERTS") != "1":
-        assert metrics["off_overhead_pct"] < 2.0

@@ -8,19 +8,17 @@ CSR kernel behind the epoch-keyed
 :class:`~repro.network.routing.PathCache`) and once with a
 benchmark-local reference, :class:`UncachedScheduler`, that runs the
 same CSR kernel with no cache.  Asserts the two passes produce
-byte-identical schedules (the cache's contract) and, on the N=200
-campaign instance, that the cache delivers at least a 3x throughput
-speedup.  That floor dates from an object-kernel reference; over the
-uncached CSR kernel the cache reads far less (see BASELINES.md).  Results land in ``BENCH_HISTORY.jsonl`` through the
-``repro bench`` harness (the pre-harness ``BENCH_scheduler.json``
-snapshot is frozen as the legacy baseline); ``repro bench verify``
-asserts the speedup floor against the newest record.
+byte-identical schedules (the cache's contract) and records both wall
+times and their ratio.  Results land in ``BENCH_HISTORY.jsonl`` through
+the ``repro bench`` harness; ``repro bench verify`` floors the
+production side alone, ``scale_free_200.cached_s``: the ratio compares
+production with a bench-local reference, so it says how much the cache
+saves, not how fast scheduling is (see BASELINES.md).
 
 Smoke mode (``repro bench run --smoke``, or ``REPRO_BENCH_SMOKE=1``
 under pytest) shrinks the workloads to a few tasks (seconds, not
-minutes) and drops the wall-clock assertion, leaving the identity
-check; ``REPRO_SKIP_TIMING_ASSERTS=1`` drops it for full pytest runs on
-noisy shared hardware.
+minutes); verify skips timing floors on smoke records, leaving the
+identity check.
 """
 
 from __future__ import annotations
@@ -38,12 +36,11 @@ from repro.sim.rng import RandomStreams
 from repro.tasks.aitask import AITask
 from repro.tasks.models import get_model
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import assert_floors, run_once
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 DEMAND_GBPS = 4.0
-SPEEDUP_FLOOR = 3.0
 
 
 def _campaigns(smoke: bool):
@@ -52,10 +49,6 @@ def _campaigns(smoke: bool):
         50: (50, 6, 5) if smoke else (50, 40, 8),
         200: (200, 4, 6) if smoke else (200, 40, 16),
     }
-
-
-def _skip_timing(smoke: bool) -> bool:
-    return smoke or os.environ.get("REPRO_SKIP_TIMING_ASSERTS") == "1"
 
 
 def _workload(network, n_tasks: int, n_locals: int, seed: int = 7):
@@ -133,8 +126,8 @@ def _campaign(n_routers: int, n_tasks: int, n_locals: int, scheduler_cls):
     return elapsed, signatures, stats
 
 
-def _run_campaign(n_routers: int, *, smoke: bool, assert_speedup: bool):
-    """One campaign's metrics; asserts identity (always) and the floor."""
+def _run_campaign(n_routers: int, *, smoke: bool):
+    """One campaign's metrics; asserts the two schedulers agree."""
     n, n_tasks, n_locals = _campaigns(smoke)[n_routers]
     uncached_s, uncached_sig, _ = _campaign(
         n, n_tasks, n_locals, UncachedScheduler
@@ -147,11 +140,6 @@ def _run_campaign(n_routers: int, *, smoke: bool, assert_speedup: bool):
         "cached and uncached schedulers diverged on the same workload"
     )
     speedup = uncached_s / cached_s if cached_s > 0 else float("inf")
-    if assert_speedup and not _skip_timing(smoke):
-        assert speedup >= SPEEDUP_FLOOR, (
-            f"cache speedup {speedup:.2f}x below the {SPEEDUP_FLOOR}x floor "
-            f"on scale-free N={n}"
-        )
     return {
         "n_routers": n,
         "tasks": n_tasks,
@@ -165,24 +153,21 @@ def _run_campaign(n_routers: int, *, smoke: bool, assert_speedup: bool):
     }
 
 
-@bench_suite("scheduler", headline="scale_free_200.speedup")
+@bench_suite("scheduler", headline="scale_free_200.cached_s")
 def suite(smoke: bool = False) -> dict:
     """Routing-cache schedule throughput on scale-free N=50 and N=200."""
     return {
-        "scale_free_50": _run_campaign(
-            50, smoke=smoke, assert_speedup=False
-        ),
-        "scale_free_200": _run_campaign(
-            200, smoke=smoke, assert_speedup=True
-        ),
+        "scale_free_50": _run_campaign(50, smoke=smoke),
+        "scale_free_200": _run_campaign(200, smoke=smoke),
     }
 
 
 def test_bench_scheduler_cache_scale_free_50(benchmark):
     """Small instance: identity always, timing recorded, no floor."""
-    run_once(benchmark, _run_campaign, 50, smoke=SMOKE, assert_speedup=False)
+    run_once(benchmark, _run_campaign, 50, smoke=SMOKE)
 
 
 def test_bench_scheduler_cache_scale_free_200(benchmark):
-    """The acceptance campaign: byte-identical and >= 3x with the cache."""
-    run_once(benchmark, _run_campaign, 200, smoke=SMOKE, assert_speedup=True)
+    """The acceptance campaign: byte-identical, and the schedule-time floor."""
+    metrics = run_once(benchmark, _run_campaign, 200, smoke=SMOKE)
+    assert_floors("scheduler", "scale_free_200", metrics, SMOKE)

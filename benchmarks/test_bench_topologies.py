@@ -7,10 +7,8 @@ with the same merged parameters must be byte-identical.  Topology
 construction sits on every sweep run's critical path (each (scenario,
 params, seed) run rebuilds its fabric), so a generator regression shows
 up here before it shows up as a mysteriously slow sweep.  Results land
-in ``BENCH_HISTORY.jsonl`` through the ``repro bench`` harness; the
-pre-harness ``BENCH_topologies.json`` snapshot is frozen as the legacy
-baseline, and ``repro bench verify`` floors the build rates of the
-hottest families.
+in ``BENCH_HISTORY.jsonl`` through the ``repro bench`` harness, and
+``repro bench verify`` floors the build rates of the hottest families.
 
 Smoke mode (``repro bench run --smoke``, or ``REPRO_BENCH_SMOKE=1``
 under pytest) drops the repeat count to 2; the determinism check still

@@ -10,8 +10,7 @@ trajectory, and gates regressions:
   benchmark module registers itself with, plus filesystem discovery.
 * :mod:`repro.bench.history` — machine-tagged ``BENCH_HISTORY.jsonl``
   records (host, python, CPU count, git SHA, timestamp, per-suite
-  metrics) and the compatibility reader for the legacy ``BENCH_*.json``
-  snapshots.
+  metrics).
 * :mod:`repro.bench.runner` — ``repro bench run``: execute every (or a
   chosen) suite and append exactly one history record.
 * :mod:`repro.bench.verify` — ``repro bench verify``: assert per-suite
@@ -27,8 +26,6 @@ additive.
 from .history import (
     HISTORY_FILENAME,
     append_record,
-    legacy_records,
-    load_trajectory,
     read_history,
 )
 from .registry import BenchSuite, bench_suite, discover_suites, get_suite, list_suites
@@ -46,9 +43,7 @@ __all__ = [
     "bench_suite",
     "discover_suites",
     "get_suite",
-    "legacy_records",
     "list_suites",
-    "load_trajectory",
     "machine_class_factor",
     "read_history",
     "render_report",

@@ -8,13 +8,6 @@ greppable::
     {"schema": 1, "timestamp": "...", "host": ..., "python": ...,
      "cpu_count": ..., "git_sha": ..., "machine_class": "reference",
      "smoke": false, "suites": {"scheduler": {...}, ...}}
-
-The two pre-harness snapshots (``BENCH_scheduler.json``,
-``BENCH_topologies.json``) are absorbed through
-:func:`legacy_records`: a compatibility reader that presents them as
-synthetic history records (``"legacy": true``, machine fields unknown)
-so the trend report shows the full trajectory, not just post-harness
-points.
 """
 
 from __future__ import annotations
@@ -36,12 +29,6 @@ HISTORY_FILENAME = "BENCH_HISTORY.jsonl"
 
 #: Environment knob naming the hardware class floors are scaled for.
 MACHINE_CLASS_ENV = "REPRO_BENCH_MACHINE_CLASS"
-
-#: The legacy pre-harness snapshot files and the suite each maps to.
-LEGACY_SNAPSHOTS = {
-    "BENCH_scheduler.json": "scheduler",
-    "BENCH_topologies.json": "topologies",
-}
 
 RECORD_SCHEMA = 1
 
@@ -149,61 +136,4 @@ def read_history(path: str) -> List[Dict[str, Any]]:
                     f"{path}:{number}: history record has no 'suites' field"
                 )
             records.append(record)
-    return records
-
-
-def legacy_records(root: Optional[Path] = None) -> List[Dict[str, Any]]:
-    """The pre-harness ``BENCH_*.json`` snapshots as one synthetic record.
-
-    The snapshots carried no machine tag, so the record says so
-    explicitly (``legacy: true``, machine fields ``None``) rather than
-    inventing one.  Missing snapshot files are simply absent from the
-    result — a fresh clone without them reads an empty legacy history.
-    """
-    root = root or repo_root()
-    suites: Dict[str, Dict[str, Any]] = {}
-    smoke = False
-    for filename, suite in LEGACY_SNAPSHOTS.items():
-        snapshot = root / filename
-        if not snapshot.exists():
-            continue
-        try:
-            payload = json.loads(snapshot.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"{snapshot}: malformed legacy snapshot: {exc}"
-            ) from exc
-        suites[suite] = payload
-        smoke = smoke or any(
-            isinstance(entry, dict) and entry.get("smoke")
-            for entry in payload.values()
-        )
-    if not suites:
-        return []
-    return [
-        {
-            "schema": RECORD_SCHEMA,
-            "legacy": True,
-            "timestamp": None,
-            "host": None,
-            "platform": None,
-            "python": None,
-            "cpu_count": None,
-            "git_sha": None,
-            "machine_class": "reference",
-            "smoke": smoke,
-            "suites": suites,
-        }
-    ]
-
-
-def load_trajectory(
-    path: Optional[str] = None, *, include_legacy: bool = True
-) -> List[Dict[str, Any]]:
-    """Legacy snapshot record(s) followed by the JSONL history, oldest first."""
-    path = path or default_history_path()
-    records: List[Dict[str, Any]] = []
-    if include_legacy:
-        records.extend(legacy_records(Path(path).resolve().parent))
-    records.extend(read_history(path))
     return records

@@ -124,9 +124,10 @@ def discover_suites(bench_dir: Optional[str] = None) -> List[BenchSuite]:
     package = directory.name
     unregistered: List[str] = []
     for module_path in sorted(directory.glob("test_bench_*.py")):
-        before = set(_SUITES)
-        importlib.import_module(f"{package}.{module_path.stem}")
-        if set(_SUITES) == before:
+        module = importlib.import_module(f"{package}.{module_path.stem}")
+        if not any(
+            suite.fn.__module__ == module.__name__ for suite in _SUITES.values()
+        ):
             unregistered.append(module_path.name)
     if unregistered:
         raise ConfigurationError(

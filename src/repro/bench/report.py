@@ -1,11 +1,11 @@
 """Trend rendering: ``repro bench report``.
 
-Turns the recorded trajectory — legacy snapshot record first, then
-every ``BENCH_HISTORY.jsonl`` line — into plain-text tables:
+Turns the recorded trajectory — every ``BENCH_HISTORY.jsonl`` line,
+oldest first — into plain-text tables:
 
 * the default view tracks each suite's *headline* metric (declared in
   its ``@bench_suite`` registration) across records, so "did the
-  scheduler-cache speedup drift?" is one glance;
+  production schedule time drift?" is one glance;
 * ``--suite NAME`` expands one suite into every scalar metric it
   reports, across the same records.
 
@@ -25,8 +25,6 @@ DEFAULT_HEADLINE = "elapsed_s"
 
 
 def record_label(record: Dict[str, Any]) -> str:
-    if record.get("legacy"):
-        return "legacy"
     sha = record.get("git_sha") or "?"
     stamp = record.get("timestamp") or ""
     day = stamp.split("T")[0] if isinstance(stamp, str) else ""

@@ -14,11 +14,13 @@ number in ``BENCH_HISTORY.jsonl``.  Two kinds:
   were measured on, so CI asserts a relaxed fraction of each floor
   (``REPRO_BENCH_MACHINE_CLASS=ci``) rather than flaking.
 
-The starting floors encode the recorded baselines: the 6.38x
-scheduler-cache speedup (floored at 3x, its pre-harness assertion) and
-the ``BENCH_topologies.json`` build rates (floored at roughly an order
-of magnitude below the recorded reference numbers, so only a real
-regression — not jitter — trips them).
+This table is the one place a limit is written: suites measure and
+report, and never assert a floor of their own, so a full run always
+appends its record and ``verify`` is the judge.  Timing floors sit well
+below (or above, for ``<=``) the recorded reference numbers — the
+topology build rates by roughly an order of magnitude, the production
+schedule time by more than 3x — so only a real regression, not
+jitter, trips them.
 """
 
 from __future__ import annotations
@@ -209,8 +211,8 @@ FLOORS: List[Floor] = [
         doc="distributed trace collection overhead under 5% of sweep wall",
     ),
     Floor(
-        "scheduler", "scale_free_200.speedup", 3.0, timing=True,
-        doc="routing-cache schedule speedup at N=200 (6.38x baseline predates CSR)",
+        "scheduler", "scale_free_200.cached_s", 1.5, op="<=", timing=True,
+        doc="production FlexibleScheduler wall time, 40 tasks at N=200",
     ),
     Floor(
         "csr", "scale_free_200.speedup", 5.0, timing=True,

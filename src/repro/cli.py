@@ -581,10 +581,9 @@ def build_bench_parser() -> argparse.ArgumentParser:
         "report",
         help="render the trend table across the recorded trajectory",
         description=(
-            "Prints each suite's headline metric across every record — "
-            "the migrated legacy BENCH_*.json snapshots first, then the "
-            "JSONL history.  --suite NAME expands one suite into all of "
-            "its metrics."
+            "Prints each suite's headline metric across every record of "
+            "the JSONL history, oldest first.  --suite NAME expands one "
+            "suite into all of its metrics."
         ),
     )
     report.add_argument(
@@ -593,11 +592,6 @@ def build_bench_parser() -> argparse.ArgumentParser:
         help="history file to read (default: BENCH_HISTORY.jsonl)",
     )
     report.add_argument("--suite", help="expand this one suite's metrics")
-    report.add_argument(
-        "--no-legacy",
-        action="store_true",
-        help="hide the migrated pre-harness BENCH_*.json snapshot record",
-    )
     report.add_argument(
         "--bench-dir",
         metavar="DIR",
@@ -882,8 +876,8 @@ def _bench_main(argv: List[str]) -> int:
         bench.discover_suites(args.bench_dir)  # headline metadata
     except ConfigurationError:
         pass  # report still renders with elapsed_s fallbacks
-    records = bench.load_trajectory(
-        args.history, include_legacy=not args.no_legacy
+    records = bench.read_history(
+        args.history or bench.history.default_history_path()
     )
     print(bench.render_report(records, suite=args.suite))
     return 0

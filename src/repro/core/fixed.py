@@ -30,7 +30,7 @@ share the owner's bucket entry), not once per flow and hop.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import NoPathError, SchedulingError
 from ..network import csr, routing
@@ -65,10 +65,17 @@ def reserve_flows(
     hold nothing yet (a fresh owner's bucket entry then equals the
     total that per-hop reserves would have accumulated).
     """
+    # Each path's directed edges, built once and reused by every pass.
+    broadcast_hops = {
+        local: list(zip(path, path[1:])) for local, path in broadcast_paths.items()
+    }
+    upload_hops = {
+        local: list(zip(path, path[1:])) for local, path in upload_paths.items()
+    }
     edge_flows: Dict[Edge, int] = {}
-    for paths in (broadcast_paths, upload_paths):
-        for path in paths.values():
-            for edge in zip(path, path[1:]):
+    for hops in (broadcast_hops, upload_hops):
+        for edges in hops.values():
+            for edge in edges:
                 edge_flows[edge] = edge_flows.get(edge, 0) + 1
 
     # The residuals are gathered in one vectorised subtraction over the
@@ -78,16 +85,16 @@ def reserve_flows(
     residual = snapshot.residual_list()
     edge_pos = snapshot.edge_pos
 
-    def flow_rate(path: Route) -> float:
+    def flow_rate(edges: List[Edge]) -> float:
         rate = task.demand_gbps
-        for edge in zip(path, path[1:]):
+        for edge in edges:
             rate = min(rate, residual[edge_pos[edge]] / edge_flows[edge])
         return rate
 
     broadcast_rates = {
-        local: flow_rate(path) for local, path in broadcast_paths.items()
+        local: flow_rate(edges) for local, edges in broadcast_hops.items()
     }
-    upload_rates = {local: flow_rate(path) for local, path in upload_paths.items()}
+    upload_rates = {local: flow_rate(edges) for local, edges in upload_hops.items()}
     blocked = [
         local
         for local in task.local_nodes
@@ -106,13 +113,13 @@ def reserve_flows(
     broadcast_edges: Dict[Edge, float] = {}
     upload_edges: Dict[Edge, float] = {}
     totals: Dict[Edge, float] = {}
-    for paths, rates, reserved in (
-        (broadcast_paths, broadcast_rates, broadcast_edges),
-        (upload_paths, upload_rates, upload_edges),
+    for hops, rates, reserved in (
+        (broadcast_hops, broadcast_rates, broadcast_edges),
+        (upload_hops, upload_rates, upload_edges),
     ):
-        for local, path in paths.items():
+        for local, edges in hops.items():
             rate = rates[local]
-            for edge in zip(path, path[1:]):
+            for edge in edges:
                 reserved[edge] = reserved.get(edge, 0.0) + rate
                 totals[edge] = totals.get(edge, 0.0) + rate
     try:

@@ -117,13 +117,12 @@ class ReschedulingPolicy:
                 # dead link do not constrain what-if scheduling (and the
                 # scratch link would reject them anyway).
                 continue
+            owners = sorted(link.owners() - {task.task_id})
             for src, dst in ((link.u, link.v), (link.v, link.u)):
-                for reservation in link.reservations(src, dst):
-                    if reservation.owner == task.task_id:
-                        continue
-                    scratch.reserve_edge(
-                        src, dst, reservation.gbps, reservation.owner
-                    )
+                for owner in owners:
+                    gbps = link.owner_gbps(src, dst, owner)
+                    if gbps:
+                        scratch.reserve_edge(src, dst, gbps, owner)
 
         try:
             candidate = scheduler.schedule(task, scratch)

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-from ..errors import NoPathError, TopologyError
+from ..errors import NoPathError
 from .. import obs
 from .graph import Network
 from .paths import (
@@ -72,6 +72,9 @@ from .paths import (
     tree_from_metric_closure,
 )
 from . import csr as csr_kernel
+
+#: The LRU bound of every :class:`PathCache`.
+MAX_ENTRIES = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +193,7 @@ class PathCache:
     Keys combine the query (kind, endpoints, ``k``) with the weight
     spec's ``cache_token()``; validity is the weight-array comparison
     described in the module docstring.  Entries are LRU-evicted beyond
-    ``max_entries``.  ``NoPathError`` outcomes are cached too — an
+    :data:`MAX_ENTRIES`.  ``NoPathError`` outcomes are cached too — an
     unreachable verdict is exactly as state-dependent as a path.
 
     The cache never returns a result that differs from recomputing: a
@@ -198,11 +201,8 @@ class PathCache:
     differs only where it cannot move the entry's tree.
     """
 
-    def __init__(self, network: Network, max_entries: int = 1024) -> None:
-        if max_entries < 1:
-            raise TopologyError(f"max_entries must be >= 1, got {max_entries}")
+    def __init__(self, network: Network) -> None:
         self._network = network
-        self._max_entries = max_entries
         self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
         # token -> (epoch, topology_version, weight array, weight list):
         # the weight arrays current entries are validated against,
@@ -212,19 +212,6 @@ class PathCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def max_entries(self) -> int:
-        return self._max_entries
-
-    def resize(self, max_entries: int) -> None:
-        """Change the LRU bound, evicting oldest entries if shrinking."""
-        if max_entries < 1:
-            raise TopologyError(f"max_entries must be >= 1, got {max_entries}")
-        self._max_entries = max_entries
-        while len(self._entries) > self._max_entries:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
 
     def invalidate(self) -> None:
         """Drop every entry."""
@@ -363,7 +350,7 @@ class PathCache:
     def _store(self, key: Hashable, entry: _Entry) -> None:
         self._entries[key] = entry
         self._entries.move_to_end(key)
-        while len(self._entries) > self._max_entries:
+        while len(self._entries) > MAX_ENTRIES:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
 
@@ -525,23 +512,16 @@ class PathCache:
 # Per-network cache attachment
 # ---------------------------------------------------------------------------
 
-def get_cache(network: Network, max_entries: Optional[int] = None) -> PathCache:
+def get_cache(network: Network) -> PathCache:
     """The network's :class:`PathCache`, created on first use.
 
     One cache per :class:`Network` instance: scratch copies made with
     ``copy_topology`` start cold, and sweep workers each cache their own
-    private network.  ``max_entries`` (default 1024 at creation) resizes
-    an already-attached cache rather than being silently ignored; omit
-    it to leave the current bound alone.
+    private network.
     """
     cache = network._path_cache
     if cache is None:
-        cache = PathCache(
-            network, max_entries=1024 if max_entries is None else max_entries
-        )
-        network._path_cache = cache
-    elif max_entries is not None and max_entries != cache.max_entries:
-        cache.resize(max_entries)
+        cache = network._path_cache = PathCache(network)
     return cache
 
 

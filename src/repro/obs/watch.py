@@ -121,9 +121,9 @@ DEFAULT_REGRESSION_RULES: List[RegressionRule] = [
         doc="speedup over the uncached object-kernel reference at N=200",
     ),
     RegressionRule(
-        "scheduler-cache-speedup", "scheduler.scale_free_200.speedup",
-        higher_is_better=True, tolerance_pct=40.0,
-        doc="routing-cache schedule speedup at N=200",
+        "scheduler-schedule-time", "scheduler.scale_free_200.cached_s",
+        higher_is_better=False, tolerance_pct=40.0,
+        doc="production FlexibleScheduler wall time, 40 tasks at N=200",
     ),
     RegressionRule(
         "obs-off-overhead", "obs.off_overhead_pct",

@@ -181,11 +181,7 @@ class ObjectOracleCache:
 def object_oracle():
     """Route every scheduler query through :class:`ObjectOracleCache`."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            routing,
-            "get_cache",
-            lambda network, max_entries=None: ObjectOracleCache(network),
-        )
+        patch.setattr(routing, "get_cache", ObjectOracleCache)
         yield
 
 

@@ -17,8 +17,6 @@ from repro.bench import (
     append_record,
     bench_suite,
     discover_suites,
-    legacy_records,
-    load_trajectory,
     machine_class_factor,
     read_history,
     render_report,
@@ -71,8 +69,8 @@ def _fake_record(suites, *, smoke=False, **overrides):
 
 PASSING_SUITES = {
     "scheduler": {
-        "scale_free_200": {"identical": True, "speedup": 6.38},
-        "scale_free_50": {"identical": True, "speedup": 4.0},
+        "scale_free_200": {"identical": True, "cached_s": 0.45, "speedup": 1.3},
+        "scale_free_50": {"identical": True, "cached_s": 0.1, "speedup": 1.2},
     },
     "topologies": {
         "families": 11,
@@ -184,34 +182,6 @@ class TestHistory:
     def test_missing_file_reads_empty(self, tmp_path):
         assert read_history(str(tmp_path / "absent.jsonl")) == []
 
-    def test_legacy_snapshots_become_one_tagged_record(self, tmp_path):
-        (tmp_path / "BENCH_scheduler.json").write_text(
-            json.dumps({"scale_free_200": {"speedup": 6.38, "smoke": False}})
-        )
-        (tmp_path / "BENCH_topologies.json").write_text(
-            json.dumps({"clos": {"builds_per_s": 786.0}})
-        )
-        records = legacy_records(tmp_path)
-        assert len(records) == 1
-        record = records[0]
-        assert record["legacy"] is True
-        assert record["git_sha"] is None and record["host"] is None
-        assert record["suites"]["scheduler"]["scale_free_200"]["speedup"] == 6.38
-        assert record["suites"]["topologies"]["clos"]["builds_per_s"] == 786.0
-
-    def test_legacy_absent_files_read_empty(self, tmp_path):
-        assert legacy_records(tmp_path) == []
-
-    def test_trajectory_orders_legacy_before_history(self, tmp_path):
-        (tmp_path / "BENCH_scheduler.json").write_text(
-            json.dumps({"scale_free_200": {"speedup": 6.38}})
-        )
-        path = str(tmp_path / "hist.jsonl")
-        append_record(path, _fake_record({"scheduler": {}}))
-        trajectory = load_trajectory(path)
-        assert [bool(r.get("legacy")) for r in trajectory] == [True, False]
-        assert len(load_trajectory(path, include_legacy=False)) == 1
-
 
 class TestVerify:
     def test_passing_record_has_no_violations(self):
@@ -219,14 +189,14 @@ class TestVerify:
 
     def test_timing_floor_violation_on_full_record(self):
         suites = json.loads(json.dumps(PASSING_SUITES))
-        suites["scheduler"]["scale_free_200"]["speedup"] = 1.5
+        suites["scheduler"]["scale_free_200"]["cached_s"] = 5.0
         violations = verify_record(_fake_record(suites))
         assert len(violations) == 1
-        assert "scale_free_200.speedup" in violations[0].reason
+        assert "scale_free_200.cached_s" in violations[0].reason
 
     def test_smoke_record_skips_timing_but_not_shape_floors(self):
         suites = json.loads(json.dumps(PASSING_SUITES))
-        suites["scheduler"]["scale_free_200"]["speedup"] = 1.5  # timing
+        suites["scheduler"]["scale_free_200"]["cached_s"] = 5.0  # timing
         suites["topologies"]["families"] = 3  # shape
         violations = verify_record(_fake_record(suites, smoke=True))
         assert [v.floor.metric for v in violations] == ["families"]
@@ -243,14 +213,23 @@ class TestVerify:
 
     def test_machine_class_relaxes_timing_floors_only(self):
         suites = json.loads(json.dumps(PASSING_SUITES))
-        # 1.0x speedup fails even the 'ci' floor (3.0 * 0.2 = 0.6 -> ok
-        # at 0.7) but 0.5 fails it.
-        suites["scheduler"]["scale_free_200"]["speedup"] = 0.7
+        # An upper-bound timing floor relaxes upward: 1.5 s / 0.2 = 7.5 s
+        # on 'ci', so 7.0 s passes there and 8.0 s fails.
+        suites["scheduler"]["scale_free_200"]["cached_s"] = 7.0
         assert verify_record(_fake_record(suites), machine_class="ci") == []
-        suites["scheduler"]["scale_free_200"]["speedup"] = 0.5
+        suites["scheduler"]["scale_free_200"]["cached_s"] = 8.0
         assert len(verify_record(_fake_record(suites), machine_class="ci")) == 1
+        suites["scheduler"]["scale_free_200"]["cached_s"] = 0.45
+        # A lower-bound timing floor relaxes downward: 100 builds/s * 0.2
+        # = 20 builds/s on 'ci', so 25 passes there (but not on "reference")
+        # and 15 fails.
+        suites["topologies"]["clos"]["builds_per_s"] = 25.0
+        assert verify_record(_fake_record(suites), machine_class="ci") == []
+        assert len(verify_record(_fake_record(suites), machine_class="reference")) == 1
+        suites["topologies"]["clos"]["builds_per_s"] = 15.0
+        assert len(verify_record(_fake_record(suites), machine_class="ci")) == 1
+        suites["topologies"]["clos"]["builds_per_s"] = 786.0
         # Shape floors never relax.
-        suites["scheduler"]["scale_free_200"]["speedup"] = 6.0
         suites["topologies"]["families"] = 10
         assert len(verify_record(_fake_record(suites), machine_class="ci")) == 1
 
@@ -265,7 +244,7 @@ class TestVerify:
 
     def test_floor_table_covers_recorded_baselines(self):
         described = {(floor.suite, floor.metric) for floor in FLOORS}
-        assert ("scheduler", "scale_free_200.speedup") in described
+        assert ("scheduler", "scale_free_200.cached_s") in described
         assert ("topologies", "clos.builds_per_s") in described
         assert ("failures", "fault_history_ratio") in described
 
@@ -412,7 +391,6 @@ class TestVerify:
 
 class TestReport:
     def test_record_labels(self):
-        assert "legacy" in record_label({"legacy": True, "suites": {}})
         tagged = _fake_record({}, smoke=True)
         label = record_label(tagged)
         assert "abc1234" in label and "smoke" in label
@@ -530,13 +508,53 @@ class TestCli:
         capsys.readouterr()
         code = main(
             [
-                "bench", "report", "--no-legacy",
+                "bench", "report",
                 "--bench-dir", str(tmp_path / "bdir_cli"),
                 "--history", history,
             ]
         )
         assert code == 0
         assert "cli-synth" in capsys.readouterr().out
+
+    def test_suites_measure_verify_judges(self, tmp_path, capsys):
+        """A full run whose timing metric misses its floor still records.
+
+        The suite only measures; ``bench run`` appends the record and
+        warns, and ``bench verify`` is the one that fails, naming the
+        ``FLOORS`` entry.
+        """
+        bench_dir = tmp_path / "bdir_judge"
+        _write_bench_module(
+            bench_dir,
+            "test_bench_slow.py",
+            """
+            from repro.bench import bench_suite
+
+            @bench_suite("scheduler", headline="scale_free_200.cached_s")
+            def suite(smoke=False):
+                \"\"\"A scheduler far slower than its floor.\"\"\"
+                return {
+                    "scale_free_50": {"identical": True},
+                    "scale_free_200": {"identical": True, "cached_s": 99.0},
+                }
+            """,
+        )
+        history = str(tmp_path / "hist.jsonl")
+        record = run_suites(bench_dir=str(bench_dir), history_path=history)
+        assert record["smoke"] is False
+        assert read_history(history) == [record]
+
+        code = main(
+            ["bench", "run", "--bench-dir", str(bench_dir), "--history", history]
+        )
+        assert code == 0
+        assert "floor violation" in capsys.readouterr().err
+        assert len(read_history(history)) == 2
+
+        code = main(["bench", "verify", "--history", history])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "FAIL scheduler.scale_free_200.cached_s = 99" in out
 
     def test_list_prints_suites(self, tmp_path, capsys):
         _write_bench_module(

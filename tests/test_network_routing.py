@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import NoPathError, TopologyError
 from repro.network.auxiliary import AuxiliaryGraphBuilder
+from repro.network import routing
 from repro.network.graph import Network
 from repro.network.routing import (
     HopWeightSpec,
@@ -236,8 +237,9 @@ class TestPathCache:
         assert cache.prune() == 1
         assert len(cache) == 0
 
-    def test_lru_eviction_bounded(self, square_net):
-        cache = PathCache(square_net, max_entries=2)
+    def test_lru_eviction_bounded(self, square_net, monkeypatch):
+        monkeypatch.setattr(routing, "MAX_ENTRIES", 2)
+        cache = PathCache(square_net)
         spec = LatencyWeightSpec(square_net)
         for source in ("A", "B", "C", "D"):
             cache.sssp(source, spec)
@@ -268,10 +270,6 @@ class TestPathCache:
         assert cache.stats.repairs == 1
         assert cache.stats.hits == 1
         assert len(cache) == 2
-
-    def test_invalid_max_entries(self, square_net):
-        with pytest.raises(TopologyError):
-            PathCache(square_net, max_entries=0)
 
 
 class TestAuxiliarySpec:
@@ -310,15 +308,15 @@ class TestCacheAttachment:
         assert get_cache(square_net) is cache
         assert peek_cache(square_net) is cache
 
-    def test_get_cache_resizes_existing(self, square_net):
+    def test_get_cache_evicts_at_module_bound(self, square_net, monkeypatch):
+        assert routing.MAX_ENTRIES == 1024
+        monkeypatch.setattr(routing, "MAX_ENTRIES", 2)
         cache = get_cache(square_net)
-        assert cache.max_entries == 1024
         for source in "ABCD":
             cache.sssp(source, LatencyWeightSpec(square_net))
-        resized = get_cache(square_net, max_entries=2)
-        assert resized is cache
-        assert cache.max_entries == 2
-        assert len(cache) == 2  # oldest entries evicted on shrink
+        assert get_cache(square_net) is cache
+        assert len(cache) == 2  # oldest entries evicted
+        assert cache.stats.evictions == 2
 
     def test_cached_no_path_traceback_does_not_grow(self):
         net = Network()

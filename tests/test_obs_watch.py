@@ -124,6 +124,7 @@ class TestRegressionRules:
     def test_default_rules_cover_tracked_headline_metrics(self):
         metrics = {rule.metric for rule in DEFAULT_REGRESSION_RULES}
         assert "csr.scale_free_200.speedup" in metrics
+        assert "scheduler.scale_free_200.cached_s" in metrics
         assert "obs.collect_overhead_pct" in metrics
 
 
