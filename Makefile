@@ -1,4 +1,4 @@
-.PHONY: test bench bench-smoke bench-csr bench-verify perfbench-smoke sink-digest smoke sweep-smoke topo-smoke obs-smoke obs-collect-smoke traces-smoke examples-smoke properties all
+.PHONY: test bench bench-smoke bench-csr bench-verify perfbench-smoke sink-digest test-only-names smoke sweep-smoke topo-smoke obs-smoke obs-collect-smoke traces-smoke examples-smoke properties all
 
 # Tier-1: the full test suite (pyproject.toml supplies pythonpath/testpaths).
 test:
@@ -42,6 +42,12 @@ perfbench-smoke:
 # path to hash that one: python3 tools/sink_digest.py ../parent
 sink-digest:
 	python3 tools/sink_digest.py
+
+# Fail when a function, method or class under src/ is referenced nowhere
+# else in src/ and is not listed, with its reason, in the script's KEEP
+# table: code that only tests call should not come back unnoticed.
+test-only-names:
+	python3 tools/test_only_names.py
 
 # The hypothesis property suites under the derandomized CI profile.
 properties:

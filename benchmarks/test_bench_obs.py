@@ -9,15 +9,20 @@ them:
   (``collect_identical``, a shape floor).
 * **Near-free when off** — every instrumentation site costs one
   disabled-guard call (a module-attribute check).  The guard is
-  microbenchmarked directly, the number of sites a sweep actually hits
-  is read from ``Telemetry.touches`` on an instrumented run, and the
-  product bounds what the *disabled* run paid for being instrumented::
+  microbenchmarked directly, and the guard calls the *disabled* sweep
+  makes are counted: every instrumented module calls the facade as
+  ``obs.<name>``, so one extra disabled sweep, outside every timed run,
+  runs with the :data:`FACADE` functions wrapped in counters
+  (``off_calls``).  The product bounds what the disabled run paid for
+  being instrumented::
 
-      off_overhead_pct = guard_ns x touches / off_wall_time x 100
+      off_overhead_pct = guard_ns x off_calls / off_wall_time x 100
 
-  The bound is analytic because the alternative — diffing wall clocks
-  of two runs — measures scheduler noise, not the guard: the guard
-  costs nanoseconds against a multi-second sweep.
+  ``touches`` (what an *enabled* registry records, enabled-only
+  sampling included) is kept as a metric but does not price the
+  disabled run.  The bound is analytic because the alternative —
+  diffing wall clocks of two runs — measures scheduler noise, not the
+  guard: the guard costs nanoseconds against a multi-second sweep.
 * **Cheap when collecting** — a collected sweep runs every run under a
   per-run capture registry buffering into memory and merges the chunks
   on the coordinator.  That *is* a wall-clock effect worth pricing, so
@@ -33,6 +38,7 @@ trajectory but not floored — it *is* scheduler noise at this scale.
 
 from __future__ import annotations
 
+import functools
 import time
 
 from repro import obs
@@ -44,6 +50,10 @@ from benchmarks.conftest import run_once
 
 #: Best-of-N repeats for the wall-clock collection-overhead pair.
 REPEATS = 3
+
+#: The facade functions instrumented modules call on their hot paths;
+#: each call is one disabled guard while telemetry is off.
+FACADE = ("active", "span", "inc", "gauge", "observe", "event", "observe_network")
 
 #: Serial-only: overhead is a per-process property, and one process
 #: keeps the guard-count arithmetic exact (workers record nothing).
@@ -80,6 +90,31 @@ def _guard_ns(iterations: int) -> float:
                 pass
         span_s = time.perf_counter() - start
     return max(inc_s, span_s) / iterations * 1e9
+
+
+def _facade_calls(config: SweepConfig) -> int:
+    """Facade calls one disabled sweep makes (counted, never timed)."""
+    calls = 0
+
+    def counted(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    originals = {name: getattr(obs, name) for name in FACADE}
+    try:
+        for name, fn in originals.items():
+            setattr(obs, name, counted(fn))
+        with obs.disabled():
+            run_sweep(config, workers=1)
+    finally:
+        for name, fn in originals.items():
+            setattr(obs, name, fn)
+    return calls
 
 
 def _collected_sweep(config: SweepConfig):
@@ -121,6 +156,7 @@ def suite(smoke: bool = False) -> dict:
     identical = off.to_json() == on.to_json()
     assert identical, "telemetry changed the result rows"
     guard_ns = _guard_ns(iterations)
+    off_calls = _facade_calls(config)
     # Collection overhead: best-of-N disabled wall vs best-of-N
     # collected wall, same process and backend.
     with obs.disabled():
@@ -136,9 +172,10 @@ def suite(smoke: bool = False) -> dict:
         "off_s": round(off_s, 4),
         "on_s": round(on_s, 4),
         "touches": touches,
+        "off_calls": off_calls,
         "guard_ns": round(guard_ns, 2),
         "off_overhead_pct": round(
-            guard_ns * 1e-9 * touches / off_s * 100.0, 6
+            guard_ns * 1e-9 * off_calls / off_s * 100.0, 6
         ),
         "on_overhead_pct": round(max(0.0, (on_s - off_s) / off_s * 100.0), 2),
         "identical": identical,
@@ -184,3 +221,4 @@ def test_bench_obs_suite_smoke():
     assert metrics["collect_identical"] is True
     assert metrics["collect_records"] > 0
     assert metrics["touches"] > 0
+    assert metrics["off_calls"] > 0

@@ -43,20 +43,38 @@ def default_history_path() -> str:
     return str(repo_root() / HISTORY_FILENAME)
 
 
-def git_sha(root: Optional[Path] = None) -> Optional[str]:
-    """Short HEAD SHA of the checkout, or None outside a git repo."""
+#: The trees whose uncommitted edits change what a benchmark measures.
+MEASURED_TREES = ("src", "benchmarks")
+
+
+def _git(root: Path, *args: str) -> Optional[str]:
+    """Stdout of one git command in ``root``, or None when it fails."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=str(root or repo_root()),
+            ["git", *args],
+            cwd=str(root),
             capture_output=True,
             text=True,
             timeout=10,
         )
     except (OSError, subprocess.SubprocessError):
         return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
+    return out.stdout if out.returncode == 0 else None
+
+
+def git_sha(root: Optional[Path] = None) -> Optional[str]:
+    """Short HEAD SHA of the checkout, or None outside a git repo.
+
+    The SHA ends in ``-dirty`` when ``src/`` or ``benchmarks/`` hold
+    uncommitted changes (edited, staged or untracked files), so a record
+    measured on a working tree does not pass for its parent commit.
+    """
+    root = root or repo_root()
+    sha = (_git(root, "rev-parse", "--short", "HEAD") or "").strip()
+    if not sha:
+        return None
+    status = _git(root, "status", "--porcelain", "--", *MEASURED_TREES)
+    return f"{sha}-dirty" if status else sha
 
 
 def machine_class() -> str:

@@ -49,7 +49,3 @@ class Container:
     demand: ResourceDemand = field(default_factory=ResourceDemand)
     role: str = ""
     server: Optional[str] = None
-
-    @property
-    def is_placed(self) -> bool:
-        return self.server is not None

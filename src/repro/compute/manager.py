@@ -2,9 +2,8 @@
 
 The orchestrator (paper Fig. 2) talks to a *computing manager* to create
 and destroy the containers hosting global/local models.  This class keeps
-the server inventory, applies a placement policy, and answers capability
-queries ("which network nodes currently have spare GPU?") that the
-schedulers use when choosing aggregation points.
+the server inventory, applies a placement policy, and reports the
+accelerator rate each placed container holds.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..errors import ConfigurationError, PlacementError
-from .container import Container, ResourceDemand
+from .container import Container
 from .placement import PlacementPolicy, first_fit
 from .server import Server
 
@@ -56,18 +55,6 @@ class ComputingManager:
     def servers(self) -> List[Server]:
         """All servers in registration order."""
         return list(self._servers.values())
-
-    def servers_at(self, node: str) -> List[Server]:
-        """Servers attached to a given network node, in registration order."""
-        return list(self._by_node.get(node, ()))
-
-    def nodes_with_capacity(self, demand: ResourceDemand) -> List[str]:
-        """Network nodes with at least one server fitting ``demand``."""
-        nodes: List[str] = []
-        for server in self._servers.values():
-            if server.fits(demand) and server.node not in nodes:
-                nodes.append(server.node)
-        return nodes
 
     # ------------------------------------------------------------------
     # Deployment
@@ -128,7 +115,3 @@ class ComputingManager:
     def container_gflops(self, container_id: str) -> float:
         """Accelerator rate reserved by a placed container."""
         return self.host_of(container_id).effective_gflops(container_id)
-
-    @property
-    def total_containers(self) -> int:
-        return len(self._containers)

@@ -79,6 +79,28 @@ class EvaluationConfig:
     control_overhead_ms: float = 0.0
 
 
+def train_round_ms(
+    task: AITask,
+    node: str,
+    config: EvaluationConfig,
+    speed_fn: Optional[SpeedFn] = None,
+) -> float:
+    """One round of local training at ``node``, in ms.
+
+    The speed is ``speed_fn(node)`` when given, else the config's
+    ``training_gflops``; GFLOP / GFLOPS gives seconds, hence the 1000.
+    The analytic evaluator and the event-driven executor both price
+    training here.
+
+    Raises:
+        SchedulingError: if the speed is not above 0.
+    """
+    speed = speed_fn(node) if speed_fn is not None else config.training_gflops
+    if speed <= 0:
+        raise SchedulingError(f"node {node!r}: training speed must be > 0")
+    return 1000.0 * task.model.train_gflop_per_round / speed
+
+
 class ScheduleEvaluator:
     """Evaluates schedules over a network under one configuration.
 
@@ -106,16 +128,6 @@ class ScheduleEvaluator:
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    def _train_ms(self, task: AITask, node: str) -> float:
-        speed = (
-            self._speed_fn(node)
-            if self._speed_fn is not None
-            else self._config.training_gflops
-        )
-        if speed <= 0:
-            raise SchedulingError(f"node {node!r}: training speed must be > 0")
-        return 1000.0 * task.model.train_gflop_per_round / speed
-
     def _pipelined_path_ms(
         self, prop: float, stages: Tuple[Tuple[float, float], ...]
     ) -> float:
@@ -363,7 +375,10 @@ class ScheduleEvaluator:
         task = schedule.task
         latency: Dict[Edge, float] = {}
         broadcast_ms, broadcast_cpu = self._broadcast(schedule, latency)
-        train_ms = [self._train_ms(task, local) for local in task.local_nodes]
+        train_ms = [
+            train_round_ms(task, local, self._config, self._speed_fn)
+            for local in task.local_nodes
+        ]
         upload_completion, upload_cpu, agg_nodes = self._upload(
             schedule, train_ms, latency
         )

@@ -89,17 +89,6 @@ class IterationPredictor:
             observations=self._count[task_id],
         )
 
-    def remaining_ms(self, task_id: str, remaining_rounds: int) -> Optional[float]:
-        """Predicted time for the task's remaining rounds."""
-        if remaining_rounds < 0:
-            raise ConfigurationError(
-                f"remaining_rounds must be >= 0, got {remaining_rounds}"
-            )
-        estimate = self.estimate(task_id)
-        if estimate is None:
-            return None
-        return estimate.expected_ms * remaining_rounds
-
     def forget(self, task_id: str) -> None:
         """Drop a completed task's state."""
         self._mean.pop(task_id, None)

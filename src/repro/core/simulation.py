@@ -39,7 +39,7 @@ from ..errors import SchedulingError
 from ..network.graph import Network
 from ..network.paths import TreeResult, path_latency_ms
 from .base import Edge, TaskSchedule
-from .evaluation import EvaluationConfig, SpeedFn
+from .evaluation import EvaluationConfig, SpeedFn, train_round_ms
 
 #: A payload stream: (first-chunk time, last-chunk time), ms from origin.
 Stream = Tuple[float, float]
@@ -118,16 +118,6 @@ class RoundExecutor:
     # ------------------------------------------------------------------
     # Stream arithmetic
     # ------------------------------------------------------------------
-    def _train_ms(self, node: str) -> float:
-        speed = (
-            self._speed_fn(node)
-            if self._speed_fn is not None
-            else self._config.training_gflops
-        )
-        if speed <= 0:
-            raise SchedulingError(f"node {node!r}: training speed must be > 0")
-        return 1000.0 * self._task.model.train_gflop_per_round / speed
-
     def _cross_segment(
         self,
         stream: Stream,
@@ -243,7 +233,9 @@ class RoundExecutor:
                         relay_done(local)
 
                 sim.schedule_in(
-                    self._train_ms(local), trained, name=f"train:{local}"
+                    train_round_ms(task, local, self._config, self._speed_fn),
+                    trained,
+                    name=f"train:{local}",
                 )
 
         else:
@@ -275,7 +267,9 @@ class RoundExecutor:
                     sim.schedule(origin + out[1], arrive, name=f"upload:{local}")
 
                 sim.schedule_in(
-                    self._train_ms(local), trained, name=f"train:{local}"
+                    train_round_ms(task, local, self._config, self._speed_fn),
+                    trained,
+                    name=f"train:{local}",
                 )
 
         # ---------------- broadcast ----------------

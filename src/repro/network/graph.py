@@ -16,9 +16,6 @@ from ..errors import CapacityError, TopologyError
 from .link import Link, LinkLedger
 from .node import Node, NodeKind
 
-#: An edge expressed as the (src, dst) node names of a traversal direction.
-DirectedEdge = Tuple[str, str]
-
 
 class Network:
     """A topology of named nodes joined by capacitated bidirectional links.
@@ -332,10 +329,6 @@ class Network:
             self.link(name, neighbor).mark_endpoint_up()
         return node
 
-    def failed_nodes(self) -> List[Node]:
-        """Currently failed nodes in insertion order."""
-        return [node for node in self._nodes.values() if node.failed]
-
     def inter_switch_links(self) -> List[Tuple[str, str]]:
         """Sorted (u, v) pairs of links between switching devices.
 
@@ -384,12 +377,6 @@ class Network:
             )
             cloned.failed = link.failed
         return clone
-
-    def directed_edges(self) -> Iterator[DirectedEdge]:
-        """Every directed edge (both orientations of every link)."""
-        for link in self._links.values():
-            yield (link.u, link.v)
-            yield (link.v, link.u)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -213,11 +213,6 @@ class PathCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def invalidate(self) -> None:
-        """Drop every entry."""
-        self.stats.invalidations += len(self._entries)
-        self._entries.clear()
-
     def prune(self, dead_nodes: Sequence[str] = ()) -> int:
         """Drop entries no lookup may serve again, by containment only.
 

@@ -3,7 +3,9 @@
 Wraps every builder — the nine original flat functions plus the Waxman,
 Clos, and Rocketfuel ISP generators and the multi-region composite — in
 a :class:`~repro.network.topology.family.TopologyFamily` with a full
-parameter schema (defaults, bounds, docs) and tags.  Importing
+parameter schema (defaults, bounds, docs) and tags.  Every count-valued
+parameter has a maximum, chosen so that a build with all of a family's
+parameters at their maxima stays under 100,000 nodes.  Importing
 :mod:`repro.network.topology` registers all of them; scenarios and the
 ``repro topologies`` CLI reference families by name.
 """
@@ -27,7 +29,11 @@ _CAPACITY = ParamSpec(
     minimum=0.001,
 )
 _SERVERS = ParamSpec(
-    "servers_per_site", 1, "servers attached behind each site", minimum=1
+    "servers_per_site",
+    1,
+    "servers attached behind each site",
+    minimum=1,
+    maximum=8,
 )
 _SEED = ParamSpec("seed", 0, "drives every random draw", minimum=0)
 
@@ -207,7 +213,7 @@ def register_builtin_families() -> None:
             description="metro ring with grooming routers and per-site servers",
             builder=_build_metro_ring,
             schema=(
-                ParamSpec("n_sites", 6, "ring sites", minimum=3),
+                ParamSpec("n_sites", 6, "ring sites", minimum=3, maximum=1_000),
                 _CAPACITY,
                 ParamSpec("ring_km", 120.0, "total ring circumference", minimum=1.0),
                 _SERVERS,
@@ -219,10 +225,14 @@ def register_builtin_families() -> None:
             description="metro ring plus chords — the main evaluation fabric",
             builder=_build_metro_mesh,
             schema=(
-                ParamSpec("n_sites", 8, "ring sites", minimum=3),
+                ParamSpec("n_sites", 8, "ring sites", minimum=3, maximum=1_000),
                 _CAPACITY,
                 ParamSpec(
-                    "chord_every", 2, "chord spacing along the ring", minimum=1
+                    "chord_every",
+                    2,
+                    "chord spacing along the ring",
+                    minimum=1,
+                    maximum=1_000,
                 ),
                 ParamSpec("ring_km", 160.0, "total ring circumference", minimum=1.0),
                 _SERVERS,
@@ -241,9 +251,9 @@ def register_builtin_families() -> None:
             description="all-optical spine-leaf fabric (open challenge #3)",
             builder=_build_spine_leaf,
             schema=(
-                ParamSpec("n_spines", 4, "spine switches", minimum=1),
-                ParamSpec("n_leaves", 8, "leaf switches", minimum=1),
-                ParamSpec("servers_per_leaf", 2, "servers per leaf", minimum=1),
+                ParamSpec("n_spines", 4, "spine switches", minimum=1, maximum=256),
+                ParamSpec("n_leaves", 8, "leaf switches", minimum=1, maximum=1_024),
+                ParamSpec("servers_per_leaf", 2, "servers per leaf", minimum=1, maximum=64),
                 ParamSpec(
                     "capacity_gbps",
                     builders.DEFAULT_CAPACITY_GBPS * 4,
@@ -274,8 +284,10 @@ def register_builtin_families() -> None:
             description="Barabási–Albert preferential-attachment router graph",
             builder=_build_scale_free,
             schema=(
-                ParamSpec("n_routers", 20, "router count", minimum=2),
-                ParamSpec("m_links", 2, "attachments per new router", minimum=1),
+                ParamSpec("n_routers", 20, "router count", minimum=2, maximum=10_000),
+                ParamSpec(
+                    "m_links", 2, "attachments per new router", minimum=1, maximum=16
+                ),
                 _SEED,
                 _CAPACITY,
                 ParamSpec("mean_span_km", 30.0, "mean drawn span length", minimum=0.001),
@@ -288,8 +300,10 @@ def register_builtin_families() -> None:
             description="Barabási–Albert router graph at N=5000 (scale regime)",
             builder=_build_scale_free,
             schema=(
-                ParamSpec("n_routers", 5000, "router count", minimum=2),
-                ParamSpec("m_links", 2, "attachments per new router", minimum=1),
+                ParamSpec("n_routers", 5000, "router count", minimum=2, maximum=10_000),
+                ParamSpec(
+                    "m_links", 2, "attachments per new router", minimum=1, maximum=16
+                ),
                 _SEED,
                 _CAPACITY,
                 ParamSpec("mean_span_km", 30.0, "mean drawn span length", minimum=0.001),
@@ -302,7 +316,7 @@ def register_builtin_families() -> None:
             description="k-ary fat-tree datacenter fabric (k even)",
             builder=_build_fat_tree,
             schema=(
-                ParamSpec("k", 4, "fat-tree arity (even, >= 2)", minimum=2),
+                ParamSpec("k", 4, "fat-tree arity (even, >= 2)", minimum=2, maximum=64),
                 _CAPACITY,
                 ParamSpec("edge_km", 0.05, "intra-fabric fibre length", minimum=0.0),
             ),
@@ -313,7 +327,7 @@ def register_builtin_families() -> None:
             description="connected random geometric router graph",
             builder=_build_random_geometric,
             schema=(
-                ParamSpec("n_routers", 16, "router count", minimum=2),
+                ParamSpec("n_routers", 16, "router count", minimum=2, maximum=2_000),
                 ParamSpec("radius", 0.45, "link radius in the unit square", minimum=0.001),
                 _SEED,
                 _CAPACITY,
@@ -327,7 +341,7 @@ def register_builtin_families() -> None:
             description="Waxman random WAN: P(link) = alpha*exp(-d/(beta*L))",
             builder=_build_waxman,
             schema=(
-                ParamSpec("n_routers", 24, "PoP count", minimum=2),
+                ParamSpec("n_routers", 24, "PoP count", minimum=2, maximum=2_000),
                 ParamSpec("alpha", 0.4, "link-density knob", minimum=0.001, maximum=1.0),
                 ParamSpec("beta", 0.25, "distance-decay knob", minimum=0.001, maximum=1.0),
                 _SEED,
@@ -342,11 +356,17 @@ def register_builtin_families() -> None:
             description="3-tier folded Clos with a tunable oversubscription ratio",
             builder=_build_clos,
             schema=(
-                ParamSpec("n_pods", 2, "pod count", minimum=1),
-                ParamSpec("leaves_per_pod", 2, "leaf switches per pod", minimum=1),
-                ParamSpec("spines_per_pod", 2, "pod-local spines", minimum=1),
-                ParamSpec("n_cores", 2, "core switches", minimum=1),
-                ParamSpec("servers_per_leaf", 2, "servers per leaf", minimum=1),
+                ParamSpec("n_pods", 2, "pod count", minimum=1, maximum=64),
+                ParamSpec(
+                    "leaves_per_pod", 2, "leaf switches per pod", minimum=1, maximum=32
+                ),
+                ParamSpec(
+                    "spines_per_pod", 2, "pod-local spines", minimum=1, maximum=32
+                ),
+                ParamSpec("n_cores", 2, "core switches", minimum=1, maximum=64),
+                ParamSpec(
+                    "servers_per_leaf", 2, "servers per leaf", minimum=1, maximum=32
+                ),
                 ParamSpec(
                     "oversubscription",
                     1.0,
@@ -379,13 +399,31 @@ def register_builtin_families() -> None:
             builder=_build_multi_metro_wan,
             schema=(
                 ParamSpec("n_regions", 3, "metro regions", minimum=1, maximum=16),
-                ParamSpec("sites_per_region", 6, "ring sites per region", minimum=3),
+                ParamSpec(
+                    "sites_per_region",
+                    6,
+                    "ring sites per region",
+                    minimum=3,
+                    maximum=500,
+                ),
                 _SERVERS,
-                ParamSpec("backbone_routers", 12, "backbone PoP count", minimum=2),
+                ParamSpec(
+                    "backbone_routers",
+                    12,
+                    "backbone PoP count",
+                    minimum=2,
+                    maximum=2_000,
+                ),
                 ParamSpec("waxman_alpha", 0.4, "backbone link density", minimum=0.001, maximum=1.0),
                 ParamSpec("waxman_beta", 0.25, "backbone distance decay", minimum=0.001, maximum=1.0),
                 _SEED,
-                ParamSpec("gateways_per_region", 2, "gateway links per region", minimum=1),
+                ParamSpec(
+                    "gateways_per_region",
+                    2,
+                    "gateway links per region",
+                    minimum=1,
+                    maximum=64,
+                ),
                 ParamSpec("gateway_gbps", 200.0, "gateway link capacity", minimum=0.001),
                 ParamSpec("gateway_km", 80.0, "gateway span length", minimum=0.0),
             ),

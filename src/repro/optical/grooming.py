@@ -63,13 +63,6 @@ class GroomingLayer:
     def lightpath(self, lightpath_id: int) -> Lightpath:
         return self._lightpaths[lightpath_id]
 
-    def find_reusable(self, src: str, dst: str, gbps: float) -> Optional[Lightpath]:
-        """An existing ``src -> dst`` lightpath with ``gbps`` spare, if any."""
-        for lp in self._lightpaths.values():
-            if lp.source == src and lp.destination == dst and lp.residual_gbps >= gbps - 1e-9:
-                return lp
-        return None
-
     def _most_spare(self, src: str, dst: str) -> Optional[Lightpath]:
         """The ``src -> dst`` lightpath with the most residual (if any)."""
         best: Optional[Lightpath] = None

@@ -4,8 +4,9 @@ The paper's testbed carries every IP-layer path over wavelengths switched
 by ROADMs.  :class:`OpticalUnderlay` reproduces that coupling at the
 orchestration level: each inter-site edge a schedule occupies is groomed
 onto a lightpath between the corresponding ROADM sites (reusing spare
-lightpath capacity first, lighting new wavelengths first-fit otherwise),
-and released when the task completes.
+lightpath capacity first, lighting new wavelengths first-fit otherwise).
+Each groomed demand is named ``<task>:<u>><v>`` on the underlay's
+grooming layer, which releases it.
 
 This turns "consumed bandwidth" into a *spectrum* cost — lit wavelength-
 hops — the metric the authors' companion OFC paper optimises, and lets
@@ -15,7 +16,7 @@ less spectrum.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Set
 
 from ..core.base import TaskSchedule
 from ..errors import ConfigurationError, TopologyError
@@ -74,7 +75,7 @@ class OpticalUnderlay:
             WDMGrid(optical_network, n_wavelengths, channel_gbps),
             ports=RoadmPorts(ports_per_site),
         )
-        self._demands_of_task: Dict[str, List[str]] = {}
+        self._mirrored: Set[str] = set()
 
     @property
     def grooming(self) -> GroomingLayer:
@@ -95,10 +96,8 @@ class OpticalUnderlay:
     def mirror_schedule(self, schedule: TaskSchedule) -> int:
         """Groom every inter-site occupied edge; returns demands created."""
         task_id = schedule.task.task_id
-        if task_id in self._demands_of_task:
-            raise ConfigurationError(
-                f"task {task_id!r} already mirrored; release it first"
-            )
+        if task_id in self._mirrored:
+            raise ConfigurationError(f"task {task_id!r} already mirrored")
         created: List[str] = []
         try:
             for (u, v), rate in sorted(schedule.occupied_edges().items()):
@@ -112,15 +111,8 @@ class OpticalUnderlay:
             for demand_id in created:
                 self._grooming.release_demand(demand_id)
             raise
-        self._demands_of_task[task_id] = created
+        self._mirrored.add(task_id)
         return len(created)
-
-    def release_task(self, task_id: str) -> float:
-        """Release every groomed demand of one task; returns rate freed."""
-        freed = 0.0
-        for demand_id in self._demands_of_task.pop(task_id, []):
-            freed += self._grooming.release_demand(demand_id)
-        return freed
 
     # ------------------------------------------------------------------
     @property

@@ -65,11 +65,6 @@ class WDMGrid:
         """Channel indices lit on the link ``{u, v}``."""
         return set(self._occupied.get(self._key(u, v), set()))
 
-    def free_channels(self, u: str, v: str) -> List[int]:
-        """Channel indices dark on the link, ascending."""
-        taken = self._occupied.get(self._key(u, v), set())
-        return [c for c in range(self.n_wavelengths) if c not in taken]
-
     def usage_count(self, channel: int) -> int:
         """How many links currently light ``channel`` (for most-used)."""
         return sum(1 for taken in self._occupied.values() if channel in taken)
@@ -148,7 +143,3 @@ class WDMGrid:
                 )
         for u, v in zip(path, path[1:]):
             self._occupied[self._key(u, v)].discard(channel)
-
-    def link_fill(self, u: str, v: str) -> float:
-        """Fraction of channels lit on the link ``{u, v}``."""
-        return len(self._occupied.get(self._key(u, v), set())) / self.n_wavelengths

@@ -104,10 +104,6 @@ class CampaignResult:
             return 0.0
         return sum(durations) / len(durations)
 
-    @property
-    def total_reschedules(self) -> int:
-        return sum(o.reschedules for o in self.outcomes.values())
-
 
 class CampaignRunner:
     """Plays a workload through an orchestrator on simulated time.

@@ -25,7 +25,6 @@ from ..network.graph import Network
 from ..tasks.aitask import AITask
 from .database import Database, TaskRecord, TaskStatus
 from .sdn import SdnController
-from .taskmanager import AITaskManager, SelectionFn
 
 
 def build_servers_for(
@@ -59,8 +58,8 @@ class Orchestrator:
         scheduler: the embedded scheduling policy (fixed or flexible).
         compute: computing manager with registered servers; when None a
             default server is created at every model-hosting node.
-        database / sdn / selection: control-plane collaborators, created
-            with defaults when omitted.
+        database / sdn: control-plane collaborators, created with
+            defaults when omitted.
         rescheduling: policy for the re-scheduling loop (None disables).
         evaluation: evaluation model used by :meth:`evaluate`.
         container_gflops: accelerator rate reserved per model container.
@@ -74,7 +73,6 @@ class Orchestrator:
         compute: Optional[ComputingManager] = None,
         database: Optional[Database] = None,
         sdn: Optional[SdnController] = None,
-        selection: Optional[SelectionFn] = None,
         rescheduling: Optional[ReschedulingPolicy] = None,
         evaluation: Optional[EvaluationConfig] = None,
         container_gflops: float = 50_000.0,
@@ -87,7 +85,6 @@ class Orchestrator:
         self.scheduler = scheduler
         self.database = database or Database()
         self.sdn = sdn or SdnController()
-        self.tasks = AITaskManager(self.database, selection)
         self.rescheduling = rescheduling
         self.evaluation = evaluation or EvaluationConfig()
         self._container_gflops = container_gflops
@@ -208,31 +205,30 @@ class Orchestrator:
         On scheduling or placement failure the task is recorded BLOCKED
         with every side effect rolled back.
         """
-        record = self.tasks.submit(task)
-        admitted = record.task  # post-selection task
-        self._clock_ms = max(self._clock_ms, admitted.arrival_ms)
+        record = self.database.insert_task(task)
+        self._clock_ms = max(self._clock_ms, task.arrival_ms)
         try:
-            self._deploy_containers(admitted)
+            self._deploy_containers(task)
         except PlacementError as exc:
             record.status = TaskStatus.BLOCKED
-            self.database.log(self._clock_ms, f"{admitted.task_id}: placement failed: {exc}")
+            self.database.log(self._clock_ms, f"{task.task_id}: placement failed: {exc}")
             obs.inc("orchestrator.blocked", scheduler=self.scheduler.name)
             return record
         try:
-            schedule = self.scheduler.schedule(admitted, self.network)
+            schedule = self.scheduler.schedule(task, self.network)
         except SchedulingError as exc:
-            self._destroy_containers(admitted)
+            self._destroy_containers(task)
             record.status = TaskStatus.BLOCKED
-            self.database.log(self._clock_ms, f"{admitted.task_id}: scheduling failed: {exc}")
+            self.database.log(self._clock_ms, f"{task.task_id}: scheduling failed: {exc}")
             obs.inc("orchestrator.blocked", scheduler=self.scheduler.name)
             return record
         config_ms = self.sdn.install(schedule)
         record.schedule = schedule
         record.status = TaskStatus.RUNNING
-        record.remaining_rounds = admitted.rounds
+        record.remaining_rounds = task.rounds
         self.database.log(
             self._clock_ms,
-            f"{admitted.task_id}: running via {self.scheduler.name} "
+            f"{task.task_id}: running via {self.scheduler.name} "
             f"({config_ms:.3f} ms configuration)",
         )
         if obs.active() is not None:
@@ -497,26 +493,3 @@ class Orchestrator:
                 f"blocked after degrade of {u}-{v}",
             )
         return outcomes
-
-    # ------------------------------------------------------------------
-    # Batch driving
-    # ------------------------------------------------------------------
-    def run_workload(self, tasks) -> List[TaskReport]:
-        """Admit every task, evaluate the RUNNING ones, return reports."""
-        reports: List[TaskReport] = []
-        for task in tasks:
-            record = self.admit(task)
-            if record.status is TaskStatus.RUNNING:
-                reports.append(self.evaluate(task.task_id))
-        return reports
-
-    @property
-    def blocking_ratio(self) -> float:
-        """Fraction of admitted tasks that ended up BLOCKED."""
-        records = self.database.records()
-        if not records:
-            return 0.0
-        blocked = sum(
-            1 for record in records if record.status is TaskStatus.BLOCKED
-        )
-        return blocked / len(records)

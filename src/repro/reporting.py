@@ -94,48 +94,6 @@ class ExperimentResult:
         title = f"[{self.name}] {self.description}"
         return "\n".join([title, header, separator, body])
 
-    def to_ascii_chart(
-        self,
-        x: str,
-        y: str,
-        group: Optional[str] = None,
-        *,
-        width: int = 50,
-    ) -> str:
-        """Render one metric as horizontal ASCII bars, grouped by a column.
-
-        Args:
-            x: column labelling each bar (e.g. ``n_locals``).
-            y: numeric column giving the bar length.
-            group: optional column splitting rows into labelled series.
-            width: bar length of the maximum value.
-
-        Example output::
-
-            [fig3b] bandwidth_gbps by n_locals
-            fixed-spff    3   320.7  ################
-            flexible-mst  3   190.0  #########
-            ...
-        """
-        if width < 1:
-            raise ConfigurationError(f"width must be >= 1, got {width}")
-        values = [row[y] for row in self.rows]
-        if not values:
-            return f"[{self.name}] (no rows)"
-        peak = max(values)
-        lines = [f"[{self.name}] {y} by {x}"]
-        label_width = max(
-            (len(str(row.get(group, ""))) for row in self.rows), default=0
-        )
-        x_width = max(len(str(row[x])) for row in self.rows)
-        for row in self.rows:
-            bar = "#" * (round(width * row[y] / peak) if peak > 0 else 0)
-            prefix = f"{str(row.get(group, '')):<{label_width}}  " if group else ""
-            lines.append(
-                f"{prefix}{str(row[x]):>{x_width}}  {row[y]:>10.2f}  {bar}"
-            )
-        return "\n".join(lines)
-
     def to_json(self) -> str:
         """Serialise (name, parameters, rows) as JSON."""
         return json.dumps(

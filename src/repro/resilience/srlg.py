@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..network.graph import Network
 
@@ -107,13 +107,3 @@ def derive_srlgs(
         SharedRiskGroup(name=name, members=tuple(sorted(members)))
         for name, members in sorted(grouped.items())
     )
-
-
-def group_by_name(
-    groups: Tuple[SharedRiskGroup, ...], name: str
-) -> Optional[SharedRiskGroup]:
-    """Look up one group by name (None when absent)."""
-    for group in groups:
-        if group.name == name:
-            return group
-    return None

@@ -175,13 +175,6 @@ class ScenarioSpec:
         if family_tag is not None and family_tag not in self.tags:
             object.__setattr__(self, "tags", tuple(self.tags) + (family_tag,))
 
-    @property
-    def topology_family(self) -> Optional[str]:
-        """The registered family name, when the topology is registry-backed."""
-        if isinstance(self.topology, FamilyTopology):
-            return self.topology.family
-        return None
-
     def merge_params(self, overrides: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
         """Defaults overlaid with ``overrides``; unknown keys rejected.
 

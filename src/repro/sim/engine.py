@@ -44,16 +44,6 @@ class Simulator:
         return self._now
 
     @property
-    def executed_events(self) -> int:
-        """Number of events executed so far."""
-        return self._executed
-
-    @property
-    def pending_events(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
-        return len(self._queue)
-
-    @property
     def trace(self) -> list[tuple[float, str]]:
         """Recorded ``(time, event-name)`` pairs when tracing is enabled."""
         return list(self._trace)

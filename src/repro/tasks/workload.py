@@ -85,10 +85,6 @@ class TaskWorkload:
     def __iter__(self):
         return iter(self.tasks)
 
-    @property
-    def total_rounds(self) -> int:
-        return sum(task.rounds for task in self.tasks)
-
 
 def generate_workload(
     network: Network,

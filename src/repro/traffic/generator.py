@@ -52,17 +52,11 @@ class TrafficGenerator:
         self._rate = rate_gbps
         self._counter = itertools.count()
         self._flows: List[BackgroundFlow] = []
-        self._injected = 0
 
     @property
     def flows(self) -> List[BackgroundFlow]:
         """Currently injected flows."""
         return list(self._flows)
-
-    @property
-    def injected_count(self) -> int:
-        """Total flows ever injected (departures included)."""
-        return self._injected
 
     def _endpoints(self) -> List[str]:
         routers = self._network.node_names(NodeKind.ROUTER)
@@ -103,7 +97,6 @@ class TrafficGenerator:
         self._network.reserve_path(list(path), rate, flow_id)
         flow = BackgroundFlow(flow_id=flow_id, path=path, rate_gbps=rate)
         self._flows.append(flow)
-        self._injected += 1
         return flow
 
     def _inject_one(self) -> Optional[BackgroundFlow]:

@@ -48,9 +48,3 @@ class Packetiser:
             raise TransportError(f"size must be >= 0 Mb, got {size_mb}")
         payload_bytes = size_mb * BYTES_PER_MEGABIT
         return int(math.ceil(payload_bytes / self.payload_bytes)) if payload_bytes else 0
-
-    def wire_megabits(self, size_mb: float) -> float:
-        """Megabits actually serialised (payload + headers)."""
-        packets = self.packets_for(size_mb)
-        header_mb = packets * self.header_bytes / BYTES_PER_MEGABIT
-        return size_mb + header_mb

@@ -22,9 +22,6 @@ from .errors import ConfigurationError
 #: Speed of light in fibre gives roughly 5 microseconds per kilometre.
 FIBRE_DELAY_MS_PER_KM = 0.005
 
-#: One gigabit per second expressed in megabits per millisecond (exactly 1).
-GBPS_IN_MB_PER_MS = 1.0
-
 #: Bytes-per-megabit conversion constant.
 BYTES_PER_MEGABIT = 125_000.0
 
@@ -34,13 +31,6 @@ def megabits_from_bytes(n_bytes: float) -> float:
     if n_bytes < 0:
         raise ConfigurationError(f"byte count must be >= 0, got {n_bytes}")
     return n_bytes / BYTES_PER_MEGABIT
-
-
-def bytes_from_megabits(megabits: float) -> float:
-    """Convert megabits to bytes."""
-    if megabits < 0:
-        raise ConfigurationError(f"size must be >= 0, got {megabits}")
-    return megabits * BYTES_PER_MEGABIT
 
 
 def megabits_from_parameters(n_parameters: float, bytes_per_parameter: float = 4.0) -> float:
@@ -59,34 +49,8 @@ def megabits_from_parameters(n_parameters: float, bytes_per_parameter: float = 4
     return megabits_from_bytes(n_parameters * bytes_per_parameter)
 
 
-def transmission_ms(size_mb: float, rate_gbps: float) -> float:
-    """Serialisation delay, in ms, of ``size_mb`` megabits at ``rate_gbps``.
-
-    Raises:
-        ConfigurationError: if the rate is not strictly positive or the
-            size is negative.
-    """
-    if rate_gbps <= 0:
-        raise ConfigurationError(f"rate must be > 0 Gbps, got {rate_gbps}")
-    if size_mb < 0:
-        raise ConfigurationError(f"size must be >= 0 Mb, got {size_mb}")
-    return size_mb / (rate_gbps * GBPS_IN_MB_PER_MS)
-
-
 def propagation_ms(distance_km: float) -> float:
     """Propagation delay, in ms, over ``distance_km`` of fibre."""
     if distance_km < 0:
         raise ConfigurationError(f"distance must be >= 0 km, got {distance_km}")
     return distance_km * FIBRE_DELAY_MS_PER_KM
-
-
-def compute_ms(work_gflop: float, speed_gflops: float) -> float:
-    """Time, in ms, to execute ``work_gflop`` on a ``speed_gflops`` device.
-
-    GFLOP / GFLOPS gives seconds, hence the factor 1000.
-    """
-    if speed_gflops <= 0:
-        raise ConfigurationError(f"speed must be > 0 GFLOPS, got {speed_gflops}")
-    if work_gflop < 0:
-        raise ConfigurationError(f"work must be >= 0 GFLOP, got {work_gflop}")
-    return 1000.0 * work_gflop / speed_gflops

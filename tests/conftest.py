@@ -99,6 +99,11 @@ def small_task() -> AITask:
     )
 
 
+def placed_containers(manager) -> int:
+    """Containers placed across a computing manager's servers."""
+    return sum(len(server.containers) for server in manager.servers)
+
+
 def make_mesh_task(
     network: Network,
     n_locals: int = 4,

@@ -32,7 +32,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.core.evaluation import ScheduleEvaluator
+from repro.core.evaluation import ScheduleEvaluator, train_round_ms
 from repro.core.metrics import RoundLatency
 from repro.errors import SchedulingError, TopologyError
 from repro.network import paths, routing
@@ -198,6 +198,9 @@ class ReferenceEvaluator(ScheduleEvaluator):
     round from those terms itself, where production reads it off
     ``report``.
     """
+
+    def _train_ms(self, task, local):
+        return train_round_ms(task, local, self._config, self._speed_fn)
 
     def round_latency(self, schedule):
         task = schedule.task

@@ -7,6 +7,7 @@ exercised end-to-end by ``repro bench run --smoke`` in CI).
 """
 
 import json
+import subprocess
 import textwrap
 
 import pytest
@@ -23,6 +24,7 @@ from repro.bench import (
     run_suites,
     verify_record,
 )
+from repro.bench.history import git_sha
 from repro.bench.registry import (
     _SUITES,
     clear_registry,
@@ -181,6 +183,30 @@ class TestHistory:
 
     def test_missing_file_reads_empty(self, tmp_path):
         assert read_history(str(tmp_path / "absent.jsonl")) == []
+
+    def test_git_sha_marks_uncommitted_measured_trees(self, tmp_path):
+        def git(*args):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                cwd=str(tmp_path),
+                check=True,
+                capture_output=True,
+            )
+
+        (tmp_path / "src").mkdir()
+        module = tmp_path / "src" / "m.py"
+        module.write_text("x = 1\n")
+        git("init", "-q")
+        git("add", "-A")
+        git("commit", "-q", "-m", "one file")
+        clean = git_sha(tmp_path)
+        assert clean and not clean.endswith("-dirty")
+        (tmp_path / "notes.txt").write_text("outside the measured trees\n")
+        assert git_sha(tmp_path) == clean
+        module.write_text("x = 2\n")
+        assert git_sha(tmp_path) == f"{clean}-dirty"
+        git("commit", "-q", "-am", "edit")
+        assert not git_sha(tmp_path).endswith("-dirty")
 
 
 class TestVerify:

@@ -81,6 +81,13 @@ class TestErrorBoundary:
         line = self._one_error_line(capsys.readouterr().err)
         assert "demand must be > 0" in line
 
+    def test_oversized_topology_rejected(self, capsys):
+        argv = ["topologies", "build", "scale-free", "--set", "n_routers=3000000000"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "must be <=" in self._one_error_line(captured.err)
+        assert captured.out == ""
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_set_value(self, value, capsys):
         argv = ["scenarios", "sweep", "toy-triangle", "--set", f"demand_gbps={value}"]

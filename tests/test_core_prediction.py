@@ -56,16 +56,12 @@ class TestQueries:
     def test_remaining_ms(self):
         predictor = IterationPredictor()
         predictor.observe("t", 40.0)
-        assert predictor.remaining_ms("t", 5) == pytest.approx(200.0)
+        assert predictor.estimate("t").expected_ms * 5 == pytest.approx(200.0)
 
     def test_remaining_for_unknown_is_none(self):
-        assert IterationPredictor().remaining_ms("ghost", 5) is None
-
-    def test_remaining_negative_rounds_rejected(self):
         predictor = IterationPredictor()
         predictor.observe("t", 40.0)
-        with pytest.raises(ConfigurationError):
-            predictor.remaining_ms("t", -1)
+        assert predictor.estimate("ghost") is None
 
     def test_tasks_are_independent(self):
         predictor = IterationPredictor()

@@ -51,7 +51,13 @@ class TestSequentialService:
             WorkloadConfig(n_tasks=8, n_locals=4, demand_gbps=3.0),
             RandomStreams(5),
         )
-        reports = orchestrator.run_workload(workload)
+        # Tasks pile up without completing: every one is admitted while
+        # the earlier ones still hold their capacity.
+        reports = []
+        for task in workload:
+            record = orchestrator.admit(task)
+            if record.status is TaskStatus.RUNNING:
+                reports.append(orchestrator.evaluate(task.task_id))
         assert len(reports) == 8
         # Total reserved equals the sum over schedules.
         total = sum(r.consumed_bandwidth_gbps for r in reports)

@@ -246,12 +246,6 @@ class TestPathCache:
         assert len(cache) == 2
         assert cache.stats.evictions == 2
 
-    def test_invalidate_drops_everything(self, square_net):
-        cache = PathCache(square_net)
-        cache.sssp("A", LatencyWeightSpec(square_net))
-        cache.invalidate()
-        assert len(cache) == 0
-
     def test_lookup_drops_stale_keeps_fresh(self, square_net):
         cache = PathCache(square_net)
         spec = LatencyWeightSpec(square_net)

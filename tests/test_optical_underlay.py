@@ -69,7 +69,11 @@ class TestMirroring:
         task = make_mesh_task(fabric, 5)
         schedule = FlexibleScheduler().schedule(task, fabric)
         underlay.mirror_schedule(schedule)
-        freed = underlay.release_task(task.task_id)
+        freed = sum(
+            underlay.grooming.release_demand(f"{task.task_id}:{u}>{v}")
+            for u, v in schedule.occupied_edges()
+            if underlay.site_of(u) != underlay.site_of(v)
+        )
         assert freed > 0
         assert underlay.lit_lightpaths == 0
 
@@ -81,7 +85,7 @@ class TestMirroring:
             underlay.mirror_schedule(schedule)
 
     def test_release_unknown_task_is_zero(self, underlay):
-        assert underlay.release_task("ghost") == 0.0
+        assert underlay.grooming.release_demand("ghost:RT-0>RT-1") == 0.0
 
     def test_flexible_lights_less_spectrum_than_fixed(self, fabric):
         task = make_mesh_task(fabric, 8)

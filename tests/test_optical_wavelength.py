@@ -23,7 +23,8 @@ def chain():
 class TestGridBasics:
     def test_all_channels_free_initially(self, chain):
         grid = WDMGrid(chain, n_wavelengths=8)
-        assert grid.free_channels("a", "b") == list(range(8))
+        assert grid.occupied("a", "b") == set()
+        assert grid.common_free_channels(["a", "b"]) == list(range(8))
 
     def test_invalid_channel_count_rejected(self, chain):
         with pytest.raises(ConfigurationError):
@@ -37,7 +38,8 @@ class TestGridBasics:
     def test_link_fill(self, chain):
         grid = WDMGrid(chain, n_wavelengths=4)
         grid.assign(["a", "b"])
-        assert grid.link_fill("a", "b") == pytest.approx(0.25)
+        fill = len(grid.occupied("a", "b")) / grid.n_wavelengths
+        assert fill == pytest.approx(0.25)
 
 
 class TestFirstFit:

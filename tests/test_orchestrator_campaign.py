@@ -12,6 +12,8 @@ from repro.orchestrator.orchestrator import Orchestrator
 from repro.sim.rng import RandomStreams
 from repro.tasks.workload import WorkloadConfig, generate_workload
 
+from tests.conftest import placed_containers
+
 
 def build(n_tasks=4, rounds=3, interarrival=10.0, seed=3, **orch_kwargs):
     net = metro_mesh(n_sites=10, servers_per_site=2)
@@ -46,7 +48,7 @@ class TestLifecycle:
         net, orchestrator, workload = build()
         CampaignRunner(orchestrator, workload).run()
         assert net.total_reserved_gbps() == pytest.approx(0.0)
-        assert orchestrator.compute.total_containers == 0
+        assert placed_containers(orchestrator.compute) == 0
         assert orchestrator.sdn.total_rules == 0
 
     def test_completion_after_admission(self):
@@ -108,7 +110,7 @@ class TestReschedulingLoop:
         ).run()
         assert result.completed == len(workload)
         # A prohibitive interruption cost: nothing actually moved.
-        assert result.total_reschedules == 0
+        assert all(o.reschedules == 0 for o in result.outcomes.values())
         # But the policy was consulted (decision log entries exist).
         assert any(
             "reschedule=" in message

@@ -1,4 +1,4 @@
-"""Tests for database, SDN controller, task manager, and monitor."""
+"""Tests for database, SDN controller, and monitor."""
 
 import pytest
 
@@ -9,9 +9,7 @@ from repro.network.state import NetworkState
 from repro.orchestrator.database import Database, TaskStatus
 from repro.orchestrator.monitor import NetworkMonitor
 from repro.orchestrator.sdn import SdnController
-from repro.orchestrator.taskmanager import AITaskManager
 from repro.sim.engine import Simulator
-from repro.tasks.selection import select_top_utility
 
 from tests.conftest import make_mesh_task
 
@@ -138,53 +136,6 @@ class TestSdnController:
     def test_invalid_install_cost_rejected(self):
         with pytest.raises(OrchestrationError):
             SdnController(rule_install_ms=-1.0)
-
-
-class TestTaskManager:
-    def test_submit_queues_pending(self, mesh_net):
-        db = Database()
-        manager = AITaskManager(db)
-        task = make_mesh_task(mesh_net, 3)
-        manager.submit(task)
-        assert manager.pending_count == 1
-        record = manager.next_pending()
-        assert record.task.task_id == task.task_id
-
-    def test_queue_drains_fifo(self, mesh_net):
-        manager = AITaskManager(Database())
-        for name in ("a", "b", "c"):
-            manager.submit(make_mesh_task(mesh_net, 3, task_id=name))
-        order = [manager.next_pending().task.task_id for _ in range(3)]
-        assert order == ["a", "b", "c"]
-        assert manager.next_pending() is None
-
-    def test_non_pending_records_skipped(self, mesh_net):
-        db = Database()
-        manager = AITaskManager(db)
-        manager.submit(make_mesh_task(mesh_net, 3, task_id="a"))
-        db.record("a").status = TaskStatus.RUNNING
-        assert manager.next_pending() is None
-
-    def test_requeue(self, mesh_net):
-        db = Database()
-        manager = AITaskManager(db)
-        manager.submit(make_mesh_task(mesh_net, 3, task_id="a"))
-        record = manager.next_pending()
-        record.status = TaskStatus.BLOCKED
-        manager.requeue("a")
-        assert manager.pending_ids() == ["a"]
-
-    def test_selection_applied_on_admission(self, mesh_net):
-        from repro.tasks.workload import WorkloadConfig, generate_workload
-
-        task = generate_workload(
-            mesh_net, WorkloadConfig(n_tasks=1, n_locals=6, with_utility=True)
-        ).tasks[0]
-        manager = AITaskManager(
-            Database(), selection=lambda t: select_top_utility(t, 0.5)
-        )
-        record = manager.submit(task)
-        assert record.task.n_locals == 3
 
 
 class TestMonitor:

@@ -115,8 +115,8 @@ class TestFamilyTopology:
 class TestFamilyTags:
     def test_every_builtin_scenario_is_family_backed(self):
         for spec in list_scenarios():
-            assert spec.topology_family is not None, spec.name
-            assert f"family:{spec.topology_family}" in spec.tags
+            assert isinstance(spec.topology, FamilyTopology), spec.name
+            assert f"family:{spec.topology.family}" in spec.tags
 
     def test_family_tag_filter_finds_scenarios(self):
         names = {spec.name for spec in list_scenarios(tag="family:waxman")}
@@ -131,7 +131,7 @@ class TestFamilyTags:
         assert {spec.name for spec in specs} == {"multi-metro-wan-flaky"}
 
     def test_catalogue_covers_all_new_families(self):
-        covered = {spec.topology_family for spec in list_scenarios()}
+        covered = {spec.topology.family for spec in list_scenarios()}
         assert {
             "waxman",
             "clos",

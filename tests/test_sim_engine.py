@@ -130,7 +130,10 @@ class TestSimulator:
         sim.run(until=50.0)
         assert fired == [1]
         assert sim.now == 50.0
-        assert sim.pending_events == 1
+        # Exactly one event is left queued.
+        assert sim.step() is True
+        assert fired == [1, 100]
+        assert sim.step() is False
 
     def test_run_until_then_resume(self):
         sim = Simulator()
@@ -176,11 +179,15 @@ class TestSimulator:
             sim.run()
 
     def test_executed_events_counter(self):
-        sim = Simulator()
+        # The executed-event count is what the max_events budget checks:
+        # five events fit a budget of five, a sixth exceeds it.
+        sim = Simulator(max_events=5)
         for t in range(5):
             sim.schedule(float(t), lambda: None)
         sim.run()
-        assert sim.executed_events == 5
+        sim.schedule(9.0, lambda: None)
+        with pytest.raises(SimulationError, match="budget"):
+            sim.run()
 
     def test_step_executes_one_event(self):
         sim = Simulator()

@@ -115,4 +115,4 @@ class TestGeneration:
 
     def test_total_rounds(self, net):
         workload = generate_workload(net, WorkloadConfig(n_tasks=4, rounds=7))
-        assert workload.total_rounds == 28
+        assert sum(task.rounds for task in workload) == 28

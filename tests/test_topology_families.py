@@ -161,6 +161,14 @@ class TestSchema:
                 schema=(ParamSpec("n", 1), ParamSpec("n", 2)),
             )
 
+    def test_count_parameters_bounded_above(self):
+        """Every count-valued parameter has a maximum, so an oversized
+        size fails validation instead of running a huge build."""
+        for family in list_families():
+            for spec in family.schema:
+                if isinstance(spec.default, int) and spec.name != "seed":
+                    assert spec.maximum is not None, f"{family.name}.{spec.name}"
+
     def test_describe_metadata_complete(self):
         """Every parameter of every family carries a doc line."""
         for family in list_families():

