@@ -27,6 +27,9 @@ unified ``repro bench`` harness:
   scale-free graph is where the vectorised solve pays; the 1,000-node
   ring is its worst case (the sweep budget runs out and the source
   goes to the heap kernel), which must never be more than 2x slower.
+  ``vector_ranked`` counts the sources whose dispatched solve needed
+  settle ranks (``csr.vector_ranked``): on the scale-free aux weights
+  every predecessor is a lone exact tie, so it must read 0 (shape).
 * ``scale_free_1k.inject_*`` — static background-flow injection on the
   N=1000 hub fabric: :meth:`TrafficGenerator.inject_static` (one
   batched CSR routing pass, snapshot build included) against a
@@ -49,6 +52,7 @@ import time
 
 import numpy as np
 
+from repro import obs
 from repro.bench import bench_suite
 from repro.core.flexible import FlexibleScheduler
 from repro.errors import NoPathError, SchedulingError
@@ -293,6 +297,7 @@ def _vector_campaign(network, smoke: bool):
 
     identical = True
     gave_up = 0
+    ranked = 0
     for source in sources:
         expected = as_lists(heap(source)[:3])
         vector = kernel._vector_solve(snapshot, array, source)
@@ -300,7 +305,11 @@ def _vector_campaign(network, smoke: bool):
             gave_up += 1
         else:
             identical &= as_lists(vector) == expected
-        identical &= as_lists(dispatched(source)) == expected
+        with obs.enabled() as registry:
+            solved = dispatched(source)
+        counters = registry.summary()["counters"]
+        ranked += bool(counters.get("csr.vector_ranked"))
+        identical &= as_lists(solved) == expected
     assert identical, "the dispatched solve diverged from the heap kernel"
     heap_s, solve_s = _best_totals_s((heap, dispatched), sources, repeats)
     speedup = heap_s / solve_s if solve_s > 0 else float("inf")
@@ -308,6 +317,7 @@ def _vector_campaign(network, smoke: bool):
         "vector_edges": snapshot.m,
         "vector_sources": len(sources),
         "vector_gave_up": gave_up,
+        "vector_ranked": ranked,
         "vector_heap_ms": round(heap_s / len(sources) * 1e3, 4),
         "vector_solve_ms": round(solve_s / len(sources) * 1e3, 4),
         "vector_speedup": round(speedup, 2),

@@ -182,6 +182,10 @@ FLOORS: List[Floor] = [
         doc="vectorised SSSP bit-identical to the heap kernel at N=1000",
     ),
     Floor(
+        "csr", "scale_free_1k.vector_ranked", 0, op="<=",
+        doc="N=1000 aux solves read prev off lone ties, no settle ranks",
+    ),
+    Floor(
         "csr", "scale_free_1k.inject_identical", 1,
         doc="batched background flows identical to per-flow object Dijkstra",
     ),

@@ -30,7 +30,9 @@ IEEE float64):
 * ``prev[v]`` is the head of the exact-tie in-edge (``c == D[v]``
   bitwise) with the smallest tick among heads settled before ``v``:
   the first exact candidate wins and later equal ones fail the
-  epsilon test.
+  epsilon test.  So when ``v`` has one exact tie and its head is
+  strictly closer (``D[u] < D[v]``, hence settled first), ``prev[v]``
+  is that head, read off the edge without any settle order.
 * Settle order is ``(D[v], tick of v's winning push)``, the source
   first.  Settle order and ``prev`` define each other within a class
   of equal distances (zero-weight edges, hop weights); their fixpoint
@@ -43,30 +45,37 @@ Dispatch
 :func:`_solve` picks the solver from observable input only.  Snapshots
 with fewer than :data:`VECTOR_MIN_EDGES` directed edges run ``_run``.
 Larger ones try :func:`_vector_solve`: label-correcting numpy sweeps
-for ``D``, then the contract above rebuilt in vectorised form, with
-the settle-rank fixpoint iterated over the equal-distance classes
-only.  It hands the source to ``_run`` on a near-tie, or when its
-sweeps or rank passes exceed one per :data:`VECTOR_EDGES_PER_SWEEP`
-edges.  Sweeps grow with hop depth while ``_run`` grows with edge
-count, so the budget caps what a give-up wastes at about half a
-``_run``.  Give-ups are counted as ``csr.vector_fallback`` when
-telemetry is on.  Measured per source under aux weights, best of 5, on a
-2-vCPU VM: ``_run`` and the vectorised solve called directly (ms), the
-sweeps that solve needs, and what the dispatch delivers against
-``_run`` (BASELINES.md has the full table):
+for ``D``, then the contract above rebuilt in vectorised form.  When
+every reached node has one exact tie from a strictly closer head,
+``prev`` is read off those edges and the settle ranks wait until a
+tree's mapping views first read ``order`` (if their fixpoint then
+gives up, the order is ``_run``'s own).  Only ambiguous ties (several
+exact ties into a node, or a tie at equal distance: zero-weight edges,
+hop weights) build the ranks in the solve, by a fixpoint over the
+equal-distance classes only.  The solve hands the source to
+``_run`` on a near-tie, or when its sweeps or rank passes exceed one
+per :data:`VECTOR_EDGES_PER_SWEEP` edges.  Sweeps grow with hop depth
+while ``_run`` grows with edge count, so the budget caps what a give-up
+wastes at about half a ``_run``.  Give-ups are counted as
+``csr.vector_fallback`` and solves that needed ranks as
+``csr.vector_ranked`` when telemetry is on.  Measured per source under
+aux weights, best of 5, on a 2-vCPU VM: ``_run`` and the vectorised
+solve called directly (ms), the sweeps that solve needs, and what the
+dispatch delivers against ``_run`` (BASELINES.md has the full table;
+of these rows only fat-tree needs ranks in the solve):
 
 =========================  =====  =====  ========  ======  ==========
 family                         m   _run  vector    sweeps  dispatched
 =========================  =====  =====  ========  ======  ==========
-scale-free N=20              114  0.055  0.089          8  ``_run``
-scale-free N=100             594  0.357  0.298         10  ``_run``
-fat-tree k=8                 768  0.350  0.314          7  ``_run``
-scale-free N=200            1194  0.734  0.335         13  2.18x
-waxman N=100                1540  0.528  0.230         10  2.26x
-scale-free N=1000 (hub)     5994  3.091  0.626         13  5.19x
-scale-free N=5000          29994  22.14  2.845         15  7.83x
-metro-mesh 200 sites        1300  0.844  gives up      56  0.74x
-ring N=1000                 2000  1.073  gives up     501  0.70x
+scale-free N=20              114  0.047  0.092          8  ``_run``
+scale-free N=100             594  0.279  0.151         10  ``_run``
+fat-tree k=8                 768  0.351  0.310          7  ``_run``
+scale-free N=200            1194  0.645  0.213         11  3.01x
+waxman N=100                1546  0.544  0.194          9  2.83x
+scale-free N=1000 (hub)     5994  4.463  0.459         12  8.54x
+scale-free N=5000          29994  30.32  2.317         15  13.24x
+metro-mesh 200 sites        1300  0.859  gives up      55  0.71x
+ring N=1000                 2000  1.101  gives up     501  0.68x
 =========================  =====  =====  ========  ======  ==========
 
 The incremental-repair primitive is :func:`tree_unaffected`: a
@@ -242,20 +251,23 @@ def _vector_distances(
 
 def _vector_solve(
     snapshot: CsrSnapshot, weights: np.ndarray, source_i: int
-) -> Optional[Tuple[np.ndarray, np.ndarray, Callable[[], np.ndarray]]]:
+) -> Optional[Tuple[np.ndarray, np.ndarray, Callable[[], Sequence[int]]]]:
     """``(dist, prev, order)`` bit-identical to :func:`_run`, or ``None``.
 
     Solves the distances with :func:`_vector_distances`, then rebuilds
-    ``_run``'s predecessors and discovery order under the tie-break
-    contract in the module docstring.  ``None`` means "run ``_run``
-    instead": the sweep or rank-pass bound was hit, or a candidate fell
-    inside the relaxation epsilon of a distance without being equal to
-    it, where ``_run``'s answer depends on arrival order.  ``dist`` and
-    ``prev`` are numpy arrays indexed like ``_run``'s lists; ``order``
-    is a zero-argument callable computing it (:func:`_discovery_order`),
-    holding ``weights`` (never its list form).  Weights must lie in
-    ``[0, +inf]``, as :func:`~repro.network.csr.weights.weight_array`
-    guarantees.
+    ``_run``'s predecessors under the tie-break contract in the module
+    docstring.  When every reached node has one exact tie from a
+    strictly closer head, ``prev`` is read straight off those edges;
+    otherwise the settle ranks (:func:`_settle_rank`) pick each node's
+    winning push.  ``None`` means "run ``_run`` instead": the sweep or
+    rank-pass bound was hit, or a candidate fell inside the relaxation
+    epsilon of a distance without being equal to it, where ``_run``'s
+    answer depends on arrival order.  ``dist`` and ``prev`` are numpy
+    arrays indexed like ``_run``'s lists; ``order`` is a zero-argument
+    callable computing it (:func:`_discovery_order`), holding
+    ``weights`` and ``dist`` (never the weight list, ties or ranks).
+    Weights must lie in ``[0, +inf]``, as
+    :func:`~repro.network.csr.weights.weight_array` guarantees.
     """
     n = snapshot.n
     m1 = snapshot.m + 1
@@ -267,8 +279,51 @@ def _vector_solve(
     dist = _vector_distances(snapshot, weights, source_i)
     if dist is None:
         return None
+    tie_edges = _exact_ties(snapshot, weights, dist, source_i)
+    if tie_edges is None:
+        return None
     heads, tails = snapshot.edge_arrays()
+    tie_heads = heads[tie_edges]
+    tie_tails = tails[tie_edges]
+    prev = np.full(n, -1, dtype=np.int64)
 
+    # Every reached node but the source has an exact tie (its distance
+    # is one of its candidates), and only those nodes are tie tails: as
+    # many ties as those nodes is one tie each.  A lone exact candidate
+    # from a strictly closer head is settled first, so it wins.
+    if (
+        tie_edges.size == np.count_nonzero(dist < _INF) - 1
+        and (dist[tie_heads] < dist[tie_tails]).all()
+    ):
+        prev[tie_tails] = tie_heads
+    else:
+        obs.inc("csr.vector_ranked")
+        rank = _settle_rank(snapshot, dist, source_i, tie_edges)
+        if rank is None:
+            return None
+        win = _winning_push(rank, tie_heads, tie_tails, tie_edges, m1, invalid)
+        targets = np.flatnonzero(dist < _INF)
+        targets = targets[targets != source_i]
+        win = win[targets]
+        if (win == invalid).any():
+            return None
+        prev[targets] = heads[win % m1]
+
+    return dist, prev, partial(
+        _discovery_order, snapshot, weights, dist, source_i
+    )
+
+
+def _exact_ties(
+    snapshot: CsrSnapshot, weights: np.ndarray, dist: np.ndarray, source_i: int
+) -> Optional[np.ndarray]:
+    """The edge positions whose candidate equals its tail's distance.
+
+    Only finite candidates into nodes other than the source count (the
+    relaxations ``_run`` makes); ``None`` when some other candidate
+    lies within the relaxation epsilon of its tail's distance.
+    """
+    heads, tails = snapshot.edge_arrays()
     candidate = dist[heads] + weights
     incumbent = dist[tails]
     relaxable = tails != source_i  # _run never relaxes into the source
@@ -276,58 +331,57 @@ def _vector_solve(
     if (~tie & relaxable & (candidate - 1e-15 <= incumbent)).any():
         return None
     tie &= (candidate < _INF) & relaxable
-    tie_edges = np.flatnonzero(tie)
-    tie_heads = heads[tie_edges]
-    tie_tails = tails[tie_edges]
+    return np.flatnonzero(tie)
 
-    # Settle rank: by distance, then by the tick of the winning push.
-    # Nodes with a distance of their own are ranked by it alone; only
-    # classes of equal distances need the tick, found by fixpoint.
+
+def _settle_rank(
+    snapshot: CsrSnapshot,
+    dist: np.ndarray,
+    source_i: int,
+    tie_edges: np.ndarray,
+) -> Optional[np.ndarray]:
+    """Each node's position in ``_run``'s settle order, or ``None``.
+
+    By distance, then by the tick of the winning push over the exact-tie
+    edges.  Nodes with a distance of their own are ranked by it alone;
+    only classes of equal distances need the tick, found by fixpoint.
+    ``None`` when the fixpoint passes exceed :func:`_sweep_budget`.
+    """
+    n = snapshot.n
+    m1 = snapshot.m + 1
+    invalid = n * m1
+    heads, tails = snapshot.edge_arrays()
     by_dist = np.argsort(dist)
     rank = np.empty(n, dtype=np.int64)
     rank[by_dist] = np.arange(n)
     reached = int(np.count_nonzero(dist < _INF))
     sorted_dist = dist[by_dist[:reached]]
     equal_next = sorted_dist[1:] == sorted_dist[:-1]
-    if equal_next.any():
-        in_class = np.zeros(reached, dtype=bool)
-        in_class[1:] = equal_next
-        in_class[:-1] |= equal_next
-        slots = np.flatnonzero(in_class)
-        members = by_dist[slots]
-        class_base = np.concatenate(([0], np.cumsum(~equal_next)))[slots]
-        class_base *= invalid + 2
-        class_base += 1
-        is_member = np.zeros(n, dtype=bool)
-        is_member[members] = True
-        into = is_member[tie_tails]
-        m_heads = tie_heads[into]
-        m_tails = tie_tails[into]
-        m_edges = tie_edges[into]
-        placed = members
-        for _pass in range(_sweep_budget(snapshot)):
-            win = _winning_push(rank, m_heads, m_tails, m_edges, m1, invalid)
-            win[source_i] = -1
-            order_in = members[np.argsort(class_base + win[members])]
-            if np.array_equal(order_in, placed):
-                break
-            rank[order_in] = slots
-            placed = order_in
-        else:
-            return None
-
-    win = _winning_push(rank, tie_heads, tie_tails, tie_edges, m1, invalid)
-    targets = np.flatnonzero(dist < _INF)
-    targets = targets[targets != source_i]
-    win = win[targets]
-    if (win == invalid).any():
-        return None
-    prev = np.full(n, -1, dtype=np.int64)
-    prev[targets] = heads[win % m1]
-
-    return dist, prev, partial(
-        _discovery_order, snapshot, weights, dist, rank, source_i
-    )
+    if not equal_next.any():
+        return rank
+    in_class = np.zeros(reached, dtype=bool)
+    in_class[1:] = equal_next
+    in_class[:-1] |= equal_next
+    slots = np.flatnonzero(in_class)
+    members = by_dist[slots]
+    class_base = np.concatenate(([0], np.cumsum(~equal_next)))[slots]
+    class_base *= invalid + 2
+    class_base += 1
+    is_member = np.zeros(n, dtype=bool)
+    is_member[members] = True
+    m_edges = tie_edges[is_member[tails[tie_edges]]]
+    m_heads = heads[m_edges]
+    m_tails = tails[m_edges]
+    placed = members
+    for _pass in range(_sweep_budget(snapshot)):
+        win = _winning_push(rank, m_heads, m_tails, m_edges, m1, invalid)
+        win[source_i] = -1
+        order_in = members[np.argsort(class_base + win[members])]
+        if np.array_equal(order_in, placed):
+            return rank
+        rank[order_in] = slots
+        placed = order_in
+    return None
 
 
 def _winning_push(
@@ -355,15 +409,23 @@ def _discovery_order(
     snapshot: CsrSnapshot,
     weights: np.ndarray,
     dist: np.ndarray,
-    rank: np.ndarray,
     source_i: int,
-) -> np.ndarray:
+) -> Sequence[int]:
     """The reached nodes in ``_run``'s first-discovery order, source first.
 
     Each node's key is its earliest relaxation with a finite candidate,
-    ``(rank[u], e)``; the vectorised solve defers this to the first
-    reader of a tree's mapping views, the only consumers of ``order``.
+    ``(rank[u], e)``; the vectorised solve defers this, with the settle
+    ranks it needs, to the first reader of a tree's mapping views, the
+    only consumers of ``order``.  When the rank fixpoint gives up, the
+    order is ``_run``'s own.
     """
+    tie_edges = _exact_ties(snapshot, weights, dist, source_i)
+    rank = _settle_rank(snapshot, dist, source_i, tie_edges)
+    if rank is None:
+        _dist, _prev, order, _settled = _run(
+            snapshot.indptr, snapshot.indices, weights.tolist(), source_i
+        )
+        return order
     heads, tails = snapshot.edge_arrays()
     m1 = snapshot.m + 1
     invalid = snapshot.n * m1

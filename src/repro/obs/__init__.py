@@ -34,6 +34,8 @@ import threading
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional, Union
 
+import numpy as np
+
 from ..errors import ConfigurationError
 from .log import (
     LOG_LEVEL_ENV,
@@ -290,43 +292,61 @@ def observe_network(network: Any, *, top: int = 5, **labels: Any) -> None:
     ``top`` hottest links get individual ``link.pressure`` gauges keyed
     by endpoint pair — the hotspot-congestion measurement for
     scale-free hubs.  No-op while telemetry is off.
+
+    One numpy pass over the network's ledger slots (``2·ordinal`` is a
+    link's ``u -> v`` direction, the next its ``v -> u``) computes what
+    ``1 - residual_gbps / capacity_gbps`` gives per direction, in link
+    order; link objects are read only to name the top-k.
     """
     registry = _tls.registry or _active
     if registry is None:
         return
-    pressures = []
-    for link in network.links():
-        if link.failed:
-            continue
-        capacity = link.capacity_gbps
-        forward = 1.0 - link.residual_gbps(link.u, link.v) / capacity
-        backward = 1.0 - link.residual_gbps(link.v, link.u) / capacity
-        pressures.append((max(forward, backward), f"{link.u}-{link.v}"))
-    if not pressures:
+    ledger = network.ledger
+    used = np.frombuffer(ledger.used)
+    capacity = np.frombuffer(ledger.capacity)[0::2]
+    forward = 1.0 - (capacity - used[0::2]) / capacity
+    backward = 1.0 - (capacity - used[1::2]) / capacity
+    failed = np.frombuffer(ledger.failed, dtype=np.int8)[0::2]
+    live = np.flatnonzero(failed == 0)
+    values = np.maximum(forward, backward)[live]
+    if not values.size:
         return
-    values = [pressure for pressure, _name in pressures]
-    for value in values:
-        registry.observe(
-            "link.utilization",
-            value,
-            buckets=(0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0),
-            **labels,
-        )
-    registry.gauge("net.max_link_utilization", round(max(values), 6), **labels)
+    registry.observe_many(
+        "link.utilization",
+        values,
+        buckets=(0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0),
+        **labels,
+    )
+    registry.gauge(
+        "net.max_link_utilization", round(float(values.max()), 6), **labels
+    )
     registry.gauge(
         "net.mean_link_utilization",
-        round(sum(values) / len(values), 6),
+        round(sum(values.tolist()) / values.size, 6),
         **labels,
     )
     registry.gauge(
-        "net.saturated_links",
-        sum(1 for value in values if value > 0.95),
-        **labels,
+        "net.saturated_links", int(np.count_nonzero(values > 0.95)), **labels
     )
+    # The top-k by (-pressure, name) among positive pressures: every
+    # link at or above the k-th largest value is a candidate, so ties
+    # on that value still break by name.
+    if top <= 0:
+        return
+    hot = np.flatnonzero(values > 0)
+    if hot.size > top:
+        kth = np.partition(values[hot], hot.size - top)[hot.size - top]
+        hot = hot[values[hot] >= kth]
+    if not hot.size:
+        return
+    links = list(network.links())
+    pressures = [
+        (pressure, f"{links[ordinal].u}-{links[ordinal].v}")
+        for pressure, ordinal in zip(values[hot].tolist(), live[hot].tolist())
+    ]
     pressures.sort(key=lambda item: (-item[0], item[1]))
-    for pressure, name in pressures[: max(0, top)]:
-        if pressure > 0:
-            registry.gauge("link.pressure", round(pressure, 6), link=name)
+    for pressure, name in pressures[:top]:
+        registry.gauge("link.pressure", round(pressure, 6), link=name)
 
 
 def _disable_after_fork() -> None:

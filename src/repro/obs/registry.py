@@ -26,6 +26,8 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from ..errors import ConfigurationError
 from .trace import TraceSink
 
@@ -83,6 +85,19 @@ class Histogram:
         self.counts[index] += 1
         self.total += value
         self.count += 1
+
+    def observe_many(self, values: np.ndarray) -> None:
+        """:meth:`observe` each float64 of ``values``, in order.
+
+        Same buckets and the same running total: the cumulative sum adds
+        one value at a time, as repeated :meth:`observe` calls would.
+        """
+        slots = np.searchsorted(self.edges, values, side="right")
+        added = np.bincount(slots, minlength=len(self.counts))
+        for index, more in enumerate(added.tolist()):
+            self.counts[index] += more
+        self.total = float(np.cumsum(np.append(self.total, values))[-1])
+        self.count += int(values.size)
 
     @property
     def mean(self) -> float:
@@ -231,13 +246,32 @@ class Telemetry:
         buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
         **labels: Any,
     ) -> None:
-        key = (name, label_key(labels))
         with self._lock:
             self.touches += 1
-            histogram = self._histograms.get(key)
-            if histogram is None:
-                histogram = self._histograms[key] = Histogram(buckets)
-            histogram.observe(value)
+            self._histogram(name, buckets, labels).observe(value)
+
+    def observe_many(
+        self,
+        name: str,
+        values: np.ndarray,
+        *,
+        buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
+        **labels: Any,
+    ) -> None:
+        """:meth:`observe` every value of a float64 array as one touch."""
+        with self._lock:
+            self.touches += 1
+            self._histogram(name, buckets, labels).observe_many(values)
+
+    def _histogram(
+        self, name: str, buckets: Tuple[float, ...], labels: Mapping[str, Any]
+    ) -> Histogram:
+        """The histogram keyed by ``name`` and ``labels`` (lock held)."""
+        key = (name, label_key(labels))
+        histogram = self._histograms.get(key)
+        if histogram is None:
+            histogram = self._histograms[key] = Histogram(buckets)
+        return histogram
 
     def event(
         self, name: str, *, sim_ms: Optional[float] = None, **labels: Any

@@ -238,8 +238,14 @@ class _Coordinator:
                 self.collector.on_requeue(key, worker)
 
     def abort(self, exc: BaseException) -> None:
+        """Fail the sweep with ``exc``, unless every run already reported.
+
+        A worker that errors once the last result is in (a late local
+        worker whose hello meets the closed server, say) cannot cost
+        the sweep anything, so it does not fail it.
+        """
         with self._changed:
-            if self.failure is None:
+            if self.failure is None and self._remaining:
                 self.failure = exc
             self._changed.notify_all()
 

@@ -278,6 +278,8 @@ class TestVerify:
         floors = {(f.suite, f.metric): f for f in FLOORS}
         identical = floors[("csr", "scale_free_1k.vector_identical")]
         assert not identical.timing and identical.limit == 1
+        ranked = floors[("csr", "scale_free_1k.vector_ranked")]
+        assert not ranked.timing and ranked.op == "<=" and ranked.limit == 0
         for metric, limit in (
             ("scale_free_1k.vector_speedup", 2.0),
             ("ring_1k.vector_speedup", 0.5),
@@ -290,6 +292,7 @@ class TestVerify:
                 "scale_free_1k": {
                     "hub_utilisation": 0.5,
                     "vector_identical": False,
+                    "vector_ranked": 1,
                     "vector_speedup": 3.0,
                 },
                 "scale_free_5k": {"scheduled": 3},
@@ -300,6 +303,7 @@ class TestVerify:
             v.floor.metric for v in verify_record(_fake_record(suites))
         }
         assert "scale_free_1k.vector_identical" in violated
+        assert "scale_free_1k.vector_ranked" in violated
         assert "ring_1k.vector_speedup" in violated
         assert "scale_free_1k.vector_speedup" not in violated
 

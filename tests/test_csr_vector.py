@@ -220,16 +220,122 @@ class TestHandBuilt:
         _epoch, _version, array, wlist = cache._warrays[spec.cache_token()]
         # Everything the tree holds, short of the snapshot (which leads
         # back to the network and its cache).
-        seen, stack = set(), [tree]
+        seen, stack, arrays = set(), [tree], set()
         while stack:
             obj = stack.pop()
             if id(obj) in seen or isinstance(obj, (csr.CsrSnapshot, Network)):
                 continue
             seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                arrays.add(id(obj))
             stack.extend(gc.get_referents(obj))
         assert id(wlist) not in seen
         assert id(array) in seen  # the deferred order reads the array
+        # ... and dist, but holds no tie or rank index array of its own.
+        assert arrays == {id(tree.dist), id(tree.prev), id(array)}
         assert tree.order[0] == tree.index["SRV-3-0"]
+
+
+def _has_equal_distances(dist):
+    reached = dist[dist < INF]
+    return np.unique(reached).size < reached.size
+
+
+class TestSettleRanks:
+    """Settle ranks are built for ambiguous ties, and otherwise only for
+    ``order``: a lone exact tie from a strictly closer head is ``prev``."""
+
+    @pytest.fixture()
+    def ranks(self, monkeypatch):
+        """What each ``_settle_rank`` call returned, in call order."""
+        results = []
+        original = kernel._settle_rank
+
+        def recording(*args):
+            rank = original(*args)
+            results.append(rank)
+            return rank
+
+        monkeypatch.setattr(kernel, "_settle_rank", recording)
+        return results
+
+    @pytest.mark.parametrize("kind", ["latency", "aux"])
+    def test_unique_ties_rank_only_for_order(self, ranks, hub_net, kind):
+        snapshot = csr.get_snapshot(hub_net)
+        if kind == "aux":
+            token = AuxiliaryGraphBuilder(hub_net, demand_gbps=4.0).cache_token()
+        else:
+            token = (kind,)
+        weights = csr.weight_array(snapshot, token)
+        for source_i in range(0, snapshot.n, 7):
+            solved = kernel._vector_solve(snapshot, weights, source_i)
+            assert ranks == []
+            got = _as_lists(solved)
+            assert len(ranks) == 1 and ranks[0] is not None
+            assert got == tuple(_reference(snapshot, weights, source_i))
+            ranks.clear()
+
+    def test_tree_paths_need_no_ranks(self, ranks):
+        net = scale_free(n_routers=250, m_links=2, seed=2, servers_per_site=1)
+        spec = LatencyWeightSpec(net)
+        tree = PathCache(net).sssp("SRV-3-0", spec)
+        assert isinstance(tree.dist, np.ndarray)  # the vectorised solve ran
+        tree.path_to("SRV-200-0")
+        assert ranks == []
+        assert tree == sssp(net, "SRV-3-0", spec.weight_fn())
+        assert len(ranks) == 1
+
+    @staticmethod
+    def _snapshot(name, links):
+        net = Network(name)
+        for link in links:
+            for node in link:
+                if node not in net:
+                    net.add_node(node, NodeKind.ROUTER)
+            net.add_link(*link, 100.0)
+        return csr.get_snapshot(net)
+
+    def test_ambiguous_ties_rank_in_the_solve(self, ranks, hub_net):
+        snapshot = csr.get_snapshot(hub_net)
+        hop = csr.weight_array(snapshot, ("hop",))
+        cases = [(snapshot, hop, source_i) for source_i in range(0, snapshot.n, 9)]
+        # b's one exact tie is a zero-weight edge from a, at a's distance.
+        chain = self._snapshot("zero", [("s", "a"), ("a", "b")])
+        zero = np.ones(chain.m)
+        zero[chain.edge_pos[("a", "b")]] = 0.0
+        cases.append((chain, zero, chain.index["s"]))
+        diamond = self._snapshot(
+            "diamond", [("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")]
+        )
+        cases.append((diamond, np.ones(diamond.m), diamond.index["s"]))
+        for case_snapshot, weights, source_i in cases:
+            ranks.clear()
+            assert kernel._vector_solve(case_snapshot, weights, source_i)
+            assert len(ranks) == 1 and ranks[0] is not None
+            _assert_vector_matches(case_snapshot, weights, source_i)
+
+    def test_order_is_runs_own_when_ranks_give_up(
+        self, ranks, monkeypatch, hub_net
+    ):
+        snapshot = csr.get_snapshot(hub_net)
+        weights = csr.weight_array(snapshot, ("latency",))
+        sources = [
+            source_i
+            for source_i in range(0, snapshot.n, 5)
+            if _has_equal_distances(
+                kernel._vector_distances(snapshot, weights, source_i)
+            )
+        ]
+        assert sources
+        solved = [kernel._vector_solve(snapshot, weights, s) for s in sources]
+        assert ranks == []
+        # No fixpoint pass left: every equal-distance class gives up.
+        monkeypatch.setattr(kernel, "_sweep_budget", lambda snapshot: 0)
+        for source_i, (dist, prev, order) in zip(sources, solved):
+            got = _as_lists((dist, prev, order))
+            assert ranks == [None]
+            assert got == tuple(_reference(snapshot, weights, source_i))
+            ranks.clear()
 
 
 class TestDispatch:

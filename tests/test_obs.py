@@ -221,6 +221,96 @@ class TestFacade:
             1 for link in instance.network.links() if not link.failed
         )
 
+    @staticmethod
+    def _observe_per_link(registry, network, *, top=5, **labels):
+        """``observe_network`` as one observe per live link, in link order."""
+        pressures = []
+        for link in network.links():
+            if link.failed:
+                continue
+            capacity = link.capacity_gbps
+            forward = 1.0 - link.residual_gbps(link.u, link.v) / capacity
+            backward = 1.0 - link.residual_gbps(link.v, link.u) / capacity
+            pressures.append((max(forward, backward), f"{link.u}-{link.v}"))
+        if not pressures:
+            return
+        values = [pressure for pressure, _name in pressures]
+        for value in values:
+            registry.observe(
+                "link.utilization",
+                value,
+                buckets=(0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0),
+                **labels,
+            )
+        registry.gauge(
+            "net.max_link_utilization", round(max(values), 6), **labels
+        )
+        registry.gauge(
+            "net.mean_link_utilization",
+            round(sum(values) / len(values), 6),
+            **labels,
+        )
+        registry.gauge(
+            "net.saturated_links",
+            sum(1 for value in values if value > 0.95),
+            **labels,
+        )
+        pressures.sort(key=lambda item: (-item[0], item[1]))
+        for pressure, name in pressures[: max(0, top)]:
+            if pressure > 0:
+                registry.gauge("link.pressure", round(pressure, 6), link=name)
+
+    @pytest.mark.parametrize("top", [0, 1, 5, 40, 1000])
+    def test_observe_network_matches_the_per_link_loop(self, top):
+        import random
+
+        from repro.network.topology import scale_free
+
+        network = scale_free(n_routers=80, m_links=2, seed=3, servers_per_site=1)
+        links = list(network.links())
+        rng = random.Random(7)
+        links[4].capacity_gbps = 40.0
+        for index, link in enumerate(links[:120]):
+            # Repeated rates put many links on equal pressures, so the
+            # top-k boundary falls inside a tie broken by name.
+            gbps = rng.choice([0.1, 3.3, 25.0, 40.0, 0.7 * link.capacity_gbps])
+            src, dst = rng.choice([(link.u, link.v), (link.v, link.u)])
+            network.reserve_edge(src, dst, gbps, f"o{index}")
+            if index % 3 == 0:
+                network.reserve_edge(dst, src, gbps / 3, f"o{index}")
+        network.fail_link(links[9].u, links[9].v)
+        network.fail_link(links[10].u, links[10].v)
+        rounds = 3  # a histogram that already holds values keeps adding
+        expected = obs.Telemetry()
+        for _ in range(rounds):
+            self._observe_per_link(expected, network, top=top, scheduler="x")
+        registry = obs.enable()
+        for _ in range(rounds):
+            obs.observe_network(network, top=top, scheduler="x")
+        got = registry.snapshot()
+        want = expected.snapshot()
+        assert got == want
+        total = got["histograms"]["link.utilization{scheduler=x}"]["total"]
+        assert total.hex() == want["histograms"][
+            "link.utilization{scheduler=x}"
+        ]["total"].hex()
+        # One histogram touch per call, not one per link.
+        hot = sum(key.startswith("link.pressure") for key in got["gauges"])
+        assert registry.touches == rounds * (4 + hot)
+
+    def test_observe_network_skips_an_all_failed_network(self):
+        from repro.network.graph import Network
+
+        network = Network("down")
+        for name in "ab":
+            network.add_node(name)
+        network.add_link("a", "b", 10.0)
+        network.fail_link("a", "b")
+        registry = obs.enable()
+        obs.observe_network(network)
+        assert registry.snapshot()["histograms"] == {}
+        assert registry.snapshot()["gauges"] == {}
+
 
 # ---------------------------------------------------------------------------
 # Logging

@@ -10,6 +10,7 @@ re-queued when a worker dies, worker-side cache writes.
 import json
 import socket as socketlib
 import threading
+import time
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.scenarios import (
 )
 from repro.scenarios.sweep import OrderedRecorder, resolve_backend
 from repro.scenarios import sweep as sweep_module
+from repro.scenarios.sweep import distributed
 from tests.oracle import object_oracle
 
 TOY_CONFIG = SweepConfig(
@@ -207,6 +209,38 @@ class TestSocketBackend:
             SocketQueueBackend(local_workers=-1)
         with pytest.raises(ConfigurationError):
             SocketQueueBackend(timeout=0)
+
+    def test_late_local_worker_error_after_last_result(self, monkeypatch):
+        # One local worker drains every run; the other only starts once
+        # the coordinator has every result and then meets a reset
+        # connection, as a hello to the closed server would.
+        coordinators = []
+
+        class Recording(distributed._Coordinator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                coordinators.append(self)
+
+        real_worker = distributed.run_worker
+
+        def worker(host, port, *, worker_name=None, **kwargs):
+            if worker_name == "local-0":
+                return real_worker(
+                    host, port, worker_name=worker_name, **kwargs
+                )
+            deadline = time.monotonic() + 60.0
+            while not (coordinators and coordinators[0].finished):
+                assert time.monotonic() < deadline, "the sweep never finished"
+                time.sleep(0.01)
+            raise ConnectionResetError("hello after the coordinator closed")
+
+        monkeypatch.setattr(distributed, "_Coordinator", Recording)
+        monkeypatch.setattr(distributed, "run_worker", worker)
+        serial = run_sweep(TOY_CONFIG, backend="serial")
+        sock = run_sweep(TOY_CONFIG, backend=socket_backend())
+        assert len(sock.rows) == len(serial.rows)
+        assert sock.to_json() == serial.to_json()
+        assert coordinators[0].failure is None
 
 
 class TestServingOverride:
