@@ -22,7 +22,7 @@ unified ``repro bench`` harness:
 * ``scale_free_1k.vector_*`` and ``ring_1k`` — the size-dispatched
   solve (``kernel._solve``) against the heap kernel (``kernel._run``)
   on the same auxiliary weight arrays: every source's
-  ``(dist, prev, order)`` must be identical (shape), and the summed
+  ``(dist, prev)`` must be identical (shape), and the summed
   best-of-k time per source gives the speedup (timing).  The N=1000
   scale-free graph is where the vectorised solve pays; the 1,000-node
   ring is its worst case (the sweep budget runs out and the source
@@ -291,15 +291,13 @@ def _vector_campaign(network, smoke: bool):
         return kernel._solve(snapshot, source, weights, array)
 
     def as_lists(solved):
-        dist, prev, order = solved
-        order = order() if callable(order) else order
-        return [np.asarray(part).tolist() for part in (dist, prev, order)]
+        return [np.asarray(part).tolist() for part in solved]
 
     identical = True
     gave_up = 0
     ranked = 0
     for source in sources:
-        expected = as_lists(heap(source)[:3])
+        expected = as_lists(heap(source))
         vector = kernel._vector_solve(snapshot, array, source)
         if vector is None:
             gave_up += 1

@@ -101,10 +101,10 @@ def fault_cache_revalidations() -> int:
     assert len(cache) >= 500
     hub = max(network.node_names(), key=lambda name: len(network.neighbors(name)))
     span = (hub, network.neighbors(hub)[0])
-    before = cache.stats.snapshot()
+    before = cache.stats.as_dict()
     assert orchestrator.handle_link_failure(*span) == {}
     orchestrator.handle_link_restore(*span)
-    return cache.stats.delta(before)["revalidations"]
+    return cache.stats.as_dict()["revalidations"] - before["revalidations"]
 
 
 @bench_suite("failures", headline="repair_rate")

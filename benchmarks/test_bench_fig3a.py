@@ -5,8 +5,9 @@ Regenerates the latency panel and asserts the paper's claims:
 * both schedulers' latency grows with the number of local models;
 * the flexible scheduler finishes training with lower latency;
 * the saving at the largest point is in the paper's ballpark (the paper
-  reports 2.3 ms vs 1.9 ms at 15 locals, a ~17% saving; we assert a
-  5-60% saving since our substrate is a simulator, not their testbed).
+  reports 2.3 ms vs 1.9 ms at 15 locals, a ~17% saving; ``FLOORS``
+  holds ``latency_saving_pct`` to 5-60% since our substrate is a
+  simulator, not their testbed).
 
 ``transfer_calls_per_path`` (shape, floored ``<= 1.5``) counts the
 transport's ``transfer_ms`` calls per evaluated path when both
@@ -28,7 +29,7 @@ from repro.tasks.aitask import AITask
 from repro.tasks.models import get_model
 from repro.transport.protocols import TcpTransport
 
-from benchmarks.conftest import run_once, series
+from benchmarks.conftest import assert_floors, run_once, series
 
 CONFIG = Fig3Config(n_locals_values=(3, 9, 15), n_tasks=15, seed=7)
 
@@ -78,11 +79,9 @@ def suite(smoke: bool = False) -> dict:
     assert fixed[-1] > fixed[0]
     assert flexible[-1] >= flexible[0]
 
-    # Flexible wins at the paper's operating point (15 locals)...
+    # Flexible wins at the paper's operating point (15 locals).
     assert flexible[-1] < fixed[-1]
-    # ...by a factor in the paper's ballpark.
     saving = (fixed[-1] - flexible[-1]) / fixed[-1]
-    assert 0.05 < saving < 0.60, f"latency saving {saving:.1%} out of band"
     return {
         "fixed_round_ms_at_15": round(fixed[-1], 4),
         "flexible_round_ms_at_15": round(flexible[-1], 4),
@@ -92,4 +91,4 @@ def suite(smoke: bool = False) -> dict:
 
 
 def test_fig3a_latency_vs_locals(benchmark):
-    run_once(benchmark, suite)
+    assert_floors("fig3a", None, run_once(benchmark, suite), smoke=False)

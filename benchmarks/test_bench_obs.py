@@ -26,14 +26,17 @@ them:
 * **Cheap when collecting** — a collected sweep runs every run under a
   per-run capture registry buffering into memory and merges the chunks
   on the coordinator.  That *is* a wall-clock effect worth pricing, so
-  ``collect_overhead_pct`` is the best-of-``REPEATS`` collected wall
-  against the best-of-``REPEATS`` disabled wall (best-of-N because a
-  single diff of two runs measures scheduler noise).
+  one loop of ``ROUNDS`` rounds times a disabled, an enabled and a
+  collected sweep in turn, and ``collect_overhead_pct`` and
+  ``on_overhead_pct`` are each leg's best wall against the disabled
+  leg's best.  Interleaving puts every leg under the same host drift;
+  timing the legs in separate blocks let drift between the blocks
+  decide the figure.
 
 ``off_overhead_pct`` carries a 2% timing floor and
 ``collect_overhead_pct`` a 5% timing floor in ``repro bench verify``;
-``on_overhead_pct`` (wall-clock on-vs-off delta) is recorded for the
-trajectory but not floored — it *is* scheduler noise at this scale.
+``on_overhead_pct`` (the enabled leg against the disabled one) is
+recorded for the trajectory but not floored.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ from repro.scenarios import SweepConfig, run_sweep
 
 from benchmarks.conftest import run_once
 
-#: Best-of-N repeats for the wall-clock collection-overhead pair.
-REPEATS = 3
+#: Rounds of the interleaved disabled/enabled/collected timing loop.
+ROUNDS = 5
 
 #: The facade functions instrumented modules call on their hot paths;
 #: each call is one disabled guard while telemetry is off.
@@ -133,13 +136,30 @@ def _collected_sweep(config: SweepConfig):
     return result, sink
 
 
-def _best_of(repeats: int, fn, *args, **kwargs):
-    """Minimum wall time over ``repeats`` calls, plus the last result."""
-    best_s, result = _timed(fn, *args, **kwargs)
-    for _ in range(repeats - 1):
-        elapsed, result = _timed(fn, *args, **kwargs)
-        best_s = min(best_s, elapsed)
-    return best_s, result
+def _interleaved(config: SweepConfig, rounds: int):
+    """Best wall per leg over ``rounds`` of disabled, enabled, collected.
+
+    Returns ``(best_s, results)``: both dicts keyed ``off``/``on``/
+    ``collect``, ``results`` holding each leg's last result (for
+    ``on``, the sweep result and its registry).
+    """
+    best_s = dict.fromkeys(("off", "on", "collect"), float("inf"))
+    results = {}
+    for _ in range(rounds):
+        with obs.disabled():
+            elapsed, results["off"] = _timed(run_sweep, config, workers=1)
+        best_s["off"] = min(best_s["off"], elapsed)
+        with obs.enabled() as registry:
+            elapsed, on = _timed(run_sweep, config, workers=1)
+        results["on"] = on, registry
+        best_s["on"] = min(best_s["on"], elapsed)
+        elapsed, results["collect"] = _timed(_collected_sweep, config)
+        best_s["collect"] = min(best_s["collect"], elapsed)
+    return best_s, results
+
+
+def _overhead_pct(leg_s: float, off_s: float) -> float:
+    return round(max(0.0, (leg_s - off_s) / off_s * 100.0), 2)
 
 
 @bench_suite("obs", headline="off_overhead_pct")
@@ -147,44 +167,35 @@ def suite(smoke: bool = False) -> dict:
     """Telemetry and collection identity + both overhead figures."""
     config = SMOKE_SWEEP if smoke else SWEEP
     iterations = 20_000 if smoke else 200_000
-    repeats = 2 if smoke else REPEATS
-    with obs.disabled():
-        off_s, off = _timed(run_sweep, config, workers=1)
-    with obs.enabled() as registry:
-        on_s, on = _timed(run_sweep, config, workers=1)
+    best_s, results = _interleaved(config, ROUNDS)
+    off = results["off"]
+    on, registry = results["on"]
+    collected, sink = results["collect"]
     touches = registry.summary()["touches"]
     identical = off.to_json() == on.to_json()
     assert identical, "telemetry changed the result rows"
-    guard_ns = _guard_ns(iterations)
-    off_calls = _facade_calls(config)
-    # Collection overhead: best-of-N disabled wall vs best-of-N
-    # collected wall, same process and backend.
-    with obs.disabled():
-        off_best_s, _ = _best_of(repeats, run_sweep, config, workers=1)
-    collect_best_s, (collected, sink) = _best_of(
-        repeats, _collected_sweep, config
-    )
     collect_identical = collected.to_json() == off.to_json()
     assert collect_identical, "trace collection changed the result rows"
+    guard_ns = _guard_ns(iterations)
+    off_calls = _facade_calls(config)
+    off_s = best_s["off"]
     return {
         "runs": len(off.rows) // 2,
         "rows": len(off.rows),
         "off_s": round(off_s, 4),
-        "on_s": round(on_s, 4),
+        "on_s": round(best_s["on"], 4),
         "touches": touches,
         "off_calls": off_calls,
         "guard_ns": round(guard_ns, 2),
         "off_overhead_pct": round(
             guard_ns * 1e-9 * off_calls / off_s * 100.0, 6
         ),
-        "on_overhead_pct": round(max(0.0, (on_s - off_s) / off_s * 100.0), 2),
+        "on_overhead_pct": _overhead_pct(best_s["on"], off_s),
         "identical": identical,
         "collect_identical": collect_identical,
         "collect_records": len(sink.records),
-        "collect_s": round(collect_best_s, 4),
-        "collect_overhead_pct": round(
-            max(0.0, (collect_best_s - off_best_s) / off_best_s * 100.0), 2
-        ),
+        "collect_s": round(best_s["collect"], 4),
+        "collect_overhead_pct": _overhead_pct(best_s["collect"], off_s),
     }
 
 

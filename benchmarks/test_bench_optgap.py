@@ -2,14 +2,15 @@
 
 Asserted shape: at every terminal count the heuristic sits between the
 optimum (ratio >= 1) and the textbook 2(1 - 1/k) guarantee, with the
-*mean* gap small (< 10%) on the metro fabric — the poster's MST
-construction is near-optimal in practice, not merely bounded.
+*mean* gap small (``worst_mean_ratio``, floored at 1.10 in ``FLOORS``)
+on the metro fabric — the poster's MST construction is near-optimal in
+practice, not merely bounded.
 """
 
 from repro.bench import bench_suite
 from repro.experiments.extensions import run_optimality_gap
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import assert_floors, run_once
 
 
 @bench_suite("optgap", headline="worst_mean_ratio")
@@ -20,7 +21,6 @@ def suite(smoke: bool = False) -> dict:
     for row in result.rows:
         assert 1.0 - 1e-9 <= row["mean_ratio"] <= row["worst_ratio"]
         assert row["worst_ratio"] <= row["guarantee"] + 1e-9
-        assert row["mean_ratio"] < 1.10, "mean gap should be small in practice"
     return {
         "worst_mean_ratio": round(
             max(row["mean_ratio"] for row in result.rows), 6
@@ -32,4 +32,4 @@ def suite(smoke: bool = False) -> dict:
 
 
 def test_mst_optimality_gap(benchmark):
-    run_once(benchmark, suite)
+    assert_floors("optgap", None, run_once(benchmark, suite), smoke=False)

@@ -2,15 +2,16 @@
 
 The repository's figures come from the analytic evaluator; this bench
 re-derives the same round latencies by *executing* the rounds as
-simulator events and asserts the two independent implementations agree
-within 10% at every sweep point (exactly for the fixed scheduler, whose
-paths have no cross-flow dependencies).
+simulator events and checks that the two independent implementations
+agree within 10% at every sweep point (``max_gap_percent``, floored in
+``FLOORS``), and exactly for the fixed scheduler, whose paths have no
+cross-flow dependencies.
 """
 
 from repro.bench import bench_suite
 from repro.experiments.extensions import run_model_validation
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import assert_floors, run_once
 
 
 @bench_suite("simcheck", headline="max_gap_percent")
@@ -19,7 +20,6 @@ def suite(smoke: bool = False) -> dict:
     result = run_model_validation(n_locals_values=(3, 9, 15))
 
     for row in result.rows:
-        assert abs(row["gap_percent"]) < 10.0, row
         if row["scheduler"] == "fixed-spff":
             assert abs(row["gap_percent"]) < 0.01, row
     return {
@@ -31,4 +31,4 @@ def suite(smoke: bool = False) -> dict:
 
 
 def test_analytic_vs_executed(benchmark):
-    run_once(benchmark, suite)
+    assert_floors("simcheck", None, run_once(benchmark, suite), smoke=False)

@@ -23,7 +23,7 @@ import time
 from repro.bench import bench_suite
 from repro.network.topology import list_families
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import assert_floors, run_once
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
@@ -73,7 +73,6 @@ def suite(smoke: bool = False) -> dict:
             "build_ms": round(1_000.0 * elapsed / rounds, 3),
             "builds_per_s": round(rounds / elapsed, 1) if elapsed > 0 else None,
         }
-    assert len(stats) >= 11
     stats["families"] = len(stats)
     stats["deterministic"] = deterministic
     return stats
@@ -81,4 +80,4 @@ def suite(smoke: bool = False) -> dict:
 
 def test_bench_topology_build_throughput(benchmark):
     stats = run_once(benchmark, suite, smoke=SMOKE)
-    assert stats["families"] >= 11
+    assert_floors("topologies", None, stats, SMOKE)

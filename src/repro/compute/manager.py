@@ -2,7 +2,7 @@
 
 The orchestrator (paper Fig. 2) talks to a *computing manager* to create
 and destroy the containers hosting global/local models.  This class keeps
-the server inventory, applies a placement policy, and reports the
+the server inventory, places containers first fit, and reports the
 accelerator rate each placed container holds.
 """
 
@@ -12,23 +12,18 @@ from typing import Dict, List, Optional, Sequence
 
 from ..errors import ConfigurationError, PlacementError
 from .container import Container
-from .placement import PlacementPolicy, first_fit
+from .placement import first_fit
 from .server import Server
 
 
 class ComputingManager:
-    """Inventory of servers plus placement/teardown operations.
+    """Inventory of servers plus placement/teardown operations."""
 
-    Args:
-        policy: placement policy used by :meth:`deploy`.
-    """
-
-    def __init__(self, policy: PlacementPolicy = first_fit) -> None:
+    def __init__(self) -> None:
         self._servers: Dict[str, Server] = {}
         # node -> its servers in registration order, so node-restricted
         # placement looks at one node's servers instead of the fleet.
         self._by_node: Dict[str, List[Server]] = {}
-        self._policy = policy
         self._containers: Dict[str, Server] = {}
 
     # ------------------------------------------------------------------
@@ -66,7 +61,7 @@ class ComputingManager:
         node: Optional[str] = None,
         candidates: Optional[Sequence[str]] = None,
     ) -> Server:
-        """Place a container using the configured policy.
+        """Place a container on the first server with room (:func:`first_fit`).
 
         Args:
             container: the container to host.
@@ -89,7 +84,7 @@ class ComputingManager:
             pool = [self.server(name) for name in candidates]
         else:
             pool = self.servers
-        chosen = self._policy(pool, container.demand)
+        chosen = first_fit(pool, container.demand)
         chosen.place(container)
         self._containers[container.container_id] = chosen
         return chosen

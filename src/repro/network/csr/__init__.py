@@ -25,8 +25,8 @@ Single-source trees come from one of two solvers, chosen by the
 snapshot's directed-edge count alone.  Below ``VECTOR_MIN_EDGES`` the
 pure-Python heap loop runs.  At or above it a numpy solve runs first:
 label-correcting sweeps find the distances, then the heap loop's
-predecessors and discovery order are rebuilt from its written tie-break
-contract (the kernel docstring states it).  The numpy solve hands the
+predecessors are rebuilt from its written tie-break contract (the
+kernel docstring states it).  The numpy solve hands the
 source back to the heap loop when a candidate lands within the
 ``1e-15`` epsilon of a distance without equalling it, or when its sweep
 budget (one sweep per ``VECTOR_EDGES_PER_SWEEP`` edges) runs out on a

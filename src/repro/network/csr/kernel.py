@@ -11,9 +11,9 @@ moves to :func:`~repro.network.csr.weights.weight_array`, which only
 ever hands this loop values in ``[0, +inf]`` (a +inf edge can never
 beat an incumbent).  Because ties are broken by the tick counter and
 both loops push in the same order with the same float64 values, the
-settled order, distances, and predecessors are *bit-identical* — which
-is what lets the oracle serve as the reference the equivalence tests
-and benchmarks check this kernel against.
+distances and predecessors are *bit-identical* — which is what lets the
+oracle serve as the reference the equivalence tests and benchmarks
+check this kernel against.
 
 Tie-break contract
 ------------------
@@ -37,8 +37,6 @@ IEEE float64):
   first.  Settle order and ``prev`` define each other within a class
   of equal distances (zero-weight edges, hop weights); their fixpoint
   is unique.
-* ``order`` is the source followed by the reached nodes sorted by
-  their first relaxation with a finite candidate, ``(rank[u], e)``.
 
 Dispatch
 --------
@@ -47,16 +45,14 @@ with fewer than :data:`VECTOR_MIN_EDGES` directed edges run ``_run``.
 Larger ones try :func:`_vector_solve`: label-correcting numpy sweeps
 for ``D``, then the contract above rebuilt in vectorised form.  When
 every reached node has one exact tie from a strictly closer head,
-``prev`` is read off those edges and the settle ranks wait until a
-tree's mapping views first read ``order`` (if their fixpoint then
-gives up, the order is ``_run``'s own).  Only ambiguous ties (several
-exact ties into a node, or a tie at equal distance: zero-weight edges,
-hop weights) build the ranks in the solve, by a fixpoint over the
-equal-distance classes only.  The solve hands the source to
-``_run`` on a near-tie, or when its sweeps or rank passes exceed one
-per :data:`VECTOR_EDGES_PER_SWEEP` edges.  Sweeps grow with hop depth
-while ``_run`` grows with edge count, so the budget caps what a give-up
-wastes at about half a ``_run``.  Give-ups are counted as
+``prev`` is read off those edges and no settle rank is built.  Only
+ambiguous ties (several exact ties into a node, or a tie at equal
+distance: zero-weight edges, hop weights) build the ranks, by a
+fixpoint over the equal-distance classes only.  The solve hands the
+source to ``_run`` on a near-tie, or when its sweeps or rank passes
+exceed one per :data:`VECTOR_EDGES_PER_SWEEP` edges.  Sweeps grow with
+hop depth while ``_run`` grows with edge count, so the budget caps what
+a give-up wastes at about half a ``_run``.  Give-ups are counted as
 ``csr.vector_fallback`` and solves that needed ranks as
 ``csr.vector_ranked`` when telemetry is on.  Measured per source under
 aux weights, best of 5, on a 2-vCPU VM: ``_run`` and the vectorised
@@ -95,8 +91,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -137,12 +132,8 @@ def _run(
     ban_edges: Optional[set] = None,
     targets: Optional[bytearray] = None,
     n_targets: int = 0,
-) -> Tuple[List[float], List[int], List[int], bytearray]:
-    """The shared relaxation loop over CSR arrays.
-
-    Returns ``(dist, prev, order, settled)`` with ``order`` listing node
-    indices in first-discovery order (source first) — the same order the
-    reference oracle inserts keys into its result dicts.
+) -> Tuple[List[float], List[int]]:
+    """The shared relaxation loop over CSR arrays: ``(dist, prev)``.
 
     ``targets``/``n_targets`` allow a multi-target early exit: the loop
     stops once every flagged node is settled.  Settled entries are
@@ -154,7 +145,6 @@ def _run(
     dist = [_INF] * n
     prev = [-1] * n
     settled = bytearray(n)
-    order = [source_i]
     dist[source_i] = 0.0
     frontier: List[Tuple[float, int, int]] = [(0.0, 0, source_i)]
     tick = 1
@@ -186,8 +176,6 @@ def _run(
                     continue
                 nd = d + weights[e]
                 if nd < dist[v] - 1e-15:
-                    if prev[v] < 0:
-                        order.append(v)
                     dist[v] = nd
                     prev[v] = u
                     push(frontier, (nd, tick, v))
@@ -199,13 +187,11 @@ def _run(
                     continue
                 nd = d + weights[e]
                 if nd < dist[v] - 1e-15:
-                    if prev[v] < 0:
-                        order.append(v)
                     dist[v] = nd
                     prev[v] = u
                     push(frontier, (nd, tick, v))
                     tick += 1
-    return dist, prev, order, settled
+    return dist, prev
 
 
 def _sweep_budget(snapshot: CsrSnapshot) -> int:
@@ -251,8 +237,8 @@ def _vector_distances(
 
 def _vector_solve(
     snapshot: CsrSnapshot, weights: np.ndarray, source_i: int
-) -> Optional[Tuple[np.ndarray, np.ndarray, Callable[[], Sequence[int]]]]:
-    """``(dist, prev, order)`` bit-identical to :func:`_run`, or ``None``.
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``(dist, prev)`` bit-identical to :func:`_run`, or ``None``.
 
     Solves the distances with :func:`_vector_distances`, then rebuilds
     ``_run``'s predecessors under the tie-break contract in the module
@@ -263,11 +249,9 @@ def _vector_solve(
     rank-pass bound was hit, or a candidate fell inside the relaxation
     epsilon of a distance without being equal to it, where ``_run``'s
     answer depends on arrival order.  ``dist`` and ``prev`` are numpy
-    arrays indexed like ``_run``'s lists; ``order`` is a zero-argument
-    callable computing it (:func:`_discovery_order`), holding
-    ``weights`` and ``dist`` (never the weight list, ties or ranks).
-    Weights must lie in ``[0, +inf]``, as
-    :func:`~repro.network.csr.weights.weight_array` guarantees.
+    arrays indexed like ``_run``'s lists.  Weights must lie in
+    ``[0, +inf]``, as :func:`~repro.network.csr.weights.weight_array`
+    guarantees.
     """
     n = snapshot.n
     m1 = snapshot.m + 1
@@ -309,9 +293,7 @@ def _vector_solve(
             return None
         prev[targets] = heads[win % m1]
 
-    return dist, prev, partial(
-        _discovery_order, snapshot, weights, dist, source_i
-    )
+    return dist, prev
 
 
 def _exact_ties(
@@ -405,44 +387,6 @@ def _winning_push(
     return win
 
 
-def _discovery_order(
-    snapshot: CsrSnapshot,
-    weights: np.ndarray,
-    dist: np.ndarray,
-    source_i: int,
-) -> Sequence[int]:
-    """The reached nodes in ``_run``'s first-discovery order, source first.
-
-    Each node's key is its earliest relaxation with a finite candidate,
-    ``(rank[u], e)``; the vectorised solve defers this, with the settle
-    ranks it needs, to the first reader of a tree's mapping views, the
-    only consumers of ``order``.  When the rank fixpoint gives up, the
-    order is ``_run``'s own.
-    """
-    tie_edges = _exact_ties(snapshot, weights, dist, source_i)
-    rank = _settle_rank(snapshot, dist, source_i, tie_edges)
-    if rank is None:
-        _dist, _prev, order, _settled = _run(
-            snapshot.indptr, snapshot.indices, weights.tolist(), source_i
-        )
-        return order
-    heads, tails = snapshot.edge_arrays()
-    m1 = snapshot.m + 1
-    invalid = snapshot.n * m1
-    finite_edges = np.flatnonzero(
-        (dist[heads] + weights < _INF) & (tails != source_i)
-    )
-    first = np.full(snapshot.n, invalid, dtype=np.int64)
-    np.minimum.at(
-        first,
-        tails[finite_edges],
-        rank[heads[finite_edges]] * m1 + finite_edges,
-    )
-    first[source_i] = -1
-    found = np.flatnonzero(first < invalid)
-    return found[np.argsort(first[found])]
-
-
 def _solve(
     snapshot: CsrSnapshot,
     source_i: int,
@@ -450,8 +394,8 @@ def _solve(
     array: Optional[np.ndarray] = None,
     targets: Optional[bytearray] = None,
     n_targets: int = 0,
-) -> Tuple[Sequence[float], Sequence[int], Any]:
-    """``(dist, prev, order)`` from the solver the snapshot's size picks.
+) -> Tuple[Sequence[float], Sequence[int]]:
+    """``(dist, prev)`` from the solver the snapshot's size picks.
 
     The one dispatch point: snapshots with at least
     :data:`VECTOR_MIN_EDGES` directed edges try :func:`_vector_solve`
@@ -459,9 +403,7 @@ def _solve(
     the caller holds none); everything else, and every vectorised
     give-up, runs :func:`_run`.  ``targets`` only shortens the
     ``_run`` path (see there); the vectorised solve always settles the
-    whole tree, whose entries agree with an early exit's.  ``order`` is
-    a sequence or, from the vectorised solve, a callable computing one
-    (:class:`~repro.network.paths.ShortestPathTree` accepts either).
+    whole tree, whose entries agree with an early exit's.
     """
     if snapshot.m >= VECTOR_MIN_EDGES:
         if array is None:
@@ -470,7 +412,7 @@ def _solve(
         if solved is not None:
             return solved
         obs.inc("csr.vector_fallback")
-    dist, prev, order, _settled = _run(
+    return _run(
         snapshot.indptr,
         snapshot.indices,
         weights,
@@ -478,7 +420,6 @@ def _solve(
         targets=targets,
         n_targets=n_targets,
     )
-    return dist, prev, order
 
 
 def _source_index(snapshot: CsrSnapshot, source: str) -> int:
@@ -503,15 +444,13 @@ def sssp_tree(
     caller already holds one (the path cache does); see :func:`_solve`.
     """
     source_i = _source_index(snapshot, source)
-    dist, prev, order = _solve(snapshot, source_i, weights, array)
+    dist, prev = _solve(snapshot, source_i, weights, array)
     if isinstance(dist, list):
         # The heap loop's lists, as tuples: a tuple of numbers drops out
         # of the cyclic GC once a collection has seen it, where cached
         # lists would be traversed again by every full collection.
-        dist, prev, order = tuple(dist), tuple(prev), tuple(order)
-    return ShortestPathTree(
-        source, snapshot.names, snapshot.index, dist, prev, order
-    )
+        dist, prev = tuple(dist), tuple(prev)
+    return ShortestPathTree(source, snapshot.names, snapshot.index, dist, prev)
 
 
 def _extract_path(
@@ -642,7 +581,7 @@ def shortest_paths_csr(
         targets = bytearray(snapshot.n)
         for slot in slots:
             targets[ends[slot][1]] = 1
-        dist, prev, _order = _solve(
+        dist, prev = _solve(
             snapshot,
             source_i,
             weights,
@@ -685,7 +624,7 @@ def terminal_tree_csr(
         targets = bytearray(snapshot.n)
         for b in remaining:
             targets[_source_index(snapshot, b)] = 1
-        dist, prev, _order = _solve(
+        dist, prev = _solve(
             snapshot,
             _source_index(snapshot, a),
             weights,
@@ -732,7 +671,7 @@ def array_search(snapshot: CsrSnapshot, weights: List[float]):
                 position = edge_pos.get((u, v))
                 if position is not None:
                     ban_edges.add(position)
-        dist, prev, _order, _settled = _run(
+        dist, prev = _run(
             snapshot.indptr,
             snapshot.indices,
             weights,

@@ -147,22 +147,20 @@ class ShortestPathTree:
 
     The tree is array-backed: ``dist[i]`` and ``prev[i]`` describe the
     node ``names[i]`` (``prev`` holds a node index, ``-1`` for the
-    source and for unreached nodes, whose ``dist`` is ``inf``), and
-    ``order`` lists the reached node indices in first-discovery order,
-    source first.  Trees the CSR kernel builds share the snapshot's
-    ``names``/``index`` interning, so the change-cut
+    source and for unreached nodes, whose ``dist`` is ``inf``).  Trees
+    the CSR kernel builds share the snapshot's ``names``/``index``
+    interning, so the change-cut
     (:func:`~repro.network.csr.tree_unaffected`) reads them by edge
-    endpoint index; the sequences are Python lists or 1-D numpy arrays,
-    whichever the solver produced, and ``order`` may be handed over as
-    a zero-argument callable, run on first read.  :meth:`path_to`,
+    endpoint index; the sequences are Python tuples or 1-D numpy
+    arrays, whichever the solver produced.  :meth:`path_to`,
     :meth:`reaches` and :meth:`distance_to` read the arrays directly;
     the :attr:`distance`/:attr:`previous` mappings are built only on
-    request, in first-discovery insertion order.
+    request, over the reached nodes in index order.
 
     Two trees are equal when their sources and mappings are equal.
     """
 
-    __slots__ = ("source", "names", "index", "dist", "prev", "_order", "_source_i")
+    __slots__ = ("source", "names", "index", "dist", "prev", "_source_i")
 
     def __init__(
         self,
@@ -171,38 +169,31 @@ class ShortestPathTree:
         index: Dict[str, int],
         dist: Sequence[float],
         prev: Sequence[int],
-        order: "Sequence[int] | Callable[[], Sequence[int]]",
     ) -> None:
         self.source = source
         self.names = names
         self.index = index
         self.dist = dist
         self.prev = prev
-        self._order = order
         self._source_i = index[source]
-
-    @property
-    def order(self) -> Sequence[int]:
-        """Reached node indices in first-discovery order, source first."""
-        order = self._order
-        if callable(order):
-            order = self._order = order()
-        return order
 
     @property
     def distance(self) -> Dict[str, float]:
         """Reached node -> least weight from the source (built on request)."""
         names = self.names
         dist = self.dist
-        return {names[i]: float(dist[i]) for i in self.order}
+        source_i = self._source_i
+        return {
+            names[i]: float(dist[i])
+            for i, p in enumerate(self.prev)
+            if p >= 0 or i == source_i
+        }
 
     @property
     def previous(self) -> Dict[str, str]:
         """Reached non-source node -> its predecessor (built on request)."""
         names = self.names
-        prev = self.prev
-        source_i = self._source_i
-        return {names[i]: names[prev[i]] for i in self.order if i != source_i}
+        return {names[i]: names[p] for i, p in enumerate(self.prev) if p >= 0}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ShortestPathTree):

@@ -55,8 +55,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..errors import NoPathError
 from .. import obs
@@ -141,27 +140,6 @@ class CacheStats:
             "invalidations": self.invalidations,
             "evictions": self.evictions,
             "repairs": self.repairs,
-        }
-
-    def snapshot(self) -> Mapping[str, int]:
-        """An immutable point-in-time copy of every counter.
-
-        The returned mapping is read-only, so a caller holding a
-        snapshot across a scheduling phase cannot accidentally mutate
-        (or be affected by) the live counters; pair it with
-        :meth:`delta` to measure one phase's cache traffic.
-        """
-        return MappingProxyType(self.as_dict())
-
-    def delta(self, since: Mapping[str, int]) -> Dict[str, int]:
-        """Counter movement since an earlier :meth:`snapshot`.
-
-        Missing keys in ``since`` count as zero, so an empty mapping
-        yields the absolute counters.
-        """
-        return {
-            name: value - since.get(name, 0)
-            for name, value in self.as_dict().items()
         }
 
 

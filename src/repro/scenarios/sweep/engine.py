@@ -303,11 +303,13 @@ def execute_run(key: RunKey) -> List[Row]:
         if obs.active() is not None:
             cache = peek_cache(instance.network)
             if cache is not None:
-                for stat, moved in cache.stats.delta({}).items():
-                    if moved:
+                # The instance's cache is the run's own: its counters
+                # are this run's traffic.
+                for stat, count in cache.stats.as_dict().items():
+                    if count:
                         obs.inc(
                             f"pathcache.{stat}",
-                            moved,
+                            count,
                             scheduler=scheduler.name,
                         )
     return rows

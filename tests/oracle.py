@@ -54,8 +54,7 @@ def sssp(network, source, weight, destination=None):
     incumbent by more than ``1e-15`` — the contract the CSR kernel's
     ``_run`` transliterates.  Without a destination the tree is complete;
     with one, ``path_to(destination)`` is the point-to-point answer
-    (its predecessor chain is settled).  Discovery order is the order
-    nodes first received a label, source first.
+    (its predecessor chain is settled).
     """
     network.node(source)
     if destination is not None:
@@ -92,9 +91,7 @@ def sssp(network, source, weight, destination=None):
     prev = [-1] * len(names)
     for name, parent in previous.items():
         prev[index[name]] = index[parent]
-    return ShortestPathTree(
-        source, names, index, list(distance.values()), prev, range(len(names))
-    )
+    return ShortestPathTree(source, names, index, list(distance.values()), prev)
 
 
 def dijkstra(network, source, destination, weight=None):

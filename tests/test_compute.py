@@ -1,10 +1,10 @@
-"""Tests for servers, containers, placement policies, and the manager."""
+"""Tests for servers, containers, first-fit placement, and the manager."""
 
 import pytest
 
 from repro.compute.container import Container, ResourceDemand
 from repro.compute.manager import ComputingManager
-from repro.compute.placement import best_fit, first_fit, least_loaded, worst_fit
+from repro.compute.placement import first_fit
 from repro.compute.server import Server
 from repro.errors import ConfigurationError, PlacementError
 
@@ -102,19 +102,6 @@ class TestPlacementPolicies:
         chosen = first_fit(self.servers, ResourceDemand(gpu_gflops=20_000.0))
         assert chosen is self.large
 
-    def test_best_fit_minimises_slack(self):
-        chosen = best_fit(self.servers, ResourceDemand(gpu_gflops=1_000.0))
-        assert chosen is self.small
-
-    def test_worst_fit_maximises_slack(self):
-        chosen = worst_fit(self.servers, ResourceDemand(gpu_gflops=1_000.0))
-        assert chosen is self.large
-
-    def test_least_loaded_prefers_idle(self):
-        self.small.place(make_container(gpu=4_000.0))
-        chosen = least_loaded(self.servers, ResourceDemand(gpu_gflops=500.0))
-        assert chosen is self.large
-
     def test_no_fit_raises(self):
         with pytest.raises(PlacementError):
             first_fit(self.servers, ResourceDemand(gpu_gflops=1e9))
@@ -133,12 +120,12 @@ class TestComputingManager:
         with pytest.raises(ConfigurationError):
             manager.register(make_server())
 
-    def test_deploy_uses_policy(self):
+    def test_deploy_uses_first_fit(self):
         manager = ComputingManager()
         manager.register(make_server("a", "n1"))
         manager.register(make_server("b", "n2"))
         chosen = manager.deploy(make_container())
-        assert chosen.name == "a"  # first fit
+        assert chosen.name == "a"
 
     def test_deploy_restricted_to_node(self):
         manager = ComputingManager()

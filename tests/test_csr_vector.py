@@ -1,8 +1,8 @@
 """The vectorised SSSP solve against the heap kernel it must reproduce.
 
-``kernel._vector_solve`` rebuilds ``kernel._run``'s distances,
-predecessors and first-discovery order under the tie-break contract in
-the kernel docstring, or returns ``None`` to hand the source back.
+``kernel._vector_solve`` rebuilds ``kernel._run``'s distances and
+predecessors under the tie-break contract in the kernel docstring, or
+returns ``None`` to hand the source back.
 Every test here calls it directly, whatever the size dispatch in
 ``kernel._solve`` would pick, and compares it with ``_run`` element by
 element; the give-up paths are checked to still match through
@@ -43,17 +43,11 @@ INF = math.inf
 
 
 def _reference(snapshot, weights, source_i):
-    dist, prev, order, _settled = kernel._run(
-        snapshot.indptr, snapshot.indices, list(weights), source_i
-    )
-    return dist, prev, order
+    return kernel._run(snapshot.indptr, snapshot.indices, list(weights), source_i)
 
 
 def _as_lists(solved):
-    dist, prev, order = solved
-    if callable(order):
-        order = order()
-    return tuple(np.asarray(part).tolist() for part in (dist, prev, order))
+    return tuple(np.asarray(part).tolist() for part in solved)
 
 
 def _assert_vector_matches(snapshot, weights, source_i):
@@ -61,11 +55,10 @@ def _assert_vector_matches(snapshot, weights, source_i):
     weights = np.asarray(weights, dtype=np.float64)
     solved = kernel._vector_solve(snapshot, weights, source_i)
     assert solved is not None
-    dist, prev, order = _as_lists(solved)
-    ref_dist, ref_prev, ref_order = _reference(snapshot, weights, source_i)
+    dist, prev = _as_lists(solved)
+    ref_dist, ref_prev = _reference(snapshot, weights, source_i)
     assert [d.hex() for d in dist] == [d.hex() for d in ref_dist]
     assert prev == ref_prev
-    assert order == ref_order
 
 
 def _assert_dispatch_matches(snapshot, weights, source_i):
@@ -85,7 +78,7 @@ def _ring(n, distance_km=1.0):
 
 
 def _tree_key(tree):
-    return (tree.source, list(tree.distance.items()), list(tree.previous.items()))
+    return (tree.source, tree.distance, tree.previous)
 
 
 @pytest.fixture(scope="module")
@@ -144,11 +137,11 @@ class TestHandBuilt:
         weights[snapshot.edge_pos[("b", "c")]] = INF
         for source_i in range(snapshot.n):
             _assert_vector_matches(snapshot, weights, source_i)
-        dist, _prev, order = _as_lists(
+        dist, prev = _as_lists(
             kernel._vector_solve(snapshot, weights, snapshot.index["a"])
         )
         assert dist[snapshot.index["x"]] == INF
-        assert snapshot.index["x"] not in order
+        assert prev[snapshot.index["x"]] == -1
 
     def test_isolated_source(self):
         net = _ring(5)
@@ -157,10 +150,9 @@ class TestHandBuilt:
         weights = csr.weight_array(snapshot, ("latency",))
         source_i = snapshot.index["lonely"]
         _assert_vector_matches(snapshot, weights, source_i)
-        _dist, prev, order = _as_lists(
+        _dist, prev = _as_lists(
             kernel._vector_solve(snapshot, weights, source_i)
         )
-        assert order == [source_i]
         assert prev == [-1] * snapshot.n
 
     def test_edgeless_graph(self):
@@ -229,21 +221,13 @@ class TestHandBuilt:
             if isinstance(obj, np.ndarray):
                 arrays.add(id(obj))
             stack.extend(gc.get_referents(obj))
-        assert id(wlist) not in seen
-        assert id(array) in seen  # the deferred order reads the array
-        # ... and dist, but holds no tie or rank index array of its own.
-        assert arrays == {id(tree.dist), id(tree.prev), id(array)}
-        assert tree.order[0] == tree.index["SRV-3-0"]
-
-
-def _has_equal_distances(dist):
-    reached = dist[dist < INF]
-    return np.unique(reached).size < reached.size
+        assert id(wlist) not in seen and id(array) not in seen
+        assert arrays == {id(tree.dist), id(tree.prev)}
 
 
 class TestSettleRanks:
-    """Settle ranks are built for ambiguous ties, and otherwise only for
-    ``order``: a lone exact tie from a strictly closer head is ``prev``."""
+    """Settle ranks are built only for ambiguous ties: a lone exact tie
+    from a strictly closer head is ``prev``."""
 
     @pytest.fixture()
     def ranks(self, monkeypatch):
@@ -259,31 +243,16 @@ class TestSettleRanks:
         monkeypatch.setattr(kernel, "_settle_rank", recording)
         return results
 
-    @pytest.mark.parametrize("kind", ["latency", "aux"])
-    def test_unique_ties_rank_only_for_order(self, ranks, hub_net, kind):
-        snapshot = csr.get_snapshot(hub_net)
-        if kind == "aux":
-            token = AuxiliaryGraphBuilder(hub_net, demand_gbps=4.0).cache_token()
-        else:
-            token = (kind,)
-        weights = csr.weight_array(snapshot, token)
-        for source_i in range(0, snapshot.n, 7):
-            solved = kernel._vector_solve(snapshot, weights, source_i)
-            assert ranks == []
-            got = _as_lists(solved)
-            assert len(ranks) == 1 and ranks[0] is not None
-            assert got == tuple(_reference(snapshot, weights, source_i))
-            ranks.clear()
-
     def test_tree_paths_need_no_ranks(self, ranks):
         net = scale_free(n_routers=250, m_links=2, seed=2, servers_per_site=1)
-        spec = LatencyWeightSpec(net)
-        tree = PathCache(net).sssp("SRV-3-0", spec)
-        assert isinstance(tree.dist, np.ndarray)  # the vectorised solve ran
-        tree.path_to("SRV-200-0")
+        cache = PathCache(net)
+        builder = AuxiliaryGraphBuilder(net, demand_gbps=4.0)
+        for spec in (LatencyWeightSpec(net), builder):
+            tree = cache.sssp("SRV-3-0", spec)
+            assert isinstance(tree.dist, np.ndarray)  # the vectorised solve ran
+            tree.path_to("SRV-200-0")
+            assert tree == sssp(net, "SRV-3-0", spec.weight_fn())
         assert ranks == []
-        assert tree == sssp(net, "SRV-3-0", spec.weight_fn())
-        assert len(ranks) == 1
 
     @staticmethod
     def _snapshot(name, links):
@@ -313,29 +282,6 @@ class TestSettleRanks:
             assert kernel._vector_solve(case_snapshot, weights, source_i)
             assert len(ranks) == 1 and ranks[0] is not None
             _assert_vector_matches(case_snapshot, weights, source_i)
-
-    def test_order_is_runs_own_when_ranks_give_up(
-        self, ranks, monkeypatch, hub_net
-    ):
-        snapshot = csr.get_snapshot(hub_net)
-        weights = csr.weight_array(snapshot, ("latency",))
-        sources = [
-            source_i
-            for source_i in range(0, snapshot.n, 5)
-            if _has_equal_distances(
-                kernel._vector_distances(snapshot, weights, source_i)
-            )
-        ]
-        assert sources
-        solved = [kernel._vector_solve(snapshot, weights, s) for s in sources]
-        assert ranks == []
-        # No fixpoint pass left: every equal-distance class gives up.
-        monkeypatch.setattr(kernel, "_sweep_budget", lambda snapshot: 0)
-        for source_i, (dist, prev, order) in zip(sources, solved):
-            got = _as_lists((dist, prev, order))
-            assert ranks == [None]
-            assert got == tuple(_reference(snapshot, weights, source_i))
-            ranks.clear()
 
 
 class TestDispatch:

@@ -21,12 +21,8 @@ from tests.oracle import dijkstra, k_shortest_paths, sssp, terminal_tree
 
 
 def _tree_key(tree):
-    """Full content of a ShortestPathTree, insertion order included."""
-    return (
-        tree.source,
-        list(tree.distance.items()),
-        list(tree.previous.items()),
-    )
+    """Full content of a ShortestPathTree: source, distances, predecessors."""
+    return (tree.source, tree.distance, tree.previous)
 
 
 class TestSnapshot:
@@ -337,9 +333,7 @@ class TestCacheCsrIntegration:
         assert cached.previous["D"] == "C"  # A-D unused by the tree
         square_net.fail_link("A", "D")
         # The lookup revalidates and repairs the entry in place; it
-        # serves the post-failure truth (as mappings: a repaired tree
-        # keeps its original discovery order, which is not observable
-        # through path_to/distance lookups).
+        # serves the post-failure truth.
         repaired = cache.sssp("A", spec)
         assert repaired is cached
         fresh = sssp(square_net, "A", spec.weight_fn())

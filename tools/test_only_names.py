@@ -71,9 +71,7 @@ KEEP: Dict[str, str] = {
     "forget": "open: should campaigns drop a completed task's estimate",
     # Only tests call these; candidates for the next deletion pass.
     "scaled": "next-pass candidate: only tests scale a ResourceDemand",
-    "best_fit": "next-pass candidate: no scenario selects this placement policy",
-    "worst_fit": "next-pass candidate: no scenario selects this placement policy",
-    "least_loaded": "next-pass candidate: no scenario selects this placement policy",
+    "load_fraction": "next-pass candidate: only tests read a server's binding load",
     "as_row": "next-pass candidate: only tests flatten a TaskReport",
     "peek_snapshot": "next-pass candidate: only tests peek at the CSR snapshot",
     "holds": "next-pass candidate: only tests ask a link about one owner",
