@@ -22,12 +22,17 @@ bench-verify:
 # The CSR routing-kernel suite alone (smoke workloads): N=200
 # byte-identity against the object-kernel reference, throughput/hub-
 # congestion probes, the vectorised-SSSP identity against the heap
-# kernel (N=1000 scale-free and the 1,000-node ring), batched
-# background-flow injection against per-flow object Dijkstra, and the
-# N=5000 scale-free build-and-schedule smoke, then the floor gate.
+# kernel (N=1000 scale-free and the 1,000-node ring), batched solves
+# against per-source ones, batched background-flow injection against
+# per-flow object Dijkstra, and the N=5000 scale-free build-and-schedule
+# smoke, then the floor gate.  The record goes to a temporary history
+# file, never to the tracked BENCH_HISTORY.jsonl.
 bench-csr:
-	PYTHONPATH=src python -m repro.cli bench run --smoke --suite csr
-	PYTHONPATH=src python -m repro.cli bench verify
+	history=$$(mktemp); \
+	PYTHONPATH=src python -m repro.cli bench run --smoke --suite csr \
+		--history $$history \
+	&& PYTHONPATH=src python -m repro.cli bench verify --history $$history; \
+	status=$$?; rm -f $$history; exit $$status
 
 # A two-second traced pass of every end-to-end benchmark workload.  The
 # traced run wraps named attributes of the package layer by layer, so a

@@ -14,7 +14,10 @@ unified ``repro bench`` harness:
 * ``scale_free_1k`` — N=1000 schedule throughput (tasks/s) plus the
   hub-congestion probe: schedules held un-released so utilisation
   accumulates, then the busiest edge around the top-degree router read
-  via :func:`repro.network.state.node_utilisations`.
+  via :func:`repro.network.state.node_utilisations`.  Telemetry counts
+  the vectorised passes (``csr.vector_batches``) behind the campaign's
+  terminal trees: each tree's sources are one batch, so
+  ``vector_passes_per_tree`` must stay at most 1 (shape).
 * ``scale_free_5k`` — the scale smoke (runs even in smoke mode — it is
   the CI acceptance for the N=5000 regime): build the ``scale-free-5k``
   family instance, take the CSR snapshot, and push a few schedules
@@ -30,6 +33,10 @@ unified ``repro bench`` harness:
   ``vector_ranked`` counts the sources whose dispatched solve needed
   settle ranks (``csr.vector_ranked``): on the scale-free aux weights
   every predecessor is a lone exact tie, so it must read 0 (shape).
+  ``batch_identical`` solves the same sources as one batch
+  (``kernel._solve`` over all of them, ``kernel.VECTOR_BATCH`` per
+  vectorised pass), which must equal the heap kernel's trees (shape);
+  ``vector_batch_ms`` is its best-of-k time per source.
 * ``scale_free_1k.inject_*`` — static background-flow injection on the
   N=1000 hub fabric: :meth:`TrafficGenerator.inject_static` (one
   batched CSR routing pass, snapshot build included) against a
@@ -183,19 +190,31 @@ def _speedup_campaign(smoke: bool):
     }
 
 
+class TreeCountingScheduler(FlexibleScheduler):
+    """The production scheduler, counting the terminal trees it builds."""
+
+    trees = 0
+
+    def _build_tree(self, task, network):
+        self.trees += 1
+        return super()._build_tree(task, network)
+
+
 def _hub_campaign(smoke: bool):
     """N=1000 CSR throughput and hub congestion under held schedules."""
     n, n_tasks, n_locals = (1000, 3, 6) if smoke else (1000, 20, 12)
     network = scale_free(
         n_routers=n, m_links=2, seed=1, servers_per_site=1
     )
-    scheduler = FlexibleScheduler()
+    scheduler = TreeCountingScheduler()
     tasks = _workload(network, n_tasks, n_locals, demand=1.0)
     schedules = []
     start = time.perf_counter()
-    for task in tasks:
-        schedules.append(scheduler.schedule(task, network))
+    with obs.enabled() as registry:
+        for task in tasks:
+            schedules.append(scheduler.schedule(task, network))
     elapsed = time.perf_counter() - start
+    passes = registry.summary()["counters"].get("csr.vector_batches", 0)
     hub = max(network.node_names(), key=lambda name: len(network.neighbors(name)))
     utilisations = node_utilisations(network, hub)
     hub_utilisation = max(utilisations.values(), default=0.0)
@@ -211,6 +230,9 @@ def _hub_campaign(smoke: bool):
         "hub_degree": len(network.neighbors(hub)),
         "hub_utilisation": round(hub_utilisation, 6),
         "cache_stats": stats,
+        "terminal_trees": scheduler.trees,
+        "vector_passes": passes,
+        "vector_passes_per_tree": round(passes / scheduler.trees, 4),
     }
 
 
@@ -288,7 +310,10 @@ def _vector_campaign(network, smoke: bool):
         return kernel._run(snapshot.indptr, snapshot.indices, weights, source)
 
     def dispatched(source):
-        return kernel._solve(snapshot, source, weights, array)
+        return next(kernel._solve(snapshot, [source], weights, array))
+
+    def batched(_source):
+        return list(kernel._solve(snapshot, sources, weights, array))
 
     def as_lists(solved):
         return [np.asarray(part).tolist() for part in solved]
@@ -296,20 +321,24 @@ def _vector_campaign(network, smoke: bool):
     identical = True
     gave_up = 0
     ranked = 0
+    expected = []
     for source in sources:
-        expected = as_lists(heap(source))
-        vector = kernel._vector_solve(snapshot, array, source)
+        expected.append(as_lists(heap(source)))
+        vector = kernel._vector_solve(snapshot, array, [source])[0]
         if vector is None:
             gave_up += 1
         else:
-            identical &= as_lists(vector) == expected
+            identical &= as_lists(vector) == expected[-1]
         with obs.enabled() as registry:
             solved = dispatched(source)
         counters = registry.summary()["counters"]
         ranked += bool(counters.get("csr.vector_ranked"))
-        identical &= as_lists(solved) == expected
+        identical &= as_lists(solved) == expected[-1]
     assert identical, "the dispatched solve diverged from the heap kernel"
+    batch_identical = [as_lists(solved) for solved in batched(None)] == expected
+    assert batch_identical, "the batched solve diverged from the heap kernel"
     heap_s, solve_s = _best_totals_s((heap, dispatched), sources, repeats)
+    (batch_s,) = _best_totals_s((batched,), [None], repeats)
     speedup = heap_s / solve_s if solve_s > 0 else float("inf")
     return {
         "vector_edges": snapshot.m,
@@ -318,8 +347,10 @@ def _vector_campaign(network, smoke: bool):
         "vector_ranked": ranked,
         "vector_heap_ms": round(heap_s / len(sources) * 1e3, 4),
         "vector_solve_ms": round(solve_s / len(sources) * 1e3, 4),
+        "vector_batch_ms": round(batch_s / len(sources) * 1e3, 4),
         "vector_speedup": round(speedup, 2),
         "vector_identical": identical,
+        "batch_identical": batch_identical,
     }
 
 

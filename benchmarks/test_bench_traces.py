@@ -6,6 +6,11 @@ are byte-identical, the forecast/SRLG metrics actually fire, and the
 inter-DC deadline columns land on the rows that carry deadline tasks —
 and only on those.
 
+``replay_runs_per_s`` is the best of :data:`TIMED_SWEEPS` timed serial
+sweeps of the replay (the first is the identity reference the others
+and the pool sweep must match): one sweep of four runs lasts a few
+tenths of a second, too short for a single timing to judge the code.
+
 Smoke mode shrinks the trace to 8 epochs and one seed.
 """
 
@@ -30,6 +35,9 @@ SMOKE_REPLAY = SweepConfig(
     seeds=(0,),
 )
 
+#: Serial sweeps timed per record; the replay rate is the best of them.
+TIMED_SWEEPS = 3
+
 DEADLINES = SweepConfig(
     scenarios=("interdc-deadlines",),
     grid={"n_tasks": [8]},
@@ -42,9 +50,15 @@ def suite(smoke: bool = False) -> dict:
     """Trace + SRLG replay: backend identity, fault shape, deadlines."""
     config = SMOKE_REPLAY if smoke else REPLAY
     runs = len(config.seeds) * len(config.grid["trace_epochs"])
-    start = time.perf_counter()
-    serial = run_sweep(config, workers=1)
-    elapsed = time.perf_counter() - start
+    serial = None
+    elapsed = float("inf")
+    for _ in range(TIMED_SWEEPS):
+        start = time.perf_counter()
+        sweep = run_sweep(config, workers=1)
+        elapsed = min(elapsed, time.perf_counter() - start)
+        if serial is None:
+            serial = sweep
+        assert sweep.to_json() == serial.to_json()
     pool = run_sweep(config, workers=2)
     identical = serial.to_json() == pool.to_json()
     assert identical, "trace replay diverged between serial and pool"

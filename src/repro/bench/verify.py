@@ -186,6 +186,14 @@ FLOORS: List[Floor] = [
         doc="N=1000 aux solves read prev off lone ties, no settle ranks",
     ),
     Floor(
+        "csr", "scale_free_1k.batch_identical", 1,
+        doc="batched vectorised SSSP bit-identical to the heap kernel per source",
+    ),
+    Floor(
+        "csr", "scale_free_1k.vector_passes_per_tree", 1, op="<=",
+        doc="each terminal tree's sources solved in at most one vectorised pass",
+    ),
+    Floor(
         "csr", "scale_free_1k.inject_identical", 1,
         doc="batched background flows identical to per-flow object Dijkstra",
     ),

@@ -85,7 +85,8 @@ class ComputingManager:
         else:
             pool = self.servers
         chosen = first_fit(pool, container.demand)
-        chosen.place(container)
+        # first_fit has just tested the demand against this state.
+        chosen.host(container)
         self._containers[container.container_id] = chosen
         return chosen
 

@@ -103,14 +103,25 @@ class Server:
         Raises:
             PlacementError: if a dimension would overflow or the id exists.
         """
-        if container.container_id in self._containers:
-            raise PlacementError(
-                f"container {container.container_id!r} already on {self.name!r}"
-            )
         if not self.fits(container.demand):
             raise PlacementError(
                 f"container {container.container_id!r} does not fit on "
                 f"{self.name!r} (free: {self.free})"
+            )
+        self.host(container)
+
+    def host(self, container: Container) -> None:
+        """Host a container whose demand is known to fit.
+
+        :meth:`place` without its capacity test, for a caller that has
+        just run :meth:`fits` on this state (first-fit placement).
+
+        Raises:
+            PlacementError: if the id exists.
+        """
+        if container.container_id in self._containers:
+            raise PlacementError(
+                f"container {container.container_id!r} already on {self.name!r}"
             )
         container.server = self.name
         self._containers[container.container_id] = container

@@ -155,16 +155,20 @@ class FixedScheduler(Scheduler):
     def schedule(self, task: AITask, network: Network) -> TaskSchedule:
         cache = routing.get_cache(network)
         spec = routing.LatencyWeightSpec(network)
-        broadcast_paths: Dict[str, Route] = {}
-        upload_paths: Dict[str, Route] = {}
+        root = task.global_node
         try:
-            for local in task.local_nodes:
-                broadcast_paths[local] = cache.shortest_path(
-                    task.global_node, local, spec
-                ).nodes
-                upload_paths[local] = cache.shortest_path(
-                    local, task.global_node, spec
-                ).nodes
+            # The global node's tree first: a local it cannot reach
+            # blocks the task before any local's tree is solved.
+            broadcast = cache.sssp(root, spec)
+            broadcast_paths: Dict[str, Route] = {
+                local: broadcast.path_to(local).nodes
+                for local in task.local_nodes
+            }
+            uploads = cache.batched_sssp(task.local_nodes, spec)
+            upload_paths: Dict[str, Route] = {
+                local: uploads[local].path_to(root).nodes
+                for local in task.local_nodes
+            }
         except NoPathError as exc:
             raise SchedulingError(
                 f"task {task.task_id!r}: {exc}"

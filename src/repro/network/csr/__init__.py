@@ -58,10 +58,12 @@ from .weights import weight_array
 from .kernel import (
     array_edge_weight,
     array_search,
+    batch_size,
     k_shortest_paths_csr,
     shortest_paths_csr,
     sssp_csr,
     sssp_tree,
+    sssp_trees,
     terminal_tree_csr,
     tree_unaffected,
 )
@@ -70,12 +72,14 @@ __all__ = [
     "CsrSnapshot",
     "array_edge_weight",
     "array_search",
+    "batch_size",
     "get_snapshot",
     "k_shortest_paths_csr",
     "peek_snapshot",
     "shortest_paths_csr",
     "sssp_csr",
     "sssp_tree",
+    "sssp_trees",
     "terminal_tree_csr",
     "tree_unaffected",
     "weight_array",

@@ -40,25 +40,34 @@ IEEE float64):
 
 Dispatch
 --------
-:func:`_solve` picks the solver from observable input only.  Snapshots
-with fewer than :data:`VECTOR_MIN_EDGES` directed edges run ``_run``.
-Larger ones try :func:`_vector_solve`: label-correcting numpy sweeps
-for ``D``, then the contract above rebuilt in vectorised form.  When
-every reached node has one exact tie from a strictly closer head,
-``prev`` is read off those edges and no settle rank is built.  Only
-ambiguous ties (several exact ties into a node, or a tie at equal
-distance: zero-weight edges, hop weights) build the ranks, by a
-fixpoint over the equal-distance classes only.  The solve hands the
-source to ``_run`` on a near-tie, or when its sweeps or rank passes
-exceed one per :data:`VECTOR_EDGES_PER_SWEEP` edges.  Sweeps grow with
+:func:`_solve` takes a batch of sources and picks the solver from
+observable input only (:func:`batch_size`).  Snapshots with fewer than
+:data:`VECTOR_MIN_EDGES` directed edges run ``_run``, one source at a
+time as the caller reads the results, so a caller that stops at its
+first unreachable pair solves no tree beyond it.  Larger ones try
+:func:`_vector_solve` on up to :data:`VECTOR_BATCH` sources per pass.
+A pass stacks the snapshot's ``heads``/``tails`` once per source (row
+``r``'s node indices offset by ``r * n``) and runs the label-correcting
+numpy sweeps for ``D``, the exact-tie test and the contract above in
+vectorised form over all the rows at once; a single source is the
+batch of one.  When every reached node of a row has one exact tie from
+a strictly closer head, its ``prev`` is read off those edges and no
+settle rank is built.  Only ambiguous ties (several exact ties into a
+node, or a tie at equal distance: zero-weight edges, hop weights)
+build the ranks, per row on that row's distances, by a fixpoint over
+the equal-distance classes only.  A row hands its source to ``_run`` on
+a near-tie, or when the sweeps or its rank passes exceed one per
+:data:`VECTOR_EDGES_PER_SWEEP` edges.  No edge joins two rows, so a
+give-up leaves the other rows as they would be alone.  Sweeps grow with
 hop depth while ``_run`` grows with edge count, so the budget caps what
-a give-up wastes at about half a ``_run``.  Give-ups are counted as
-``csr.vector_fallback`` and solves that needed ranks as
-``csr.vector_ranked`` when telemetry is on.  Measured per source under
-aux weights, best of 5, on a 2-vCPU VM: ``_run`` and the vectorised
-solve called directly (ms), the sweeps that solve needs, and what the
-dispatch delivers against ``_run`` (BASELINES.md has the full table;
-of these rows only fat-tree needs ranks in the solve):
+a give-up wastes at about half a ``_run``.  Passes are counted as
+``csr.vector_batches``, give-ups as ``csr.vector_fallback`` and rows
+that needed ranks as ``csr.vector_ranked`` when telemetry is on.
+Measured per source under aux weights, best of 5, on a 2-vCPU VM:
+``_run`` and the vectorised solve of one source called directly (ms),
+the sweeps that solve needs, and what the dispatch delivers against
+``_run`` (BASELINES.md has the full table; of these rows only fat-tree
+needs ranks in the solve):
 
 =========================  =====  =====  ========  ======  ==========
 family                         m   _run  vector    sweeps  dispatched
@@ -73,6 +82,19 @@ scale-free N=5000          29994  30.32  2.317         15  13.24x
 metro-mesh 200 sites        1300  0.859  gives up      55  0.71x
 ring N=1000                 2000  1.101  gives up     501  0.68x
 =========================  =====  =====  ========  ======  ==========
+
+Batched, on the hub fabric (N=1000, m=5994, aux weights): ms per source
+for passes of ``k`` sources, best of 5 over the same 48 sources, against
+``_run`` at 1.95 ms per source in the same run.  A pass sweeps until its
+deepest row settles and scans every row's block each sweep, so the
+saving is the per-pass overhead and flattens out by ``k`` = 4; the cap
+of 16 keeps a terminal tree of up to 17 terminals in one pass.
+
+=====  =====  =====  =====  =====
+k=1    k=2    k=4    k=8    k=16
+=====  =====  =====  =====  =====
+0.297  0.255  0.229  0.281  0.332
+=====  =====  =====  =====  =====
 
 The incremental-repair primitive is :func:`tree_unaffected`: a
 change-cut classification over the edges whose weight moved between two
@@ -91,7 +113,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -109,6 +132,10 @@ from .snapshot import CsrSnapshot, get_snapshot
 from .weights import weight_array
 
 _INF = math.inf
+#: A vectorised tree's predecessor array: node indices, -1 for none.
+#: Half the width of int64, and a cached tree holds one entry per node;
+#: no network that fits in memory has node indices near its range.
+_PREV_DTYPE = np.int32
 _INT64_LIMIT = 2**63
 
 #: Snapshots with at least this many directed edges try the vectorised
@@ -120,6 +147,10 @@ VECTOR_MIN_EDGES = 1024
 #: settle-rank fixpoint pass) per this many directed edges before it
 #: hands the source to :func:`_run`; see the module docstring.
 VECTOR_EDGES_PER_SWEEP = 64
+
+#: Sources one vectorised pass solves together; longer batches are cut
+#: into passes of this many.  See the module docstring.
+VECTOR_BATCH = 16
 
 
 def _run(
@@ -203,117 +234,239 @@ def _sweep_budget(snapshot: CsrSnapshot) -> int:
     return max(snapshot.m, VECTOR_MIN_EDGES) // VECTOR_EDGES_PER_SWEEP
 
 
-def _vector_distances(
-    snapshot: CsrSnapshot, weights: np.ndarray, source_i: int
-) -> Optional[np.ndarray]:
-    """Exact distances by label-correcting sweeps, or ``None`` past the bound.
+def batch_size(snapshot: CsrSnapshot) -> int:
+    """How many sources one solve takes together: the size dispatch.
 
-    Each sweep relaxes the out-edges of the nodes whose distance moved
-    in the previous sweep (Jacobi style: every candidate reads the
+    :data:`VECTOR_BATCH` on snapshots the vectorised solve serves, one
+    below :data:`VECTOR_MIN_EDGES`, where :func:`_run` solves each
+    source only when its caller reads it.
+    """
+    return VECTOR_BATCH if snapshot.m >= VECTOR_MIN_EDGES else 1
+
+
+def _stacked_edges(
+    snapshot: CsrSnapshot, rows: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(heads, tails)`` for ``rows`` stacked copies of the structure.
+
+    See :meth:`CsrSnapshot.edge_arrays`.  The first batch of several
+    sources stacks the snapshot's arrays for a full
+    :data:`VECTOR_BATCH`, so they are built once, not once per size.
+    """
+    if rows > 1:
+        snapshot.edge_arrays(max(rows, VECTOR_BATCH))
+    return snapshot.edge_arrays(rows)
+
+
+def _row_sources(n: int, sources: Sequence[int]) -> np.ndarray:
+    """Each source's node index in its own row of the stacked structure."""
+    return np.arange(len(sources), dtype=np.int64) * n + sources
+
+
+def _vector_distances(
+    snapshot: CsrSnapshot,
+    edges: Tuple[np.ndarray, np.ndarray],
+    weights: np.ndarray,
+    sources: Sequence[int],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact distances from each source by label-correcting sweeps.
+
+    The rows are swept together over ``edges``, the structure stacked
+    once per source (:meth:`CsrSnapshot.edge_arrays`), in which no edge
+    joins two rows; ``weights`` repeats the snapshot's weights per row.
+    Returns ``(dist, converged)``: ``dist[r * n + v]`` is the distance
+    from ``sources[r]`` to ``v``, valid where ``converged[r]``.  Each
+    sweep relaxes the out-edges of the nodes whose distance moved in
+    the previous sweep (Jacobi style: every candidate reads the
     distances from before the sweep) and lowers each tail to its least
     candidate.  Each candidate is the IEEE sum ``D[u] + weights[e]``
-    that :func:`_run` computes, so the fixpoint is the least float
+    that :func:`_run` computes, so a row's fixpoint is the least float
     path sum ``_run`` settles on whenever no near-tie intervenes.  The
-    sweep count grows with the hop depth of the tree; past
-    :func:`_sweep_budget` sweeps the solve gives up (``None``).
+    sweep count grows with the hop depth of the tree; a row still
+    moving after :func:`_sweep_budget` sweeps has given up
+    (``converged[r]`` is False).  Rows never read each other, so each
+    row is what that source alone would give.
     """
-    heads, tails = snapshot.edge_arrays()
-    dist = np.full(snapshot.n, _INF)
-    dist[source_i] = 0.0
-    moved = np.zeros(snapshot.n, dtype=bool)
-    moved[source_i] = True
+    heads, tails = edges
+    k = len(sources)
+    n = snapshot.n
+    starts = _row_sources(n, sources)
+    dist = np.full(k * n, _INF)
+    dist[starts] = 0.0
+    moved = np.zeros(k * n, dtype=bool)
+    moved[starts] = True
     for _sweep in range(_sweep_budget(snapshot)):
-        edges = np.flatnonzero(moved[heads])
-        if not edges.size:
-            return dist
+        active = np.flatnonzero(moved[heads])
+        if not active.size:
+            break
+        candidate = dist[heads[active]]
+        candidate += weights[active]
         lowered = dist.copy()
-        np.minimum.at(lowered, tails[edges], dist[heads[edges]] + weights[edges])
+        np.minimum.at(lowered, tails[active], candidate)
         moved = lowered < dist
         dist = lowered
         if not moved.any():
-            return dist
-    return None
+            break
+    else:
+        return dist, ~moved.reshape(k, n).any(axis=1)
+    return dist, np.ones(k, dtype=bool)
 
 
 def _vector_solve(
-    snapshot: CsrSnapshot, weights: np.ndarray, source_i: int
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """``(dist, prev)`` bit-identical to :func:`_run`, or ``None``.
+    snapshot: CsrSnapshot, weights: np.ndarray, sources: Sequence[int]
+) -> List[Optional[Tuple[np.ndarray, np.ndarray]]]:
+    """Per source, ``(dist, prev)`` bit-identical to :func:`_run`, or ``None``.
 
-    Solves the distances with :func:`_vector_distances`, then rebuilds
-    ``_run``'s predecessors under the tie-break contract in the module
-    docstring.  When every reached node has one exact tie from a
-    strictly closer head, ``prev`` is read straight off those edges;
-    otherwise the settle ranks (:func:`_settle_rank`) pick each node's
-    winning push.  ``None`` means "run ``_run`` instead": the sweep or
+    One vectorised pass over the whole batch: the distances from
+    :func:`_vector_distances`, the exact ties and near-tie test of
+    :func:`_exact_ties`, and the lone-tie predecessor read all run on
+    the stacked rows at once.  When every reached node of a row has one
+    exact tie from a strictly closer head, its ``prev`` is read straight
+    off those edges; a row with ambiguous ties builds settle ranks
+    (:func:`_settle_rank`) on its own distances, without re-solving.
+    ``None`` means "run ``_run`` for this source instead": its sweep or
     rank-pass bound was hit, or a candidate fell inside the relaxation
     epsilon of a distance without being equal to it, where ``_run``'s
-    answer depends on arrival order.  ``dist`` and ``prev`` are numpy
-    arrays indexed like ``_run``'s lists.  Weights must lie in
-    ``[0, +inf]``, as :func:`~repro.network.csr.weights.weight_array`
-    guarantees.
+    answer depends on arrival order.  Each row gives up on its own.
+    ``dist`` and ``prev`` are numpy arrays indexed like ``_run``'s
+    lists, one pair of its own per source (duplicates included).
+    Weights must lie in ``[0, +inf]``, as
+    :func:`~repro.network.csr.weights.weight_array` guarantees.
     """
+    k = len(sources)
     n = snapshot.n
-    m1 = snapshot.m + 1
-    # Keys below are (rank, edge) pairs packed as rank * m1 + edge, and
-    # class-major (class, key) pairs packed again on top; stay in int64.
-    invalid = n * m1
-    if n * (invalid + 2) >= _INT64_LIMIT:
-        return None
-    dist = _vector_distances(snapshot, weights, source_i)
-    if dist is None:
-        return None
-    tie_edges = _exact_ties(snapshot, weights, dist, source_i)
-    if tie_edges is None:
-        return None
-    heads, tails = snapshot.edge_arrays()
-    tie_heads = heads[tie_edges]
-    tie_tails = tails[tie_edges]
-    prev = np.full(n, -1, dtype=np.int64)
+    m = snapshot.m
+    # Rank keys are (rank, edge) pairs packed as rank * (m + 1) + edge,
+    # and class-major (class, key) pairs packed again on top; stay in
+    # int64.
+    if n * (n * (m + 1) + 2) >= _INT64_LIMIT:
+        return [None] * k
+    obs.inc("csr.vector_batches")
+    edges = _stacked_edges(snapshot, k)
+    stacked = np.tile(weights, k) if k > 1 else weights
+    dist, solved = _vector_distances(snapshot, edges, stacked, sources)
+    tie_edges, solved = _exact_ties(
+        snapshot, edges, stacked, dist, sources, solved
+    )
+    tie_heads = edges[0][tie_edges]
+    tie_tails = edges[1][tie_edges]
+    # Row r's ties are tie_edges[bounds[r]:bounds[r + 1]].
+    bounds = np.searchsorted(tie_edges, np.arange(k + 1) * m)
+    ties = np.diff(bounds)
 
     # Every reached node but the source has an exact tie (its distance
     # is one of its candidates), and only those nodes are tie tails: as
     # many ties as those nodes is one tie each.  A lone exact candidate
     # from a strictly closer head is settled first, so it wins.
-    if (
-        tie_edges.size == np.count_nonzero(dist < _INF) - 1
-        and (dist[tie_heads] < dist[tie_tails]).all()
-    ):
+    lone = ties == np.count_nonzero((dist < _INF).reshape(k, n), axis=1) - 1
+    not_closer = np.flatnonzero(dist[tie_heads] >= dist[tie_tails])
+    lone[tie_edges[not_closer] // max(m, 1)] = False
+    # Predecessors as stacked node indices: row r's entries, unreached
+    # ones (r * n - 1) included, are off by r * n until copied out.
+    prev = np.repeat(np.arange(-1, k * n - 1, n, dtype=_PREV_DTYPE), n)
+    if lone.all():
         prev[tie_tails] = tie_heads
     else:
-        obs.inc("csr.vector_ranked")
-        rank = _settle_rank(snapshot, dist, source_i, tie_edges)
-        if rank is None:
-            return None
-        win = _winning_push(rank, tie_heads, tie_tails, tie_edges, m1, invalid)
-        targets = np.flatnonzero(dist < _INF)
-        targets = targets[targets != source_i]
-        win = win[targets]
-        if (win == invalid).any():
-            return None
-        prev[targets] = heads[win % m1]
+        read = np.repeat(lone, ties)
+        prev[tie_tails[read]] = tie_heads[read]
 
-    return dist, prev
+    solutions: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
+    for row, source_i in enumerate(sources):
+        if not solved[row]:
+            solutions.append(None)
+            continue
+        span = slice(row * n, (row + 1) * n)
+        if lone[row]:
+            row_prev: Optional[np.ndarray] = prev[span] - row * n
+        else:
+            obs.inc("csr.vector_ranked")
+            row_prev = _ranked_prev(
+                snapshot,
+                dist[span],
+                source_i,
+                tie_edges[bounds[row] : bounds[row + 1]] - row * m,
+            )
+        # A copy, so that a kept tree does not pin the whole batch.
+        solutions.append(
+            None if row_prev is None else (dist[span].copy(), row_prev)
+        )
+    return solutions
 
 
 def _exact_ties(
-    snapshot: CsrSnapshot, weights: np.ndarray, dist: np.ndarray, source_i: int
-) -> Optional[np.ndarray]:
-    """The edge positions whose candidate equals its tail's distance.
+    snapshot: CsrSnapshot,
+    edges: Tuple[np.ndarray, np.ndarray],
+    weights: np.ndarray,
+    dist: np.ndarray,
+    sources: Sequence[int],
+    solved: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The stacked edge positions whose candidate equals its tail's distance.
 
-    Only finite candidates into nodes other than the source count (the
-    relaxations ``_run`` makes); ``None`` when some other candidate
-    lies within the relaxation epsilon of its tail's distance.
+    Arguments are laid out as :func:`_vector_distances` takes and
+    returns them; row ``r``'s edge ``e`` sits at ``r * m + e``.  Only
+    finite candidates into nodes other than the row's source count (the
+    relaxations ``_run`` makes), and only in rows still ``solved``.
+    Returns the positions, ascending, and ``solved`` less the rows where
+    some other candidate lies within the relaxation epsilon of its
+    tail's distance.
     """
-    heads, tails = snapshot.edge_arrays()
-    candidate = dist[heads] + weights
+    heads, tails = edges
+    k = len(sources)
+    m = snapshot.m
+    # _run never relaxes into the source.
+    starts = _row_sources(snapshot.n, sources)
+    relaxable = (tails.reshape(k, m) != starts[:, None]).ravel()
+    # In place where the arithmetic allows: a batch's per-edge arrays
+    # are its largest temporaries.
+    candidate = dist[heads]
+    candidate += weights
     incumbent = dist[tails]
-    relaxable = tails != source_i  # _run never relaxes into the source
     tie = candidate == incumbent
-    if (~tie & relaxable & (candidate - 1e-15 <= incumbent)).any():
+    near = ~tie
+    near &= relaxable
+    tie &= relaxable
+    tie &= candidate < _INF
+    candidate -= 1e-15
+    near &= candidate <= incumbent
+    if near.any():
+        solved = solved.copy()
+        solved[np.flatnonzero(near) // m] = False
+    if not solved.all():
+        tie &= np.repeat(solved, m)
+    return np.flatnonzero(tie), solved
+
+
+def _ranked_prev(
+    snapshot: CsrSnapshot,
+    dist: np.ndarray,
+    source_i: int,
+    tie_edges: np.ndarray,
+) -> Optional[np.ndarray]:
+    """One solve's ``prev`` from settle ranks, or ``None`` to give up.
+
+    ``tie_edges`` are the solve's exact-tie edge positions.  Each
+    reached node's predecessor is the head of its winning push; the
+    solve gives up when the rank fixpoint runs out of passes or a node
+    has no push from a head settled before it.
+    """
+    m1 = snapshot.m + 1
+    invalid = snapshot.n * m1
+    heads, tails = snapshot.edge_arrays()
+    rank = _settle_rank(snapshot, dist, source_i, tie_edges)
+    if rank is None:
         return None
-    tie &= (candidate < _INF) & relaxable
-    return np.flatnonzero(tie)
+    win = _winning_push(
+        rank, heads[tie_edges], tails[tie_edges], tie_edges, m1, invalid
+    )
+    targets = np.flatnonzero(dist < _INF)
+    targets = targets[targets != source_i]
+    win = win[targets]
+    if (win == invalid).any():
+        return None
+    prev = np.full(snapshot.n, -1, dtype=_PREV_DTYPE)
+    prev[targets] = heads[win % m1]
+    return prev
 
 
 def _settle_rank(
@@ -387,39 +540,85 @@ def _winning_push(
     return win
 
 
-def _solve(
+def _run_to(
     snapshot: CsrSnapshot,
-    source_i: int,
     weights: List[float],
-    array: Optional[np.ndarray] = None,
-    targets: Optional[bytearray] = None,
-    n_targets: int = 0,
-) -> Tuple[Sequence[float], Sequence[int]]:
-    """``(dist, prev)`` from the solver the snapshot's size picks.
+    source_i: int,
+    targets: Optional[Sequence[int]],
+) -> Tuple[List[float], List[int]]:
+    """:func:`_run` from one source, stopping once ``targets`` are settled.
 
-    The one dispatch point: snapshots with at least
-    :data:`VECTOR_MIN_EDGES` directed edges try :func:`_vector_solve`
-    first (``array`` is ``weights`` as a float64 array, built here when
-    the caller holds none); everything else, and every vectorised
-    give-up, runs :func:`_run`.  ``targets`` only shortens the
-    ``_run`` path (see there); the vectorised solve always settles the
-    whole tree, whose entries agree with an early exit's.
+    ``targets`` are node indices; ``None`` runs the whole tree.
     """
-    if snapshot.m >= VECTOR_MIN_EDGES:
-        if array is None:
-            array = np.asarray(weights, dtype=np.float64)
-        solved = _vector_solve(snapshot, array, source_i)
-        if solved is not None:
-            return solved
-        obs.inc("csr.vector_fallback")
+    if targets is None:
+        return _run(snapshot.indptr, snapshot.indices, weights, source_i)
+    flags = bytearray(snapshot.n)
+    for target_i in targets:
+        flags[target_i] = 1
     return _run(
         snapshot.indptr,
         snapshot.indices,
         weights,
         source_i,
-        targets=targets,
-        n_targets=n_targets,
+        targets=flags,
+        n_targets=flags.count(1),
     )
+
+
+def _solve(
+    snapshot: CsrSnapshot,
+    sources: Sequence[int],
+    weights: List[float],
+    array: Optional[np.ndarray] = None,
+    targets: Optional[Sequence[Sequence[int]]] = None,
+) -> Iterator[Tuple[Sequence[float], Sequence[int]]]:
+    """``(dist, prev)`` per source, in order, from the solver the size picks.
+
+    The one dispatch point (see :func:`batch_size`).  On snapshots with at
+    least :data:`VECTOR_MIN_EDGES` directed edges, each run of up to
+    :data:`VECTOR_BATCH` sources is one :func:`_vector_solve` pass
+    (``array`` is ``weights`` as a float64 array, built here when the
+    caller holds none), and a source that pass gives up on runs
+    :func:`_run`.  Smaller snapshots run ``_run`` one source at a time
+    as the caller reads the results, so a caller that stops early (at
+    an unreachable pair, say) solves no tree past that point.
+    ``targets[r]`` lists the node indices source ``r``'s caller will
+    read: it only shortens the ``_run`` path (see there); the
+    vectorised solve always settles the whole tree, whose entries agree
+    with an early exit's.
+    """
+    if snapshot.m < VECTOR_MIN_EDGES:
+        # map() is lazy: each _run starts when its result is read.
+        if targets is None:
+            run = partial(_run, snapshot.indptr, snapshot.indices, weights)
+            return map(run, sources)
+        return map(partial(_run_to, snapshot, weights), sources, targets)
+    if array is None:
+        array = np.asarray(weights, dtype=np.float64)
+    return _vector_passes(snapshot, sources, weights, array, targets)
+
+
+def _vector_passes(
+    snapshot: CsrSnapshot,
+    sources: Sequence[int],
+    weights: List[float],
+    array: np.ndarray,
+    targets: Optional[Sequence[Sequence[int]]],
+) -> Iterator[Tuple[Sequence[float], Sequence[int]]]:
+    """:func:`_solve` above the cut: one :func:`_vector_solve` per batch."""
+    for start in range(0, len(sources), VECTOR_BATCH):
+        chunk = sources[start : start + VECTOR_BATCH]
+        solutions = _vector_solve(snapshot, array, chunk)
+        for row, solution in enumerate(solutions, start):
+            if solution is None:
+                obs.inc("csr.vector_fallback")
+                solution = _run_to(
+                    snapshot,
+                    weights,
+                    sources[row],
+                    None if targets is None else targets[row],
+                )
+            yield solution
 
 
 def _source_index(snapshot: CsrSnapshot, source: str) -> int:
@@ -432,25 +631,49 @@ def _source_index(snapshot: CsrSnapshot, source: str) -> int:
     return index
 
 
+def sssp_trees(
+    snapshot: CsrSnapshot,
+    sources: Sequence[str],
+    weights: List[float],
+    array: Optional[np.ndarray] = None,
+) -> List[ShortestPathTree]:
+    """Full trees over the snapshot from each source, in order.
+
+    One :func:`_solve` over the whole batch; ``array`` is the same
+    weights as a float64 numpy array when the caller already holds one
+    (the path cache does).  Every source is resolved before any is
+    solved, so an unknown one raises the network's
+    :class:`~repro.errors.TopologyError` first.  All the trees are
+    built: a caller that may stop early passes fewer sources.
+    """
+    solves = _solve(
+        snapshot,
+        [_source_index(snapshot, source) for source in sources],
+        weights,
+        array,
+    )
+    names = snapshot.names
+    index = snapshot.index
+    trees = []
+    for source, (dist, prev) in zip(sources, solves):
+        if isinstance(dist, list):
+            # The heap loop's lists, as tuples: a tuple of numbers drops
+            # out of the cyclic GC once a collection has seen it, where
+            # cached lists would be traversed again by every full
+            # collection.
+            dist, prev = tuple(dist), tuple(prev)
+        trees.append(ShortestPathTree(source, names, index, dist, prev))
+    return trees
+
+
 def sssp_tree(
     snapshot: CsrSnapshot,
     source: str,
     weights: List[float],
     array: Optional[np.ndarray] = None,
 ) -> ShortestPathTree:
-    """Full single-source tree over the snapshot under a weight list.
-
-    ``array`` is the same weights as a float64 numpy array when the
-    caller already holds one (the path cache does); see :func:`_solve`.
-    """
-    source_i = _source_index(snapshot, source)
-    dist, prev = _solve(snapshot, source_i, weights, array)
-    if isinstance(dist, list):
-        # The heap loop's lists, as tuples: a tuple of numbers drops out
-        # of the cyclic GC once a collection has seen it, where cached
-        # lists would be traversed again by every full collection.
-        dist, prev = tuple(dist), tuple(prev)
-    return ShortestPathTree(source, snapshot.names, snapshot.index, dist, prev)
+    """Full single-source tree: the one-source case of :func:`sssp_trees`."""
+    return sssp_trees(snapshot, (source,), weights, array)[0]
 
 
 def _extract_path(
@@ -557,8 +780,9 @@ def shortest_paths_csr(
 
     One snapshot and one weight lowering serve the whole batch, so route
     every pair before acting on any answer that could move the weights.
-    Pairs are grouped by source: each distinct source is one solve (see
-    :func:`_solve`) that stops once all of its destinations are settled.
+    Pairs are grouped by source, and the distinct sources are solved as
+    one batch (see :func:`_solve`); on the heap path each stops once
+    all of its destinations are settled.
     Settled entries are final, so each path is the one a per-pair
     early-exit solve gives, bit-identical to the reference oracle's
     object Dijkstra (``tests/oracle.py``) under ``spec.weight_fn()``.
@@ -577,18 +801,16 @@ def shortest_paths_csr(
     for slot, (source_i, _target_i) in enumerate(ends):
         slots_by_source.setdefault(source_i, []).append(slot)
     results: List[Union[PathResult, NoPathError, None]] = [None] * len(pairs)
-    for source_i, slots in slots_by_source.items():
-        targets = bytearray(snapshot.n)
-        for slot in slots:
-            targets[ends[slot][1]] = 1
-        dist, prev = _solve(
-            snapshot,
-            source_i,
-            weights,
-            array,
-            targets=targets,
-            n_targets=targets.count(1),
-        )
+    solves = _solve(
+        snapshot,
+        list(slots_by_source),
+        weights,
+        array,
+        targets=[
+            [ends[slot][1] for slot in slots] for slots in slots_by_source.values()
+        ],
+    )
+    for slots, (dist, prev) in zip(slots_by_source.values(), solves):
         for slot in slots:
             source, destination = pairs[slot]
             try:
@@ -605,8 +827,9 @@ def terminal_tree_csr(
 ) -> TreeResult:
     """Uncached CSR terminal tree, byte-identical to the cached one.
 
-    One array solve per terminal (except the last), stopping once the
-    later terminals are settled, builds the metric closure; it feeds the
+    One batched solve over every terminal but the last (see
+    :func:`_solve`; on the heap path each source stops once the later
+    terminals are settled) builds the metric closure; it feeds the
     shared :func:`~repro.network.paths.tree_from_metric_closure`
     finisher.  An unknown root raises the network's
     :class:`~repro.errors.TopologyError` even when it is the only
@@ -617,24 +840,20 @@ def terminal_tree_csr(
     if len(terminal_list) == 1:
         return TreeResult(root=root, parent={}, weight=0.0)
     snapshot, array, weights = _snapshot_and_weights(network, spec)
-    index = snapshot.index
+    ends = [_source_index(snapshot, terminal) for terminal in terminal_list]
+    solves = _solve(
+        snapshot,
+        ends[:-1],
+        weights,
+        array,
+        targets=[ends[i + 1 :] for i in range(len(ends) - 1)],
+    )
     closure = {}
-    for i, a in enumerate(terminal_list[:-1]):
-        remaining = terminal_list[i + 1 :]
-        targets = bytearray(snapshot.n)
-        for b in remaining:
-            targets[_source_index(snapshot, b)] = 1
-        dist, prev = _solve(
-            snapshot,
-            _source_index(snapshot, a),
-            weights,
-            array,
-            targets=targets,
-            n_targets=len(remaining),
-        )
-        for b in remaining:
-            closure[(a, b)] = _extract_path(
-                snapshot, a, b, dist, prev, index[b]
+    for i, (dist, prev) in enumerate(solves):
+        a = terminal_list[i]
+        for j in range(i + 1, len(terminal_list)):
+            closure[(a, terminal_list[j])] = _extract_path(
+                snapshot, a, terminal_list[j], dist, prev, ends[j]
             )
     # The finisher only reads edge weights for its final sum; the array
     # view returns the same float64s as the scalar weight fn without the

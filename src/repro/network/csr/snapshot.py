@@ -11,8 +11,8 @@ A :class:`CsrSnapshot` is a flat mirror of one
   ``used``, ``failed``) indexed by directed-edge position, from which
   weight arrays are vectorised;
 * **edge endpoint arrays** — ``heads``/``tails`` as int64 numpy arrays
-  (:meth:`CsrSnapshot.edge_arrays`), built on the first vectorised
-  solve and kept for the snapshot's lifetime.
+  (:meth:`CsrSnapshot.edge_arrays`), stacked for a batched vectorised
+  solve, built on first use and kept for the snapshot's lifetime.
 
 The overlay is a gather from the network's
 :class:`~repro.network.link.LinkLedger`: ``slot_of_pos`` maps each
@@ -96,21 +96,27 @@ class CsrSnapshot:
         self._gather()
         self._edge_arrays = None
 
-    def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+    def edge_arrays(self, rows: int = 1) -> Tuple[np.ndarray, np.ndarray]:
         """``(heads, tails)`` per directed-edge position, as int64 arrays.
 
-        The structure in the form the vectorised solver gathers from,
-        built on first use and kept for the snapshot's lifetime (the
-        structure cannot change within one topology version).
+        ``rows`` stacks that many copies of the structure: copy ``r``
+        sits at positions ``r * m`` onwards with its node indices offset
+        by ``r * n``, the block-diagonal graph over which a batched
+        solve sweeps all its sources at once (copy 0 is the structure
+        itself).  Built for the most rows asked for so far and kept for
+        the snapshot's lifetime (the structure cannot change within one
+        topology version); fewer rows are a prefix of those arrays.
         """
+        size = rows * self.m
         arrays = self._edge_arrays
-        if arrays is None:
+        if arrays is None or arrays[0].size < size:
+            offsets = (np.arange(rows, dtype=np.int64) * self.n)[:, None]
             arrays = (
-                np.asarray(self.heads, dtype=np.int64),
-                np.asarray(self.indices, dtype=np.int64),
+                (np.asarray(self.heads, dtype=np.int64) + offsets).ravel(),
+                (np.asarray(self.indices, dtype=np.int64) + offsets).ravel(),
             )
             self._edge_arrays = arrays
-        return arrays
+        return arrays[0][:size], arrays[1][:size]
 
     def refresh(self) -> int:
         """Re-gather the overlay from the ledger if its epoch moved.

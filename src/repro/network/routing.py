@@ -7,13 +7,20 @@ has changed.  Every scheduler routes through :class:`PathCache`, which
 runs the array-native kernel (:mod:`repro.network.csr`) and memoises its
 results.  Two ideas carry it:
 
-* **Single-source trees instead of point-to-point queries.**  A cached
-  :meth:`PathCache.sssp` keeps the whole distance/predecessor tree, so a
-  metric closure over ``T`` terminals costs ``T - 1`` passes instead of
-  ``T·(T-1)/2``, and a path to any destination is an O(path)
-  extraction.  Extraction is bit-identical to a point-to-point search
-  that stops at the destination: a destination's predecessor chain is
-  fully settled before the search would have stopped there.
+* **Single-source trees instead of point-to-point queries, solved in
+  batches.**  A cached :meth:`PathCache.sssp` keeps the whole
+  distance/predecessor tree, so a metric closure over ``T`` terminals
+  needs ``T - 1`` trees instead of ``T·(T-1)/2`` searches, and a path
+  to any destination is an O(path) extraction.  Extraction is
+  bit-identical to a point-to-point search that stops at the
+  destination: a destination's predecessor chain is fully settled
+  before the search would have stopped there.  Those ``T - 1`` trees
+  (and :meth:`PathCache.batched_sssp`'s, and the fixed scheduler's
+  local trees) are looked up in source order and their misses solved
+  together: one vectorised kernel pass per
+  :func:`~repro.network.csr.kernel.batch_size` sources on large
+  snapshots, one heap-loop solve per source as the caller reads it on
+  small ones.
 
 * **Validation by weight-array comparison.**  Every
   :class:`~repro.network.link.Link` mutation writes the network's link
@@ -55,10 +62,18 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    Hashable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..errors import NoPathError
-from .. import obs
 from .graph import Network
 from .paths import (
     PathResult,
@@ -264,16 +279,22 @@ class PathCache:
         entry.epoch = epoch
         return True
 
-    def _hit(self, key: Hashable, entry: _Entry) -> Any:
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        if entry.error is not None:
-            # Clear the stored traceback before re-raising: each raise
-            # appends a segment, and a shared instance raised on every
-            # hit would grow its chain (and pin caller frames) without
-            # bound.
-            raise entry.error.with_traceback(None)
-        return entry.value
+    def _lookup(self, key: Hashable, snapshot: Any) -> Optional[_Entry]:
+        """The valid entry for ``key``, or ``None``: a hit or a miss.
+
+        A hit moves the entry to the LRU end; a stale entry is dropped
+        (an invalidation) and the lookup counts as a miss.
+        """
+        entry = self._entries.get(key)
+        if entry is not None:
+            if self._validate(entry, snapshot):
+                self._entries.move_to_end(key)
+                self.stats.hits += 1
+                return entry
+            del self._entries[key]
+            self.stats.invalidations += 1
+        self.stats.misses += 1
+        return None
 
     def _get(
         self,
@@ -293,23 +314,16 @@ class PathCache:
         form; a raised :class:`NoPathError` is stored (as an exact
         entry) and re-raised.
         """
-        entry = self._entries.get(key)
+        entry = self._lookup(key, snapshot)
         if entry is not None:
-            if self._validate(entry, snapshot):
-                return self._hit(key, entry)
-            del self._entries[key]
-            self.stats.invalidations += 1
-        self.stats.misses += 1
-        stored = _Entry(
-            value=None,
-            error=None,
-            warray=array,
-            token=token,
-            epoch=self._network.epoch,
-            topology_version=self._network.topology_version,
-            endpoints=endpoints,
-            exact=exact,
-        )
+            if entry.error is not None:
+                # Clear the stored traceback before re-raising: each
+                # raise appends a segment, and a shared instance raised
+                # on every hit would grow its chain (and pin caller
+                # frames) without bound.
+                raise entry.error.with_traceback(None)
+            return entry.value
+        stored = self._new_entry(array, token, endpoints, exact)
         try:
             stored.value = compute()
         except NoPathError as exc:
@@ -320,6 +334,25 @@ class PathCache:
         self._store(key, stored)
         return stored.value
 
+    def _new_entry(
+        self,
+        array: Any,
+        token: Hashable,
+        endpoints: Tuple[str, ...],
+        exact: bool,
+    ) -> _Entry:
+        """An empty entry computed from ``array`` at the current epoch."""
+        return _Entry(
+            value=None,
+            error=None,
+            warray=array,
+            token=token,
+            epoch=self._network.epoch,
+            topology_version=self._network.topology_version,
+            endpoints=endpoints,
+            exact=exact,
+        )
+
     def _store(self, key: Hashable, entry: _Entry) -> None:
         self._entries[key] = entry
         self._entries.move_to_end(key)
@@ -329,46 +362,17 @@ class PathCache:
 
     # -- cached queries ----------------------------------------------------
 
-    def sssp(
-        self,
-        source: str,
-        spec: Any,
-        *,
-        token: Optional[Hashable] = None,
-        shareable: Optional[bool] = None,
-    ) -> ShortestPathTree:
+    def sssp(self, source: str, spec: Any) -> ShortestPathTree:
         """The full single-source tree from ``source`` under ``spec``.
 
-        ``token``/``shareable`` let a caller issuing many lookups under
-        one spec (e.g. :meth:`terminal_tree`) evaluate
-        ``spec.cache_token()`` / ``spec.shareable()`` — each an
-        all-links scan for auxiliary weights — once instead of per
-        source.
+        The one-source case of :meth:`batched_sssp`.
         """
-        if shareable is None:
-            shareable = spec.shareable()
-        if not shareable:
-            # Nothing with this spec's token will ever be looked up
-            # again (e.g. an owner-specific auxiliary weight for a task
-            # that already holds capacity): skip storage and LRU traffic
-            # entirely and just run the computation.
-            self.stats.misses += 1
-            return csr_kernel.sssp_csr(self._network, source, spec)
-        if token is None:
-            token = spec.cache_token()
-        snapshot = csr_kernel.get_snapshot(self._network)
-        array, wlist = self._weight_arrays(snapshot, token)
-        return self._get(
-            ("sssp", source, token),
-            snapshot,
-            array,
-            token,
-            endpoints=(source,),
-            exact=False,
-            compute=lambda: csr_kernel.sssp_tree(
-                snapshot, source, wlist, array
-            ),
-        )
+        if not spec.shareable():
+            return self._uncached_tree(source, spec)
+        token = spec.cache_token()
+        sources = (source,)
+        prepared = self._prepare(sources, token)
+        return self._lookup_trees(sources, token, *prepared)[0].value
 
     def shortest_path(
         self, source: str, destination: str, spec: Any
@@ -380,25 +384,109 @@ class PathCache:
     def batched_sssp(
         self, sources: Sequence[str], spec: Any
     ) -> Dict[str, ShortestPathTree]:
-        """One tree per distinct source, sharing a single spec evaluation.
+        """One tree per distinct source, solved together where they miss.
 
-        The multi-source entry point schedulers use to price a whole
-        candidate set in one call: the spec's token/shareable scans, the
-        snapshot refresh, and the weight-array build all happen once,
-        and each source costs one (cached) array SSSP.  Returns
-        ``{source: tree}`` in first-occurrence order.
+        The multi-source entry point: the spec's token/shareable scans,
+        the snapshot refresh and the weight-array build happen once.
+        Each source's entry is validated in source order, the misses
+        are solved in one kernel call (cut into passes of at most
+        :func:`~repro.network.csr.kernel.batch_size` sources) and
+        stored in source order, one miss counted per source: hits,
+        misses and LRU order are those of per-source :meth:`sssp`
+        lookups.  Returns ``{source: tree}`` in first-occurrence order.
         """
-        shareable = spec.shareable()
-        token = spec.cache_token() if shareable else None
-        trees: Dict[str, ShortestPathTree] = {}
-        with obs.span("csr.batch_sssp", sources=len(sources)):
-            for source in sources:
-                if source not in trees:
-                    trees[source] = self.sssp(
-                        source, spec, token=token, shareable=shareable
-                    )
-        obs.inc("csr.batch_sssp")
-        return trees
+        return dict(self._trees(sources, spec))
+
+    def _trees(
+        self,
+        sources: Sequence[str],
+        spec: Any,
+        token: Optional[Hashable] = None,
+    ) -> Iterator[Tuple[str, ShortestPathTree]]:
+        """``(source, tree)`` per distinct source, in first-occurrence order.
+
+        Lazy, one kernel batch (:meth:`_lookup_trees`) at a time.  Below
+        the kernel's vectorised cut a batch is one source, so a caller
+        that stops reading early solves no tree it did not reach.  The
+        network must not change while the trees are read.  ``token`` is
+        the spec's cache token when the caller already holds it (and so
+        knows the spec is shareable).
+        """
+        sources = list(dict.fromkeys(sources))
+        if token is None:
+            if not spec.shareable():
+                for source in sources:
+                    yield source, self._uncached_tree(source, spec)
+                return
+            token = spec.cache_token()
+        snapshot, array, wlist = self._prepare(sources, token)
+        batch = csr_kernel.batch_size(snapshot)
+        for start in range(0, len(sources), batch):
+            chunk = sources[start : start + batch]
+            entries = self._lookup_trees(chunk, token, snapshot, array, wlist)
+            for source, entry in zip(chunk, entries):
+                yield source, entry.value
+
+    def _prepare(
+        self, sources: Sequence[str], token: Hashable
+    ) -> Tuple[Any, Any, list]:
+        """The refreshed snapshot and the token's weights, for ``sources``.
+
+        Every source is checked to exist: an unknown one raises the
+        network's :class:`~repro.errors.TopologyError` before any lookup.
+        """
+        snapshot = csr_kernel.get_snapshot(self._network)
+        index = snapshot.index
+        for source in sources:
+            if source not in index:
+                self._network.node(source)  # raises the TopologyError
+        array, wlist = self._weight_arrays(snapshot, token)
+        return snapshot, array, wlist
+
+    def _lookup_trees(
+        self,
+        sources: Sequence[str],
+        token: Hashable,
+        snapshot: Any,
+        array: Any,
+        wlist: list,
+    ) -> List[_Entry]:
+        """Cached trees for distinct sources, the misses solved in one call.
+
+        The entries are looked up in source order, each miss stored at
+        once as an empty entry, so that the LRU order and evictions are
+        those of per-source lookups; then the misses are solved in one
+        kernel call and their trees filled in.  Returns the entries in
+        source order.  ``snapshot``, ``array`` and ``wlist`` are
+        :meth:`_prepare`'s for these sources.
+        """
+        entries = []
+        missed = []
+        for source in sources:
+            key = ("sssp", source, token)
+            entry = self._lookup(key, snapshot)
+            if entry is None:
+                entry = self._new_entry(array, token, (source,), False)
+                self._store(key, entry)
+                missed.append(entry)
+            entries.append(entry)
+        if missed:
+            trees = csr_kernel.sssp_trees(
+                snapshot, [entry.endpoints[0] for entry in missed], wlist, array
+            )
+            for entry, tree in zip(missed, trees):
+                entry.value = tree
+        return entries
+
+    def _uncached_tree(self, source: str, spec: Any) -> ShortestPathTree:
+        """A tree under a spec nobody will look up again, counted as a miss.
+
+        Nothing with an unshareable spec's token is ever looked up
+        again (e.g. an owner-specific auxiliary weight for a task that
+        already holds capacity): storage and LRU traffic are skipped.
+        """
+        self.stats.misses += 1
+        return csr_kernel.sssp_csr(self._network, source, spec)
 
     def k_shortest_paths(
         self, source: str, destination: str, k: int, spec: Any
@@ -438,8 +526,9 @@ class PathCache:
     ) -> TreeResult:
         """The flexible scheduler's tree via cached single-source passes.
 
-        Builds the metric closure from one :meth:`sssp` per terminal
-        (except the last — closure pairs are ordered) and finishes with
+        Builds the metric closure from one cached tree per terminal
+        (except the last — closure pairs are ordered), looked up and
+        solved in batches as :meth:`batched_sssp` does, and finishes with
         the shared :func:`~repro.network.paths.tree_from_metric_closure`,
         so the result is byte-identical to
         :func:`~repro.network.csr.terminal_tree_csr` and to the oracle's
@@ -464,8 +553,8 @@ class PathCache:
             )
         token = spec.cache_token()
         closure: Dict[Tuple[str, str], PathResult] = {}
-        for i, a in enumerate(terminal_list[:-1]):
-            tree = self.sssp(a, spec, token=token, shareable=True)
+        trees = self._trees(terminal_list[:-1], spec, token)
+        for i, (a, tree) in enumerate(trees):
             for b in terminal_list[i + 1 :]:
                 closure[(a, b)] = tree.path_to(b)
         # The finisher only reads edge weights for its final sum; the

@@ -127,6 +127,23 @@ class TestComputingManager:
         chosen = manager.deploy(make_container())
         assert chosen.name == "a"
 
+    def test_deploy_tests_capacity_once_per_server(self, monkeypatch):
+        manager = ComputingManager()
+        manager.register(make_server("a", "n1", gpu=1_000.0))
+        manager.register(make_server("b", "n2"))
+        tested = []
+        original = Server.fits
+
+        def counting(server, demand):
+            tested.append(server.name)
+            return original(server, demand)
+
+        monkeypatch.setattr(Server, "fits", counting)
+        chosen = manager.deploy(make_container(gpu=4_000.0))
+        assert chosen.name == "b"
+        assert tested == ["a", "b"]
+        assert chosen.used.gpu_gflops == 4_000.0
+
     def test_deploy_restricted_to_node(self):
         manager = ComputingManager()
         manager.register(make_server("a", "n1"))

@@ -26,7 +26,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.network import csr
+from repro import obs
+from repro.core.fixed import FixedScheduler
+from repro.errors import NoPathError, SchedulingError
+from repro.network import csr, routing
 from repro.network.auxiliary import AuxiliaryGraphBuilder
 from repro.network.csr import kernel
 from repro.network.graph import Network
@@ -36,7 +39,9 @@ from repro.network.routing import (
     LatencyWeightSpec,
     PathCache,
 )
-from repro.network.topology import scale_free
+from repro.network.topology import fat_tree, scale_free
+from repro.tasks.aitask import AITask
+from repro.tasks.models import get_model
 from tests.oracle import sssp
 
 INF = math.inf
@@ -53,7 +58,7 @@ def _as_lists(solved):
 def _assert_vector_matches(snapshot, weights, source_i):
     """The vectorised solve equals ``_run`` exactly (it must not give up)."""
     weights = np.asarray(weights, dtype=np.float64)
-    solved = kernel._vector_solve(snapshot, weights, source_i)
+    solved = kernel._vector_solve(snapshot, weights, [source_i])[0]
     assert solved is not None
     dist, prev = _as_lists(solved)
     ref_dist, ref_prev = _reference(snapshot, weights, source_i)
@@ -64,8 +69,28 @@ def _assert_vector_matches(snapshot, weights, source_i):
 def _assert_dispatch_matches(snapshot, weights, source_i):
     """Whatever the solvers decide, ``_solve`` equals ``_run``."""
     array = np.asarray(weights, dtype=np.float64)
-    got = _as_lists(kernel._solve(snapshot, source_i, list(weights), array))
+    solves = kernel._solve(snapshot, [source_i], list(weights), array)
+    got = _as_lists(next(solves))
     assert got == tuple(_reference(snapshot, weights, source_i))
+
+
+def _assert_batch_matches(snapshot, weights, sources):
+    """Every row of one pass is ``_run``'s answer or a give-up (``None``),
+    and the dispatched batch equals ``_run`` for every source."""
+    array = np.asarray(weights, dtype=np.float64)
+    solved = kernel._vector_solve(snapshot, array, sources)
+    assert len(solved) == len(sources)
+    expected = [_reference(snapshot, array, source_i) for source_i in sources]
+    for row, (ref_dist, ref_prev) in zip(solved, expected):
+        if row is not None:
+            dist, prev = _as_lists(row)
+            assert [d.hex() for d in dist] == [d.hex() for d in ref_dist]
+            assert prev == ref_prev
+    dispatched = kernel._solve(snapshot, list(sources), array.tolist(), array)
+    assert [_as_lists(row) for row in dispatched] == [
+        tuple(pair) for pair in expected
+    ]
+    return solved
 
 
 def _ring(n, distance_km=1.0):
@@ -138,7 +163,7 @@ class TestHandBuilt:
         for source_i in range(snapshot.n):
             _assert_vector_matches(snapshot, weights, source_i)
         dist, prev = _as_lists(
-            kernel._vector_solve(snapshot, weights, snapshot.index["a"])
+            kernel._vector_solve(snapshot, weights, [snapshot.index["a"]])[0]
         )
         assert dist[snapshot.index["x"]] == INF
         assert prev[snapshot.index["x"]] == -1
@@ -151,7 +176,7 @@ class TestHandBuilt:
         source_i = snapshot.index["lonely"]
         _assert_vector_matches(snapshot, weights, source_i)
         _dist, prev = _as_lists(
-            kernel._vector_solve(snapshot, weights, source_i)
+            kernel._vector_solve(snapshot, weights, [source_i])[0]
         )
         assert prev == [-1] * snapshot.n
 
@@ -180,8 +205,10 @@ class TestHandBuilt:
         weights[snapshot.edge_pos[("a", "t")]] = 0.2
         weights[snapshot.edge_pos[("s", "t")]] = 0.3
         source_i = snapshot.index["s"]
-        assert kernel._vector_distances(snapshot, weights, source_i) is not None
-        assert kernel._vector_solve(snapshot, weights, source_i) is None
+        assert kernel._vector_distances(
+            snapshot, snapshot.edge_arrays(), weights, [source_i]
+        )[1].all()
+        assert kernel._vector_solve(snapshot, weights, [source_i])[0] is None
         _assert_dispatch_matches(snapshot, weights, source_i)
 
     def test_long_ring_hits_sweep_bound(self):
@@ -189,8 +216,11 @@ class TestHandBuilt:
         assert snapshot.m >= kernel.VECTOR_MIN_EDGES  # dispatch would try it
         weights = csr.weight_array(snapshot, ("latency",))
         for source_i in (0, 500):
-            assert kernel._vector_distances(snapshot, weights, source_i) is None
-            assert kernel._vector_solve(snapshot, weights, source_i) is None
+            _dist, converged = kernel._vector_distances(
+                snapshot, snapshot.edge_arrays(), weights, [source_i]
+            )
+            assert not converged.any()
+            assert kernel._vector_solve(snapshot, weights, [source_i])[0] is None
             _assert_dispatch_matches(snapshot, weights, source_i)
 
     def test_returns_python_floats_through_the_tree(self):
@@ -279,7 +309,7 @@ class TestSettleRanks:
         cases.append((diamond, np.ones(diamond.m), diamond.index["s"]))
         for case_snapshot, weights, source_i in cases:
             ranks.clear()
-            assert kernel._vector_solve(case_snapshot, weights, source_i)
+            assert kernel._vector_solve(case_snapshot, weights, [source_i])[0]
             assert len(ranks) == 1 and ranks[0] is not None
             _assert_vector_matches(case_snapshot, weights, source_i)
 
@@ -289,9 +319,9 @@ class TestDispatch:
         calls = []
         original = kernel._vector_solve
 
-        def recording(snapshot, weights, source_i):
-            calls.append(snapshot.m)
-            return original(snapshot, weights, source_i)
+        def recording(snapshot, weights, sources):
+            calls.append((snapshot.m, len(sources)))
+            return original(snapshot, weights, sources)
 
         monkeypatch.setattr(kernel, "_vector_solve", recording)
         return calls
@@ -311,7 +341,9 @@ class TestDispatch:
         builder = AuxiliaryGraphBuilder(net, demand_gbps=2.0, owner="t")
         csr.terminal_tree_csr(net, "SRV-0-0", ["SRV-9-0", "SRV-40-0"], builder)
         snapshot = csr.get_snapshot(net)
-        assert calls == [snapshot.m] * 3
+        # One pass for the lone tree, one for the terminal tree's two
+        # sources.
+        assert calls == [(snapshot.m, 1), (snapshot.m, 2)]
         assert snapshot.m >= kernel.VECTOR_MIN_EDGES
 
     def test_budget_grows_with_edge_count(self):
@@ -364,6 +396,212 @@ class TestAboveTheCut:
             assert array_t == cache_t
 
 
+@pytest.fixture(scope="module")
+def hub_1k():
+    return scale_free(n_routers=1000, m_links=2, seed=1, servers_per_site=1)
+
+
+class TestBatchedSolve:
+    """One vectorised pass over several sources against ``_run`` per source."""
+
+    @pytest.mark.parametrize("kind", ["aux", "latency"])
+    def test_random_batches_on_the_1k_hub_graph(self, hub_1k, kind):
+        snapshot = csr.get_snapshot(hub_1k)
+        if kind == "aux":
+            token = AuxiliaryGraphBuilder(hub_1k, demand_gbps=4.0).cache_token()
+        else:
+            token = (kind,)
+        weights = csr.weight_array(snapshot, token)
+        rng = np.random.default_rng(len(kind))
+        for size in (2, 5, kernel.VECTOR_BATCH, kernel.VECTOR_BATCH + 3):
+            sources = rng.choice(snapshot.n, size, replace=False).tolist()
+            solved = _assert_batch_matches(snapshot, weights, sources)
+            assert all(row is not None for row in solved)
+
+    def test_ambiguous_ties_rank_per_row(self):
+        net = fat_tree(4)
+        snapshot = csr.get_snapshot(net)
+        weights = csr.weight_array(snapshot, ("hop",))
+        sources = list(range(0, snapshot.n, 3))
+        with obs.enabled() as registry:
+            solved = _assert_batch_matches(snapshot, weights, sources)
+        assert all(row is not None for row in solved)
+        counters = registry.summary()["counters"]
+        assert counters["csr.vector_ranked"] == len(sources)
+        assert counters["csr.vector_batches"] == 1
+
+    def test_ranked_and_lone_rows_in_one_pass(self, hub_net):
+        # A copy of the hub graph with distinct weights (lone ties only)
+        # beside a unit-weight diamond (two exact ties into its sink).
+        net = hub_net.copy_topology()
+        for a, b in (("ds", "da"), ("ds", "db"), ("da", "dt"), ("db", "dt")):
+            for node in (a, b):
+                if node not in net:
+                    net.add_node(node, NodeKind.ROUTER)
+            net.add_link(a, b, 100.0)
+        snapshot = csr.get_snapshot(net)
+        weights = np.random.default_rng(5).uniform(1.0, 2.0, snapshot.m)
+        for u, v in (("ds", "da"), ("ds", "db"), ("da", "dt"), ("db", "dt")):
+            weights[snapshot.edge_pos[(u, v)]] = 1.0
+            weights[snapshot.edge_pos[(v, u)]] = 1.0
+        index = snapshot.index
+        sources = [0, index["ds"], 7, index["dt"], 11]
+        with obs.enabled() as registry:
+            solved = _assert_batch_matches(snapshot, weights, sources)
+        assert all(row is not None for row in solved)
+        assert registry.summary()["counters"]["csr.vector_ranked"] == 2
+
+    def test_give_up_rows_leave_their_neighbours_alone(self):
+        # The ring's rows run out of sweeps; the star's converge at once.
+        net = _ring(1000)
+        net.add_node("hub", NodeKind.ROUTER)
+        for i in range(20):
+            net.add_node(f"leaf{i}", NodeKind.ROUTER)
+            net.add_link("hub", f"leaf{i}", 100.0, distance_km=1.0 + i)
+        snapshot = csr.get_snapshot(net)
+        weights = csr.weight_array(snapshot, ("latency",))
+        index = snapshot.index
+        sources = [index["R0"], index["hub"], index["R500"], index["leaf3"]]
+        solved = _assert_batch_matches(snapshot, weights, sources)
+        assert solved[0] is None and solved[2] is None
+        for row in (1, 3):
+            alone = kernel._vector_solve(snapshot, weights, [sources[row]])[0]
+            assert _as_lists(solved[row]) == _as_lists(alone)
+
+    def test_near_tie_row_gives_up_alone(self):
+        net = Network("near-tie")
+        for name in ("s", "a", "t"):
+            net.add_node(name, NodeKind.ROUTER)
+        net.add_link("s", "a", 100.0)
+        net.add_link("a", "t", 100.0)
+        net.add_link("s", "t", 100.0)
+        snapshot = csr.get_snapshot(net)
+        weights = np.ones(snapshot.m)
+        weights[snapshot.edge_pos[("s", "a")]] = 0.1
+        weights[snapshot.edge_pos[("a", "t")]] = 0.2
+        weights[snapshot.edge_pos[("s", "t")]] = 0.3
+        index = snapshot.index
+        sources = [index["s"], index["a"], index["t"], index["s"]]
+        solved = _assert_batch_matches(snapshot, weights, sources)
+        assert solved[0] is None and solved[3] is None
+        assert solved[1] is not None and solved[2] is not None
+
+    def test_duplicate_and_unreachable_sources(self):
+        net = Network("split")
+        for name in ("a", "b", "c", "x", "y"):
+            net.add_node(name, NodeKind.ROUTER)
+        net.add_link("a", "b", 100.0, distance_km=3.0)
+        net.add_link("b", "c", 100.0, distance_km=4.0)
+        net.add_link("x", "y", 100.0, distance_km=1.0)
+        snapshot = csr.get_snapshot(net)
+        weights = csr.weight_array(snapshot, ("latency",))
+        index = snapshot.index
+        sources = [index["x"], index["a"], index["a"], index["y"], index["x"]]
+        solved = _assert_batch_matches(snapshot, weights, sources)
+        assert _as_lists(solved[1]) == _as_lists(solved[2])
+        assert solved[1][0] is not solved[2][0]
+        dist, prev = _as_lists(solved[0])
+        assert dist[index["a"]] == INF and prev[index["a"]] == -1
+
+
+class TestBatchedLookups:
+    """The path cache's batched lookups against per-source ones."""
+
+    @staticmethod
+    def _lookups(net, batched, spec, sources):
+        cache = PathCache(net)
+        # Hits between misses: the stored order then shows where each
+        # miss entered the LRU.
+        for source in sources[2:9:3]:
+            cache.sssp(source, spec)
+        # Move the epoch so that the primed entries are revalidated.
+        u, v = net.inter_switch_links()[0]
+        net.reserve_edge(u, v, 1.0, "probe")
+        try:
+            if batched:
+                trees = cache.batched_sssp(sources, spec)
+            else:
+                trees = {
+                    source: cache.sssp(source, spec)
+                    for source in dict.fromkeys(sources)
+                }
+        finally:
+            net.release_owner("probe")
+        return cache, trees
+
+    @pytest.mark.parametrize("size", ["run", "vector"])
+    @pytest.mark.parametrize("max_entries", [routing.MAX_ENTRIES, 6])
+    def test_hits_misses_and_lru_order_match(self, monkeypatch, size, max_entries):
+        monkeypatch.setattr(routing, "MAX_ENTRIES", max_entries)
+        if size == "run":
+            net = scale_free(n_routers=60, m_links=2, seed=4, servers_per_site=1)
+        else:
+            net = scale_free(n_routers=250, m_links=2, seed=2, servers_per_site=1)
+        servers = net.servers()
+        sources = [servers[1], *servers[20:31], servers[1], servers[0]]
+        for spec in (
+            LatencyWeightSpec(net),
+            AuxiliaryGraphBuilder(net, demand_gbps=4.0),
+        ):
+            batched, batched_trees = self._lookups(net, True, spec, sources)
+            single, single_trees = self._lookups(net, False, spec, sources)
+            assert list(batched_trees) == list(single_trees)
+            for source in single_trees:
+                assert batched_trees[source] == single_trees[source]
+            assert list(batched._entries) == list(single._entries)
+            assert batched.stats.as_dict() == single.stats.as_dict()
+
+    @staticmethod
+    def _count_runs(monkeypatch):
+        calls = []
+        original = kernel._run
+
+        def recording(indptr, indices, weights, source_i, *args, **kwargs):
+            calls.append(source_i)
+            return original(indptr, indices, weights, source_i, *args, **kwargs)
+
+        monkeypatch.setattr(kernel, "_run", recording)
+        return calls
+
+    @pytest.fixture()
+    def split_net(self, hub_net):
+        net = hub_net.copy_topology()
+        net.add_node("lonely", NodeKind.SERVER)
+        assert csr.get_snapshot(net).m < kernel.VECTOR_MIN_EDGES
+        return net
+
+    def test_blocked_fixed_task_solves_no_extra_tree(self, monkeypatch, split_net):
+        servers = split_net.servers()
+        task = AITask(
+            task_id="blocked",
+            model=get_model("resnet18"),
+            global_node=servers[0],
+            local_nodes=(servers[5], "lonely", servers[9]),
+            demand_gbps=1.0,
+        )
+        calls = self._count_runs(monkeypatch)
+        with pytest.raises(SchedulingError, match="lonely"):
+            FixedScheduler().schedule(task, split_net)
+        # Only the global node's tree: the unreachable local blocks the
+        # task before any local's tree is solved.
+        index = csr.get_snapshot(split_net).index
+        assert calls == [index[servers[0]]]
+
+    def test_blocked_terminal_tree_stops_at_the_first_gap(
+        self, monkeypatch, split_net
+    ):
+        servers = split_net.servers()
+        calls = self._count_runs(monkeypatch)
+        with pytest.raises(NoPathError):
+            PathCache(split_net).terminal_tree(
+                servers[0],
+                [servers[5], "lonely", servers[9]],
+                LatencyWeightSpec(split_net),
+            )
+        index = csr.get_snapshot(split_net).index
+        assert calls == [index[servers[0]]]
+
+
 @st.composite
 def weighted_graphs(draw):
     """A small random graph plus an arbitrary per-directed-edge weight array."""
@@ -394,7 +632,7 @@ class TestProperties:
     def test_vector_solve_is_run_or_gives_up(self, case):
         snapshot, weights, source_i = case
         array = np.asarray(weights, dtype=np.float64)
-        solved = kernel._vector_solve(snapshot, array, source_i)
+        solved = kernel._vector_solve(snapshot, array, [source_i])[0]
         if solved is not None:
             _assert_vector_matches(snapshot, weights, source_i)
         _assert_dispatch_matches(snapshot, weights, source_i)

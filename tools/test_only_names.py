@@ -69,6 +69,8 @@ KEEP: Dict[str, str] = {
     "total_reserved_gbps": "the planned invariant layer reads the reserved total",
     # Behaviour question, not a deletion.
     "forget": "open: should campaigns drop a completed task's estimate",
+    # The checked form of a one-test path production takes.
+    "place": "Server.place tests capacity for callers that pick the server; deploy hosts first-fit's choice",
     # Only tests call these; candidates for the next deletion pass.
     "scaled": "next-pass candidate: only tests scale a ResourceDemand",
     "load_fraction": "next-pass candidate: only tests read a server's binding load",
