@@ -1,15 +1,17 @@
 """Benchmark abl-fp16: half-precision weight exchange.
 
 The poster motivates flexible scheduling with rapidly growing model
-sizes; fp16 halves the wire format.  Asserted shape: communication time
-falls to roughly half for both schedulers, and compression does not
-change which scheduler wins.
+sizes; fp16 halves the wire format.  Asserted shape: compression does
+not change which scheduler wins.  That communication time falls to
+roughly half for both schedulers (the 0.35-0.65 band on
+``fp16_comm_ratio`` and ``fp16_comm_ratio_fixed``) is judged by the
+floors in ``repro.bench.verify.FLOORS``.
 """
 
 from repro.bench import bench_suite
 from repro.experiments.extensions import run_compression_ablation
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import assert_floors, run_once
 
 
 @bench_suite("compression", headline="fp16_comm_ratio")
@@ -28,7 +30,6 @@ def suite(smoke: bool = False) -> dict:
         full = row("fp32", scheduler)["comm_ms"]
         half = row("fp16", scheduler)["comm_ms"]
         ratios[scheduler] = half / full
-        assert 0.35 < ratios[scheduler] < 0.65, "fp16 should ~halve communication"
 
     # The schedulers' relative order is precision-invariant.
     for precision in ("fp32", "fp16"):
@@ -46,4 +47,4 @@ def suite(smoke: bool = False) -> dict:
 
 
 def test_fp16_compression(benchmark):
-    run_once(benchmark, suite)
+    assert_floors("compression", None, run_once(benchmark, suite), smoke=False)

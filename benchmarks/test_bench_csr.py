@@ -37,6 +37,10 @@ unified ``repro bench`` harness:
   (``kernel._solve`` over all of them, ``kernel.VECTOR_BATCH`` per
   vectorised pass), which must equal the heap kernel's trees (shape);
   ``vector_batch_ms`` is its best-of-k time per source.
+  ``swept_edge_fraction`` is the edges that batch's passes sweep per
+  source (``csr.vector_swept_edges``) over the snapshot's edge count:
+  a pass sweeps only the core, so on the hub fabric, where every
+  server hangs off one access link, it must stay at most 0.7 (shape).
 * ``scale_free_1k.inject_*`` — static background-flow injection on the
   N=1000 hub fabric: :meth:`TrafficGenerator.inject_static` (one
   batched CSR routing pass, snapshot build included) against a
@@ -335,7 +339,9 @@ def _vector_campaign(network, smoke: bool):
         ranked += bool(counters.get("csr.vector_ranked"))
         identical &= as_lists(solved) == expected[-1]
     assert identical, "the dispatched solve diverged from the heap kernel"
-    batch_identical = [as_lists(solved) for solved in batched(None)] == expected
+    with obs.enabled() as registry:
+        batch_identical = [as_lists(solved) for solved in batched(None)] == expected
+    swept = registry.summary()["counters"].get("csr.vector_swept_edges", 0)
     assert batch_identical, "the batched solve diverged from the heap kernel"
     heap_s, solve_s = _best_totals_s((heap, dispatched), sources, repeats)
     (batch_s,) = _best_totals_s((batched,), [None], repeats)
@@ -351,6 +357,7 @@ def _vector_campaign(network, smoke: bool):
         "vector_speedup": round(speedup, 2),
         "vector_identical": identical,
         "batch_identical": batch_identical,
+        "swept_edge_fraction": round(swept / len(sources) / snapshot.m, 4),
     }
 
 

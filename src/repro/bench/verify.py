@@ -110,6 +110,22 @@ FLOORS: List[Floor] = [
         doc="evaluation prices each distinct (size, rate) stage once",
     ),
     Floor(
+        "compression", "fp16_comm_ratio", 0.35,
+        doc="fp16 about halves flexible-mst communication (lower edge)",
+    ),
+    Floor(
+        "compression", "fp16_comm_ratio", 0.65, op="<=",
+        doc="fp16 about halves flexible-mst communication (upper edge)",
+    ),
+    Floor(
+        "compression", "fp16_comm_ratio_fixed", 0.35,
+        doc="fp16 about halves fixed-spff communication (lower edge)",
+    ),
+    Floor(
+        "compression", "fp16_comm_ratio_fixed", 0.65, op="<=",
+        doc="fp16 about halves fixed-spff communication (upper edge)",
+    ),
+    Floor(
         "fig3b", "bandwidth_gap_widens", 1,
         doc="fig3b fixed-vs-flexible bandwidth gap widens with locals",
     ),
@@ -192,6 +208,10 @@ FLOORS: List[Floor] = [
     Floor(
         "csr", "scale_free_1k.vector_passes_per_tree", 1, op="<=",
         doc="each terminal tree's sources solved in at most one vectorised pass",
+    ),
+    Floor(
+        "csr", "scale_free_1k.swept_edge_fraction", 0.7, op="<=",
+        doc="vectorised passes sweep the core only; access links attach after",
     ),
     Floor(
         "csr", "scale_free_1k.inject_identical", 1,

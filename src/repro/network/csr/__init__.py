@@ -24,14 +24,15 @@ algorithms over them:
 Single-source trees come from one of two solvers, chosen by the
 snapshot's directed-edge count alone.  Below ``VECTOR_MIN_EDGES`` the
 pure-Python heap loop runs.  At or above it a numpy solve runs first:
-label-correcting sweeps find the distances, then the heap loop's
-predecessors are rebuilt from its written tie-break contract (the
-kernel docstring states it).  The numpy solve hands the
-source back to the heap loop when a candidate lands within the
-``1e-15`` epsilon of a distance without equalling it, or when its sweep
-budget (one sweep per ``VECTOR_EDGES_PER_SWEEP`` edges) runs out on a
-deep graph.  Either way the tree is bit-identical to the heap loop's.
-Trees are array-backed
+label-correcting sweeps over the snapshot's core (the graph less its
+degree-one nodes, which are attached afterwards) find the distances,
+then the heap loop's predecessors are rebuilt from its written
+tie-break contract (the kernel docstring states it).  The numpy solve
+hands the source back to the heap loop when a candidate lands within
+the ``1e-15`` epsilon of a distance without equalling it, or when its
+sweep budget (one sweep per ``VECTOR_EDGES_PER_SWEEP`` edges) runs out
+on a deep graph.  Either way the tree is bit-identical to the heap
+loop's.  Trees are array-backed
 (:class:`~repro.network.paths.ShortestPathTree`), so no per-node dict
 is built unless a caller asks for the mapping views.
 
@@ -53,7 +54,7 @@ compare against lives in ``tests/oracle.py``.
 
 from __future__ import annotations
 
-from .snapshot import CsrSnapshot, get_snapshot, peek_snapshot
+from .snapshot import CsrSnapshot, get_snapshot
 from .weights import weight_array
 from .kernel import (
     array_edge_weight,
@@ -75,7 +76,6 @@ __all__ = [
     "batch_size",
     "get_snapshot",
     "k_shortest_paths_csr",
-    "peek_snapshot",
     "shortest_paths_csr",
     "sssp_csr",
     "sssp_tree",

@@ -46,54 +46,75 @@ observable input only (:func:`batch_size`).  Snapshots with fewer than
 time as the caller reads the results, so a caller that stops at its
 first unreachable pair solves no tree beyond it.  Larger ones try
 :func:`_vector_solve` on up to :data:`VECTOR_BATCH` sources per pass.
-A pass stacks the snapshot's ``heads``/``tails`` once per source (row
-``r``'s node indices offset by ``r * n``) and runs the label-correcting
+A pass works on the snapshot's core (:class:`~.snapshot.CsrCore`): the
+graph less its pendants, the nodes whose one out-edge and one in-edge
+join them to the same parent (every server's access link makes one).
+It stacks the core's ``heads``/``tails`` once per source (row ``r``'s
+core node indices offset by ``r * n``) and runs the label-correcting
 numpy sweeps for ``D``, the exact-tie test and the contract above in
 vectorised form over all the rows at once; a single source is the
-batch of one.  When every reached node of a row has one exact tie from
-a strictly closer head, its ``prev`` is read off those edges and no
-settle rank is built.  Only ambiguous ties (several exact ties into a
-node, or a tie at equal distance: zero-weight edges, hop weights)
-build the ranks, per row on that row's distances, by a fixpoint over
-the equal-distance classes only.  A row hands its source to ``_run`` on
-a near-tie, or when the sweeps or its rank passes exceed one per
-:data:`VECTOR_EDGES_PER_SWEEP` edges.  No edge joins two rows, so a
+batch of one.  A pendant source's row starts at its parent, at the
+distance of the one push ``_run`` makes from the source, and nothing
+relaxes into that start, as nothing relaxes into a source.  Each
+pendant is attached afterwards through its one in-edge.  That is
+exact: the in-edge is the pendant's only candidate, so it has no
+near-tie and no rank question, and its out-edge leads back to a parent
+``_run`` settled before it, so that edge is never relaxed; the core's
+settle order is ``_run``'s less the pendants.  A graph without
+pendants is its own core.  When every reached core node of a row has
+one exact tie from a strictly closer head, its ``prev`` is read off
+those edges and no settle rank is built.  Only ambiguous ties
+(several exact ties into a node, or a tie at equal distance:
+zero-weight edges, hop weights) build the ranks, per row on that
+row's distances, by a fixpoint over the equal-distance classes only.
+A row hands its source to ``_run`` on a near-tie, or when the sweeps
+or its rank passes exceed one per :data:`VECTOR_EDGES_PER_SWEEP`
+edges.  No edge joins two rows, so a
 give-up leaves the other rows as they would be alone.  Sweeps grow with
 hop depth while ``_run`` grows with edge count, so the budget caps what
 a give-up wastes at about half a ``_run``.  Passes are counted as
-``csr.vector_batches``, give-ups as ``csr.vector_fallback`` and rows
-that needed ranks as ``csr.vector_ranked`` when telemetry is on.
-Measured per source under aux weights, best of 5, on a 2-vCPU VM:
-``_run`` and the vectorised solve of one source called directly (ms),
-the sweeps that solve needs, and what the dispatch delivers against
-``_run`` (BASELINES.md has the full table; of these rows only fat-tree
-needs ranks in the solve):
+``csr.vector_batches``, the core edges they sweep (rows times core
+edges) as ``csr.vector_swept_edges``, give-ups as
+``csr.vector_fallback`` and rows that needed ranks as
+``csr.vector_ranked`` when telemetry is on.  The sweep budget counts
+the whole snapshot's edges.
 
-=========================  =====  =====  ========  ======  ==========
-family                         m   _run  vector    sweeps  dispatched
-=========================  =====  =====  ========  ======  ==========
-scale-free N=20              114  0.047  0.092          8  ``_run``
-scale-free N=100             594  0.279  0.151         10  ``_run``
-fat-tree k=8                 768  0.351  0.310          7  ``_run``
-scale-free N=200            1194  0.645  0.213         11  3.01x
-waxman N=100                1546  0.544  0.194          9  2.83x
-scale-free N=1000 (hub)     5994  4.463  0.459         12  8.54x
-scale-free N=5000          29994  30.32  2.317         15  13.24x
-metro-mesh 200 sites        1300  0.859  gives up      55  0.71x
-ring N=1000                 2000  1.101  gives up     501  0.68x
-=========================  =====  =====  ========  ======  ==========
+Measured per source under aux weights, best of 5 over 8 sources, on
+a 2-vCPU VM (CPython 3.11.7, numpy 2.4.6): the edges a pass sweeps
+(``core``), ``_run`` and the vectorised solve of one source called
+directly (ms), the sweeps that solve needs, and what the dispatch
+delivers against ``_run`` (BASELINES.md has the full table; of these
+rows only fat-tree needs ranks in the solve).  In the same session the
+whole-graph solve this replaced read 0.213 ms (7.27x dispatched) on
+the hub fabric and 0.875 ms (11.00x) on N=5000:
+
+=========================  =====  =====  =====  ========  ======  ==========
+family                         m   core   _run  vector    sweeps  dispatched
+=========================  =====  =====  =====  ========  ======  ==========
+scale-free N=20              114     74  0.021  0.064          6  ``_run``
+scale-free N=100             594    394  0.123  0.080          8  ``_run``
+fat-tree k=8                 768    512  0.128  0.143          5  ``_run``
+scale-free N=200            1194    794  0.267  0.094         10  2.83x
+waxman N=100                1546   1346  0.208  0.090          7  2.28x
+scale-free N=1000 (hub)     5994   3994  1.549  0.184         11  8.57x
+scale-free N=5000          29994  19994  9.819  0.651         14  15.31x
+metro-mesh 200 sites        1300    500  0.300  gives up      54  0.68x
+ring N=1000                 2000   2000  0.379  gives up     501  0.62x
+=========================  =====  =====  =====  ========  ======  ==========
 
 Batched, on the hub fabric (N=1000, m=5994, aux weights): ms per source
 for passes of ``k`` sources, best of 5 over the same 48 sources, against
-``_run`` at 1.95 ms per source in the same run.  A pass sweeps until its
-deepest row settles and scans every row's block each sweep, so the
-saving is the per-pass overhead and flattens out by ``k`` = 4; the cap
-of 16 keeps a terminal tree of up to 17 terminals in one pass.
+``_run`` at 1.54 ms per source in the same run (the whole-graph passes
+this replaced read 0.232, 0.202, 0.181, 0.192 and 0.227 in the same
+session).  A pass sweeps until its deepest row settles and scans every
+row's block each sweep, so the saving is the per-pass overhead and
+flattens out by ``k`` = 4; the cap of 16 keeps a terminal tree of up
+to 17 terminals in one pass.
 
 =====  =====  =====  =====  =====
 k=1    k=2    k=4    k=8    k=16
 =====  =====  =====  =====  =====
-0.297  0.255  0.229  0.281  0.332
+0.194  0.157  0.133  0.125  0.130
 =====  =====  =====  =====  =====
 
 The incremental-repair primitive is :func:`tree_unaffected`: a
@@ -128,7 +149,7 @@ from ..paths import (
     k_shortest_paths as _yen,
     tree_from_metric_closure,
 )
-from .snapshot import CsrSnapshot, get_snapshot
+from .snapshot import CsrCore, CsrSnapshot, get_snapshot
 from .weights import weight_array
 
 _INF = math.inf
@@ -244,58 +265,79 @@ def batch_size(snapshot: CsrSnapshot) -> int:
     return VECTOR_BATCH if snapshot.m >= VECTOR_MIN_EDGES else 1
 
 
-def _stacked_edges(
-    snapshot: CsrSnapshot, rows: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(heads, tails)`` for ``rows`` stacked copies of the structure.
+def _stacked_edges(core: CsrCore, rows: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(heads, tails)`` for ``rows`` stacked copies of the core.
 
-    See :meth:`CsrSnapshot.edge_arrays`.  The first batch of several
-    sources stacks the snapshot's arrays for a full
-    :data:`VECTOR_BATCH`, so they are built once, not once per size.
+    See :meth:`CsrCore.edge_arrays`.  The first batch of several sources
+    stacks the core's arrays for a full :data:`VECTOR_BATCH`, so they
+    are built once, not once per size.
     """
     if rows > 1:
-        snapshot.edge_arrays(max(rows, VECTOR_BATCH))
-    return snapshot.edge_arrays(rows)
+        core.edge_arrays(max(rows, VECTOR_BATCH))
+    return core.edge_arrays(rows)
 
 
-def _row_sources(n: int, sources: Sequence[int]) -> np.ndarray:
-    """Each source's node index in its own row of the stacked structure."""
-    return np.arange(len(sources), dtype=np.int64) * n + sources
+def _row_starts(
+    snapshot: CsrSnapshot,
+    core: CsrCore,
+    weights: np.ndarray,
+    sources: Sequence[int],
+) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+    """Where each source's row starts in the core, and at what distance.
+
+    A core source starts at itself at ``0.0``.  A pendant source starts
+    at its parent at ``0.0 + w`` of its one out-edge: the one push
+    :func:`_run` makes before it settles the parent, after which nothing
+    relaxes into the parent, as nothing relaxes into a source.  Returns
+    the starts as core node indices, their distances, and per row the
+    parent a pendant source hangs off (-1 for a core source).
+    """
+    starts = core.local[sources]
+    start_dist = np.zeros(len(sources))
+    parents = [-1] * len(sources)
+    for row in np.flatnonzero(starts < 0).tolist():
+        out_edge = snapshot.indptr[sources[row]]
+        parent = snapshot.indices[out_edge]
+        starts[row] = core.local[parent]
+        start_dist[row] = 0.0 + weights[out_edge]
+        parents[row] = parent
+    return starts, start_dist, parents
 
 
 def _vector_distances(
-    snapshot: CsrSnapshot,
+    core: CsrCore,
     edges: Tuple[np.ndarray, np.ndarray],
     weights: np.ndarray,
-    sources: Sequence[int],
+    starts: np.ndarray,
+    start_dist: np.ndarray,
+    budget: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact distances from each source by label-correcting sweeps.
+    """Exact core distances from each row's start by label-correcting sweeps.
 
-    The rows are swept together over ``edges``, the structure stacked
-    once per source (:meth:`CsrSnapshot.edge_arrays`), in which no edge
-    joins two rows; ``weights`` repeats the snapshot's weights per row.
-    Returns ``(dist, converged)``: ``dist[r * n + v]`` is the distance
-    from ``sources[r]`` to ``v``, valid where ``converged[r]``.  Each
-    sweep relaxes the out-edges of the nodes whose distance moved in
-    the previous sweep (Jacobi style: every candidate reads the
-    distances from before the sweep) and lowers each tail to its least
-    candidate.  Each candidate is the IEEE sum ``D[u] + weights[e]``
-    that :func:`_run` computes, so a row's fixpoint is the least float
-    path sum ``_run`` settles on whenever no near-tie intervenes.  The
-    sweep count grows with the hop depth of the tree; a row still
-    moving after :func:`_sweep_budget` sweeps has given up
-    (``converged[r]`` is False).  Rows never read each other, so each
-    row is what that source alone would give.
+    The rows are swept together over ``edges``, the core stacked once
+    per row (:meth:`CsrCore.edge_arrays`), in which no edge joins two
+    rows; ``weights`` repeats the core edges' weights per row.  Row
+    ``r`` starts at stacked node ``starts[r]`` with distance
+    ``start_dist[r]``.  Returns ``(dist, converged)``: ``dist[r * n +
+    v]`` is the distance to core node ``v`` in row ``r``, valid where
+    ``converged[r]``.  Each sweep relaxes the out-edges of the nodes
+    whose distance moved in the previous sweep (Jacobi style: every
+    candidate reads the distances from before the sweep) and lowers
+    each tail to its least candidate.  Each candidate is the IEEE sum
+    ``D[u] + weights[e]`` that :func:`_run` computes, so a row's
+    fixpoint is the least float path sum ``_run`` settles on whenever
+    no near-tie intervenes.  The sweep count grows with the hop depth
+    of the tree; a row still moving after ``budget`` sweeps has given
+    up (``converged[r]`` is False).  Rows never read each other, so
+    each row is what its source alone would give.
     """
     heads, tails = edges
-    k = len(sources)
-    n = snapshot.n
-    starts = _row_sources(n, sources)
-    dist = np.full(k * n, _INF)
-    dist[starts] = 0.0
-    moved = np.zeros(k * n, dtype=bool)
+    k = len(starts)
+    dist = np.full(k * core.n, _INF)
+    dist[starts] = start_dist
+    moved = np.zeros(k * core.n, dtype=bool)
     moved[starts] = True
-    for _sweep in range(_sweep_budget(snapshot)):
+    for _sweep in range(budget):
         active = np.flatnonzero(moved[heads])
         if not active.size:
             break
@@ -308,7 +350,7 @@ def _vector_distances(
         if not moved.any():
             break
     else:
-        return dist, ~moved.reshape(k, n).any(axis=1)
+        return dist, ~moved.reshape(k, core.n).any(axis=1)
     return dist, np.ones(k, dtype=bool)
 
 
@@ -317,21 +359,23 @@ def _vector_solve(
 ) -> List[Optional[Tuple[np.ndarray, np.ndarray]]]:
     """Per source, ``(dist, prev)`` bit-identical to :func:`_run`, or ``None``.
 
-    One vectorised pass over the whole batch: the distances from
+    One vectorised pass over the whole batch, on the snapshot's core
+    (:meth:`CsrSnapshot.core`): the distances from
     :func:`_vector_distances`, the exact ties and near-tie test of
     :func:`_exact_ties`, and the lone-tie predecessor read all run on
-    the stacked rows at once.  When every reached node of a row has one
-    exact tie from a strictly closer head, its ``prev`` is read straight
-    off those edges; a row with ambiguous ties builds settle ranks
-    (:func:`_settle_rank`) on its own distances, without re-solving.
-    ``None`` means "run ``_run`` for this source instead": its sweep or
-    rank-pass bound was hit, or a candidate fell inside the relaxation
-    epsilon of a distance without being equal to it, where ``_run``'s
-    answer depends on arrival order.  Each row gives up on its own.
-    ``dist`` and ``prev`` are numpy arrays indexed like ``_run``'s
-    lists, one pair of its own per source (duplicates included).
-    Weights must lie in ``[0, +inf]``, as
-    :func:`~repro.network.csr.weights.weight_array` guarantees.
+    the stacked rows at once.  When every reached core node of a row
+    has one exact tie from a strictly closer head, its ``prev`` is read
+    straight off those edges; a row with ambiguous ties builds settle
+    ranks (:func:`_settle_rank`) on its own distances, without
+    re-solving.  Each pendant is then attached through its one in-edge,
+    the only candidate it ever gets.  ``None`` means "run ``_run`` for
+    this source instead": its sweep or rank-pass bound was hit, or a
+    candidate fell inside the relaxation epsilon of a distance without
+    being equal to it, where ``_run``'s answer depends on arrival
+    order.  Each row gives up on its own.  ``dist`` and ``prev`` are
+    numpy arrays indexed like ``_run``'s lists, one pair of its own per
+    source (duplicates included).  Weights must lie in ``[0, +inf]``,
+    as :func:`~repro.network.csr.weights.weight_array` guarantees.
     """
     k = len(sources)
     n = snapshot.n
@@ -341,81 +385,120 @@ def _vector_solve(
     # int64.
     if n * (n * (m + 1) + 2) >= _INT64_LIMIT:
         return [None] * k
+    core = snapshot.core()
+    nc, mc = core.n, core.m
     obs.inc("csr.vector_batches")
-    edges = _stacked_edges(snapshot, k)
-    stacked = np.tile(weights, k) if k > 1 else weights
-    dist, solved = _vector_distances(snapshot, edges, stacked, sources)
-    tie_edges, solved = _exact_ties(
-        snapshot, edges, stacked, dist, sources, solved
+    obs.inc("csr.vector_swept_edges", k * mc)
+    budget = _sweep_budget(snapshot)
+    starts, start_dist, parents = _row_starts(snapshot, core, weights, sources)
+    starts += np.arange(k, dtype=np.int64) * nc
+    edges = _stacked_edges(core, k)
+    stacked = weights[core.edges]
+    if k > 1:
+        stacked = np.tile(stacked, k)
+    dist, solved = _vector_distances(
+        core, edges, stacked, starts, start_dist, budget
     )
+    tie_edges, solved = _exact_ties(core, edges, stacked, dist, starts, solved)
     tie_heads = edges[0][tie_edges]
     tie_tails = edges[1][tie_edges]
     # Row r's ties are tie_edges[bounds[r]:bounds[r + 1]].
-    bounds = np.searchsorted(tie_edges, np.arange(k + 1) * m)
+    bounds = np.searchsorted(tie_edges, np.arange(k + 1) * mc)
     ties = np.diff(bounds)
 
-    # Every reached node but the source has an exact tie (its distance
-    # is one of its candidates), and only those nodes are tie tails: as
-    # many ties as those nodes is one tie each.  A lone exact candidate
-    # from a strictly closer head is settled first, so it wins.
-    lone = ties == np.count_nonzero((dist < _INF).reshape(k, n), axis=1) - 1
+    # Every reached core node but the start has an exact tie (its
+    # distance is one of its candidates), and only those nodes are tie
+    # tails: as many ties as those nodes is one tie each.  A start
+    # behind a failed access link is not reached, and reaches nothing.
+    # A lone exact candidate from a strictly closer head is settled
+    # first, so it wins.
+    reached = np.count_nonzero((dist < _INF).reshape(k, nc), axis=1)
+    lone = ties == reached - (start_dist < _INF)
     not_closer = np.flatnonzero(dist[tie_heads] >= dist[tie_tails])
-    lone[tie_edges[not_closer] // max(m, 1)] = False
-    # Predecessors as stacked node indices: row r's entries, unreached
-    # ones (r * n - 1) included, are off by r * n until copied out.
-    prev = np.repeat(np.arange(-1, k * n - 1, n, dtype=_PREV_DTYPE), n)
+    lone[tie_edges[not_closer] // max(mc, 1)] = False
+    # Predecessors as stacked core indices: row r's entries, unreached
+    # ones (r * nc - 1) included, are off by r * nc.
+    local_prev = np.repeat(np.arange(-1, k * nc - 1, nc, dtype=np.int64), nc)
     if lone.all():
-        prev[tie_tails] = tie_heads
+        local_prev[tie_tails] = tie_heads
     else:
         read = np.repeat(lone, ties)
-        prev[tie_tails[read]] = tie_heads[read]
+        local_prev[tie_tails[read]] = tie_heads[read]
+    local_prev = local_prev.reshape(k, nc)
+    local_prev -= (np.arange(k, dtype=np.int64) * nc)[:, None]
+    # Core index -> snapshot index, with -1 (none) kept as -1.
+    names = np.append(core.nodes, -1)
+    in_weights = weights[core.in_edges]
 
     solutions: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
     for row, source_i in enumerate(sources):
         if not solved[row]:
             solutions.append(None)
             continue
-        span = slice(row * n, (row + 1) * n)
+        core_dist = dist[row * nc : (row + 1) * nc]
         if lone[row]:
-            row_prev: Optional[np.ndarray] = prev[span] - row * n
+            core_prev = local_prev[row]
         else:
             obs.inc("csr.vector_ranked")
-            row_prev = _ranked_prev(
-                snapshot,
-                dist[span],
-                source_i,
-                tie_edges[bounds[row] : bounds[row + 1]] - row * m,
+            core_prev = _ranked_prev(
+                core,
+                core_dist,
+                starts[row] - row * nc,
+                tie_edges[bounds[row] : bounds[row + 1]] - row * mc,
+                budget,
             )
-        # A copy, so that a kept tree does not pin the whole batch.
-        solutions.append(
-            None if row_prev is None else (dist[span].copy(), row_prev)
+            if core_prev is None:
+                solutions.append(None)
+                continue
+        # The row over the whole snapshot, in arrays of its own so that
+        # a kept tree does not pin the batch: the core's entries, then
+        # each pendant through its one in-edge, as _run relaxes it once
+        # its parent settles (an unreached parent or a +inf edge leaves
+        # it at +inf with no predecessor).
+        row_dist = np.empty(n)
+        row_dist[core.nodes] = core_dist
+        pendant_dist = row_dist[core.parents]
+        pendant_dist += in_weights
+        row_dist[core.pendants] = pendant_dist
+        row_prev = np.empty(n, dtype=_PREV_DTYPE)
+        row_prev[core.nodes] = names[core_prev]
+        row_prev[core.pendants] = np.where(
+            pendant_dist < _INF, core.parents, -1
         )
+        parent = parents[row]
+        if parent >= 0:
+            # A pendant source settles first, then its parent.
+            row_dist[source_i] = 0.0
+            row_prev[source_i] = -1
+            if row_dist[parent] < _INF:
+                row_prev[parent] = source_i
+        solutions.append((row_dist, row_prev))
     return solutions
 
 
 def _exact_ties(
-    snapshot: CsrSnapshot,
+    core: CsrCore,
     edges: Tuple[np.ndarray, np.ndarray],
     weights: np.ndarray,
     dist: np.ndarray,
-    sources: Sequence[int],
+    starts: np.ndarray,
     solved: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The stacked edge positions whose candidate equals its tail's distance.
 
     Arguments are laid out as :func:`_vector_distances` takes and
-    returns them; row ``r``'s edge ``e`` sits at ``r * m + e``.  Only
-    finite candidates into nodes other than the row's source count (the
-    relaxations ``_run`` makes), and only in rows still ``solved``.
+    returns them; row ``r``'s core edge ``e`` sits at ``r * m + e``.
+    Only finite candidates into nodes other than the row's start count
+    (the relaxations ``_run`` makes), and only in rows still ``solved``.
     Returns the positions, ascending, and ``solved`` less the rows where
     some other candidate lies within the relaxation epsilon of its
     tail's distance.
     """
     heads, tails = edges
-    k = len(sources)
-    m = snapshot.m
-    # _run never relaxes into the source.
-    starts = _row_sources(snapshot.n, sources)
+    k = len(starts)
+    m = core.m
+    # _run never relaxes into the source (nor, from a pendant source,
+    # into the parent it settles next).
     relaxable = (tails.reshape(k, m) != starts[:, None]).ravel()
     # In place where the arithmetic allows: a batch's per-edge arrays
     # are its largest temporaries.
@@ -438,54 +521,60 @@ def _exact_ties(
 
 
 def _ranked_prev(
-    snapshot: CsrSnapshot,
+    core: CsrCore,
     dist: np.ndarray,
-    source_i: int,
+    start: int,
     tie_edges: np.ndarray,
+    budget: int,
 ) -> Optional[np.ndarray]:
-    """One solve's ``prev`` from settle ranks, or ``None`` to give up.
+    """One row's core ``prev`` from settle ranks, or ``None`` to give up.
 
-    ``tie_edges`` are the solve's exact-tie edge positions.  Each
-    reached node's predecessor is the head of its winning push; the
-    solve gives up when the rank fixpoint runs out of passes or a node
-    has no push from a head settled before it.
+    ``dist`` is the row's core distances from ``start`` and
+    ``tie_edges`` its exact-tie core edge positions.  Each reached core
+    node's predecessor is the head of its winning push; the row gives
+    up when the rank fixpoint runs out of its ``budget`` of passes or a
+    node has no push from a head settled before it.  Pendants never
+    push into the core (their one out-edge leads to a parent settled
+    before them), so the core's settle order is ``_run``'s less the
+    pendants.
     """
-    m1 = snapshot.m + 1
-    invalid = snapshot.n * m1
-    heads, tails = snapshot.edge_arrays()
-    rank = _settle_rank(snapshot, dist, source_i, tie_edges)
+    m1 = core.m + 1
+    invalid = core.n * m1
+    heads, tails = core.edge_arrays()
+    rank = _settle_rank(core, dist, start, tie_edges, budget)
     if rank is None:
         return None
     win = _winning_push(
         rank, heads[tie_edges], tails[tie_edges], tie_edges, m1, invalid
     )
     targets = np.flatnonzero(dist < _INF)
-    targets = targets[targets != source_i]
+    targets = targets[targets != start]
     win = win[targets]
     if (win == invalid).any():
         return None
-    prev = np.full(snapshot.n, -1, dtype=_PREV_DTYPE)
+    prev = np.full(core.n, -1, dtype=np.int64)
     prev[targets] = heads[win % m1]
     return prev
 
 
 def _settle_rank(
-    snapshot: CsrSnapshot,
+    core: CsrCore,
     dist: np.ndarray,
-    source_i: int,
+    start: int,
     tie_edges: np.ndarray,
+    budget: int,
 ) -> Optional[np.ndarray]:
-    """Each node's position in ``_run``'s settle order, or ``None``.
+    """Each core node's position in ``_run``'s settle order, or ``None``.
 
     By distance, then by the tick of the winning push over the exact-tie
     edges.  Nodes with a distance of their own are ranked by it alone;
     only classes of equal distances need the tick, found by fixpoint.
-    ``None`` when the fixpoint passes exceed :func:`_sweep_budget`.
+    ``None`` when the fixpoint passes exceed ``budget``.
     """
-    n = snapshot.n
-    m1 = snapshot.m + 1
+    n = core.n
+    m1 = core.m + 1
     invalid = n * m1
-    heads, tails = snapshot.edge_arrays()
+    heads, tails = core.edge_arrays()
     by_dist = np.argsort(dist)
     rank = np.empty(n, dtype=np.int64)
     rank[by_dist] = np.arange(n)
@@ -508,9 +597,9 @@ def _settle_rank(
     m_heads = heads[m_edges]
     m_tails = tails[m_edges]
     placed = members
-    for _pass in range(_sweep_budget(snapshot)):
+    for _pass in range(budget):
         win = _winning_push(rank, m_heads, m_tails, m_edges, m1, invalid)
-        win[source_i] = -1
+        win[start] = -1
         order_in = members[np.argsort(class_base + win[members])]
         if np.array_equal(order_in, placed):
             return rank

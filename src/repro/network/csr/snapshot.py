@@ -10,9 +10,10 @@ A :class:`CsrSnapshot` is a flat mirror of one
 * **per-edge state overlay** — numpy arrays (``latency``, ``capacity``,
   ``used``, ``failed``) indexed by directed-edge position, from which
   weight arrays are vectorised;
-* **edge endpoint arrays** — ``heads``/``tails`` as int64 numpy arrays
-  (:meth:`CsrSnapshot.edge_arrays`), stacked for a batched vectorised
-  solve, built on first use and kept for the snapshot's lifetime.
+* **core** — the structure less its pendants (:class:`CsrCore`, from
+  :meth:`CsrSnapshot.core`): what a vectorised solve sweeps, with its
+  own edge endpoint arrays stacked for a batch of sources, built on
+  first use and kept for the snapshot's lifetime.
 
 The overlay is a gather from the network's
 :class:`~repro.network.link.LinkLedger`: ``slot_of_pos`` maps each
@@ -55,7 +56,7 @@ class CsrSnapshot:
         "used",
         "failed",
         "_synced_epoch",
-        "_edge_arrays",
+        "_core",
     )
 
     def __init__(self, network: Network) -> None:
@@ -94,29 +95,17 @@ class CsrSnapshot:
         self.slot_of_pos = np.asarray(slots, dtype=np.intp)
         self.latency = np.asarray(latency, dtype=np.float64)
         self._gather()
-        self._edge_arrays = None
+        self._core: Optional[CsrCore] = None
 
-    def edge_arrays(self, rows: int = 1) -> Tuple[np.ndarray, np.ndarray]:
-        """``(heads, tails)`` per directed-edge position, as int64 arrays.
+    def core(self) -> "CsrCore":
+        """The structure less its pendants, built on first use.
 
-        ``rows`` stacks that many copies of the structure: copy ``r``
-        sits at positions ``r * m`` onwards with its node indices offset
-        by ``r * n``, the block-diagonal graph over which a batched
-        solve sweeps all its sources at once (copy 0 is the structure
-        itself).  Built for the most rows asked for so far and kept for
-        the snapshot's lifetime (the structure cannot change within one
-        topology version); fewer rows are a prefix of those arrays.
+        Kept for the snapshot's lifetime: the structure cannot change
+        within one topology version.
         """
-        size = rows * self.m
-        arrays = self._edge_arrays
-        if arrays is None or arrays[0].size < size:
-            offsets = (np.arange(rows, dtype=np.int64) * self.n)[:, None]
-            arrays = (
-                (np.asarray(self.heads, dtype=np.int64) + offsets).ravel(),
-                (np.asarray(self.indices, dtype=np.int64) + offsets).ravel(),
-            )
-            self._edge_arrays = arrays
-        return arrays[0][:size], arrays[1][:size]
+        if self._core is None:
+            self._core = CsrCore(self)
+        return self._core
 
     def refresh(self) -> int:
         """Re-gather the overlay from the ledger if its epoch moved.
@@ -151,6 +140,95 @@ class CsrSnapshot:
         return (self.capacity - self.used).tolist()
 
 
+class CsrCore:
+    """A snapshot's structure less its pendants, in its own node indices.
+
+    A *pendant* is a node with exactly one out-edge and one in-edge, both
+    to the same neighbour, its *parent*, which is not such a node itself
+    (so a two-node component stays whole).  Every server's access link
+    makes one.  No path between two other nodes passes through a
+    pendant, so a shortest-path solve can sweep the core alone and
+    attach each pendant afterwards through its one in-edge; a graph
+    without pendants is its own core.
+
+    * ``nodes`` — the snapshot's indices of the core nodes, ascending;
+      core node ``i`` is snapshot node ``nodes[i]``, and ``local`` maps
+      back (-1 for a pendant);
+    * ``edges`` — the snapshot's positions of the edges between two
+      core nodes, ascending; ``n`` and ``m`` count the core's nodes and
+      edges;
+    * ``pendants``, ``parents``, ``in_edges`` — per pendant, its index,
+      its parent's and the position of the parent's edge into it.  A
+      pendant's one out-edge is its CSR row's only entry.
+    """
+
+    __slots__ = (
+        "n",
+        "m",
+        "nodes",
+        "local",
+        "edges",
+        "pendants",
+        "parents",
+        "in_edges",
+        "_edge_arrays",
+    )
+
+    def __init__(self, snapshot: CsrSnapshot) -> None:
+        n = snapshot.n
+        heads = np.asarray(snapshot.heads, dtype=np.int64)
+        tails = np.asarray(snapshot.indices, dtype=np.int64)
+        indptr = np.asarray(snapshot.indptr, dtype=np.int64)
+        in_degree = np.bincount(tails, minlength=n)
+        leaves = np.flatnonzero((np.diff(indptr) == 1) & (in_degree == 1))
+        neighbours = tails[indptr[leaves]]
+        # A one-in-edge node's in-edge is the only position naming it.
+        in_edge = np.zeros(n, dtype=np.int64)
+        in_edge[tails] = np.arange(snapshot.m)
+        in_edges = in_edge[leaves]
+        keep = (heads[in_edges] == neighbours) & (neighbours != leaves)
+        leaves = leaves[keep]
+        neighbours = neighbours[keep]
+        in_edges = in_edges[keep]
+        is_leaf = np.zeros(n, dtype=bool)
+        is_leaf[leaves] = True
+        hung = ~is_leaf[neighbours]
+        self.pendants = leaves[hung]
+        self.parents = neighbours[hung]
+        self.in_edges = in_edges[hung]
+        pendant = np.zeros(n, dtype=bool)
+        pendant[self.pendants] = True
+        self.nodes = np.flatnonzero(~pendant)
+        self.n = self.nodes.size
+        self.local = np.full(n, -1, dtype=np.int64)
+        self.local[self.nodes] = np.arange(self.n)
+        self.edges = np.flatnonzero(~(pendant[heads] | pendant[tails]))
+        self.m = self.edges.size
+        self._edge_arrays = (
+            self.local[heads[self.edges]],
+            self.local[tails[self.edges]],
+        )
+
+    def edge_arrays(self, rows: int = 1) -> Tuple[np.ndarray, np.ndarray]:
+        """``(heads, tails)`` per core edge, as core node indices (int64).
+
+        ``rows`` stacks that many copies of the core: copy ``r`` sits at
+        positions ``r * m`` onwards with its node indices offset by
+        ``r * n``, the block-diagonal graph over which a batched solve
+        sweeps all its sources at once (copy 0 is the core itself).
+        Built for the most rows asked for so far; fewer rows are a
+        prefix of those arrays.
+        """
+        size = rows * self.m
+        heads, tails = self._edge_arrays
+        if heads.size < size:
+            offsets = (np.arange(rows, dtype=np.int64) * self.n)[:, None]
+            heads = (heads[: self.m] + offsets).ravel()
+            tails = (tails[: self.m] + offsets).ravel()
+            self._edge_arrays = heads, tails
+        return heads[:size], tails[:size]
+
+
 def get_snapshot(network: Network) -> CsrSnapshot:
     """The network's current snapshot: refreshed, rebuilt if structure grew."""
     snapshot: Optional[CsrSnapshot] = network._csr_snapshot
@@ -166,8 +244,3 @@ def get_snapshot(network: Network) -> CsrSnapshot:
         if snapshot.refresh():
             obs.inc("csr.refresh")
     return snapshot
-
-
-def peek_snapshot(network: Network) -> Optional[CsrSnapshot]:
-    """The attached snapshot if one exists (stale or not), else ``None``."""
-    return network._csr_snapshot

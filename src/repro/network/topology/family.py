@@ -50,16 +50,14 @@ class ParamSpec:
     def validate(self, value: Any, *, family: str) -> Any:
         """Coerce and range-check one override; returns the final value."""
         where = f"family {family!r}: parameter {self.name!r}"
-        value = coerce_override(value, self.default, where=where)
+        value = coerce_override(
+            value, self.default, where=where, maximum=self.maximum
+        )
         if value is None:
             return value
         if self.minimum is not None and value < self.minimum:
             raise ConfigurationError(
                 f"{where} must be >= {self.minimum}, got {value!r}"
-            )
-        if self.maximum is not None and value > self.maximum:
-            raise ConfigurationError(
-                f"{where} must be <= {self.maximum}, got {value!r}"
             )
         if self.choices is not None and value not in self.choices:
             raise ConfigurationError(

@@ -12,13 +12,19 @@ on what the same override value means.
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, Optional
 
 from .errors import ConfigurationError
 
 
-def coerce_override(value: Any, default: Any, *, where: str) -> Any:
-    """Coerce ``value`` against its ``default``'s type.
+def coerce_override(
+    value: Any,
+    default: Any,
+    *,
+    where: str,
+    maximum: Optional[float] = None,
+) -> Any:
+    """Coerce ``value`` against its ``default``'s type, then its bound.
 
     Rules:
 
@@ -31,12 +37,15 @@ def coerce_override(value: Any, default: Any, *, where: str) -> Any:
     * any other default requires an instance of its own type;
     * a number must be finite: NaN and ±inf are rejected, since no
       parameter means anything at either and they would flow silently
-      into rows.
+      into rows;
+    * a number must not exceed ``maximum`` when one is given, so that a
+      size is refused before anything is built from it.
 
     Args:
         value: the user-supplied override.
         default: the schema default it replaces.
         where: message prefix, e.g. ``"scenario 'x': parameter 'y'"``.
+        maximum: inclusive upper bound for a numeric value.
 
     Raises:
         ConfigurationError: on any mismatch.
@@ -65,4 +74,6 @@ def coerce_override(value: Any, default: Any, *, where: str) -> Any:
         raise ConfigurationError(
             f"{where} expects {type(default).__name__}, got {value!r}"
         )
+    if maximum is not None and value > maximum:
+        raise ConfigurationError(f"{where} must be <= {maximum}, got {value!r}")
     return value

@@ -22,6 +22,17 @@ from ..sim.rng import RandomStreams
 from ..tasks.workload import TaskWorkload
 from .failures import LinkFailureModel
 
+#: Upper bounds on the scenario parameters that size a run, checked on
+#: every override.  Each admits every built-in default and the
+#: end-to-end benchmark's long replay (2,000 trace epochs, a 1.6e6 ms
+#: horizon) with room to spare; 100,000 one-second trace epochs span
+#: the largest horizon.
+SIZE_MAXIMA: Dict[str, float] = {
+    "n_tasks": 100_000,
+    "trace_epochs": 100_000,
+    "horizon_ms": 1e8,
+}
+
 #: Builds the fabric from the merged parameter dict.
 TopologyBuilder = Callable[[Dict[str, Any]], Network]
 #: Builds the task mix on that fabric from params + named streams.
@@ -181,7 +192,7 @@ class ScenarioSpec:
         Coercion follows the shared policy in :mod:`repro.params`: a
         numeric default accepts any numeric override, a None default
         accepts numbers or None, anything else must match the default's
-        type.
+        type.  The sizes in :data:`SIZE_MAXIMA` are bounded above.
         """
         merged = dict(self.defaults)
         for key, value in (overrides or {}).items():
@@ -194,6 +205,7 @@ class ScenarioSpec:
                 value,
                 merged[key],
                 where=f"scenario {self.name!r}: parameter {key!r}",
+                maximum=SIZE_MAXIMA.get(key),
             )
         return merged
 

@@ -341,6 +341,50 @@ class TestVerify:
             "scale_free_1k.inject_speedup",
         }
 
+    def test_core_sweep_floor(self):
+        floors = {(f.suite, f.metric): f for f in FLOORS}
+        swept = floors[("csr", "scale_free_1k.swept_edge_fraction")]
+        assert not swept.timing and swept.op == "<=" and swept.limit == 0.7
+        suites = {
+            "csr": {
+                "scale_free_200": {"identical": True},
+                # Every pass sweeping the whole graph, as before the
+                # core solve; the core alone sweeps 3,994 of 5,994.
+                "scale_free_1k": {"swept_edge_fraction": 1.0},
+                "scale_free_5k": {"scheduled": 3},
+            }
+        }
+        violated = {
+            v.floor.metric for v in verify_record(_fake_record(suites))
+        }
+        assert "scale_free_1k.swept_edge_fraction" in violated
+        suites["csr"]["scale_free_1k"]["swept_edge_fraction"] = 0.6663
+        violated = {
+            v.floor.metric for v in verify_record(_fake_record(suites))
+        }
+        assert "scale_free_1k.swept_edge_fraction" not in violated
+
+    def test_compression_band_floors(self):
+        bands = {}
+        for floor in FLOORS:
+            if floor.suite == "compression":
+                assert not floor.timing
+                bands.setdefault(floor.metric, {})[floor.op] = floor.limit
+        assert bands == {
+            "fp16_comm_ratio": {">=": 0.35, "<=": 0.65},
+            "fp16_comm_ratio_fixed": {">=": 0.35, "<=": 0.65},
+        }
+        for ratio, expected in ((0.5, set()), (0.3, {">="}), (0.7, {"<="})):
+            suites = {
+                "compression": {
+                    "fp16_comm_ratio": ratio, "fp16_comm_ratio_fixed": 0.5
+                }
+            }
+            ops = {
+                v.floor.op for v in verify_record(_fake_record(suites))
+            }
+            assert ops == expected
+
     def test_fault_history_ratio_floor_is_an_upper_bound(self):
         suites = {
             "failures": {

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments import EXPERIMENTS
+from repro.scenarios import ScenarioSpec
 
 
 class TestParser:
@@ -83,6 +84,20 @@ class TestErrorBoundary:
 
     def test_oversized_topology_rejected(self, capsys):
         argv = ["topologies", "build", "scale-free", "--set", "n_routers=3000000000"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "must be <=" in self._one_error_line(captured.err)
+        assert captured.out == ""
+
+    def test_oversized_scenario_rejected_before_building(self, monkeypatch, capsys):
+        def build(*_args, **_kwargs):
+            raise AssertionError("an oversized scenario was instantiated")
+
+        monkeypatch.setattr(ScenarioSpec, "instantiate", build)
+        argv = [
+            "scenarios", "sweep", "metro-mesh-uniform",
+            "--set", "n_tasks=3000000000",
+        ]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert "must be <=" in self._one_error_line(captured.err)

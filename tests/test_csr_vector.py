@@ -55,6 +55,22 @@ def _as_lists(solved):
     return tuple(np.asarray(part).tolist() for part in solved)
 
 
+def _distances(snapshot, weights, source_i):
+    """``kernel._vector_distances`` for one source, as a pass calls it."""
+    core = snapshot.core()
+    starts, start_dist, _parents = kernel._row_starts(
+        snapshot, core, weights, [source_i]
+    )
+    return kernel._vector_distances(
+        core,
+        core.edge_arrays(),
+        weights[core.edges],
+        starts,
+        start_dist,
+        kernel._sweep_budget(snapshot),
+    )
+
+
 def _assert_vector_matches(snapshot, weights, source_i):
     """The vectorised solve equals ``_run`` exactly (it must not give up)."""
     weights = np.asarray(weights, dtype=np.float64)
@@ -205,9 +221,7 @@ class TestHandBuilt:
         weights[snapshot.edge_pos[("a", "t")]] = 0.2
         weights[snapshot.edge_pos[("s", "t")]] = 0.3
         source_i = snapshot.index["s"]
-        assert kernel._vector_distances(
-            snapshot, snapshot.edge_arrays(), weights, [source_i]
-        )[1].all()
+        assert _distances(snapshot, weights, source_i)[1].all()
         assert kernel._vector_solve(snapshot, weights, [source_i])[0] is None
         _assert_dispatch_matches(snapshot, weights, source_i)
 
@@ -216,9 +230,7 @@ class TestHandBuilt:
         assert snapshot.m >= kernel.VECTOR_MIN_EDGES  # dispatch would try it
         weights = csr.weight_array(snapshot, ("latency",))
         for source_i in (0, 500):
-            _dist, converged = kernel._vector_distances(
-                snapshot, snapshot.edge_arrays(), weights, [source_i]
-            )
+            _dist, converged = _distances(snapshot, weights, source_i)
             assert not converged.any()
             assert kernel._vector_solve(snapshot, weights, [source_i])[0] is None
             _assert_dispatch_matches(snapshot, weights, source_i)
@@ -299,10 +311,12 @@ class TestSettleRanks:
         hop = csr.weight_array(snapshot, ("hop",))
         cases = [(snapshot, hop, source_i) for source_i in range(0, snapshot.n, 9)]
         # b's one exact tie is a zero-weight edge from a, at a's distance.
-        chain = self._snapshot("zero", [("s", "a"), ("a", "b")])
-        zero = np.ones(chain.m)
-        zero[chain.edge_pos[("a", "b")]] = 0.0
-        cases.append((chain, zero, chain.index["s"]))
+        square = self._snapshot(
+            "zero", [("s", "a"), ("a", "b"), ("b", "c"), ("c", "s")]
+        )
+        zero = np.ones(square.m)
+        zero[square.edge_pos[("a", "b")]] = 0.0
+        cases.append((square, zero, square.index["s"]))
         diamond = self._snapshot(
             "diamond", [("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")]
         )
@@ -602,8 +616,178 @@ class TestBatchedLookups:
         assert calls == [index[servers[0]]]
 
 
+def _leafy(name, links, leaves=(), isolated=()):
+    """A network of ``links`` with one leaf link per ``(leaf, parent)``."""
+    net = Network(name)
+    for u, v in [*links, *leaves]:
+        for node in (u, v):
+            if node not in net:
+                net.add_node(node, NodeKind.ROUTER)
+    for node in isolated:
+        net.add_node(node, NodeKind.ROUTER)
+    for u, v in links:
+        net.add_link(u, v, 100.0)
+    for leaf, parent in leaves:
+        net.add_link(parent, leaf, 100.0)
+    return csr.get_snapshot(net)
+
+
+def _assert_rows_match(snapshot, weights, sources):
+    """One pass over ``sources`` equals ``_run`` per source, no give-ups."""
+    array = np.asarray(weights, dtype=np.float64)
+    solved = kernel._vector_solve(snapshot, array, list(sources))
+    for source_i, row in zip(sources, solved):
+        assert row is not None, snapshot.names[source_i]
+        dist, prev = _as_lists(row)
+        ref_dist, ref_prev = _reference(snapshot, array, source_i)
+        assert [d.hex() for d in dist] == [d.hex() for d in ref_dist]
+        assert prev == ref_prev, snapshot.names[source_i]
+
+
+#: A diamond core (s, a, b, t) with pendants p off s, q and r off t,
+#: and x off a.
+_DIAMOND = [("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")]
+_LEAVES = [("p", "s"), ("q", "t"), ("r", "t"), ("x", "a")]
+
+
+class TestPendants:
+    """The core solve attaches degree-one nodes exactly as ``_run`` does."""
+
+    def test_core_of_the_hub_fabric(self, hub_1k):
+        snapshot = csr.get_snapshot(hub_1k)
+        core = snapshot.core()
+        servers = hub_1k.servers()
+        assert (snapshot.n, snapshot.m) == (2000, 5994)
+        assert (core.n, core.m) == (1000, 3994)
+        assert sorted(snapshot.names[i] for i in core.pendants) == sorted(servers)
+        for pendant, parent, in_edge in zip(
+            core.pendants, core.parents, core.in_edges
+        ):
+            assert snapshot.heads[in_edge] == parent
+            assert snapshot.indices[in_edge] == pendant
+        assert snapshot.core() is core
+
+    def test_core_structure(self):
+        snapshot = _leafy("shape", [*_DIAMOND, ("u", "v")], _LEAVES, ["z"])
+        core = snapshot.core()
+        names = [snapshot.names[i] for i in core.nodes]
+        # The two-node component u-v and the isolated z stay whole.
+        assert sorted(names) == ["a", "b", "s", "t", "u", "v", "z"]
+        assert sorted(snapshot.names[i] for i in core.pendants) == list("pqrx")
+        assert core.m == 2 * len(_DIAMOND) + 2
+        assert core.local[core.nodes].tolist() == list(range(core.n))
+        assert (core.local[core.pendants] == -1).all()
+
+    @pytest.mark.parametrize("kind", ["random", "latency", "hop"])
+    def test_pendant_sources_and_targets(self, kind):
+        snapshot = _leafy("leafy", _DIAMOND, _LEAVES)
+        if kind == "random":
+            weights = np.random.default_rng(9).uniform(0.5, 3.0, snapshot.m)
+        else:
+            weights = csr.weight_array(snapshot, (kind,))
+        _assert_rows_match(snapshot, weights, range(snapshot.n))
+
+    def test_hop_weights_rank_pendant_source_rows(self):
+        snapshot = _leafy("leafy", _DIAMOND, _LEAVES)
+        weights = csr.weight_array(snapshot, ("hop",))
+        index = snapshot.index
+        with obs.enabled() as registry:
+            _assert_rows_match(snapshot, weights, [index["p"], index["q"]])
+        # From p (start s) and q (start t), the far end of the diamond
+        # has two exact ties at equal hop counts.
+        assert registry.summary()["counters"]["csr.vector_ranked"] == 2
+
+    @pytest.mark.parametrize("value", [0.0, INF])
+    @pytest.mark.parametrize("direction", ["in", "out", "both"])
+    def test_zero_and_inf_access_links(self, value, direction):
+        snapshot = _leafy("leafy", _DIAMOND, _LEAVES)
+        weights = np.random.default_rng(4).uniform(0.5, 3.0, snapshot.m)
+        for leaf, parent in _LEAVES:
+            if direction in ("in", "both"):
+                weights[snapshot.edge_pos[(parent, leaf)]] = value
+            if direction in ("out", "both"):
+                weights[snapshot.edge_pos[(leaf, parent)]] = value
+        _assert_rows_match(snapshot, weights, range(snapshot.n))
+
+    def test_pendant_source_behind_a_failed_access_link(self):
+        net = scale_free(n_routers=250, m_links=2, seed=2, servers_per_site=1)
+        server = net.servers()[17]
+        (router,) = net.neighbors(server)
+        net.fail_link(server, router)
+        snapshot = csr.get_snapshot(net)
+        builder = AuxiliaryGraphBuilder(net, demand_gbps=4.0)
+        for spec in (LatencyWeightSpec(net), builder):
+            weights = csr.weight_array(snapshot, spec.cache_token())
+            assert weights[snapshot.edge_pos[(server, router)]] == INF
+            index = snapshot.index
+            sources = [index[server], index[router], index[net.servers()[3]]]
+            with obs.enabled() as registry:
+                _assert_rows_match(snapshot, weights, sources)
+            # The stranded row reaches nothing and needs no ranks.
+            assert "csr.vector_ranked" not in registry.summary()["counters"]
+            dist, prev = _as_lists(
+                kernel._vector_solve(snapshot, weights, [index[server]])[0]
+            )
+            assert [i for i, d in enumerate(dist) if d < INF] == [index[server]]
+            assert prev == [-1] * snapshot.n
+
+    def test_two_node_components(self):
+        snapshot = _leafy("pairs", [*_DIAMOND, ("u", "v"), ("w", "y")], _LEAVES)
+        weights = np.random.default_rng(2).uniform(0.5, 3.0, snapshot.m)
+        weights[snapshot.edge_pos[("w", "y")]] = 0.0
+        weights[snapshot.edge_pos[("y", "w")]] = INF
+        _assert_rows_match(snapshot, weights, range(snapshot.n))
+
+    def test_star(self):
+        leaves = [(f"l{i}", "hub") for i in range(6)]
+        snapshot = _leafy("star", [], leaves)
+        core = snapshot.core()
+        assert (core.n, core.m) == (1, 0)
+        weights = np.random.default_rng(3).uniform(0.5, 3.0, snapshot.m)
+        weights[snapshot.edge_pos[("hub", "l2")]] = INF
+        weights[snapshot.edge_pos[("l4", "hub")]] = INF
+        weights[snapshot.edge_pos[("l5", "hub")]] = 0.0
+        _assert_rows_match(snapshot, weights, range(snapshot.n))
+        _assert_rows_match(snapshot, np.zeros(snapshot.m), range(snapshot.n))
+
+    def test_isolated_nodes_and_edgeless_graph(self):
+        snapshot = _leafy("sparse", _DIAMOND, _LEAVES, ["z1", "z2"])
+        weights = np.random.default_rng(6).uniform(0.5, 3.0, snapshot.m)
+        _assert_rows_match(snapshot, weights, range(snapshot.n))
+        edgeless = _leafy("edgeless", [], [], ["a", "b", "c"])
+        assert edgeless.core().n == 3
+        _assert_rows_match(edgeless, np.zeros(0), range(3))
+
+    @pytest.mark.parametrize("kind", ["aux", "hop"])
+    def test_full_batches_mix_pendant_and_core_sources(self, hub_1k, kind):
+        snapshot = csr.get_snapshot(hub_1k)
+        if kind == "aux":
+            token = AuxiliaryGraphBuilder(hub_1k, demand_gbps=4.0).cache_token()
+        else:
+            token = (kind,)
+        weights = csr.weight_array(snapshot, token)
+        core = snapshot.core()
+        rng = np.random.default_rng(11)
+        sources = [
+            *rng.choice(core.pendants, kernel.VECTOR_BATCH // 2, replace=False),
+            *rng.choice(core.nodes, kernel.VECTOR_BATCH // 2, replace=False),
+        ]
+        rng.shuffle(sources)
+        _assert_rows_match(snapshot, weights, [int(i) for i in sources])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_leafy_graphs_match_run(self, data):
+        snapshot, weights, _source_i = data.draw(weighted_graphs(leaves=True))
+        array = np.asarray(weights, dtype=np.float64)
+        sources = data.draw(
+            st.lists(st.integers(0, snapshot.n - 1), min_size=1, max_size=16)
+        )
+        _assert_batch_matches(snapshot, array, sources)
+
+
 @st.composite
-def weighted_graphs(draw):
+def weighted_graphs(draw, leaves=False):
     """A small random graph plus an arbitrary per-directed-edge weight array."""
     n = draw(st.integers(1, 14))
     net = Network("random")
@@ -614,6 +798,13 @@ def weighted_graphs(draw):
         chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30))
         for a, b in chosen:
             net.add_link(f"n{a}", f"n{b}", 100.0)
+    if leaves:
+        # Degree-one nodes hung off random nodes, earlier leaves
+        # included, so that some make chains or two-node components.
+        for i in range(draw(st.integers(0, 8))):
+            parent = draw(st.sampled_from(net.node_names()))
+            net.add_node(f"leaf{i}", NodeKind.ROUTER)
+            net.add_link(f"leaf{i}", parent, 100.0)
     snapshot = csr.get_snapshot(net)
     # Few distinct values, so exact ties (and 0.1 + 0.2 style near-ties)
     # are common rather than vanishingly rare.
@@ -622,7 +813,7 @@ def weighted_graphs(draw):
     weights = draw(
         st.lists(values | floats, min_size=snapshot.m, max_size=snapshot.m)
     )
-    source_i = draw(st.integers(0, n - 1))
+    source_i = draw(st.integers(0, snapshot.n - 1))
     return snapshot, weights, source_i
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.errors import NoPathError, TopologyError
 from repro.network import csr
 from repro.network.auxiliary import AuxiliaryGraphBuilder
@@ -115,12 +116,15 @@ class TestSnapshot:
         for (u, v), pos in snapshot.edge_pos.items():
             assert residual[pos] == square_net.link(u, v).residual_gbps(u, v)
 
-    def test_peek_does_not_build(self):
-        net = Network("peek")
+    def test_built_once_per_topology_version(self):
+        net = Network("rebuilds")
         net.add_node("a")
-        assert csr.peek_snapshot(net) is None
-        csr.get_snapshot(net)
-        assert csr.peek_snapshot(net) is not None
+        with obs.enabled() as registry:
+            first = csr.get_snapshot(net)
+            assert csr.get_snapshot(net) is first
+            net.add_node("b")
+            assert csr.get_snapshot(net) is not first
+        assert registry.summary()["counters"]["csr.rebuild"] == 2
 
 
 class TestKernelEquivalence:

@@ -12,6 +12,7 @@ from repro.scenarios import (
     register,
     unregister,
 )
+from repro.scenarios.spec import SIZE_MAXIMA
 from repro.scenarios.workloads import bursty, pareto, uniform
 from repro.sim.rng import RandomStreams
 
@@ -118,6 +119,33 @@ class TestParameterValidation:
     def test_non_finite_topology_parameter_rejected(self):
         with pytest.raises(ConfigurationError, match="must be finite"):
             build_topology("waxman", {"beta": float("inf")})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_tasks", 100_001),
+            ("trace_epochs", 3_000_000_000),
+            ("horizon_ms", 1.1e8),
+        ],
+    )
+    def test_sizes_bounded_above(self, key, value):
+        spec = _spec(defaults={"trace_epochs": 24, "horizon_ms": 16_000.0})
+        with pytest.raises(ConfigurationError, match="must be <="):
+            spec.merge_params({key: value})
+        limit = SIZE_MAXIMA[key]
+        assert spec.merge_params({key: limit})[key] == limit
+
+    def test_size_maxima_admit_every_builtin_default(self):
+        specs = list_scenarios()
+        sized = [spec for spec in specs if set(SIZE_MAXIMA) & set(spec.defaults)]
+        assert {key for spec in sized for key in spec.defaults} >= set(SIZE_MAXIMA)
+        for spec in sized:
+            assert spec.merge_params(dict(spec.defaults)) == dict(spec.defaults)
+
+    def test_size_maxima_admit_the_long_replay(self):
+        spec = get_scenario("trace-srlg-campaign")
+        merged = spec.merge_params({"trace_epochs": 2000, "horizon_ms": 1.6e6})
+        assert (merged["trace_epochs"], merged["horizon_ms"]) == (2000, 1.6e6)
 
     def test_serve_mode_validated(self):
         with pytest.raises(ConfigurationError, match="serve"):
