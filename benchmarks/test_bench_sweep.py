@@ -11,6 +11,11 @@ not parallelism (real gains come from external worker processes).
 
 Smoke mode shrinks the grid to 4 runs so the identity matrix still
 covers all three backends in a couple of seconds.
+
+``builds_per_key`` (shape, floored ``<= 1.0``) counts scenario builds
+per run key in the serial sweep.  ``execute_run`` calls ``instantiate``
+once per scheduler; the second call gets the spare clone the first one
+left, so a key builds once (it built twice, 2.0, before the spare).
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import time
 
 from repro.bench import bench_suite
 from repro.scenarios import SocketQueueBackend, SweepConfig, run_sweep
+from repro.scenarios.spec import ScenarioSpec
 
 from benchmarks.conftest import run_once
 
@@ -45,11 +51,30 @@ def _timed(fn, *args, **kwargs):
     return time.perf_counter() - start, result
 
 
+def _counting_builds(fn, *args, **kwargs):
+    """``fn``'s result and the scenario builds made while it ran."""
+    builds = [0]
+    build = ScenarioSpec._build
+
+    def counted(self, merged, seed):
+        builds[0] += 1
+        return build(self, merged, seed)
+
+    ScenarioSpec._build = counted
+    try:
+        return fn(*args, **kwargs), builds[0]
+    finally:
+        ScenarioSpec._build = build
+
+
 @bench_suite("sweep", headline="serial_s")
 def suite(smoke: bool = False) -> dict:
     """Backend identity + overhead: serial vs process pool vs socket."""
     config = SMOKE_SWEEP if smoke else SWEEP
-    serial_s, serial = _timed(run_sweep, config, workers=1)
+    runs = len(config.scenarios) * len(config.seeds) * len(config.grid["n_locals"])
+    (serial_s, serial), builds = _counting_builds(
+        _timed, run_sweep, config, workers=1
+    )
     pool_s, pool = _timed(run_sweep, config, workers=2)
     socket_s, socket = _timed(
         run_sweep,
@@ -62,9 +87,8 @@ def suite(smoke: bool = False) -> dict:
     )
     assert identical, "backends diverged on the same sweep"
     return {
-        "runs": len(config.scenarios)
-        * len(config.seeds)
-        * len(config.grid["n_locals"]),
+        "runs": runs,
+        "builds_per_key": round(builds / runs, 3),
         "rows": len(serial.rows),
         "serial_s": round(serial_s, 4),
         "pool_s": round(pool_s, 4),

@@ -86,6 +86,11 @@ FLOORS: List[Floor] = [
         doc="pool and socket backends byte-identical to serial",
     ),
     Floor(
+        "sweep", "builds_per_key", 1.0, op="<=",
+        doc="a run key builds its scenario once; the second scheduler "
+        "gets a clone",
+    ),
+    Floor(
         "topologies", "families", 11,
         doc="registry still exposes every topology family",
     ),

@@ -36,6 +36,23 @@ from ... import obs
 from ..graph import Network
 
 
+#: The slots a :meth:`CsrSnapshot.clone` shares with its source.
+_STRUCTURE = (
+    "topology_version",
+    "n",
+    "m",
+    "names",
+    "index",
+    "indptr",
+    "indices",
+    "heads",
+    "edge_pos",
+    "slot_of_pos",
+    "latency",
+    "_core",
+)
+
+
 class CsrSnapshot:
     """Flat-array mirror of one network at one topology version."""
 
@@ -96,6 +113,20 @@ class CsrSnapshot:
         self.latency = np.asarray(latency, dtype=np.float64)
         self._gather()
         self._core: Optional[CsrCore] = None
+
+    def clone(self, network: Network) -> "CsrSnapshot":
+        """This snapshot on ``network``, a :meth:`Network.clone` of its own.
+
+        Everything but the overlay is shared: neither the structure nor
+        the core changes within one topology version.  The overlay is
+        gathered from ``network``'s own ledger.
+        """
+        twin = CsrSnapshot.__new__(CsrSnapshot)
+        twin.network = network
+        for name in _STRUCTURE:
+            setattr(twin, name, getattr(self, name))
+        twin._gather()
+        return twin
 
     def core(self) -> "CsrCore":
         """The structure less its pendants, built on first use.

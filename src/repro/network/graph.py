@@ -378,6 +378,43 @@ class Network:
             cloned.failed = link.failed
         return clone
 
+    def clone(self) -> "Network":
+        """An independent copy of the fabric with all of its state.
+
+        Unlike :meth:`copy_topology`, the copy keeps the reservations
+        (owner buckets and registry in insertion order), node and link
+        failure state with endpoint-down counts, the epoch and
+        ``topology_version``.  It shares no mutable object with this
+        network.  Its CSR snapshot shares this one's structure and
+        gathers its own overlay; it gets no path cache, so routing
+        starts cold as on a fresh build.
+        """
+        twin = Network(self.name)
+        twin._nodes = {
+            name: Node(
+                name=node.name,
+                kind=node.kind,
+                aggregation_capable=node.aggregation_capable,
+                attrs=dict(node.attrs),
+                failed=node.failed,
+            )
+            for name, node in self._nodes.items()
+        }
+        ledger = twin.ledger
+        twin._links = {
+            key: link.clone(ledger) for key, link in self._links.items()
+        }
+        twin._adjacency = {
+            name: list(neighbors) for name, neighbors in self._adjacency.items()
+        }
+        ledger.copy_from(
+            self.ledger, dict(zip(self._links.values(), twin._links.values()))
+        )
+        twin._topology_version = self._topology_version
+        if self._csr_snapshot is not None:
+            twin._csr_snapshot = self._csr_snapshot.clone(twin)
+        return twin
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Network({self.name!r}, nodes={self.node_count}, "

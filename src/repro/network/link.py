@@ -60,6 +60,21 @@ class LinkLedger:
         self.failed.extend((0, 0))
         return slot
 
+    def copy_from(self, source: "LinkLedger", twins: "Dict[Link, Link]") -> None:
+        """Take ``source``'s epoch, slots and registry, naming ``twins``' links.
+
+        ``twins`` maps each of ``source``'s links to its copy on this
+        ledger; the registry keeps every owner's first-reserved order.
+        """
+        self.epoch = source.epoch
+        self.used = source.used[:]
+        self.capacity = source.capacity[:]
+        self.failed = source.failed[:]
+        self._held = {
+            owner: {twins[link]: None for link in held}
+            for owner, held in source._held.items()
+        }
+
     def holds_anywhere(self, owner: str) -> bool:
         return owner in self._held
 
@@ -133,6 +148,26 @@ class Link:
         self.ledger = ledger if ledger is not None else LinkLedger()
         # The u -> v slot; v -> u is the next one.
         self._slot = self.ledger.attach(float(capacity_gbps))
+
+    def clone(self, ledger: LinkLedger) -> "Link":
+        """This link on ``ledger``, a copy of its own ledger's slots.
+
+        The owner buckets are copied in insertion order, so each slot
+        sums as before.  Attributes are assigned in ``__init__``'s order:
+        the copy keeps the instance layout every other link shares.
+        """
+        twin = Link.__new__(Link)
+        twin.u = self.u
+        twin.v = self.v
+        twin._forced_failed = self._forced_failed
+        twin._endpoints_down = self._endpoints_down
+        twin.distance_km = self.distance_km
+        twin._latency_ms = self._latency_ms
+        forward, backward = self._buckets
+        twin._buckets = (dict(forward), dict(backward))
+        twin.ledger = ledger
+        twin._slot = self._slot
+        return twin
 
     @property
     def latency_ms(self) -> float:
@@ -239,10 +274,6 @@ class Link:
     def owner_gbps(self, src: str, dst: str, owner: str) -> float:
         """Rate currently reserved by ``owner`` in that direction."""
         return self._buckets[self._direction(src, dst)].get(owner, 0.0)
-
-    def holds(self, owner: str) -> bool:
-        """True when ``owner`` has a reservation in either direction."""
-        return any(owner in bucket for bucket in self._buckets)
 
     def owners(self) -> "set[str]":
         """Every owner with a reservation in either direction."""

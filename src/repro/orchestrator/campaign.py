@@ -273,18 +273,16 @@ def serve_sequential(
 def orchestrator_for(
     instance: "ScenarioInstance", scheduler: Optional[Scheduler] = None
 ) -> Orchestrator:
-    """An orchestrator on the instance's fabric with its background load.
+    """An orchestrator on the instance's fabric.
 
     The single wiring recipe shared by ``run_scenario`` and the sweep
     engine, so both entry points serve identical state for the same
-    ``(scenario, params, seed)``.
+    ``(scenario, params, seed)``.  The instance already carries its
+    background flows: ``ScenarioSpec.instantiate`` injects them.
     """
     # Imported lazily: repro.scenarios imports orchestrator machinery.
     from ..core.flexible import FlexibleScheduler
-    from ..traffic.generator import TrafficGenerator
 
-    traffic = TrafficGenerator(instance.network, instance.streams)
-    traffic.inject_static(int(instance.params.get("background_flows", 0)))
     return Orchestrator(instance.network, scheduler or FlexibleScheduler())
 
 
@@ -323,7 +321,7 @@ def run_scenario(
 
     This is the scenario-registry entry point into the campaign runner:
     the spec (by name or object) is instantiated deterministically for
-    ``(params, seed)``, its background flows are injected, its task mix
+    ``(params, seed)`` with its background flows, its task mix
     is admitted at the generated arrival times on simulated time, and —
     when the spec carries a fault profile — its fail/repair timeline is
     played through the orchestrator mid-campaign.

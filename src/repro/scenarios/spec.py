@@ -5,11 +5,12 @@ engine expands: a topology builder, a workload builder, an optional
 failure model, and a dict of default parameters.  ``instantiate`` turns
 a spec plus overrides plus a seed into a concrete, fully deterministic
 :class:`ScenarioInstance` — same (spec, params, seed) always yields the
-same network, failures, and task mix, in any process.
+same network, failures, background load and task mix, in any process.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
@@ -20,15 +21,20 @@ from ..resilience.processes import FaultTimeline, build_timeline
 from ..resilience.profile import FaultProfile
 from ..sim.rng import RandomStreams
 from ..tasks.workload import TaskWorkload
+from ..traffic.generator import TrafficGenerator
 from .failures import LinkFailureModel
 
 #: Upper bounds on the scenario parameters that size a run, checked on
 #: every override.  Each admits every built-in default and the
-#: end-to-end benchmark's long replay (2,000 trace epochs, a 1.6e6 ms
-#: horizon) with room to spare; 100,000 one-second trace epochs span
-#: the largest horizon.
+#: end-to-end benchmark's values (up to 50 background flows, 2,000
+#: trace epochs, a 1.6e6 ms horizon) with room to spare; 100,000
+#: one-second trace epochs span the largest horizon, and no topology
+#: family builds 100,000 servers to host that many locals.
 SIZE_MAXIMA: Dict[str, float] = {
     "n_tasks": 100_000,
+    "n_locals": 100_000,
+    "rounds": 100_000,
+    "background_flows": 100_000,
     "trace_epochs": 100_000,
     "horizon_ms": 1e8,
 }
@@ -104,9 +110,11 @@ class ScenarioInstance:
         spec: the originating spec.
         params: the merged (defaults + overrides) parameters.
         seed: the seed the instance was derived from.
-        network: the built (and possibly failure-degraded) fabric.
+        network: the built (and possibly failure-degraded) fabric,
+            carrying the scenario's ``background_flows`` reservations.
         workload: the generated task mix.
-        streams: the instance's random streams (for background traffic).
+        streams: the instance's random streams, each in the state the
+            build left it.
         failed_links: links the failure model took down, if any.
         fault_timeline: the drawn fail/repair schedule when the spec
             carries a :class:`~repro.resilience.profile.FaultProfile`.
@@ -124,10 +132,32 @@ class ScenarioInstance:
     fault_timeline: Optional[FaultTimeline] = None
     metadata: Dict[str, Any] = field(default_factory=dict)
 
+    def clone(self) -> "ScenarioInstance":
+        """An independent copy, equal to a fresh build of the same key.
+
+        The network, streams, params and metadata are copied; the frozen
+        workload and fault timeline are shared.
+        """
+        return ScenarioInstance(
+            spec=self.spec,
+            params=dict(self.params),
+            seed=self.seed,
+            network=self.network.clone(),
+            workload=self.workload,
+            streams=self.streams.clone(),
+            failed_links=self.failed_links,
+            fault_timeline=self.fault_timeline,
+            metadata=dict(self.metadata),
+        )
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A named, parameterized scenario.
+
+    :meth:`instantiate` builds an instance that carries everything a
+    run serves: the fabric with its static failures and its
+    ``background_flows`` reserved, the task mix and the fault timeline.
 
     Attributes:
         name: unique registry key.
@@ -215,8 +245,31 @@ class ScenarioSpec:
         *,
         seed: int = 0,
     ) -> ScenarioInstance:
-        """Build the deterministic instance for (params, seed)."""
+        """The deterministic instance for (params, seed).
+
+        Every call returns a new instance that shares no mutable state
+        with any other.  A build keeps one spare :meth:`ScenarioInstance.clone`
+        per thread; the next call of the thread with this spec, the same
+        merged params and the same seed gets that spare instead of a
+        rebuild, and the spare is forgotten.  The sweep engine's two
+        calls per run key (one per scheduler) thus build once.
+        """
         merged = self.merge_params(params)
+        spare: Optional[ScenarioInstance] = getattr(_SPARE, "instance", None)
+        _SPARE.instance = None
+        if (
+            spare is not None
+            and spare.spec is self
+            and spare.seed == seed
+            and _same_params(spare.params, merged)
+        ):
+            return spare
+        instance = self._build(merged, seed)
+        _SPARE.instance = instance.clone()
+        return instance
+
+    def _build(self, merged: Dict[str, Any], seed: int) -> ScenarioInstance:
+        """Topology, static failures, workload, fault timeline, background load."""
         streams = RandomStreams(seed).fork(f"scenario:{self.name}")
         network = self.topology(merged)
         metadata: Dict[str, Any] = {}
@@ -233,6 +286,9 @@ class ScenarioSpec:
                 profile, network, streams.stream("fault-timeline")
             )
             metadata["fault_events_drawn"] = timeline.fail_count
+        TrafficGenerator(network, streams).inject_static(
+            int(merged.get("background_flows", 0))
+        )
         return ScenarioInstance(
             spec=self,
             params=merged,
@@ -244,3 +300,12 @@ class ScenarioSpec:
             fault_timeline=timeline,
             metadata=metadata,
         )
+
+
+#: Per thread, the clone of the last instance built, until the next call.
+_SPARE = threading.local()
+
+
+def _same_params(a: Mapping[str, Any], b: Mapping[str, Any]) -> bool:
+    """Equal merged params, each value of the same type (1 is not 1.0)."""
+    return a == b and all(type(a[key]) is type(b[key]) for key in a)

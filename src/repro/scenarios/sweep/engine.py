@@ -274,11 +274,13 @@ def _serve_campaign(instance: ScenarioInstance, scheduler) -> Row:
 def execute_run(key: RunKey) -> List[Row]:
     """Run one (scenario, params, seed) under both schedulers.
 
-    Each scheduler gets a freshly instantiated scenario (identical seed,
-    hence identical network/failures/workload), mirroring the fig. 3
-    protocol.  The key's ``serving`` override, when present, decides the
-    serve mode instead of the spec.  Top-level so pool workers can
-    unpickle it by reference.
+    Each scheduler gets its own instance from one ``instantiate`` call
+    (identical seed, hence identical network, failures, background
+    flows and workload), mirroring the fig. 3 protocol.  The second
+    call gets the spare clone the first one left, so a key builds its
+    scenario once.  The key's ``serving`` override, when present,
+    decides the serve mode instead of the spec.  Top-level so pool
+    workers can unpickle it by reference.
     """
     spec = get_scenario(key.scenario)
     mode = key.serving or _spec_serving(spec)

@@ -52,6 +52,16 @@ class RandomStreams:
             self._streams[name] = random.Random(seed)
         return self._streams[name]
 
+    def clone(self) -> "RandomStreams":
+        """An independent copy: the same seed, every stream in its state."""
+        twin = RandomStreams(self._master_seed)
+        for name, stream in self._streams.items():
+            # Random.__new__ skips the seeding Random() would do first.
+            copy = random.Random.__new__(random.Random)
+            copy.setstate(stream.getstate())
+            twin._streams[name] = copy
+        return twin
+
     def fork(self, name: str) -> "RandomStreams":
         """Derive a child :class:`RandomStreams` (e.g. one per replication)."""
         digest = hashlib.sha256(

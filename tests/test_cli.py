@@ -103,6 +103,22 @@ class TestErrorBoundary:
         assert "must be <=" in self._one_error_line(captured.err)
         assert captured.out == ""
 
+    def test_oversized_background_load_rejected_before_building(
+        self, monkeypatch, capsys
+    ):
+        def build(*_args, **_kwargs):
+            raise AssertionError("an oversized scenario was instantiated")
+
+        monkeypatch.setattr(ScenarioSpec, "instantiate", build)
+        argv = [
+            "scenarios", "sweep", "metro-mesh-uniform",
+            "--set", "background_flows=3000000000",
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "must be <=" in self._one_error_line(captured.err)
+        assert captured.out == ""
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_set_value(self, value, capsys):
         argv = ["scenarios", "sweep", "toy-triangle", "--set", f"demand_gbps={value}"]

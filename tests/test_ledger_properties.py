@@ -154,7 +154,7 @@ def apply(net, model, op):
         assert not net.has_reservations(owner)
         assert net.owner_total_gbps(owner) == 0.0
         for link in net.links():
-            assert not link.holds(owner)
+            assert owner not in link.owners()
     elif kind == "fail_link":
         net.fail_link(*op[1])
         model.forced.add(op[1])
@@ -301,7 +301,7 @@ def test_standalone_link_ledger_matches_model(ops):
             link.release_owner(op[1])
             for bucket in buckets.values():
                 bucket.pop(op[1], None)
-            assert not link.holds(op[1])
+            assert op[1] not in link.owners()
             assert not link.ledger.holds_anywhere(op[1])
         elif kind == "failed":
             link.failed = forced = op[1]

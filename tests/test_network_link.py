@@ -64,7 +64,7 @@ class TestNonFiniteRejected:
         with pytest.raises(ConfigurationError, match="must be finite and > 0"):
             link.reserve("u", "v", value, "task-a")
         assert link.used_gbps("u", "v") == 0.0
-        assert not link.holds("task-a")
+        assert "task-a" not in link.owners()
         assert link.ledger.epoch == epoch
         assert list(link.ledger.used) == [0.0, 0.0]
 

@@ -124,12 +124,17 @@ class TestParameterValidation:
         "key, value",
         [
             ("n_tasks", 100_001),
+            ("n_locals", 3_000_000_000),
+            ("rounds", 100_001),
+            ("background_flows", 3_000_000_000),
             ("trace_epochs", 3_000_000_000),
             ("horizon_ms", 1.1e8),
         ],
     )
     def test_sizes_bounded_above(self, key, value):
-        spec = _spec(defaults={"trace_epochs": 24, "horizon_ms": 16_000.0})
+        spec = _spec(
+            defaults={"rounds": 3, "trace_epochs": 24, "horizon_ms": 16_000.0}
+        )
         with pytest.raises(ConfigurationError, match="must be <="):
             spec.merge_params({key: value})
         limit = SIZE_MAXIMA[key]
@@ -146,6 +151,11 @@ class TestParameterValidation:
         spec = get_scenario("trace-srlg-campaign")
         merged = spec.merge_params({"trace_epochs": 2000, "horizon_ms": 1.6e6})
         assert (merged["trace_epochs"], merged["horizon_ms"]) == (2000, 1.6e6)
+
+    def test_size_maxima_admit_the_hub_workload(self):
+        sizes = {"n_tasks": 100, "n_locals": 4, "rounds": 3, "background_flows": 50}
+        merged = get_scenario("scale-free-hubs").merge_params(sizes)
+        assert {key: merged[key] for key in sizes} == sizes
 
     def test_serve_mode_validated(self):
         with pytest.raises(ConfigurationError, match="serve"):

@@ -8,13 +8,16 @@ re-queued when a worker dies, worker-side cache writes.
 """
 
 import json
+import os
 import socket as socketlib
 import threading
 import time
+from collections import Counter
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.network.routing import peek_cache
 from repro.scenarios import (
     ProcessPoolBackend,
     RunKey,
@@ -25,7 +28,9 @@ from repro.scenarios import (
     run_worker,
 )
 from repro.scenarios.sweep import OrderedRecorder, resolve_backend
+from repro.scenarios import spec as spec_module
 from repro.scenarios import sweep as sweep_module
+from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.sweep import distributed
 from tests.oracle import object_oracle
 
@@ -117,6 +122,106 @@ class TestRoutingCacheEquivalence:
         assert serial.to_json() == pool.to_json()
         assert serial.to_json() == sock.to_json()
         assert serial.to_json() == oracle.to_json()
+
+
+class TestOneBuildPerKey:
+    """What the end-to-end benchmark reads off a sweep, on every backend.
+
+    ``execute_run`` makes one ``instantiate`` call per row (the
+    benchmark times those calls as set-up and reads one instance per
+    sink row), but a key builds its scenario once: the second call
+    gets the spare clone of the first, in the same thread.  Every row's
+    instance is its own, with its own network and path cache.  Calls
+    are logged to a file so forked pool workers report too.
+    """
+
+    CONFIG = SweepConfig(
+        scenarios=("toy-triangle", "metro-mesh-uniform"),
+        grid={},
+        seeds=(0, 1),
+    )
+
+    @pytest.fixture
+    def calls(self, monkeypatch, tmp_path):
+        path = tmp_path / "calls.jsonl"
+        instantiate = ScenarioSpec.instantiate
+        build = ScenarioSpec._build
+        kept = []
+
+        def log(what, spec, seed, **extra):
+            line = {
+                "what": what,
+                "key": [spec.name, seed],
+                "worker": [os.getpid(), threading.get_ident()],
+                **extra,
+            }
+            fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, (json.dumps(line) + "\n").encode())
+            finally:
+                os.close(fd)
+
+        def counted_instantiate(self, params=None, *, seed=0):
+            instance = instantiate(self, params, seed=seed)
+            kept.append(instance)  # ids stay unique while all are alive
+            log(
+                "call", self, seed,
+                instance=id(instance),
+                network=id(instance.network),
+                cold=peek_cache(instance.network) is None,
+            )
+            return instance
+
+        def counted_build(self, merged, seed):
+            log("build", self, seed)
+            return build(self, merged, seed)
+
+        monkeypatch.setattr(ScenarioSpec, "instantiate", counted_instantiate)
+        monkeypatch.setattr(ScenarioSpec, "_build", counted_build)
+        # A spare left by an earlier test would serve a first call.
+        spec_module._SPARE.instance = None
+
+        def read():
+            return kept, [json.loads(line) for line in path.read_text().splitlines()]
+
+        return read
+
+    def check(self, result, records):
+        runs = len(self.CONFIG.scenarios) * len(self.CONFIG.seeds)
+        made = [r for r in records if r["what"] == "call"]
+        builds = Counter(tuple(r["key"]) for r in records if r["what"] == "build")
+        assert len(made) == len(result.rows) == 2 * runs
+        assert len(builds) == runs and set(builds.values()) == {1}
+        workers = {}
+        for record in made:
+            workers.setdefault(tuple(record["key"]), set()).add(tuple(record["worker"]))
+        assert all(len(seen) == 1 for seen in workers.values())
+        for field in ("instance", "network"):
+            owned = {(r["worker"][0], r[field]) for r in made}
+            assert len(owned) == len(made), f"two rows shared one {field}"
+        assert all(r["cold"] for r in made)
+
+    def check_caches(self, kept):
+        caches = [peek_cache(instance.network) for instance in kept]
+        assert all(cache is not None for cache in caches)
+        assert len({id(cache) for cache in caches}) == len(kept)
+
+    def test_serial(self, calls):
+        result = run_sweep(self.CONFIG, backend=SerialBackend())
+        kept, records = calls()
+        self.check(result, records)
+        self.check_caches(kept)
+
+    def test_pool(self, calls):
+        result = run_sweep(self.CONFIG, backend=ProcessPoolBackend(2))
+        _kept, records = calls()
+        self.check(result, records)
+
+    def test_socket(self, calls):
+        result = run_sweep(self.CONFIG, backend=socket_backend())
+        kept, records = calls()
+        self.check(result, records)
+        self.check_caches(kept)
 
 
 class TestSocketBackend:

@@ -75,7 +75,6 @@ KEEP: Dict[str, str] = {
     "scaled": "next-pass candidate: only tests scale a ResourceDemand",
     "load_fraction": "next-pass candidate: only tests read a server's binding load",
     "as_row": "next-pass candidate: only tests flatten a TaskReport",
-    "holds": "next-pass candidate: only tests ask a link about one owner",
     "disconnect": "next-pass candidate: only tests tear down a spine-leaf circuit",
     "column": "next-pass candidate: only tests read one result column",
     "Modulated": "next-pass candidate: only tests wrap a workload builder",
