@@ -61,7 +61,8 @@ properties:
 		tests/test_csr_vector.py tests/test_csr_point.py \
 		tests/test_network_steiner.py tests/test_evaluation_properties.py \
 		tests/test_ledger_properties.py tests/test_compute_properties.py \
-		tests/test_control_plane_properties.py tests/test_instance_clone.py -q
+		tests/test_control_plane_properties.py tests/test_instance_clone.py \
+		tests/test_set_fuzz.py -q
 
 # A fast end-to-end sanity pass over the scenario machinery.
 smoke:

@@ -23,15 +23,25 @@ Every metric is a shape floor:
 * ``csr.refresh_link_reads`` (floored ``<= 0``): ``Link`` state reads
   (``used_gbps``, ``failed``, ``capacity_gbps``) made inside
   ``refresh``; the overlay gathers the ledger slots, not the links.
+* ``closure.path_results_per_tree`` (floored ``<= 0``): the same
+  instance served again by the flexible scheduler, counting
+  ``PathResult`` objects built inside ``FlexibleScheduler._build_tree``
+  per tree built.  The terminal-tree finisher reads pair weights off
+  the terminals' shortest-path trees and walks only the chosen closure
+  edges' predecessor chains.  A closure dict of paths builds one per
+  terminal pair (10 at four locals) plus one per closure edge expanded
+  in reverse: 11.2 per tree on this instance.
 """
 
 import builtins
 
 from repro.bench import bench_suite
 from repro.core.fixed import FixedScheduler
+from repro.core.flexible import FlexibleScheduler
 from repro.network import link as link_module
 from repro.network.csr.snapshot import CsrSnapshot
 from repro.network.link import Link
+from repro.network.paths import PathResult
 from repro.orchestrator import sdn
 from repro.orchestrator.campaign import orchestrator_for, serve_sequential
 from repro.scenarios import get_scenario
@@ -54,7 +64,10 @@ class _Counts:
         self.installs = 0
         self.idle_regathers = 0
         self.refresh_link_reads = 0
+        self.trees = 0
+        self.tree_path_results = 0
         self._in_fixed = False
+        self._in_tree = False
         self._in_refresh = False
         self._saved = []
 
@@ -69,6 +82,8 @@ class _Counts:
         rule_init = sdn.FlowRule.__init__
         install = sdn.SdnController.install
         refresh = CsrSnapshot.refresh
+        build_tree = FlexibleScheduler._build_tree
+        path_init = PathResult.__init__
 
         def counted_sum(values, start=0):
             counts.reserve_sums += 1
@@ -119,7 +134,21 @@ class _Counts:
                 counts.idle_regathers += gathered
             return gathered
 
+        def counted_build_tree(self, task, network):
+            counts.trees += 1
+            counts._in_tree = True
+            try:
+                return build_tree(self, task, network)
+            finally:
+                counts._in_tree = False
+
+        def counted_path_init(self, *args, **kwargs):
+            counts.tree_path_results += counts._in_tree
+            path_init(self, *args, **kwargs)
+
         self._patch(Link, "reserve", counted_reserve)
+        self._patch(FlexibleScheduler, "_build_tree", counted_build_tree)
+        self._patch(PathResult, "__init__", counted_path_init)
         self._patch(FixedScheduler, "schedule", counted_schedule)
         self._patch(sdn.FlowRule, "__init__", counted_rule_init)
         self._patch(sdn.SdnController, "install", counted_install)
@@ -146,13 +175,21 @@ class _Counts:
             setattr(owner, name, value)
 
 
-def control_plane_counts() -> dict:
-    """Serve the pinned instance once under the counting wrappers."""
+def _serve(scheduler) -> tuple:
+    """Serve the pinned instance with ``scheduler`` under fresh counters."""
     instance = get_scenario(SCENARIO).instantiate(seed=SEED)
     with _Counts() as counts:
-        orchestrator = orchestrator_for(instance, FixedScheduler())
+        orchestrator = orchestrator_for(instance, scheduler)
         served, _blocked = serve_sequential(orchestrator, instance.workload)
+    return served, counts
+
+
+def control_plane_counts() -> dict:
+    """Serve the pinned instance once per leg under the counting wrappers."""
+    served, counts = _serve(FixedScheduler())
     assert served and counts.fixed_edges and counts.installs == len(served)
+    flexible_served, flexible = _serve(FlexibleScheduler())
+    assert flexible_served and flexible.trees
     return {
         "served": len(served),
         "fixed": {
@@ -174,6 +211,12 @@ def control_plane_counts() -> dict:
         "csr": {
             "idle_refresh_regathers": counts.idle_regathers,
             "refresh_link_reads": counts.refresh_link_reads,
+        },
+        "closure": {
+            "trees": flexible.trees,
+            "path_results_per_tree": round(
+                flexible.tree_path_results / flexible.trees, 3
+            ),
         },
     }
 

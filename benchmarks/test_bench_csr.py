@@ -115,9 +115,10 @@ class ObjectOracleScheduler(FlexibleScheduler):
 
     The oracle's terminal tree runs one object-graph SSSP per terminal
     (except the last) over the auxiliary builder's scalar weight
-    function, then the shared
-    :func:`~repro.network.paths.tree_from_metric_closure` finisher — the
-    construction the production path must reproduce byte for byte.
+    function, builds the full metric closure of pair paths and finishes
+    it with its own closure-dict MST (``tests/oracle.py``) — the
+    construction the production finisher, which reads the closure off
+    the kernel's trees, must reproduce byte for byte.
     """
 
     def _build_tree(self, task, network):

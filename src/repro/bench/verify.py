@@ -175,6 +175,10 @@ FLOORS: List[Floor] = [
         doc="the overlay re-syncs from ledger slots, reading no link",
     ),
     Floor(
+        "control_plane", "closure.path_results_per_tree", 0, op="<=",
+        doc="a terminal tree reads its closure off the source trees, no pair paths",
+    ),
+    Floor(
         "resilience", "min_availability", 1e-9,
         doc="fault-injected campaigns still make progress",
     ),

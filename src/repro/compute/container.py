@@ -23,16 +23,6 @@ class ResourceDemand:
                     f"{label} must be >= 0, got {getattr(self, label)}"
                 )
 
-    def scaled(self, factor: float) -> "ResourceDemand":
-        """A demand multiplied by ``factor`` in every dimension."""
-        if factor < 0:
-            raise ConfigurationError(f"factor must be >= 0, got {factor}")
-        return ResourceDemand(
-            cpu_cores=self.cpu_cores * factor,
-            gpu_gflops=self.gpu_gflops * factor,
-            memory_gb=self.memory_gb * factor,
-        )
-
 
 @dataclass
 class Container:

@@ -89,14 +89,6 @@ class Server:
             and demand.memory_gb <= self.memory_gb - self._used_mem + 1e-9
         )
 
-    def load_fraction(self) -> float:
-        """Max per-dimension utilisation — the binding constraint."""
-        return max(
-            self._used_cpu / self.cpu_cores,
-            self._used_gpu / self.gpu_gflops,
-            self._used_mem / self.memory_gb,
-        )
-
     def place(self, container: Container) -> None:
         """Host a container.
 

@@ -918,9 +918,10 @@ def terminal_tree_csr(
 
     One batched solve over every terminal but the last (see
     :func:`_solve`; on the heap path each source stops once the later
-    terminals are settled) builds the metric closure; it feeds the
-    shared :func:`~repro.network.paths.tree_from_metric_closure`
-    finisher.  An unknown root raises the network's
+    terminals are settled) feeds its ``(dist, prev)`` rows, as trees,
+    to the shared :func:`~repro.network.paths.tree_from_metric_closure`
+    finisher, which reads only the later terminals' entries.  An
+    unknown root raises the network's
     :class:`~repro.errors.TopologyError` even when it is the only
     terminal.
     """
@@ -937,18 +938,17 @@ def terminal_tree_csr(
         array,
         targets=[ends[i + 1 :] for i in range(len(ends) - 1)],
     )
-    closure = {}
-    for i, (dist, prev) in enumerate(solves):
-        a = terminal_list[i]
-        for j in range(i + 1, len(terminal_list)):
-            closure[(a, terminal_list[j])] = _extract_path(
-                snapshot, a, terminal_list[j], dist, prev, ends[j]
-            )
+    names = snapshot.names
+    index = snapshot.index
+    trees = (
+        ShortestPathTree(source, names, index, dist, prev)
+        for source, (dist, prev) in zip(terminal_list, solves)
+    )
     # The finisher only reads edge weights for its final sum; the array
     # view returns the same float64s as the scalar weight fn without the
     # per-edge link scans.
     return tree_from_metric_closure(
-        root, terminal_list, closure, array_edge_weight(snapshot, weights)
+        root, terminal_list, trees, array_edge_weight(snapshot, weights)
     )
 
 

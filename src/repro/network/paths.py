@@ -16,7 +16,10 @@ search), and :func:`tree_from_metric_closure`: the flexible scheduler's
 MST over the *metric closure* of the terminal set (global + local
 models), expanded back to physical hops — the classic 2-approximation
 of the Steiner tree, matching the poster's "find MSTs between the
-global model and local models on the auxiliary graph".
+global model and local models on the auxiliary graph".  It reads the
+closure off the terminals' shortest-path trees: a pair's weight is one
+distance entry, and only the ``T - 1`` closure edges the MST keeps are
+ever walked as paths.
 """
 
 from __future__ import annotations
@@ -329,100 +332,100 @@ def k_shortest_paths(
 def tree_from_metric_closure(
     root: str,
     terminal_list: Sequence[str],
-    closure: Dict[Tuple[str, str], PathResult],
+    trees: Iterable[ShortestPathTree],
     weight: WeightFn,
 ) -> TreeResult:
-    """MST over a precomputed metric closure, expanded to physical hops.
+    """MST over the terminals' metric closure, expanded to physical hops.
 
-    The second half of a terminal-tree construction: the path cache
-    (:meth:`repro.network.routing.PathCache.terminal_tree`) feeds it a
-    closure from cached single-source trees, the uncached CSR entry
-    point (:func:`repro.network.csr.terminal_tree_csr`) one from
-    early-exit solves, and the reference oracle one from its object
-    searches, so all three produce byte-identical trees.  ``closure``
-    must hold one :class:`PathResult` per ordered terminal pair
-    ``(a, b)`` with ``a`` before ``b`` in ``terminal_list``; the reverse
-    direction is derived by reversal.
+    The second half of a terminal-tree construction, shared by the path
+    cache (:meth:`repro.network.routing.PathCache.terminal_tree`, fed
+    cached single-source trees) and the uncached CSR entry point
+    (:func:`repro.network.csr.terminal_tree_csr`, fed early-exit
+    solves), so both produce byte-identical trees.  ``terminal_list``
+    holds distinct terminals, ``root`` first.  ``trees`` yields the
+    shortest-path tree of each terminal but the last, in list order,
+    all over one node interning (``names``/``index``); each tree needs
+    to be settled only at the terminals after its own.  A pair's
+    closure weight is the earlier terminal's distance to the later one.
+
+    Trees are read lazily: the first unreachable pair, in list order,
+    raises :class:`~repro.errors.NoPathError` before any later tree is
+    read.  Prim's algorithm then picks ``T - 1`` closure edges (heap
+    order ``(weight, push tick)``, starting at the root), and only
+    those are expanded, each from the tree of whichever end comes first
+    in the list, and grafted in Prim order: a hop onto a node already
+    in the tree is dropped, so shared hops merge.
     """
+    n = len(terminal_list)
+    solved: List[ShortestPathTree] = []
+    ends: List[int] = []
+    pair = [[0.0] * n for _ in range(n)]
+    for i, tree in zip(range(n - 1), trees):
+        if not ends:
+            index = tree.index
+            ends = [index[terminal] for terminal in terminal_list]
+        dist = tree.dist
+        row = pair[i]
+        for j in range(i + 1, n):
+            cost = float(dist[ends[j]])
+            if cost == math.inf:
+                raise NoPathError(terminal_list[i], terminal_list[j])
+            row[j] = pair[j][i] = cost
+        solved.append(tree)
 
-    def closure_path(a: str, b: str) -> PathResult:
-        if (a, b) in closure:
-            return closure[(a, b)]
-        reverse = closure[(b, a)]
-        return PathResult(nodes=tuple(reversed(reverse.nodes)), weight=reverse.weight)
-
-    # Prim over the closure, starting at the root.  A pair's weight is
-    # the same in both orientations, so pushes read it from whichever
-    # one the closure holds.
-    in_tree = {root}
+    # Prim over the pair weights, starting at the root (index 0).
+    in_tree = [False] * n
+    in_tree[0] = True
     counter = itertools.count()
-    frontier: List[Tuple[float, int, str, str]] = []
+    frontier: List[Tuple[float, int, int, int]] = []
 
-    def push(a: str) -> None:
-        for b in terminal_list:
-            if b in in_tree:
-                continue
-            path = closure.get((a, b))
-            if path is None:
-                path = closure[(b, a)]
-            heapq.heappush(frontier, (path.weight, next(counter), b, a))
+    def push(via: int) -> None:
+        row = pair[via]
+        for node in range(n):
+            if not in_tree[node]:
+                heapq.heappush(frontier, (row[node], next(counter), node, via))
 
-    push(root)
-    closure_parent: Dict[str, str] = {}
-    while frontier and len(in_tree) < len(terminal_list):
-        cost, _tick, node, via = heapq.heappop(frontier)
-        if math.isinf(cost):
-            break
-        if node in in_tree:
+    push(0)
+    chosen: List[Tuple[int, int]] = []
+    while len(chosen) < n - 1:
+        _cost, _tick, node, via = heapq.heappop(frontier)
+        if in_tree[node]:
             continue
-        in_tree.add(node)
-        closure_parent[node] = via
+        in_tree[node] = True
+        chosen.append((via, node))
         push(node)
-    missing = [t for t in terminal_list if t not in in_tree]
-    if missing:
-        raise NoPathError(root, missing[0], f"terminal {missing[0]!r} unreachable")
 
-    # Expand closure edges into physical hops, merging shared hops.
-    parent: Dict[str, str] = {}
+    # Expand each chosen edge via -> node from one predecessor chain and
+    # graft it, orienting every hop child -> parent towards via.  Prim
+    # adds via before node, so each graft starts inside the tree.
+    root_i = ends[0]
+    parent_i: Dict[int, int] = {}
+    for via, node in chosen:
+        if via < node:
+            # via's tree: the chain from node reads node -> via.
+            hops = _chain(solved[via].prev, ends[node], ends[via])
+            hops.reverse()
+        else:
+            # node's tree: the chain from via already reads via -> node.
+            hops = _chain(solved[node].prev, ends[via], ends[node])
+        for towards_root, away in zip(hops, hops[1:]):
+            if away != root_i and away not in parent_i:
+                parent_i[away] = towards_root
 
-    def graft(path_nodes: Sequence[str]) -> None:
-        """Attach ``path_nodes`` (terminal -> ... -> tree) walking rootward."""
-        # path runs from an in-tree terminal to a new terminal; orient each
-        # hop child->parent towards the root side (the first element).
-        for towards_root, away in zip(path_nodes, path_nodes[1:]):
-            if away == root:
-                continue
-            if away in parent or away == root:
-                # already attached; keep the first (cheapest-first) parent
-                continue
-            parent[away] = towards_root
-
-    # Expand closure edges in tree order so every graft starts from a node
-    # that is already attached to the root.
-    entry_order = [root]
-    remaining = dict(closure_parent)
-    while remaining:
-        progressed = False
-        for node, via in list(remaining.items()):
-            if via in entry_order:
-                entry_order.append(node)
-                del remaining[node]
-                progressed = True
-        if not progressed:  # pragma: no cover - defensive
-            raise TopologyError("closure parent structure is not a tree")
-
-    for node in entry_order[1:]:
-        via = closure_parent[node]
-        path_nodes = closure_path(via, node).nodes  # via -> ... -> node
-        graft(path_nodes)
-
+    names = solved[0].names
+    parent = {names[child]: names[par] for child, par in parent_i.items()}
     # Total weight: sum of child->parent directed-edge weights.
     total = sum(weight(child, par) for child, par in parent.items())
-    tree = TreeResult(root=root, parent=parent, weight=total)
-    # Sanity: every terminal must be in the tree.
-    for t in terminal_list:
-        tree.path_to_root(t)
-    return tree
+    return TreeResult(root=root, parent=parent, weight=total)
+
+
+def _chain(prev: Sequence[int], start: int, stop: int) -> List[int]:
+    """Node indices from ``start`` along ``prev`` up to ``stop`` inclusive."""
+    hops = [start]
+    while start != stop:
+        start = int(prev[start])
+        hops.append(start)
+    return hops
 
 
 def path_latency_ms(network: Network, nodes: Iterable[str]) -> float:

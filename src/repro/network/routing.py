@@ -10,8 +10,10 @@ results.  Two ideas carry it:
 * **Single-source trees instead of point-to-point queries, solved in
   batches.**  A cached :meth:`PathCache.sssp` keeps the whole
   distance/predecessor tree, so a metric closure over ``T`` terminals
-  needs ``T - 1`` trees instead of ``T·(T-1)/2`` searches, and a path
-  to any destination is an O(path) extraction.  Extraction is
+  needs ``T - 1`` trees instead of ``T·(T-1)/2`` searches: a pair's
+  closure weight is one distance entry, and only the ``T - 1`` closure
+  edges the MST keeps are walked as predecessor chains.  A path to any
+  destination is an O(path) extraction.  Extraction is
   bit-identical to a point-to-point search that stops at the
   destination: a destination's predecessor chain is fully settled
   before the search would have stopped there.  Those ``T - 1`` trees
@@ -395,37 +397,35 @@ class PathCache:
         misses and LRU order are those of per-source :meth:`sssp`
         lookups.  Returns ``{source: tree}`` in first-occurrence order.
         """
-        return dict(self._trees(sources, spec))
+        sources = list(dict.fromkeys(sources))
+        if not spec.shareable():
+            return {source: self._uncached_tree(source, spec) for source in sources}
+        token = spec.cache_token()
+        trees = self._tree_stream(sources, token, *self._prepare(sources, token))
+        return dict(zip(sources, trees))
 
-    def _trees(
+    def _tree_stream(
         self,
         sources: Sequence[str],
-        spec: Any,
-        token: Optional[Hashable] = None,
-    ) -> Iterator[Tuple[str, ShortestPathTree]]:
-        """``(source, tree)`` per distinct source, in first-occurrence order.
+        token: Hashable,
+        snapshot: Any,
+        array: Any,
+        wlist: list,
+    ) -> Iterator[ShortestPathTree]:
+        """The tree per distinct source, in order, under a shareable token.
 
         Lazy, one kernel batch (:meth:`_lookup_trees`) at a time.  Below
         the kernel's vectorised cut a batch is one source, so a caller
         that stops reading early solves no tree it did not reach.  The
-        network must not change while the trees are read.  ``token`` is
-        the spec's cache token when the caller already holds it (and so
-        knows the spec is shareable).
+        network must not change while the trees are read.
+        ``snapshot``, ``array`` and ``wlist`` are :meth:`_prepare`'s for
+        these sources.
         """
-        sources = list(dict.fromkeys(sources))
-        if token is None:
-            if not spec.shareable():
-                for source in sources:
-                    yield source, self._uncached_tree(source, spec)
-                return
-            token = spec.cache_token()
-        snapshot, array, wlist = self._prepare(sources, token)
         batch = csr_kernel.batch_size(snapshot)
         for start in range(0, len(sources), batch):
             chunk = sources[start : start + batch]
-            entries = self._lookup_trees(chunk, token, snapshot, array, wlist)
-            for source, entry in zip(chunk, entries):
-                yield source, entry.value
+            for entry in self._lookup_trees(chunk, token, snapshot, array, wlist):
+                yield entry.value
 
     def _prepare(
         self, sources: Sequence[str], token: Hashable
@@ -526,13 +526,15 @@ class PathCache:
     ) -> TreeResult:
         """The flexible scheduler's tree via cached single-source passes.
 
-        Builds the metric closure from one cached tree per terminal
-        (except the last — closure pairs are ordered), looked up and
-        solved in batches as :meth:`batched_sssp` does, and finishes with
-        the shared :func:`~repro.network.paths.tree_from_metric_closure`,
-        so the result is byte-identical to
-        :func:`~repro.network.csr.terminal_tree_csr` and to the oracle's
-        object construction.
+        One cached tree per terminal (except the last: a closure pair's
+        weight is the earlier terminal's distance to the later one),
+        looked up and solved in batches as :meth:`batched_sssp` does,
+        feeds the shared
+        :func:`~repro.network.paths.tree_from_metric_closure` finisher,
+        which reads each tree as it goes: a pair found unreachable
+        raises before any later tree is looked up.  The result is
+        byte-identical to :func:`~repro.network.csr.terminal_tree_csr`
+        and to the oracle's object construction.
         """
         terminal_list = list(dict.fromkeys([root, *terminals]))
         for terminal in terminal_list:
@@ -552,20 +554,15 @@ class PathCache:
                 self._network, root, terminals, spec
             )
         token = spec.cache_token()
-        closure: Dict[Tuple[str, str], PathResult] = {}
-        trees = self._trees(terminal_list[:-1], spec, token)
-        for i, (a, tree) in enumerate(trees):
-            for b in terminal_list[i + 1 :]:
-                closure[(a, b)] = tree.path_to(b)
+        sources = terminal_list[:-1]
+        snapshot, array, wlist = self._prepare(sources, token)
         # The finisher only reads edge weights for its final sum; the
         # array view returns the same float64s as the scalar weight fn
         # without per-edge link scans.
-        snapshot = csr_kernel.get_snapshot(self._network)
-        _array, wlist = self._weight_arrays(snapshot, token)
         return tree_from_metric_closure(
             root,
             terminal_list,
-            closure,
+            self._tree_stream(sources, token, snapshot, array, wlist),
             csr_kernel.array_edge_weight(snapshot, wlist),
         )
 

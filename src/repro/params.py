@@ -37,9 +37,11 @@ def coerce_override(
     * any other default requires an instance of its own type;
     * a number must be finite: NaN and ±inf are rejected, since no
       parameter means anything at either and they would flow silently
-      into rows;
+      into rows, and so is an integer too large for a float, which
+      would overflow the first float arithmetic that reads it;
     * a number must not exceed ``maximum`` when one is given, so that a
-      size is refused before anything is built from it.
+      size is refused before anything is built from it (the bound reads
+      numbers only).
 
     Args:
         value: the user-supplied override.
@@ -50,18 +52,16 @@ def coerce_override(
     Raises:
         ConfigurationError: on any mismatch.
     """
-    if isinstance(value, float) and not math.isfinite(value):
+    if isinstance(value, (int, float)) and not _finite(value):
         raise ConfigurationError(f"{where} must be finite, got {value!r}")
     if default is None:
-        if value is not None and (
-            isinstance(value, bool) or not isinstance(value, (int, float))
-        ):
+        if value is None:
+            return value
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigurationError(
                 f"{where} expects a number or None, got {value!r}"
             )
-        return value
-    numeric = isinstance(default, (int, float)) and not isinstance(default, bool)
-    if numeric:
+    elif isinstance(default, (int, float)) and not isinstance(default, bool):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigurationError(f"{where} expects a number, got {value!r}")
         if isinstance(default, int) and isinstance(value, float):
@@ -74,6 +74,14 @@ def coerce_override(
         raise ConfigurationError(
             f"{where} expects {type(default).__name__}, got {value!r}"
         )
-    if maximum is not None and value > maximum:
+    if maximum is not None and isinstance(value, (int, float)) and value > maximum:
         raise ConfigurationError(f"{where} must be <= {maximum}, got {value!r}")
     return value
+
+
+def _finite(value: float) -> bool:
+    """``math.isfinite``, false for an int beyond the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False

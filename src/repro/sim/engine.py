@@ -118,15 +118,3 @@ class Simulator:
         finally:
             self._running = False
         return self._now
-
-    def step(self) -> bool:
-        """Execute exactly one event.  Returns False when the queue is empty."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        self._now = event.time
-        self._executed += 1
-        if self.trace_enabled:
-            self._trace.append((event.time, event.name))
-        event.action()
-        return True

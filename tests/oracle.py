@@ -8,8 +8,13 @@ of the object-graph relaxation loop: :func:`sssp`, one heap loop over
 point-to-point :func:`dijkstra` is the same loop with an early exit, the
 ban-aware search driving Yen's shared control flow
 (:func:`k_shortest_paths`) wraps :func:`dijkstra`, and
-:func:`terminal_tree` feeds a metric closure read off one :func:`sssp`
-tree per terminal to the package's own finisher.
+:func:`terminal_tree` builds the full metric closure, one path per
+terminal pair read off one :func:`sssp` tree per terminal, and finishes
+it with :func:`closure_finisher`: Prim over the closure dict, then every
+chosen closure path grafted in tree order.  The package's finisher
+(:func:`~repro.network.paths.tree_from_metric_closure`) reads the same
+MST off the trees without building the closure, and is checked against
+this one.
 
 :class:`ObjectOracleCache` answers the path cache's queries with these
 over ``spec.weight_fn()``, and :func:`object_oracle` swaps it in for
@@ -34,14 +39,14 @@ import pytest
 
 from repro.core.evaluation import ScheduleEvaluator, train_round_ms
 from repro.core.metrics import RoundLatency
-from repro.errors import SchedulingError, TopologyError
+from repro.errors import NoPathError, SchedulingError, TopologyError
 from repro.network import paths, routing
 from repro.network.paths import (
+    PathResult,
     ShortestPathTree,
     TreeResult,
     latency_weight,
     path_latency_ms,
-    tree_from_metric_closure,
 )
 from repro.tasks.aggregation import UploadAggregationPlan
 
@@ -142,12 +147,105 @@ def terminal_tree(network, root, terminals, weight=None):
         network.node(terminal)
     if len(terminal_list) == 1:
         return TreeResult(root=root, parent={}, weight=0.0)
+    return closure_finisher(
+        root,
+        terminal_list,
+        metric_closure(
+            terminal_list,
+            (sssp(network, a, weight) for a in terminal_list[:-1]),
+        ),
+        weight,
+    )
+
+
+def metric_closure(terminal_list, trees):
+    """One :class:`PathResult` per ordered terminal pair ``(a, b)``.
+
+    ``a`` comes before ``b`` in ``terminal_list``; ``trees`` yields the
+    tree of each terminal but the last, in order, and is read lazily:
+    the first unreachable pair raises ``NoPathError`` before the next
+    tree is read.
+    """
     closure = {}
-    for i, a in enumerate(terminal_list[:-1]):
-        tree = sssp(network, a, weight)
+    for i, tree in zip(range(len(terminal_list) - 1), trees):
         for b in terminal_list[i + 1 :]:
-            closure[(a, b)] = tree.path_to(b)
-    return tree_from_metric_closure(root, terminal_list, closure, weight)
+            closure[(terminal_list[i], b)] = tree.path_to(b)
+    return closure
+
+
+def closure_finisher(root, terminal_list, closure, weight):
+    """MST over a metric-closure dict, expanded to physical hops.
+
+    The reference construction: Prim over the closure weights (heap
+    order ``(weight, push tick)``, from the root), then each chosen
+    closure path, the reverse direction derived by reversal, grafted
+    rootward in tree order, keeping a node's first parent.
+    """
+
+    def closure_path(a, b):
+        if (a, b) in closure:
+            return closure[(a, b)]
+        reverse = closure[(b, a)]
+        return PathResult(nodes=tuple(reversed(reverse.nodes)), weight=reverse.weight)
+
+    in_tree = {root}
+    counter = itertools.count()
+    frontier = []
+
+    def push(a):
+        for b in terminal_list:
+            if b in in_tree:
+                continue
+            path = closure.get((a, b))
+            if path is None:
+                path = closure[(b, a)]
+            heapq.heappush(frontier, (path.weight, next(counter), b, a))
+
+    push(root)
+    closure_parent = {}
+    while frontier and len(in_tree) < len(terminal_list):
+        cost, _tick, node, via = heapq.heappop(frontier)
+        if math.isinf(cost):
+            break
+        if node in in_tree:
+            continue
+        in_tree.add(node)
+        closure_parent[node] = via
+        push(node)
+    missing = [t for t in terminal_list if t not in in_tree]
+    if missing:
+        raise NoPathError(root, missing[0], f"terminal {missing[0]!r} unreachable")
+
+    parent = {}
+
+    def graft(path_nodes):
+        for towards_root, away in zip(path_nodes, path_nodes[1:]):
+            if away == root or away in parent:
+                continue
+            parent[away] = towards_root
+
+    # Expand closure edges in tree order so every graft starts from a
+    # node that is already attached to the root.
+    entry_order = [root]
+    remaining = dict(closure_parent)
+    while remaining:
+        progressed = False
+        for node, via in list(remaining.items()):
+            if via in entry_order:
+                entry_order.append(node)
+                del remaining[node]
+                progressed = True
+        if not progressed:
+            raise TopologyError("closure parent structure is not a tree")
+
+    for node in entry_order[1:]:
+        graft(closure_path(closure_parent[node], node).nodes)
+
+    total = sum(weight(child, par) for child, par in parent.items())
+    tree = TreeResult(root=root, parent=parent, weight=total)
+    for t in terminal_list:
+        tree.path_to_root(t)
+    return tree
 
 
 class ObjectOracleCache:

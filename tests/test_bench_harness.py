@@ -409,6 +409,7 @@ class TestVerify:
             (("control_plane", "ledger.sums_per_reserve"), 1.0),
             (("control_plane", "csr.idle_refresh_regathers"), 0),
             (("control_plane", "csr.refresh_link_reads"), 0),
+            (("control_plane", "closure.path_results_per_tree"), 0),
         ):
             floor = floors[key]
             assert not floor.timing and floor.op == "<=" and floor.limit == limit
@@ -433,6 +434,9 @@ class TestVerify:
                 "sdn": {"flow_rules_built_per_install": 27.4},
                 "ledger": {"sums_per_reserve": 2.0},
                 "csr": {"idle_refresh_regathers": 144, "refresh_link_reads": 432},
+                # A closure dict of pair paths, as on the pinned
+                # instance's flexible leg before the trees were read.
+                "closure": {"path_results_per_tree": 11.2},
             },
         }
         violated = {
@@ -449,6 +453,7 @@ class TestVerify:
             "ledger.sums_per_reserve",
             "csr.idle_refresh_regathers",
             "csr.refresh_link_reads",
+            "closure.path_results_per_tree",
         }
         suites["failures"]["fault_cache_revalidations"] = 0
         suites["fig3a"]["transfer_calls_per_path"] = 1.0
@@ -459,6 +464,7 @@ class TestVerify:
             "sdn": {"flow_rules_built_per_install": 0.0},
             "ledger": {"sums_per_reserve": 1.0},
             "csr": {"idle_refresh_regathers": 0, "refresh_link_reads": 0},
+            "closure": {"path_results_per_tree": 0.0},
         }
         assert verify_record(_fake_record(suites, smoke=True)) == []
 

@@ -24,16 +24,6 @@ class TestResourceDemand:
         with pytest.raises(ConfigurationError):
             ResourceDemand(cpu_cores=-1.0)
 
-    def test_scaled(self):
-        demand = ResourceDemand(cpu_cores=2.0, gpu_gflops=100.0, memory_gb=4.0)
-        doubled = demand.scaled(2.0)
-        assert doubled.cpu_cores == 4.0
-        assert doubled.gpu_gflops == 200.0
-
-    def test_scaled_negative_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ResourceDemand().scaled(-1.0)
-
 
 class TestServer:
     def test_place_updates_usage(self):
@@ -73,10 +63,11 @@ class TestServer:
         server.place(container)
         assert container.server == "host-a"
 
-    def test_load_fraction_uses_binding_dimension(self):
+    def test_used_reads_every_dimension(self):
         server = make_server()
         server.place(make_container(gpu=100.0, cpu=8.0, mem=1.0))
-        assert server.load_fraction() == pytest.approx(0.5)  # cpu 8/16
+        assert server.used == ResourceDemand(8.0, 100.0, 1.0)
+        assert server.free == ResourceDemand(8.0, 9_900.0, 63.0)
 
     def test_effective_gflops(self):
         server = make_server()

@@ -9,8 +9,7 @@ step, for every server:
 
 * ``used`` ``==`` a fresh ``sum()`` of the model's demands per dimension
   (placement order, so the same float), and ``free`` ``==`` capacity
-  minus that sum;
-* ``load_fraction()`` is the largest used/capacity ratio of those sums.
+  minus that sum.
 
 And for a probe demand, ``first_fit`` picks the same server as filtering
 the whole pool by the model's spare capacity, or raises the same
@@ -86,9 +85,6 @@ def _check(servers, model, probe):
         assert server.used == ResourceDemand(cpu, gpu, mem)
         assert server.free == ResourceDemand(
             server.cpu_cores - cpu, server.gpu_gflops - gpu, server.memory_gb - mem
-        )
-        assert server.load_fraction() == max(
-            cpu / server.cpu_cores, gpu / server.gpu_gflops, mem / server.memory_gb
         )
         assert [c.container_id for c in server.containers] == [
             c.container_id for c in hosted

@@ -18,11 +18,18 @@ interleaved mutations:
   Dijkstra on every destination;
 * the CSR array kernel is byte-identical to the oracle on every query,
   under any interleaving of mutations, and a lookup-repaired CSR
-  cache entry equals recomputation from scratch.
+  cache entry equals recomputation from scratch;
+* the terminal-tree finisher, reading the closure off the kernel's
+  trees, equals the oracle's closure-dict finisher (same parent order,
+  bit-equal weight, same ``NoPathError``) on both terminal-tree entry
+  points, below and above the kernel's vectorised cut.
 """
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -30,11 +37,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import NoPathError
 from repro.network import csr
+from repro.network.csr import kernel
 from repro.network.auxiliary import AuxiliaryGraphBuilder
 from repro.network.graph import Network
 from repro.network.node import NodeKind
 from repro.network.routing import LatencyWeightSpec, PathCache, get_cache
-from tests.oracle import dijkstra, sssp, terminal_tree
+from repro.network.paths import TreeResult
+from tests.oracle import (
+    closure_finisher,
+    dijkstra,
+    metric_closure,
+    sssp,
+    terminal_tree,
+)
 
 
 @st.composite
@@ -302,3 +317,114 @@ class TestCsrObjectEquivalence:
             moved = {name: after[name] - before[name] for name in after}
             assert moved["hits"] + moved["misses"] == len(sources)
             assert moved["repairs"] <= moved["revalidations"] <= len(sources)
+
+
+#: Edge weights for the finisher identity: few distinct values, so
+#: equal-weight ties, zero-weight edges and unusable (inf) edges are
+#: common rather than vanishingly rare.
+_DRAWN_WEIGHTS = [0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 2.0, 3.0, math.inf]
+
+#: Pendant leaves that lift a padded snapshot over the vectorised cut.
+_PAD_LEAVES = kernel.VECTOR_MIN_EDGES // 2 + 8
+
+
+@st.composite
+def drawn_terminal_cases(draw, vector):
+    """A random graph with drawn directed-edge weights and 1..8 terminals.
+
+    The graph may be disconnected.  ``vector`` hangs a hub with
+    :data:`_PAD_LEAVES` pendant leaves off it, so the snapshot has at
+    least ``VECTOR_MIN_EDGES`` directed edges while the core solve stays
+    small.  Terminals may repeat and include the root.
+    """
+    n = draw(st.integers(2, 12))
+    net = Network("drawn")
+    for i in range(n):
+        net.add_node(f"n{i}", NodeKind.ROUTER)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    for a, b in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30)):
+        net.add_link(f"n{a}", f"n{b}", 100.0)
+    names = net.node_names()
+    if vector:
+        net.add_node("hub", NodeKind.ROUTER)
+        net.add_link("hub", draw(st.sampled_from(names)), 100.0)
+        for i in range(_PAD_LEAVES):
+            net.add_node(f"leaf{i}", NodeKind.ROUTER)
+            net.add_link(f"leaf{i}", "hub", 100.0)
+        names = names + ["hub", "leaf0", "leaf1", "leaf2"]
+    rng = draw(st.randoms(use_true_random=False))
+    weights = [rng.choice(_DRAWN_WEIGHTS) for _ in range(csr.get_snapshot(net).m)]
+    size = min(draw(st.integers(1, 8)), len(names))
+    distinct = draw(
+        st.lists(st.sampled_from(names), unique=True, min_size=size, max_size=size)
+    )
+    repeats = draw(st.lists(st.sampled_from(distinct), max_size=3))
+    terminals = draw(st.permutations(distinct[1:] + repeats))
+    return net, weights, distinct[0], terminals
+
+
+class _DrawnSpec:
+    """A shareable spec whose token the patched lowering maps to drawn weights."""
+
+    def cache_token(self):
+        return ("drawn",)
+
+    def shareable(self):
+        return True
+
+
+def _outcome(build):
+    """A tree as its exact observable parts, or the NoPathError raised."""
+    try:
+        tree = build()
+    except NoPathError as exc:
+        return ("no path", exc.source, exc.destination, str(exc))
+    return (tree.root, list(tree.parent.items()), tree.weight.hex())
+
+
+def _oracle_outcome(net, weights, root, terminals):
+    """The oracle's closure-dict finisher over object SSSP trees."""
+    terminal_list = list(dict.fromkeys([root, *terminals]))
+    if len(terminal_list) == 1:
+        return _outcome(lambda: TreeResult(root=root, parent={}, weight=0.0))
+    snapshot = csr.get_snapshot(net)
+    weight = csr.array_edge_weight(snapshot, weights)
+    trees = (sssp(net, a, weight) for a in terminal_list[:-1])
+    return _outcome(
+        lambda: closure_finisher(
+            root, terminal_list, metric_closure(terminal_list, trees), weight
+        )
+    )
+
+
+class TestFinisherMatchesClosureOracle:
+    """Trees read off the kernel's SSSP trees == the closure-dict oracle."""
+
+    @pytest.mark.parametrize("entry", ["cached", "uncached"])
+    @pytest.mark.parametrize("vector", [False, True], ids=["heap", "vector"])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_oracle_finisher(self, entry, vector, data):
+        net, weights, root, terminals = data.draw(drawn_terminal_cases(vector))
+        snapshot = csr.get_snapshot(net)
+        assert (snapshot.m >= kernel.VECTOR_MIN_EDGES) == vector
+        lower = kernel.weight_array
+
+        def lowered(snapshot, token):
+            if token == ("drawn",):
+                return np.asarray(weights, dtype=np.float64)
+            return lower(snapshot, token)
+
+        spec = _DrawnSpec()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(csr, "weight_array", lowered)
+            patch.setattr(kernel, "weight_array", lowered)
+            if entry == "cached":
+                got = _outcome(
+                    lambda: PathCache(net).terminal_tree(root, terminals, spec)
+                )
+            else:
+                got = _outcome(
+                    lambda: csr.terminal_tree_csr(net, root, terminals, spec)
+                )
+        assert got == _oracle_outcome(net, weights, root, terminals)

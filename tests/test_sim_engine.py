@@ -131,9 +131,10 @@ class TestSimulator:
         assert fired == [1]
         assert sim.now == 50.0
         # Exactly one event is left queued.
-        assert sim.step() is True
+        assert sim.run() == 100.0
         assert fired == [1, 100]
-        assert sim.step() is False
+        assert sim.run() == 100.0
+        assert fired == [1, 100]
 
     def test_run_until_then_resume(self):
         sim = Simulator()
@@ -189,15 +190,15 @@ class TestSimulator:
         with pytest.raises(SimulationError, match="budget"):
             sim.run()
 
-    def test_step_executes_one_event(self):
+    def test_run_until_executes_events_due_by_then(self):
         sim = Simulator()
         fired = []
         sim.schedule(1.0, lambda: fired.append(1))
         sim.schedule(2.0, lambda: fired.append(2))
-        assert sim.step() is True
+        sim.run(until=1.0)
         assert fired == [1]
-        assert sim.step() is True
-        assert sim.step() is False
+        sim.run(until=2.0)
+        assert fired == [1, 2]
 
     def test_trace_records_names(self):
         sim = Simulator()

@@ -72,13 +72,10 @@ KEEP: Dict[str, str] = {
     # The checked form of a one-test path production takes.
     "place": "Server.place tests capacity for callers that pick the server; deploy hosts first-fit's choice",
     # Only tests call these; candidates for the next deletion pass.
-    "scaled": "next-pass candidate: only tests scale a ResourceDemand",
-    "load_fraction": "next-pass candidate: only tests read a server's binding load",
     "as_row": "next-pass candidate: only tests flatten a TaskReport",
     "disconnect": "next-pass candidate: only tests tear down a spine-leaf circuit",
     "column": "next-pass candidate: only tests read one result column",
     "Modulated": "next-pass candidate: only tests wrap a workload builder",
-    "step": "next-pass candidate: only tests single-step the simulator",
     "select_all": "next-pass candidate: only tests use the identity selection",
 }
 
